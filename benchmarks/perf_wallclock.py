@@ -9,7 +9,9 @@ this one measures real host time, in two parts:
    batch-vectorized :class:`~repro.jacobi.batched.BatchedJacobiEngine`.
    Both paths produce bit-identical factors; only the NumPy execution
    strategy differs, so the ratio isolates the interpreter-loop overhead
-   the engine removes.
+   the engine removes. The EVD case does the same for the in-SM
+   eigensolver: one ``ParallelJacobiEVD.decompose`` per symmetric Gram
+   matrix against the engine's stacked ``evd_batch``.
 2. **Worker-scaling cases** — the full ``WCycleSVD`` solver over a
    ragged batch of large (recursion-sized) matrices, run serial and then
    on the ``threads`` / ``processes`` / ``persistent`` runtime backends
@@ -47,6 +49,8 @@ from repro.perfci import bench_meta
 from repro.perfci.storage import atomic_write_json
 from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
+from repro.jacobi.parallel_evd import ParallelJacobiEVD
+from repro.jacobi.twosided_evd import TwoSidedConfig
 from repro.runtime import RuntimeConfig
 from repro.runtime.executor import get_executor
 from repro.runtime.resilient import base_executor
@@ -68,6 +72,10 @@ CASES = [
         "round-robin",
     ),
 ]
+
+#: EVD engine case: 256 Gram matrices of 16 columns, the size of the
+#: W-cycle's in-SM EVD for 8-column panel pairs.
+EVD_CASES = [("256x(16x16)", [16] * 256, "round-robin")]
 
 #: Worker-scaling workload: ragged large matrices, all big enough to take
 #: the W-cycle recursion path where per-matrix host work dominates.
@@ -133,6 +141,46 @@ def compute(cases=None, rounds: int = ROUNDS) -> list[tuple]:
                 ordering,
                 breakdown,
             )
+        )
+    return rows
+
+
+def _grams(sizes: list[int], seed: int = 0) -> list[np.ndarray]:
+    """Symmetric positive semi-definite ``A^T A`` of ``(2k, k)`` Gaussians."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in sizes:
+        A = rng.standard_normal((2 * k, k))
+        out.append(A.T @ A)
+    return out
+
+
+def compute_evd(cases=None, rounds: int = ROUNDS) -> list[tuple]:
+    """Rows of (case, batch, loop_s, engine_s, speedup, ordering)."""
+    rows = []
+    for name, sizes, ordering in cases if cases is not None else EVD_CASES:
+        config = TwoSidedConfig(ordering=ordering)
+        solver = ParallelJacobiEVD(config)
+        engine = BatchedJacobiEngine(evd_config=config)
+        matrices = _grams(sizes)
+        loop_results = None
+        engine_results = None
+
+        def run_loop():
+            nonlocal loop_results
+            loop_results = [solver.decompose(b) for b in matrices]
+
+        def run_engine():
+            nonlocal engine_results
+            engine_results = engine.evd_batch(matrices)
+
+        t_loop = _best_of(run_loop, rounds)
+        t_engine = _best_of(run_engine, rounds)
+        for a, b in zip(loop_results, engine_results):
+            assert a.L.tobytes() == b.L.tobytes(), name
+            assert a.J.tobytes() == b.J.tobytes(), name
+        rows.append(
+            (name, len(matrices), t_loop, t_engine, t_loop / t_engine, ordering)
         )
     return rows
 
@@ -217,7 +265,9 @@ def compute_scaling(
     return rows
 
 
-def write_bench_json(rows: list[tuple], scaling_rows: list[tuple]) -> Path:
+def write_bench_json(
+    rows: list[tuple], scaling_rows: list[tuple], evd_rows: list[tuple]
+) -> Path:
     """Repo-root BENCH_wallclock.json: the perf trajectory record."""
     unit = "seconds (host wall-clock, best of %d)" % ROUNDS
     payload = {
@@ -244,6 +294,17 @@ def write_bench_json(rows: list[tuple], scaling_rows: list[tuple]) -> Path:
             for name, batch, loop_s, engine_s, speedup, ordering, breakdown
             in rows
         ],
+        "evd_cases": [
+            {
+                "case": name,
+                "batch": batch,
+                "ordering": ordering,
+                "loop_s": loop_s,
+                "engine_s": engine_s,
+                "speedup": speedup,
+            }
+            for name, batch, loop_s, engine_s, speedup, ordering in evd_rows
+        ],
         "worker_scaling": {
             "workload": "%d ragged large matrices (W-cycle path)"
             % len(SCALING_SHAPES),
@@ -269,13 +330,23 @@ def write_bench_json(rows: list[tuple], scaling_rows: list[tuple]) -> Path:
     return path
 
 
-def report(rows: list[tuple], scaling_rows: list[tuple]) -> None:
+def report(
+    rows: list[tuple], scaling_rows: list[tuple], evd_rows: list[tuple]
+) -> None:
     record_table(
         "perf_wallclock",
         "Wall-clock: per-matrix solver loop vs batch-vectorized engine",
         ["case", "batch", "loop (s)", "engine (s)", "speedup", "ordering"],
         [row[:6] for row in rows],
         notes="Host seconds, best of %d; identical factors both paths."
+        % ROUNDS,
+    )
+    record_table(
+        "perf_wallclock_evd",
+        "Wall-clock: per-matrix parallel EVD loop vs stacked engine EVD",
+        ["case", "batch", "loop (s)", "engine (s)", "speedup", "ordering"],
+        evd_rows,
+        notes="Host seconds, best of %d; identical eigenpairs both paths."
         % ROUNDS,
     )
     record_table(
@@ -286,15 +357,19 @@ def report(rows: list[tuple], scaling_rows: list[tuple]) -> None:
         notes="Host seconds on %s CPU(s); parallel backends need real "
         "cores to pay off." % (os.cpu_count() or "?"),
     )
-    write_bench_json(rows, scaling_rows)
+    write_bench_json(rows, scaling_rows, evd_rows)
 
 
 @pytest.mark.slow
 def test_perf_wallclock():
     rows = compute()
     scaling_rows = compute_scaling()
-    report(rows, scaling_rows)
+    evd_rows = compute_evd()
+    report(rows, scaling_rows, evd_rows)
     by_case = {row[0]: row[4] for row in rows}
+    # The stacked EVD must beat the per-matrix loop (> 7x on the
+    # reference box); the bar leaves noise headroom.
+    assert evd_rows[0][4] >= 3.0, evd_rows
     # Acceptance bar: the engine beats the seed loop >= 3x on the
     # 256-matrix small-tall case.
     assert by_case["256x(16x8)"] >= 3.0, by_case
@@ -365,9 +440,12 @@ def main(argv: list[str] | None = None) -> None:
                 assert (
                     overhead["arena_leases"] == overhead["arena_returns"]
                 ), overhead
-        print("smoke:", rows, scaling_rows)
+        evd_rows = compute_evd(
+            cases=[("32x(16x16)", [16] * 32, "round-robin")], rounds=1
+        )
+        print("smoke:", rows, scaling_rows, evd_rows)
         return
-    report(compute(), compute_scaling())
+    report(compute(), compute_scaling(), compute_evd())
 
 
 if __name__ == "__main__":

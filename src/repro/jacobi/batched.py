@@ -74,6 +74,7 @@ from repro.jacobi.fused import (
 )
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
+from repro.jacobi.rotations import rotation_cs
 from repro.jacobi.twosided_evd import (
     TwoSidedConfig,
     TwoSidedJacobiEVD,
@@ -507,19 +508,7 @@ class StackedOneSidedJacobi:
         # Vectorized Eq. 4 across (batch, pairs). Inactive entries get the
         # identity rotation c = 1, s = 0, which leaves their matrices'
         # columns numerically unchanged.
-        tau = np.zeros_like(cosine)
-        tau[rotate] = (aii[rotate] - ajj[rotate]) / (2.0 * aij[rotate])
-        t = np.zeros_like(tau)
-        t[rotate] = np.sign(tau[rotate]) / (
-            np.abs(tau[rotate]) + np.hypot(1.0, tau[rotate])
-        )
-        # sign(0) == 0 would zero the rotation for tau == 0 (equal norms);
-        # that case needs the 45-degree rotation t = 1.
-        t[rotate & (tau == 0.0)] = 1.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        c[~rotate] = 1.0
-        s[~rotate] = 0.0
+        c, s = rotation_cs(aii, ajj, aij, rotate)
         cb = c[:, None, :]
         sb = s[:, None, :]
         W[:, :, idx_i] = cb * Wi + sb * Wj
@@ -695,17 +684,7 @@ class StackedParallelEVD:
         active = (mag > fl) & ((denom <= fl) | (mag > tol * denom))
         if not active.any():
             return
-        rho = np.zeros_like(bij)
-        rho[active] = (bii[active] - bjj[active]) / (2.0 * bij[active])
-        t = np.zeros_like(rho)
-        t[active] = np.sign(rho[active]) / (
-            np.abs(rho[active]) + np.hypot(1.0, rho[active])
-        )
-        t[active & (rho == 0.0)] = 1.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        c[~active] = 1.0
-        s[~active] = 0.0
+        c, s = rotation_cs(bii, bjj, bij, active)
         # B <- G.T B G: disjoint pairs let the column pass and the row pass
         # each be one gathered batched update.
         Bi = B[:, :, idx_i]

@@ -20,7 +20,8 @@ from the previous step's layout, and the canonical column order is restored
 once per sweep. The arithmetic is ordered so results are bit-identical to
 the reference step loop (the einsum contractions reduce in the same
 operand order as the reference ufunc expressions; verified by
-``tests/test_fused_sweeps.py``).
+``tests/test_fused_sweeps.py``), up to the sign of rotated zeros (see
+:class:`FusedEVDSweeper`).
 
 **Zero-gather odd-even specialization.** The odd-even (brick) ordering's
 steps are adjacent transpositions of the *current* layout, so its plan
@@ -60,6 +61,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.jacobi.convergence import symmetric_offdiagonal_cosine
+from repro.jacobi.rotations import rotation_cs
 from repro.orderings import Ordering, sweep_schedule
 from repro.runtime import faults
 
@@ -72,8 +75,6 @@ __all__ = [
     "cached_step_arrays",
     "sweep_plan",
 ]
-
-_EPS = np.finfo(np.float64).eps
 
 _Schedule = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -345,6 +346,12 @@ class ScratchPool:
 # ---------------------------------------------------------------------------
 
 
+def _eq6_norms(c, s, aii, ajj, aij):
+    """Eq. 6 norms of a rotated pair, in the reference's expression order."""
+    c2, s2, cross = c**2, s**2, 2.0 * c * s * aij
+    return c2 * aii + cross + s2 * ajj, s2 * aii - cross + c2 * ajj
+
+
 class FusedSVDSweeper:
     """Sweep executor for :class:`repro.jacobi.batched.StackedOneSidedJacobi`.
 
@@ -432,8 +439,8 @@ class FusedSVDSweeper:
             max_cos, rotations = self._sweep_gather(norm_floor)
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
-        np.take(self.T, self.plan.restore, axis=0, out=self.S)
-        np.take(self.VT, self.plan.restore, axis=0, out=self.VS)
+        self.T.take(self.plan.restore, axis=0, out=self.S)
+        self.VT.take(self.plan.restore, axis=0, out=self.VS)
         self.T, self.S = self.S, self.T
         self.VT, self.VS = self.VS, self.VT
         if kt:
@@ -484,30 +491,22 @@ class FusedSVDSweeper:
         Returns ``(rotate, c, s)`` with identity rotations on inactive
         pairs, or ``None`` when no pair in the step rotates.
         """
-        cfg = self.cfg
-        denom = np.sqrt(np.clip(aii * ajj, 0.0, None))
+        # A zero denominator's sign is moot: x / ±0 is zeroed below.
+        denom = np.sqrt(np.maximum(aii * ajj, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             cosine = np.abs(aij) / denom
-        cosine[~np.isfinite(cosine)] = 0.0
+        np.putmask(cosine, ~np.isfinite(cosine), 0.0)
         floored = norm_floor > 0.0
         if floored.any():
             nf = norm_floor[:, None]
-            cosine[floored[:, None] & ((aii <= nf) | (ajj <= nf))] = 0.0
-        rotate = cosine > cfg.tol
+            np.putmask(
+                cosine, floored[:, None] & ((aii <= nf) | (ajj <= nf)), 0.0
+            )
+        rotate = cosine > self.cfg.tol
         np.maximum(max_cos, cosine.max(axis=1), out=max_cos)
         if not rotate.any():
             return None
-        tau = np.zeros_like(cosine)
-        tau[rotate] = (aii[rotate] - ajj[rotate]) / (2.0 * aij[rotate])
-        t = np.zeros_like(tau)
-        t[rotate] = np.sign(tau[rotate]) / (
-            np.abs(tau[rotate]) + np.hypot(1.0, tau[rotate])
-        )
-        t[rotate & (tau == 0.0)] = 1.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        c[~rotate] = 1.0
-        s[~rotate] = 0.0
+        c, s = rotation_cs(aii, ajj, aij, rotate)
         return rotate, c, s
 
     def _gram_update(self, step, rotate, c, s) -> None:
@@ -547,8 +546,8 @@ class FusedSVDSweeper:
             t0 = kt.clock() if kt else 0.0
             p = step.n_pairs
             k = 2 * p
-            np.take(T, step.gather, axis=0, out=S)
-            np.take(VT, step.gather, axis=0, out=VS)
+            T.take(step.gather, axis=0, out=S)
+            VT.take(step.gather, axis=0, out=VS)
             T, S = S, T
             VT, VS = VS, VT
             A = T[:k].reshape(p, 2, nb, m)
@@ -598,13 +597,10 @@ class FusedSVDSweeper:
             elif cache:
                 # Eq. 6; aii/ajj are views into sqnorms, so both updates
                 # are computed before either slot is overwritten.
-                new_i = c**2 * aii + 2.0 * c * s * aij + s**2 * ajj
-                new_j = s**2 * aii - 2.0 * c * s * aij + c**2 * ajj
-                sq[..., 0] = new_i
-                sq[..., 1] = new_j
+                sq[..., 0], sq[..., 1] = _eq6_norms(c, s, aii, ajj, aij)
             if kt:
                 kt.lap(t0, "norms")
-            rotations += np.count_nonzero(rotate, axis=1)
+            rotations += rotate.sum(axis=1)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.sqnorms = sqnorms
         return max_cos, rotations
@@ -706,15 +702,14 @@ class FusedSVDSweeper:
             if gram:
                 self._gram_update(step, rotate, c, s)
             elif cache:
-                new_i = c**2 * aii + 2.0 * c * s * aij + s**2 * ajj
-                new_j = s**2 * aii - 2.0 * c * s * aij + c**2 * ajj
+                new_i, new_j = _eq6_norms(c, s, aii, ajj, aij)
                 # Slot 0 now holds the (swapped-in) other column of the
                 # pair; write the updated norms swap-folded to match.
                 sq[..., 0] = np.where(orient, new_i, new_j)
                 sq[..., 1] = np.where(orient, new_j, new_i)
             if kt:
                 kt.lap(t0, "norms")
-            rotations += np.count_nonzero(rotate, axis=1)
+            rotations += rotate.sum(axis=1)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.sqnorms = sqnorms
         return max_cos, rotations
@@ -725,14 +720,32 @@ class FusedSVDSweeper:
 # ---------------------------------------------------------------------------
 
 
+def _pair_block_views(X: np.ndarray, p: int):
+    """Strided ``(b, p)`` views ``(x_ii, x_jj, x_ij, x_ji)`` of the first
+    ``p`` diagonal 2x2 blocks of a C-contiguous ``(b, k, k)`` stack."""
+    b, k, _ = X.shape
+    flat = X.reshape(b, k * k)  # a view: X is C-contiguous
+    step = 2 * (k + 1)  # block q starts at flat index 2q (k + 1)
+    stop = p * step
+    starts = (0, k + 1, 1, k)
+    return tuple(flat[:, i:stop:step] for i in starts)
+
+
 class FusedEVDSweeper:
     """Sweep executor for :class:`repro.jacobi.batched.StackedParallelEVD`.
 
-    Keeps the stack in its canonical ``(b, k, k)`` layout but permutes it
-    into pair-adjacent order per step (rows and columns, one ``np.take``
-    each), applying every congruence of the step as two fused two-operand
-    einsums (column pass, then row pass) against a ``(b, p, 2, 2)``
-    rotation stack. Bit-identical to the reference step loop.
+    Permutes ``B`` (``(b, k, k)``) into pair-adjacent rows and columns per
+    step (one ``np.take`` each) and applies the step's congruences in two
+    passes: an elementwise column pass, ``(x0 c + 0.0) + x1 s`` and
+    ``(x0 (-s) + 0.0) + x1 c``, then one row-pass einsum against a
+    ``(b, p, 2, 2)`` rotation stack. ``J`` is kept transposed
+    (``JT[b] = J[b].T``) so ``J <- J G`` is the same row-pass einsum.
+
+    Bit-identical to the reference step loop but for the sign of rotated
+    zeros: einsum starts from a zero accumulator, so an entry whose two
+    products are ``-0.0`` comes out ``+0.0`` where the loop's
+    ``c x0 + s x1`` keeps ``-0.0``. The column pass's ``+ 0.0`` applies
+    the same rule.
     """
 
     def __init__(
@@ -749,15 +762,15 @@ class FusedEVDSweeper:
         self._pool = pool
         B = pool.acquire((b, k, k))
         B[...] = stack
-        J = pool.acquire((b, k, k))
-        J[...] = 0.0
-        J[:, np.arange(k), np.arange(k)] = 1.0
+        JT = pool.acquire((b, k, k))
+        JT[...] = 0.0
+        JT[:, np.arange(k), np.arange(k)] = 1.0
         S1 = pool.acquire((b, k, k))
         S2 = pool.acquire((b, k, k))
         JS = pool.acquire((b, k, k))
-        self._pooled = [B, J, S1, S2, JS]
+        self._pooled = [B, JT, S1, S2, JS]
         faults.poison_stack(B)
-        self.B, self.J, self.S1, self.S2, self.JS = B, J, S1, S2, JS
+        self.B, self.JT, self.S1, self.S2, self.JS = B, JT, S1, S2, JS
 
     @property
     def count(self) -> int:
@@ -770,45 +783,30 @@ class FusedEVDSweeper:
         """One full sweep; returns ``(offs, rotations)`` with the stack
         restored to canonical order (``offs`` evaluated per matrix, as in
         the reference, to keep the metric's reduction order unchanged)."""
-        from repro.jacobi.convergence import symmetric_offdiagonal_cosine
-
         tol = self.cfg.tol
         nb = self.count
         k = self.k
+        fl = floor[:, None]
         rotations = np.zeros(nb, dtype=np.int64)
-        B, J, S1, S2, JS = self.B, self.J, self.S1, self.S2, self.JS
+        prods = np.empty((nb, k, k // 2))
+        B, JT, S1, S2, JS = self.B, self.JT, self.S1, self.S2, self.JS
         for step in self.plan.steps:
             p = step.n_pairs
             k2 = 2 * p
             g = step.gather
-            np.take(B, g, axis=1, out=S1)
-            np.take(S1, g, axis=2, out=S2)
-            np.take(J, g, axis=2, out=JS)
-            q = np.arange(p)
-            D = S2[:, :k2, :k2].reshape(nb, p, 2, p, 2)
-            bij = D[:, q, 0, q, 1]
-            bii = D[:, q, 0, q, 0]
-            bjj = D[:, q, 1, q, 1]
+            B.take(g, axis=1, out=S1)
+            S1.take(g, axis=2, out=S2)
+            JT.take(g, axis=1, out=JS)
+            bii, bjj, bij, _ = _pair_block_views(S2, p)
             mag = np.abs(bij)
             denom = np.sqrt(np.abs(bii * bjj))
-            fl = floor[:, None]
             active = (mag > fl) & ((denom <= fl) | (mag > tol * denom))
             if not active.any():
                 # Land the permutation; values are untouched.
-                B[...] = S2
-                J[...] = JS
+                B, S2 = S2, B
+                JT, JS = JS, JT
                 continue
-            rho = np.zeros_like(bij)
-            rho[active] = (bii[active] - bjj[active]) / (2.0 * bij[active])
-            t = np.zeros_like(rho)
-            t[active] = np.sign(rho[active]) / (
-                np.abs(rho[active]) + np.hypot(1.0, rho[active])
-            )
-            t[active & (rho == 0.0)] = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c[~active] = 1.0
-            s[~active] = 0.0
+            c, s = rotation_cs(bii, bjj, bij, active)
             R = np.empty((nb, p, 2, 2))
             R[..., 0, 0] = c
             R[..., 1, 0] = s
@@ -816,12 +814,18 @@ class FusedEVDSweeper:
             R[..., 1, 1] = c
             # Column pass into S1, row pass (reading the column-updated
             # matrix, as the reference does) into B.
-            np.einsum(
-                "bkpc,bpcd->bkpd",
-                S2[:, :, :k2].reshape(nb, k, p, 2),
-                R,
-                out=S1[:, :, :k2].reshape(nb, k, p, 2),
-            )
+            X = S2[:, :, :k2].reshape(nb, k, p, 2)
+            Y = S1[:, :, :k2].reshape(nb, k, p, 2)
+            x0, x1 = X[..., 0], X[..., 1]
+            y0, y1 = Y[..., 0], Y[..., 1]
+            prod = prods[..., :p]
+            cb = c[:, None, :]
+            np.multiply(x0, cb, out=y0)
+            y0 += 0.0
+            y0 += np.multiply(x1, s[:, None, :], out=prod)
+            np.multiply(x0, R[:, None, :, 0, 1], out=y1)
+            y1 += 0.0
+            y1 += np.multiply(x1, cb, out=prod)
             S1[:, :, k2:] = S2[:, :, k2:]
             np.einsum(
                 "bpck,bpcd->bpdk",
@@ -831,25 +835,23 @@ class FusedEVDSweeper:
             )
             B[:, k2:, :] = S1[:, k2:, :]
             # Eliminated entries are exactly zero in exact arithmetic.
-            bsel, psel = np.nonzero(active)
-            Dz = B[:, :k2, :k2].reshape(nb, p, 2, p, 2)
-            Dz[bsel, psel, 0, psel, 1] = 0.0
-            Dz[bsel, psel, 1, psel, 0] = 0.0
+            _, _, out_ij, out_ji = _pair_block_views(B, p)
+            np.putmask(out_ij, active, 0.0)
+            np.putmask(out_ji, active, 0.0)
             np.einsum(
-                "bkpc,bpcd->bkpd",
-                JS[:, :, :k2].reshape(nb, k, p, 2),
+                "bpck,bpcd->bpdk",
+                JS[:, :k2, :].reshape(nb, p, 2, k),
                 R,
-                out=J[:, :, :k2].reshape(nb, k, p, 2),
+                out=JT[:, :k2, :].reshape(nb, p, 2, k),
             )
-            J[:, :, k2:] = JS[:, :, k2:]
-            rotations += np.count_nonzero(active, axis=1)
+            JT[:, k2:, :] = JS[:, k2:, :]
+            rotations += active.sum(axis=1)
         restore = self.plan.restore
-        np.take(B, restore, axis=1, out=S1)
-        np.take(S1, restore, axis=2, out=S2)
-        self.B, self.S2 = S2, B
-        np.take(J, restore, axis=2, out=JS)
-        self.J, self.JS = JS, J
-        self.S1 = S1
+        B.take(restore, axis=1, out=S1)
+        S1.take(restore, axis=2, out=S2)
+        JT.take(restore, axis=1, out=JS)
+        self.B, self.S1, self.S2 = S2, S1, B
+        self.JT, self.JS = JS, JT
         offs = np.array(
             [symmetric_offdiagonal_cosine(self.B[pos]) for pos in range(nb)]
         )
@@ -863,11 +865,11 @@ class FusedEVDSweeper:
         positions: np.ndarray,
     ) -> None:
         out_B[targets] = self.B[positions]
-        out_J[targets] = self.J[positions]
+        out_J[targets] = self.JT[positions].transpose(0, 2, 1)
 
     def compact(self, keep: np.ndarray) -> None:
         self.B = np.compress(keep, self.B, axis=0)
-        self.J = np.compress(keep, self.J, axis=0)
+        self.JT = np.compress(keep, self.JT, axis=0)
         self.S1 = np.empty_like(self.B)
         self.S2 = np.empty_like(self.B)
         self.JS = np.empty_like(self.B)

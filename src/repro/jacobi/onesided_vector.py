@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.jacobi.factors import finalize_onesided
+from repro.jacobi.rotations import rotation_cs
 from repro.orderings import Ordering, get_ordering
 from repro.types import ConvergenceTrace, SVDResult
 from repro.utils.validation import as_matrix
@@ -244,21 +245,7 @@ class OneSidedJacobiSVD:
         if not rotate.any():
             return max_cos, 0
         # Vectorized Eq. 4 for the pairs that need rotating.
-        tau = np.zeros(len(step))
-        active = rotate
-        tau[active] = (aii[active] - ajj[active]) / (2.0 * aij[active])
-        t = np.zeros(len(step))
-        t[active] = np.sign(tau[active]) / (
-            np.abs(tau[active]) + np.hypot(1.0, tau[active])
-        )
-        # sign(0) == 0 would zero the rotation for tau == 0 (equal norms);
-        # that case needs the 45-degree rotation t = 1.
-        zero_tau = active & (tau == 0.0)
-        t[zero_tau] = 1.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        c[~active] = 1.0
-        s[~active] = 0.0
+        c, s = rotation_cs(aii, ajj, aij, rotate)
         # Disjoint pairs: simultaneous column updates are safe.
         W[:, idx_i] = c * Wi + s * Wj
         W[:, idx_j] = -s * Wi + c * Wj
@@ -272,7 +259,7 @@ class OneSidedJacobiSVD:
             new_jj = s**2 * aii - 2.0 * c * s * aij + c**2 * ajj
             sqnorms[idx_i] = new_ii
             sqnorms[idx_j] = new_jj
-        rotated = int(np.count_nonzero(active))
+        rotated = int(np.count_nonzero(rotate))
         stats.rotations += rotated
         return max_cos, rotated
 

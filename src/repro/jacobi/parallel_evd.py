@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.jacobi.convergence import symmetric_offdiagonal_cosine
+from repro.jacobi.rotations import rotation_cs
 from repro.jacobi.twosided_evd import TwoSidedConfig, _finalize_evd
 from repro.orderings import Ordering, get_ordering
 from repro.types import ConvergenceTrace, EVDResult
@@ -105,18 +106,7 @@ class ParallelJacobiEVD:
         active = (mag > floor) & ((denom <= floor) | (mag > tol * denom))
         if not active.any():
             return 0
-        # Vectorized inner-rotation formula (same as rotations.twosided_rotation).
-        rho = np.zeros(len(step))
-        rho[active] = (bii[active] - bjj[active]) / (2.0 * bij[active])
-        t = np.zeros(len(step))
-        t[active] = np.sign(rho[active]) / (
-            np.abs(rho[active]) + np.hypot(1.0, rho[active])
-        )
-        t[active & (rho == 0.0)] = 1.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        c[~active] = 1.0
-        s[~active] = 0.0
+        c, s = rotation_cs(bii, bjj, bij, active)
         # B <- G.T B G: disjoint pairs let both the column pass and the row
         # pass be applied as single gathered updates.
         Bi = B[:, idx_i].copy()

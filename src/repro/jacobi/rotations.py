@@ -10,6 +10,9 @@ Implements the stable rotation formulas of the paper:
 
 Both pick the *inner* rotation (|t| <= 1), which is what gives Jacobi its
 quadratic convergence and high relative accuracy.
+
+:func:`rotation_cs` is the one vectorized copy of the formula, used by
+every array solver; the scalar functions are its reference.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "rotation_from_tau",
+    "rotation_cs",
     "onesided_rotation",
     "twosided_rotation",
     "apply_rotation_inplace",
@@ -37,6 +41,33 @@ def rotation_from_tau(tau: float) -> tuple[float, float]:
     t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
     return c, t * c
+
+
+def rotation_cs(
+    a_ii: np.ndarray, a_jj: np.ndarray, a_ij: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-rotation ``(c, s)`` for every entry of same-shape arrays.
+
+    ``a_ii, a_jj, a_ij`` are Gram entries (one-sided, Eq. 4) or matrix
+    entries (two-sided); ``active`` marks the pairs to rotate. The formula
+    runs on every entry with no boolean gathers, and inactive entries come
+    out as the identity ``c = 1.0, s = +0.0`` whatever they hold (zeros,
+    inf, nan). Active entries match :func:`rotation_from_tau` except where
+    a sign of zero decides: ``tau = -0.0`` takes ``t = +1`` like
+    ``tau = +0.0``, and ``tau = -inf`` gives ``s = -0.0``. ``np.hypot`` and
+    ``math.hypot`` may also round apart by an ulp, moving ``c, s`` by at
+    most two.
+    """
+    with np.errstate(all="ignore"):
+        tau = (a_ii - a_jj) / (2.0 * a_ij)
+        t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
+        # sign(0) == 0 would zero the rotation for tau == 0 (equal norms);
+        # that case needs the 45-degree rotation t = 1.
+        np.putmask(t, tau == 0.0, 1.0)
+        # t = +0.0 gives exactly c = 1.0, s = +0.0.
+        np.putmask(t, ~active, 0.0)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        return c, t * c
 
 
 def onesided_rotation(

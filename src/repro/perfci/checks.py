@@ -291,6 +291,16 @@ DEFAULT_CHECKS: tuple[PerfCheck, ...] = tuple(
             noise_floor=0.02,
             description="per-sweep rotation kernel time (fused einsum)",
         ),
+        PerfCheck(
+            name="engine.evd256x16x16.speedup",
+            source=_WALLCLOCK,
+            path="evd_cases[case=256x(16x16)].speedup",
+            unit="x",
+            direction="higher",
+            tolerance=0.20,
+            noise_floor=0.5,
+            description="stacked in-SM EVD vs per-matrix parallel EVD loop",
+        ),
         # -- persistent-arena dispatch overhead (PR 7): deterministic
         # counters, so the gate is near-exact.
         PerfCheck(

@@ -174,6 +174,106 @@ class TestEVDBitwiseEquivalence:
         assert _traces_equal(tf, tl)
 
 
+def _evd_signed_zero_inputs(k):
+    """Symmetric inputs holding exact ``0.0`` and ``-0.0`` entries."""
+    diag = np.diag(np.arange(1.0, k + 1))
+    diag[1, 1] = -0.0
+    diag[3, 3] = 0.0
+    diag[0, 2] = diag[2, 0] = -0.0
+    zero_col = np.diag(np.arange(1.0, k + 1))
+    zero_col[0, 1] = zero_col[1, 0] = 0.5
+    zero_col[:, k - 1] = 0.0
+    zero_col[k - 1, :] = 0.0
+    A = np.arange(1.0, 3 * k + 1).reshape(3, k) % 7 - 3
+    A[:, 1] = 0.0
+    return {"diagonal": diag, "zero-column": zero_col, "gram": A.T @ A}
+
+
+def _svd_signed_zero_inputs(m, n):
+    """Inputs with orthogonal or block-orthogonal columns, or a zero one."""
+    orth = np.zeros((m, n))
+    orth[np.arange(n), np.arange(n)] = np.arange(1.0, n + 1)
+    orth[n, 0] = -0.0
+    orth[2, 1] = -0.0
+    block = np.zeros((m, n))
+    block[:3, 0] = [1.0, 2.0, 3.0]
+    block[:3, 1] = [2.0, -1.0, 0.5]
+    block[3:6, 2] = [1.0, 1.0, -2.0]
+    block[3:6, 3] = [0.5, -0.0, 1.0]
+    zero_col = np.arange(1.0, m * n + 1).reshape(m, n) % 5 - 2
+    zero_col[:, 2] = 0.0
+    return {"orthogonal": orth, "block": block, "zero-column": zero_col}
+
+
+def _solve_evd_both(stack, ordering):
+    scales = np.linalg.norm(stack, axis=(1, 2))
+    return [
+        StackedParallelEVD(
+            TwoSidedConfig(ordering=ordering, fused_sweeps=fused)
+        ).solve_stack(stack.copy(), scales)
+        for fused in (True, False)
+    ]
+
+
+class TestSignedZeros:
+    """Signed zeros through the fused passes.
+
+    Einsum contractions start from a zero accumulator, so a rotated entry
+    whose products are both ``-0.0`` comes out ``+0.0``; the elementwise
+    EVD column pass adds ``+ 0.0`` to match. On these inputs that rule
+    never decides a sign, and the fused output is byte-equal to the loop.
+    """
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_evd_matches_step_loop(self, ordering, k):
+        inputs = _evd_signed_zero_inputs(k)
+        for name, B in inputs.items():
+            (Bf, Jf, tf), (Bl, Jl, tl) = _solve_evd_both(B[None], ordering)
+            assert Bf.tobytes() == Bl.tobytes(), name
+            assert Jf.tobytes() == Jl.tobytes(), name
+            assert _traces_equal(tf, tl), name
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("shape", [(8, 4), (9, 5), (10, 6)])
+    def test_svd_matches_step_loop(self, ordering, cache, shape):
+        stack = np.stack(list(_svd_signed_zero_inputs(*shape).values()))
+        out = [
+            StackedOneSidedJacobi(
+                OneSidedConfig(
+                    ordering=ordering,
+                    cache_inner_products=cache,
+                    fused_sweeps=fused,
+                )
+            ).solve_stack(stack.copy())
+            for fused in (True, False)
+        ]
+        (Wf, Vf, tf), (Wl, Vl, tl) = out
+        assert Wf.tobytes() == Wl.tobytes()
+        assert Vf.tobytes() == Vl.tobytes()
+        assert _traces_equal(tf, tl)
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_rotated_negative_zeros_come_out_positive(self, ordering, k):
+        """A ``-0.0`` row and column: the loop's ``c x0 + s x1`` keeps
+        ``-0.0`` where the fused passes give ``+0.0``. Values, ``J`` and
+        traces still match the loop; the fused ``B`` holds no negative
+        zero off the diagonal (dropping the ``+ 0.0`` leaves some)."""
+        B = np.diag(np.arange(1.0, k + 1))
+        B[0, 1] = B[1, 0] = 0.5
+        B[:, k - 1] = -0.0
+        B[k - 1, :] = -0.0
+        (Bf, Jf, tf), (Bl, Jl, tl) = _solve_evd_both(B[None], ordering)
+        assert np.array_equal(Bf, Bl)
+        assert Jf.tobytes() == Jl.tobytes()
+        assert _traces_equal(tf, tl)
+        off = ~np.eye(k, dtype=bool)
+        assert not np.signbit(Bf[0][off]).any()
+        assert np.signbit(Bl[0][off]).any()
+
+
 class TestGramCache:
     def test_requires_inner_product_cache(self):
         with pytest.raises(ConfigurationError):

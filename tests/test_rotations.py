@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.jacobi.rotations import (
     apply_rotation_inplace,
     onesided_rotation,
+    rotation_cs,
     rotation_from_tau,
     rotation_matrix,
     twosided_rotation,
@@ -87,6 +88,115 @@ class TestTwoSidedRotation:
 
     def test_identity_when_diagonal(self):
         assert twosided_rotation(3.0, 1.0, 0.0) == (1.0, 0.0)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _cs_entries(entries):
+    """``rotation_cs`` on a list of ``(a_ii, a_jj, a_ij, active)`` rows."""
+    cols = list(zip(*entries))
+    c, s = rotation_cs(
+        np.array(cols[0]), np.array(cols[1]), np.array(cols[2]),
+        np.array(cols[3], dtype=bool),
+    )
+    return list(zip(c.tolist(), s.tolist()))
+
+
+class TestRotationCS:
+    """The vectorized kernel, element by element against the scalar
+    oracle: byte-equal on active entries, ``(1.0, +0.0)`` on inactive."""
+
+    TINY = 5e-324
+
+    ACTIVE = [
+        (2.0, 1.0, 0.5),  # tau = 1
+        (1.0, 3.0, -0.25),
+        (1.5, 1.5, 0.5),  # tau = +0.0
+        (1e300, 0.0, 0.5),  # |tau| = 1e300
+        (-1e300, 0.0, 0.5),
+        (1e-300, 0.0, 0.5),  # |tau| = 1e-300
+        (-1e-300, 0.0, 0.5),
+        (1.7e308, 0.0, 0.5),  # |tau| + hypot overflows: t = 0
+        (2.0, 1.0, 1e-310),  # tau overflows to +inf: identity
+        (3 * TINY, TINY, TINY),  # subnormal Gram entries, tau = 1
+        (10 * TINY, 3 * TINY, 2 * TINY),  # tau = 1.75
+        (TINY, 0.0, TINY),  # tau = 0.5
+    ]
+
+    INACTIVE = [
+        (2.0, 1.0, 0.0),
+        (2.0, 1.0, -0.0),
+        (0.0, 0.0, 0.0),
+        (-0.0, 0.0, -0.0),
+        (math.inf, math.inf, 1.0),  # inf - inf = nan
+        (math.inf, 1.0, math.inf),  # inf / inf = nan
+        (math.nan, 1.0, 2.0),
+        (1.0, 2.0, math.nan),
+        (1.0, 1.0, -1.0),  # would rotate if active
+    ]
+
+    @pytest.mark.parametrize(
+        "oracle", [onesided_rotation, twosided_rotation]
+    )
+    def test_active_entries_byte_equal_to_scalar(self, oracle):
+        got = _cs_entries([(*e, True) for e in self.ACTIVE])
+        for entry, (c, s) in zip(self.ACTIVE, got):
+            want_c, want_s = oracle(*entry)
+            assert (_bits(c), _bits(s)) == (_bits(want_c), _bits(want_s)), entry
+
+    def test_inactive_entries_are_exact_identity(self):
+        got = _cs_entries([(*e, False) for e in self.INACTIVE])
+        for entry, (c, s) in zip(self.INACTIVE, got):
+            assert (_bits(c), _bits(s)) == (_bits(1.0), _bits(0.0)), entry
+
+    def test_mixed_stack_matches_per_entry(self):
+        """Neighbouring inf/nan inactive entries cannot leak into active
+        ones, and no floating-point warning escapes."""
+        rows = [(*e, True) for e in self.ACTIVE] + [
+            (*e, False) for e in self.INACTIVE
+        ]
+        order = np.random.default_rng(3).permutation(len(rows))
+        mixed = [rows[i] for i in order]
+        with np.errstate(all="raise"):
+            got = _cs_entries(mixed)
+        for row, (c, s) in zip(mixed, got):
+            want = onesided_rotation(*row[:3]) if row[3] else (1.0, 0.0)
+            assert (_bits(c), _bits(s)) == tuple(map(_bits, want)), row
+
+    def test_negative_zero_tau_takes_positive_45_degrees(self):
+        """tau = -0.0 (equal norms, negative a_ij) rotates by t = +1 like
+        tau = +0.0, where the scalar copysign picks t = -1. The stacked
+        solvers have always done this; both rotations annihilate a_ij."""
+        (c, s), = _cs_entries([(1.5, 1.5, -0.5, True)])
+        assert (c, s) == rotation_from_tau(0.0)
+        assert onesided_rotation(1.5, 1.5, -0.5) == (c, -s)
+
+    def test_negative_infinite_tau_gives_negative_zero_sine(self):
+        (c, s), = _cs_entries([(1.0, 2.0, 1e-310, True)])
+        assert (_bits(c), _bits(s)) == (_bits(1.0), _bits(-0.0))
+        assert onesided_rotation(1.0, 2.0, 1e-310) == (1.0, 0.0)
+
+    def test_random_entries_within_two_ulp_and_exact_when_hypot_agrees(self):
+        rng = np.random.default_rng(11)
+        n = 4000
+        aii = rng.random(n) * 10.0 ** rng.uniform(-5, 5, n)
+        ajj = rng.random(n) * 10.0 ** rng.uniform(-5, 5, n)
+        aij = rng.standard_normal(n) * np.sqrt(aii * ajj)
+        c, s = rotation_cs(aii, ajj, aij, np.ones(n, dtype=bool))
+        want = np.array(
+            [onesided_rotation(*e) for e in zip(aii, ajj, aij)]
+        )
+        np.testing.assert_array_max_ulp(c, want[:, 0], maxulp=2)
+        np.testing.assert_array_max_ulp(s, want[:, 1], maxulp=2)
+        tau = (aii - ajj) / (2.0 * aij)
+        same_hypot = np.hypot(1.0, tau) == np.array(
+            [math.hypot(1.0, t) for t in tau]
+        )
+        assert same_hypot.mean() > 0.99
+        assert c[same_hypot].tobytes() == want[same_hypot, 0].tobytes()
+        assert s[same_hypot].tobytes() == want[same_hypot, 1].tobytes()
 
 
 class TestApplyRotation:
