@@ -1,7 +1,7 @@
 """Host wall-clock benchmark of the batch-vectorized Jacobi engine.
 
 Unlike the figure/table benchmarks, which report *simulated* GPU seconds,
-this one measures real host time, in two parts:
+this one measures real host time, in three parts:
 
 1. **Engine cases** — the seed's per-matrix solver loop (one
    ``OneSidedJacobiSVD.decompose`` call per matrix — exactly what
@@ -25,6 +25,12 @@ this one measures real host time, in two parts:
    warm map), IPC round-trips, pickled task bytes, and — on the
    ``persistent`` backend — arena lease/return counts, so the trajectory
    shows *where* the non-compute time goes, not just the total.
+3. **W-cycle case** — same-shape large matrices solved one
+   ``WCycleSVD.decompose`` call at a time (every matrix walks its levels
+   alone) against one ``decompose_batch`` call (level-synchronous
+   buckets: one launch per sweep step for all members). Factors are
+   asserted byte-equal; the simulated launch counts of both sides and
+   the bucketed call's rotations per level are recorded.
 
 Writes ``benchmarks/results/perf_wallclock.{txt,json}`` via the shared
 harness plus a repo-root ``BENCH_wallclock.json`` for the performance
@@ -44,7 +50,7 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import record_table
-from repro import WCycleSVD
+from repro import Profiler, WCycleSVD
 from repro.perfci import bench_meta
 from repro.perfci.storage import atomic_write_json
 from repro.jacobi.batched import BatchedJacobiEngine
@@ -82,6 +88,9 @@ EVD_CASES = [("256x(16x16)", [16] * 256, "round-robin")]
 SCALING_SHAPES = [(128, 64), (96, 48), (160, 80), (64, 32)] * 8
 SCALING_WORKERS = (1, 2, 4, 8)
 SCALING_BACKENDS = ("threads", "processes", "persistent")
+
+#: W-cycle case: two buckets of eight same-shape large matrices.
+WCYCLE_CASE = ("8x(128x64)+8x(512x64)", [(128, 64)] * 8 + [(512, 64)] * 8)
 
 ROUNDS = 3
 SCALING_ROUNDS = 1  # each config is ~10 s of W-cycle work
@@ -185,6 +194,47 @@ def compute_evd(cases=None, rounds: int = ROUNDS) -> list[tuple]:
     return rows
 
 
+def compute_wcycle(case=WCYCLE_CASE, rounds: int = ROUNDS) -> tuple:
+    """Row of (case, batch, per_matrix_s, bucketed_s, speedup,
+    per_matrix_launches, bucketed_launches, level_rotations)."""
+    name, shapes = case
+    matrices = _batch(shapes, seed=2)
+    solver = WCycleSVD(device="V100")
+    alone = None
+    together = None
+    launches: dict[str, int] = {}
+
+    def run_alone():
+        nonlocal alone
+        profiler = Profiler()
+        alone = [solver.decompose(a, profiler=profiler) for a in matrices]
+        launches["alone"] = profiler.report.launch_count
+
+    def run_together():
+        nonlocal together
+        profiler = Profiler()
+        together = solver.decompose_batch(matrices, profiler=profiler)
+        launches["together"] = profiler.report.launch_count
+
+    t_alone = _best_of(run_alone, rounds)
+    t_together = _best_of(run_together, rounds)
+    # The speedup claim is only meaningful if the outputs agree.
+    for a, b in zip(alone, together):
+        assert a.U.tobytes() == b.U.tobytes(), name
+        assert a.S.tobytes() == b.S.tobytes(), name
+        assert a.V.tobytes() == b.V.tobytes(), name
+    return (
+        name,
+        len(matrices),
+        t_alone,
+        t_together,
+        t_alone / t_together,
+        launches["alone"],
+        launches["together"],
+        dict(solver.last_level_rotations),
+    )
+
+
 def _warm_noop(item):
     """Picklable no-op task for the pool spin-up measurement."""
     return item
@@ -266,7 +316,10 @@ def compute_scaling(
 
 
 def write_bench_json(
-    rows: list[tuple], scaling_rows: list[tuple], evd_rows: list[tuple]
+    rows: list[tuple],
+    scaling_rows: list[tuple],
+    evd_rows: list[tuple],
+    wcycle_row: tuple,
 ) -> Path:
     """Repo-root BENCH_wallclock.json: the perf trajectory record."""
     unit = "seconds (host wall-clock, best of %d)" % ROUNDS
@@ -305,6 +358,22 @@ def write_bench_json(
             }
             for name, batch, loop_s, engine_s, speedup, ordering in evd_rows
         ],
+        "wcycle_cases": [
+            {
+                "case": wcycle_row[0],
+                "batch": wcycle_row[1],
+                "per_matrix_s": wcycle_row[2],
+                "bucketed_s": wcycle_row[3],
+                "speedup": wcycle_row[4],
+                # Simulated launches of the whole case on each side.
+                "per_matrix_launches": wcycle_row[5],
+                "bucketed_launches": wcycle_row[6],
+                # Rotations per level depth of the bucketed call.
+                "level_rotations": {
+                    str(depth): count for depth, count in wcycle_row[7].items()
+                },
+            }
+        ],
         "worker_scaling": {
             "workload": "%d ragged large matrices (W-cycle path)"
             % len(SCALING_SHAPES),
@@ -331,7 +400,10 @@ def write_bench_json(
 
 
 def report(
-    rows: list[tuple], scaling_rows: list[tuple], evd_rows: list[tuple]
+    rows: list[tuple],
+    scaling_rows: list[tuple],
+    evd_rows: list[tuple],
+    wcycle_row: tuple,
 ) -> None:
     record_table(
         "perf_wallclock",
@@ -350,6 +422,17 @@ def report(
         % ROUNDS,
     )
     record_table(
+        "perf_wallclock_wcycle",
+        "Wall-clock: W-cycle one matrix at a time vs level-synchronous buckets",
+        [
+            "case", "batch", "per-matrix (s)", "bucketed (s)", "speedup",
+            "per-matrix launches", "bucketed launches",
+        ],
+        [wcycle_row[:7]],
+        notes="Host seconds, best of %d; identical factors both paths."
+        % ROUNDS,
+    )
+    record_table(
         "perf_wallclock_scaling",
         "Wall-clock: W-cycle worker scaling (vs serial, identical factors)",
         ["backend", "workers", "wallclock (s)", "speedup"],
@@ -357,7 +440,7 @@ def report(
         notes="Host seconds on %s CPU(s); parallel backends need real "
         "cores to pay off." % (os.cpu_count() or "?"),
     )
-    write_bench_json(rows, scaling_rows, evd_rows)
+    write_bench_json(rows, scaling_rows, evd_rows, wcycle_row)
 
 
 @pytest.mark.slow
@@ -365,7 +448,8 @@ def test_perf_wallclock():
     rows = compute()
     scaling_rows = compute_scaling()
     evd_rows = compute_evd()
-    report(rows, scaling_rows, evd_rows)
+    wcycle_row = compute_wcycle()
+    report(rows, scaling_rows, evd_rows, wcycle_row)
     by_case = {row[0]: row[4] for row in rows}
     # The stacked EVD must beat the per-matrix loop (> 7x on the
     # reference box); the bar leaves noise headroom.
@@ -379,6 +463,10 @@ def test_perf_wallclock():
     assert by_case["64x(64x32)"] >= 4.0, by_case
     # Every case must at least not regress.
     assert min(by_case.values()) >= 1.0, by_case
+    # Buckets share every launch of a sweep step: fewer launches, and the
+    # bucketed call must not be slower than solving one matrix at a time.
+    assert wcycle_row[6] < wcycle_row[5], wcycle_row
+    assert wcycle_row[4] >= 1.0, wcycle_row
     # The serial engine path must have recorded a kernel breakdown.
     for row in rows:
         breakdown = row[6]
@@ -443,9 +531,13 @@ def main(argv: list[str] | None = None) -> None:
         evd_rows = compute_evd(
             cases=[("32x(16x16)", [16] * 32, "round-robin")], rounds=1
         )
-        print("smoke:", rows, scaling_rows, evd_rows)
+        wcycle_row = compute_wcycle(
+            case=("2x(128x64)", [(128, 64)] * 2), rounds=1
+        )
+        assert wcycle_row[6] < wcycle_row[5], wcycle_row
+        print("smoke:", rows, scaling_rows, evd_rows, wcycle_row)
         return
-    report(compute(), compute_scaling(), compute_evd())
+    report(compute(), compute_scaling(), compute_evd(), compute_wcycle())
 
 
 if __name__ == "__main__":

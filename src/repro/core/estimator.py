@@ -8,11 +8,12 @@ replaces the arithmetic with predicted sweep counts
 (:mod:`repro.jacobi.sweep_model`) and per-sweep kernel cost formulas. Tests
 cross-validate the two modes on sizes where both run.
 
-Unlike the executing driver (which processes one matrix at a time), the
-estimator batches across matrices exactly the way the GPU algorithm does:
-all panels of all same-shape matrices at a level share one kernel launch
-per step, which is what drives the occupancy-vs-batch-size behaviour of
-Fig. 11(a).
+Like the executing driver, the estimator batches across matrices the way
+the GPU algorithm does: all panels of all same-shape matrices at a level
+share one kernel launch per step, which is what drives the
+occupancy-vs-batch-size behaviour of Fig. 11(a). The driver buckets by
+exact working shape; the estimator groups by (shape, condition) and
+rounds highly heterogeneous batches up into power-of-two buckets.
 """
 
 from __future__ import annotations

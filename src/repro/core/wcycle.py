@@ -4,26 +4,35 @@
 
 1. matrices whose whole SVD fits in shared memory run in one batched in-SM
    SVD kernel launch (Algorithm 2 line 3);
-2. every other matrix descends through levels of shrinking block width.
-   At each level, a sweep orthogonalizes all column-block pairs; each joined
-   pair is classified into the three groups (in-SM SVD / in-SM Gram EVD /
-   recurse) and the groups are served by batched kernels;
-3. the per-pair rotations are applied by the level's batched update GEMM
-   (tailored per §IV-D when enabled);
-4. sweeps repeat until all column blocks are mutually orthogonal.
+2. every other matrix joins the *bucket* of its working shape — the shape
+   after the transpose-when-wide rule, or that of its triangular factor
+   under ``qr_precondition`` — and each bucket descends through levels of
+   shrinking block width level-synchronously. A sweep step gathers the
+   step's joined pairs from every live member, classifies them into the
+   three groups (in-SM SVD / in-SM Gram EVD / recurse), and serves each
+   group with one batched launch for the whole bucket; the step's recursed
+   pairs descend together as a sub-bucket;
+3. the per-pair rotations of every member are applied by one batched
+   update GEMM per step (tailored per §IV-D when enabled);
+4. sweeps repeat, and each member drops out as soon as its column blocks
+   are mutually orthogonal.
+
+A single matrix is a bucket of one: a member's factors, trace and rotation
+counts do not depend on its bucket-mates.
 
 All kernels run real NumPy math while accounting simulated-GPU costs, so a
 :class:`~repro.gpusim.counters.Profiler` threaded through ``decompose_batch``
 yields the occupancy/transaction/time profile of the whole run.
 
-Host parallelism (the ``runtime`` parameter) shards the independent axes of
-the workflow across workers: the per-matrix level recursions, the three
-kernel groups of a sweep step, and (inside the kernels) the shape buckets
-of each batched launch. Every parallel site hands each task its own
-:class:`~repro.gpusim.counters.Profiler` and rotation accumulator and
-merges them in the serial iteration order, so parallel runs report
-*identical* factors, sweep counts, and simulated-GPU accounting — the
-backends trade wall-clock only.
+Host parallelism (the ``runtime`` parameter) runs one task per bucket,
+largest first; with fewer buckets than workers, each bucket is cut into
+contiguous member shards. Every task logs its launches with their cost
+inputs, and the shards of a bucket merge their logs back into the
+launches of the unsplit bucket, folded in bucket order. Parallel runs
+therefore report *identical* factors, sweep counts, and simulated-GPU
+accounting at every worker count — the backends trade wall-clock only.
+A call with a single matrix runs inline and lets the kernels' engine
+shard its stacks across workers instead.
 """
 
 from __future__ import annotations
@@ -41,24 +50,30 @@ from repro.errors import (
     FailureReport,
     NonFiniteError,
 )
-from repro.gpusim.counters import Profiler
+from repro.gpusim.counters import KernelStats, ProfileReport, Profiler
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.evd_kernel import BatchedEVDKernel, SMEVDKernelConfig
-from repro.gpusim.gemm import BatchedGemm, TilingSpec
-from repro.gpusim.svd_kernel import BatchedSVDKernel, SMSVDKernelConfig
+from repro.gpusim.gemm import BatchedGemm, GemmTask, TilingSpec
+from repro.gpusim.svd_kernel import (
+    BatchedSVDKernel,
+    SMSVDKernelConfig,
+    observed_sweeps,
+)
 from repro.gpusim.memory import svd_fits_in_sm
 from repro.core.levels import Group, classify_pair, select_w1, width_schedule
-from repro.jacobi.batched import _nan_svd_result
+from repro.jacobi.batched import _nan_svd_result, _remap_stack_error
 from repro.jacobi.convergence import gram_offdiagonal_cosine
 from repro.jacobi.factors import complete_square_orthogonal, finalize_onesided
 from repro.jacobi.onesided_block import column_blocks
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
+from repro.jacobi.preconditioning import worth_preconditioning
 from repro.orderings import Ordering, get_ordering, sweep_schedule
 from repro.runtime import sanitize
 from repro.runtime.executor import (
     ON_FAILURE_MODES,
     Executor,
     RuntimeConfig,
+    SerialExecutor,
     TaskError,
     _CapturedCall,
     get_executor,
@@ -66,19 +81,45 @@ from repro.runtime.executor import (
 from repro.runtime.arena import resolve as _arena_resolve
 from repro.runtime.resilient import base_executor, policy_of
 from repro.runtime.scheduler import (
-    evd_stack_cost,
-    svd_stack_cost,
+    shard_count,
+    split_shards,
     wcycle_matrix_cost,
 )
 from repro.runtime.shm import export_array, import_array, release
 from repro.tuning.autotune import AutoTuner
 from repro.types import BatchedSVDResult, ConvergenceTrace, SVDResult
+from repro.utils.bucketing import bucket_by_shape
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_batch
 
 __all__ = ["WCycleConfig", "WCycleSVD"]
 
 _log = get_logger("core.wcycle")
+
+#: Bucket key of the triangular factors (``qr_precondition``) that fit in
+#: shared memory whole: they share one in-SM launch whatever their size.
+_IN_SM: tuple[int, ...] = ()
+
+#: A large matrix made ready for its bucket: ``(work, Q, flipped)``.
+_Prepared = tuple[np.ndarray, np.ndarray | None, bool]
+
+#: One launch a bucket solve recorded: ``(key, kind, level, inputs,
+#: stats)``. ``key`` orders launches as a serial solve records them; ``kind``
+#: is ``"svd"``, ``"gram"``, ``"evd"`` or ``"update"``; ``level`` is the
+#: ``(m, n, w)`` of a GEMM's engine (``None`` for the kernels); ``inputs``
+#: are the per-matrix columns the launch's cost model reads (shapes, sweep
+#: counts), which member shards concatenate to rebuild the launch of the
+#: unsplit bucket.
+_Launch = tuple[
+    tuple[int, ...], str, tuple[int, int, int] | None, tuple, KernelStats
+]
+
+#: What one bucket (or member shard) solve hands back: per-member
+#: results, its launch log, and its rotation count per level depth.
+_UnitOut = tuple[list[SVDResult], list[_Launch], dict[int, int]]
+
+#: A solved bucket: per-member results, its launches, rotation counts.
+_BucketOut = tuple[list[SVDResult], ProfileReport, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -218,9 +259,6 @@ class WCycleSVD:
         self.last_level_rotations: dict[int, int] = {}
         #: Failure/recovery record of the most recent batch call.
         self.last_failures = FailureReport()
-        # Batch size of the call in progress; informs the width tuner the
-        # way the GPU algorithm's batch-wide auto-tuning does.
-        self._batch_hint: int = 1
         # Per-instance caches — valid for the solver's lifetime because
         # config and device are both immutable. The kernels are built once
         # (not per sweep step), tailored GEMM engines and per-level sweep
@@ -279,7 +317,6 @@ class WCycleSVD:
         matrices = check_batch(matrices)
         self.last_level_rotations = {}
         self.last_failures = report = FailureReport()
-        self._batch_hint = len(matrices)
         results: list[SVDResult | None] = [None] * len(matrices)
         svd_kernel = self._svd_kernel()
         # Group (Algorithm 2 line 2): whole SVD resident in SM.
@@ -315,84 +352,116 @@ class WCycleSVD:
                 results[i] = res
         large = [i for i in range(len(matrices)) if results[i] is None]
         if large:
-            for i, out in zip(
-                large,
-                self._run_large(matrices, large, profiler, quarantine, report),
-            ):
-                results[i] = out
+            self._run_large(matrices, large, results, profiler, quarantine, report)
         return BatchedSVDResult(
             results=results,  # type: ignore[arg-type]
             failures=report if quarantine else None,
         )
 
+    def _prepare(self, A: np.ndarray) -> _Prepared:
+        """The working matrix of a large ``A``: ``(work, Q, flipped)``.
+
+        ``work`` is ``A`` transposed when wide, replaced under
+        ``qr_precondition`` by the triangular factor ``R`` of a tall enough
+        one (``Q`` is then its orthonormal factor, else ``None``). It may
+        be a view of ``A``: the solve copies before it mutates.
+        """
+        cfg = self.config
+        flip = cfg.transpose_wide and A.shape[0] < A.shape[1]
+        work = A.T if flip else A
+        q = None
+        if cfg.qr_precondition and worth_preconditioning(*work.shape):
+            q, work = np.linalg.qr(work, mode="reduced")
+        return work, q, flip
+
     def _run_large(
         self,
         matrices: list[np.ndarray],
         large: list[int],
+        results: list[SVDResult | None],
         profiler: Profiler | None,
-        quarantine: bool = False,
-        report: FailureReport | None = None,
-    ) -> list[SVDResult]:
-        """Solve the through-the-levels matrices, possibly across workers.
+        quarantine: bool,
+        report: FailureReport,
+    ) -> None:
+        """Solve the through-the-levels matrices, bucket by bucket.
 
-        Each matrix's level recursion is independent; tasks run with a
-        private profiler and rotation accumulator, and the per-task records
-        are merged **in batch index order** — the order the serial loop
-        records in — so parallel runs report identical accounting.
+        Each matrix's working matrix is built once (:meth:`_prepare`) and
+        keyed by its shape — or by :data:`_IN_SM` for a triangular factor
+        that fits in shared memory. With fewer buckets than workers, each
+        bucket is cut into contiguous member shards so every worker gets
+        one; a shard runs the bucket's level recursion on its members, and
+        :meth:`_replay` merges the shards' launch logs back into the
+        launches of the unsplit bucket. Tasks run largest first; results,
+        records and rotation counts are merged **in bucket order**, so
+        every backend and worker count reports identical factors and
+        accounting. Left factors of ``R`` map back as ``U = Q @ U_R``.
 
-        With ``quarantine`` set, a task that fails terminally (numerically,
-        or after the executor's retries) is rescued per matrix: inline
-        re-solve for infrastructure faults (bit-identical), the reference
-        per-matrix solver for numerical failures, NaN placeholders last.
+        A bucket with a failed shard is rescued by :meth:`_rescue_unit`
+        when ``quarantine`` is set. Otherwise the failure is raised as the
+        unsplit bucket raises it: a numerical failure of a split bucket
+        re-solves the bucket whole, which names every offender.
         """
+        prepared = {i: self._prepare(matrices[i]) for i in large}
+        works = {i: prepared[i][0] for i in large}
+        keys = [
+            _IN_SM if svd_fits_in_sm(*works[i].shape, self.device)
+            else works[i].shape
+            for i in large
+        ]
+        buckets = [
+            tuple(large[j] for j in bucket.indices)
+            for bucket in bucket_by_shape(keys)
+        ]
         ex = self._executor
-        on_error = "return" if quarantine else "raise"
-        costs = [wcycle_matrix_cost(*matrices[i].shape) for i in large]
-        if ex.supports_shared_state:
+        workers = 1 if ex.active else ex.workers
+        units: list[tuple[int, ...]] = []
+        unit_bucket: list[int] = []
+        for b, bucket in enumerate(buckets):
+            n_shards = shard_count(
+                len(bucket), max(1, workers // len(buckets)), min_shard=1
+            )
+            for shard in split_shards(bucket, n_shards):
+                units.append(shard)
+                unit_bucket.append(b)
+        costs = [
+            sum(wcycle_matrix_cost(*matrices[i].shape) for i in unit)
+            for unit in units
+        ]
+        count = len(matrices)
+
+        def solve(unit: tuple[int, ...]) -> _UnitOut:
+            return self._solve_unit([works[i] for i in unit], unit, count)
+
+        if len(units) == 1:
+            # One unit (a single matrix, or no spare workers) gains nothing
+            # from a unit-level fan-out; solving it here lets the kernels'
+            # engine shard its stacks across the pool instead.
+            outs = [_CapturedCall(solve)(units[0])]
+        elif ex.supports_shared_state:
             # Build both kernels before fanning out so worker threads share
             # one instance instead of racing to construct it.
             self._svd_kernel()
             self._evd_kernel()
-
-            def task(i: int):
-                local = Profiler()
-                rotations: dict[int, int] = {}
-                res = self._factorize_large(
-                    matrices[i], local, level_rotations=rotations
-                )
-                return res, local.report, rotations
-
-            outs = ex.map(task, large, costs=costs, on_error=on_error)
-        elif len(large) == 1:
-            # A single large matrix gains nothing from a matrix-level
-            # process fan-out; solving it here lets the kernels' engine
-            # shard its bucket work across the process pool instead.
-            def solve_inline(i: int):
-                local = Profiler()
-                rotations: dict[int, int] = {}
-                res = self._factorize_large(
-                    matrices[i], local, level_rotations=rotations
-                )
-                return res, local.report, rotations
-
-            run = _CapturedCall(solve_inline) if quarantine else solve_inline
-            outs = [run(large[0])]
+            outs = ex.map(solve, units, costs=costs, on_error="return")
         elif getattr(base_executor(ex), "arena_transport", False):
-            # Persistent backend: inputs travel as arena slot leases (no
-            # per-task segment create/attach/unlink); the small factor
-            # triples pickle back with the worker's profiler records.
+            # Persistent backend: working matrices travel as arena slot
+            # leases (no per-task segment create/attach/unlink); the
+            # factors pickle back with the worker's launch log.
             arena = base_executor(ex).arena
             leases, items = [], []
             try:
-                for i in large:
-                    ref = arena.place(matrices[i])
-                    leases.append(ref)
+                for unit in units:
+                    refs = []
+                    for i in unit:
+                        ref = arena.place(works[i])
+                        leases.append(ref)
+                        refs.append(ref)
                     items.append(
-                        (self.config, self.device, ref, self._batch_hint)
+                        (self.config, self.device, tuple(refs), unit, count)
                     )
                 outs = ex.map(
-                    _factorize_large_arena_task, items, costs=costs,
-                    on_error=on_error,
+                    _solve_unit_arena_task, items, costs=costs,
+                    on_error="return",
                 )
             finally:
                 for ref in leases:
@@ -400,105 +469,212 @@ class WCycleSVD:
         else:
             segments, items = [], []
             try:
-                for i in large:
-                    seg, ref = export_array(matrices[i])
-                    segments.append(seg)
+                for unit in units:
+                    refs = []
+                    for i in unit:
+                        seg, ref = export_array(works[i])
+                        segments.append(seg)
+                        refs.append(ref)
                     items.append(
-                        (self.config, self.device, ref, self._batch_hint)
+                        (self.config, self.device, tuple(refs), unit, count)
                     )
                 outs = ex.map(
-                    _factorize_large_task, items, costs=costs,
-                    on_error=on_error,
+                    _solve_unit_task, items, costs=costs, on_error="return"
                 )
             finally:
                 for seg in segments:
                     release(seg, unlink=True)
-        # The merge below must fold per-task records in batch-index order
+        # The merge below must fold per-bucket records in bucket order
         # (the serial recording sequence); the sanitizer asserts it.
-        sanitize.check_merge_order("WCycleSVD._run_large", large)
-        results: list[SVDResult] = []
-        for i, out in zip(large, outs):
-            if isinstance(out, TaskError):
-                out = self._rescue_large(matrices[i], i, out, report)
-            res, rep, rotations = out
-            results.append(res)
-            if profiler is not None:
-                profiler.report.extend(rep)
-            for depth, count in rotations.items():
-                self.last_level_rotations[depth] = (
-                    self.last_level_rotations.get(depth, 0) + count
+        sanitize.check_merge_order(
+            "WCycleSVD._run_large", [bucket[0] for bucket in buckets]
+        )
+        for b, bucket in enumerate(buckets):
+            shards = [
+                (unit, out)
+                for unit, out, ub in zip(units, outs, unit_bucket)
+                if ub == b
+            ]
+            failed = [
+                (unit, out) for unit, out in shards
+                if isinstance(out, TaskError)
+            ]
+            if failed and not quarantine:
+                exc = failed[0][1].error
+                if len(shards) > 1 and isinstance(
+                    exc, (ConvergenceError, NonFiniteError)
+                ):
+                    _worker_solver(self.config, self.device)._solve_unit(
+                        [works[i] for i in bucket], bucket, count
+                    )
+                raise exc
+            if failed:
+                bucket_results, records, rotations = self._rescue_unit(
+                    matrices, prepared, bucket, failed, report, count
                 )
-        return results
-
-    def _rescue_large(
-        self,
-        A: np.ndarray,
-        index: int,
-        task_error: TaskError,
-        report: FailureReport | None,
-    ):
-        """Per-matrix quarantine ladder for a failed level-recursion task.
-
-        Infrastructure faults re-solve inline (the parent reproduces the
-        exact serial bits); deterministic numerical failures descend to the
-        reference per-matrix solver; a matrix failing even that keeps NaN
-        placeholder factors. Every outcome lands in ``report``.
-        """
-        exc: BaseException = task_error.error
-        attempts = max(1, len(task_error.failures))
-        if report is None:
-            report = FailureReport()
-        if not isinstance(exc, (ConvergenceError, NonFiniteError)):
-            # Infrastructure fault: replay on the executor-free serial
-            # solver (the bit-exact reference path — and out of reach of
-            # the shared executor's fault frames and pool state).
-            serial = _worker_solver(self.config, self.device)
-            serial._batch_hint = self._batch_hint
-            try:
-                local = Profiler()
-                rotations: dict[int, int] = {}
-                res = serial._factorize_large(
-                    A, local, level_rotations=rotations
-                )
-            except (ConvergenceError, NonFiniteError) as inline_exc:
-                exc = inline_exc
-                attempts += 1
             else:
+                bucket_results = [
+                    _finish(res, *prepared[i][1:])
+                    for (unit, out) in shards
+                    for i, res in zip(unit, out[0])
+                ]
+                records = self._replay([out[1] for _, out in shards])
+                rotations = _summed([out[2] for _, out in shards])
+            for i, res in zip(bucket, bucket_results):
+                results[i] = res
+            if profiler is not None:
+                profiler.report.extend(records)
+            for depth, n_rot in rotations.items():
+                self.last_level_rotations[depth] = (
+                    self.last_level_rotations.get(depth, 0) + n_rot
+                )
+
+    def _replay(self, logs: list[list[_Launch]]) -> ProfileReport:
+        """The launches of one unsplit bucket solve, from the launch logs
+        of its member shards (given in member order).
+
+        A launch only one shard recorded keeps that shard's statistics. A
+        launch several shards recorded under the same key is rebuilt from
+        their concatenated cost inputs, in member order: exactly what the
+        unsplit solve computes, since a step stacks its panels member by
+        member.
+        """
+        slots: dict[tuple[int, ...], list[_Launch]] = {}
+        for log in logs:
+            for launch in log:
+                slots.setdefault(launch[0], []).append(launch)
+        report = ProfileReport()
+        for key in sorted(slots):
+            launches = slots[key]
+            if len(launches) == 1:
+                report.add(launches[0][4])
+                continue
+            _, kind, level, _, _ = launches[0]
+            columns = [
+                [item for part in parts for item in part]
+                for parts in zip(*(launch[3] for launch in launches))
+            ]
+            report.add(self._relaunch(kind, level, columns))
+        return report
+
+    def _relaunch(
+        self,
+        kind: str,
+        level: tuple[int, int, int] | None,
+        columns: list[list],
+    ) -> KernelStats:
+        """Statistics of one launch from its cost inputs (see
+        :data:`_Launch`)."""
+        if kind == "svd":
+            return self._svd_kernel().account(*columns)
+        if kind == "evd":
+            return self._evd_kernel().account(*columns)
+        gemm = self._level_gemm(*level)
+        tasks = [GemmTask(m, k) for col in columns for m, k in col]
+        if kind == "gram":
+            return gemm.simulate_gram(tasks)
+        return gemm.simulate_update(tasks)
+
+    def _rescue_unit(
+        self,
+        matrices: list[np.ndarray],
+        prepared: dict[int, _Prepared],
+        bucket: tuple[int, ...],
+        failed: list[tuple[tuple[int, ...], TaskError]],
+        report: FailureReport,
+        count: int,
+    ) -> _BucketOut:
+        """Quarantine ladder for a bucket with failed shard tasks.
+
+        Everything re-solves on the executor-free solver (the bit-exact
+        reference path, out of reach of the shared executor's fault frames
+        and pool state). When every failure is an infrastructure fault,
+        the whole bucket replays unsplit, which reproduces the factors and
+        launches of a clean run. A numerical failure re-solves each member
+        alone: healthy bucket-mates keep their bytes, and only members that
+        fail alone descend to the reference per-matrix solver, then to NaN
+        placeholders. Every matrix a failure named (the whole shard when
+        it names none) lands in ``report``. The factors come back for the
+        caller's matrices.
+        """
+        attempts = max(1, len(failed[0][1].failures))
+        blame: dict[int, BaseException] = {}
+        for unit, out in failed:
+            named = getattr(out.error, "batch_indices", None) or unit
+            for i in named:
+                blame.setdefault(i, out.error)
+        serial = _worker_solver(self.config, self.device)
+        numerical = (ConvergenceError, NonFiniteError)
+        if not any(isinstance(out.error, numerical) for _, out in failed):
+            try:
+                inner, log, rotations = serial._solve_unit(
+                    [prepared[i][0] for i in bucket], bucket, count
+                )
+            except numerical as inline_exc:
+                attempts += 1
+                blame = dict.fromkeys(
+                    inline_exc.batch_indices or bucket, inline_exc
+                )
+            else:
+                for i in sorted(blame):
+                    report.add(
+                        index=i,
+                        stage="wcycle",
+                        cause=type(blame[i]).__name__,
+                        message=str(blame[i]),
+                        attempts=attempts + 1,
+                        recovered=True,
+                    )
+                return (
+                    [
+                        _finish(res, *prepared[i][1:])
+                        for i, res in zip(bucket, inner)
+                    ],
+                    self._replay([log]),
+                    rotations,
+                )
+        results: list[SVDResult] = []
+        records = ProfileReport()
+        rotations = {}
+        for i in bucket:
+            work, q, flip = prepared[i]
+            try:
+                (res,), log, solo_rotations = serial._solve_unit(
+                    [work], (i,), count
+                )
+            except numerical as solo_exc:
+                results.append(
+                    self._reference_rescue(
+                        matrices[i], i, solo_exc, attempts + 2, report
+                    )
+                )
+                continue
+            if i in blame:
                 report.add(
-                    index=index,
+                    index=i,
                     stage="wcycle",
-                    cause=type(exc).__name__,
-                    message=str(exc),
+                    cause=type(blame[i]).__name__,
+                    message=str(blame[i]),
                     attempts=attempts + 1,
                     recovered=True,
                 )
-                return res, local.report, rotations
-        try:
-            res = self._reference_solver().decompose(A)
-        except (ConvergenceError, NonFiniteError) as ref_exc:
-            report.add(
-                index=index,
-                stage="wcycle",
-                cause=type(ref_exc).__name__,
-                message=str(ref_exc),
-                attempts=attempts + 2,
-                recovered=False,
-            )
-            return _nan_svd_result(A.shape), [], {}
-        report.add(
-            index=index,
-            stage="wcycle",
-            cause=type(exc).__name__,
-            message=str(exc),
-            attempts=attempts + 2,
-            recovered=True,
-        )
-        return res, [], {}
+            results.append(_finish(res, q, flip))
+            records.extend(self._replay([log]))
+            rotations = _summed([rotations, solo_rotations])
+        return results, records, rotations
 
-    def _reference_solver(self) -> OneSidedJacobiSVD:
-        """The flat per-matrix Jacobi solver used as the quarantine rung."""
+    def _reference_rescue(
+        self,
+        A: np.ndarray,
+        index: int,
+        exc: BaseException,
+        attempts: int,
+        report: FailureReport,
+    ) -> SVDResult:
+        """Last rungs of the ladder: the flat per-matrix Jacobi solver,
+        else NaN placeholders."""
         cfg = self.config
-        return OneSidedJacobiSVD(
+        reference = OneSidedJacobiSVD(
             OneSidedConfig(
                 tol=cfg.tol,
                 max_sweeps=cfg.max_sweeps,
@@ -507,6 +683,27 @@ class WCycleSVD:
                 transpose_wide=cfg.transpose_wide,
             )
         )
+        try:
+            res = reference.decompose(A)
+        except (ConvergenceError, NonFiniteError) as ref_exc:
+            report.add(
+                index=index,
+                stage="wcycle",
+                cause=type(ref_exc).__name__,
+                message=str(ref_exc),
+                attempts=attempts,
+                recovered=False,
+            )
+            return _nan_svd_result(A.shape)
+        report.add(
+            index=index,
+            stage="wcycle",
+            cause=type(exc).__name__,
+            message=str(exc),
+            attempts=attempts,
+            recovered=True,
+        )
+        return res
 
     # ------------------------------------------------------------------
     # large-matrix path
@@ -547,57 +744,43 @@ class WCycleSVD:
             )
         return self._evd_kernel_cache
 
-    def _factorize_large(
+    def _solve_unit(
         self,
-        A: np.ndarray,
-        profiler: Profiler | None,
-        *,
-        level_rotations: dict[int, int] | None = None,
-    ) -> SVDResult:
-        if level_rotations is None:
-            level_rotations = self.last_level_rotations
-        cfg = self.config
-        m, n = A.shape
-        if cfg.transpose_wide and m < n:
-            inner = self._factorize_large(
-                A.T.copy(), profiler, level_rotations=level_rotations
+        works: Sequence[np.ndarray],
+        owners: tuple[int, ...],
+        count: int,
+    ) -> _UnitOut:
+        """Solve one bucket (or member shard) of working matrices.
+
+        ``owners`` are the members' caller batch indices (named by
+        failures); ``count`` is the size of the whole batch, which the
+        width tuner sees exactly as the serial path does. Triangular
+        factors that fit in shared memory share one in-SM launch; any
+        other bucket runs the level recursion on private copies, so the
+        inputs are never mutated. The factors are the working matrices'.
+        """
+        log: list[_Launch] = []
+        rotations: dict[int, int] = {}
+        if svd_fits_in_sm(*works[0].shape, self.device):
+            results = self._launch_svd(list(works), owners, (), log)
+        else:
+            results = self._solve_bucket(
+                [work.copy() for work in works], owners, count, log,
+                rotations,
             )
-            return SVDResult(U=inner.V, S=inner.S, V=inner.U, trace=inner.trace)
-        if cfg.qr_precondition:
-            from repro.jacobi.preconditioning import qr_precondition_decompose
+        return results, log, rotations
 
-            return qr_precondition_decompose(
-                A, lambda R: self._solve_any(R, profiler, level_rotations)
-            )
-        return self._factorize_tall(A.copy(), profiler, level_rotations)
-
-    def _solve_any(
+    def _solve_bucket(
         self,
-        A: np.ndarray,
-        profiler: Profiler | None,
+        works: list[np.ndarray],
+        owners: tuple[int, ...],
+        count: int,
+        log: list[_Launch],
         level_rotations: dict[int, int],
-    ) -> SVDResult:
-        """Route a matrix through the in-SM kernel or the level recursion,
-        whichever its size admits (used by the QR-preconditioned path,
-        whose triangular factor is often small enough for shared memory)."""
-        kernel = self._svd_kernel()
-        if svd_fits_in_sm(*kernel.working_shape(*A.shape), self.device):
-            # Explicit raise mode: quarantine granularity is the top-level
-            # batch matrix, so inner failures must propagate to the rescue
-            # ladder instead of silently NaN-ing a panel.
-            results, _ = kernel.run([A], profiler=profiler, on_failure="raise")
-            return results[0]
-        return self._factorize_tall(A.copy(), profiler, level_rotations)
-
-    def _factorize_tall(
-        self,
-        work: np.ndarray,
-        profiler: Profiler | None,
-        level_rotations: dict[int, int],
-    ) -> SVDResult:
-        m, n = work.shape
-        V = np.eye(n)
-        trace = ConvergenceTrace()
+    ) -> list[SVDResult]:
+        """Run the level recursion on same-shape working matrices (in
+        place) and finalize each member's factors."""
+        m, n = works[0].shape
         cfg = self.config
         w1 = cfg.w1
         if w1 is None:
@@ -605,26 +788,34 @@ class WCycleSVD:
                 m,
                 n,
                 self.device,
-                count=self._batch_hint,
+                count=count,
                 tailoring=cfg.tailoring,
                 tlp_threshold=cfg.tlp_threshold,
             )
         widths = width_schedule(n, self.device, w1=w1, shrink=cfg.shrink)
         _log.debug(
-            "factorizing %dx%d on %s: widths %s", m, n, self.device.name, widths
+            "factorizing %d x (%dx%d) on %s: widths %s",
+            len(works), m, n, self.device.name, widths,
         )
+        Vs = [np.eye(n) for _ in works]
+        traces = [ConvergenceTrace() for _ in works]
         self._orthogonalize(
-            work,
-            V,
+            works,
+            Vs,
+            owners,
             widths,
             depth=0,
-            tol=self.config.tol,
-            max_sweeps=self.config.max_sweeps,
-            profiler=profiler,
+            tol=cfg.tol,
+            max_sweeps=cfg.max_sweeps,
+            key=(),
+            log=log,
             level_rotations=level_rotations,
-            trace=trace,
+            traces=traces,
         )
-        return finalize_onesided(work, V, trace)
+        return [
+            finalize_onesided(work, V, trace)
+            for work, V, trace in zip(works, Vs, traces)
+        ]
 
     # ------------------------------------------------------------------
     # the W-cycle recursion
@@ -632,61 +823,83 @@ class WCycleSVD:
 
     def _orthogonalize(
         self,
-        work: np.ndarray,
-        V: np.ndarray,
+        works: list[np.ndarray],
+        Vs: list[np.ndarray],
+        owners: Sequence[int],
         widths: list[int],
         depth: int,
         tol: float,
         max_sweeps: int,
-        profiler: Profiler | None,
+        key: tuple[int, ...],
+        log: list[_Launch],
         level_rotations: dict[int, int],
-        trace: ConvergenceTrace | None = None,
+        traces: list[ConvergenceTrace] | None = None,
         fixed_sweeps: int | None = None,
     ) -> None:
-        """Orthogonalize the columns of ``work`` at level ``depth``.
+        """Orthogonalize the columns of every same-shape ``works[k]`` at
+        level ``depth``, level-synchronously.
 
-        Runs block-Jacobi sweeps with width ``widths[depth]``, serving each
-        joined pair via the group-appropriate batched kernel; group-3 pairs
-        recurse into ``depth + 1``. ``V`` accumulates the rotations; per-depth
-        rotation counts go into the caller-owned ``level_rotations`` (each
-        parallel task gets its own, merged additively afterwards).
+        Runs block-Jacobi sweeps with width ``widths[depth]``: each step
+        serves the joined pairs of every live member through
+        :meth:`_apply_step`, whose group-3 pairs recurse into
+        ``depth + 1``. ``Vs[k]`` accumulates member ``k``'s rotations;
+        ``owners[k]`` is the caller batch index a failure names. Launches
+        go into ``log`` under ``key`` extended by (sweep, step); per-depth
+        rotation counts go into ``level_rotations``.
 
-        With ``fixed_sweeps`` set this is one W-cycle *visit*: exactly that
+        Each member's convergence is checked after every sweep, and a
+        converged member drops out of the remaining sweeps. With
+        ``fixed_sweeps`` set this is one W-cycle *visit*: exactly that
         many sweeps run, no convergence check (the rotation returned to the
         parent level is then approximate, which the parent's own sweeping
         absorbs — the multigrid character of the W-cycle).
         """
-        m, n = work.shape
+        m, n = works[0].shape
         if n < 2:
             return
         w = max(1, min(widths[min(depth, len(widths) - 1)], n // 2))
         plan = self._level_plan(m, n, w)
-        gemm = self._level_gemm(m, n, w)
+        rotations = sum(len(step) for step in plan)
+        live = list(range(len(works)))
+        residuals: dict[int, float] = {}
         sweep_budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
         for sweep_index in range(1, sweep_budget + 1):
-            rotations = 0
-            for step in plan:
-                rotations += self._apply_step(
-                    work, V, step, widths, depth, gemm, profiler,
+            live_works = [works[k] for k in live]
+            live_Vs = [Vs[k] for k in live]
+            live_owners = [owners[k] for k in live]
+            for step_index, step in enumerate(plan):
+                self._apply_step(
+                    live_works, live_Vs, live_owners, step, widths, depth,
+                    (m, n, w), key + (sweep_index, step_index), log,
                     level_rotations,
                 )
             level_rotations[depth] = (
-                level_rotations.get(depth, 0) + rotations
+                level_rotations.get(depth, 0) + rotations * len(live)
             )
             if fixed_sweeps is not None:
                 continue
-            off = gram_offdiagonal_cosine(work)
-            if trace is not None:
-                trace.append(sweep_index, off, rotations)
-            if off < tol:
+            unconverged = []
+            for k in live:
+                off = gram_offdiagonal_cosine(works[k])
+                if traces is not None:
+                    traces[k].append(sweep_index, off, rotations)
+                if off >= tol:
+                    residuals[k] = off
+                    unconverged.append(k)
+            live = unconverged
+            if not live:
                 return
         if fixed_sweeps is not None:
             return
+        named = sorted({owners[k] for k in live})
+        residual = residuals[live[0]]
         raise ConvergenceError(
             f"W-cycle level {depth} (w={w}) did not converge in "
-            f"{max_sweeps} sweeps (residual {off:.3e})",
+            f"{max_sweeps} sweeps (residual {residual:.3e}) "
+            f"[bucket shape {m}x{n}, batch indices {named}]",
             sweeps=max_sweeps,
-            residual=off,
+            residual=residual,
+            batch_indices=tuple(named),
         )
 
     def _level_plan(self, m: int, n: int, w: int) -> list[list[_PairPlan]]:
@@ -750,195 +963,211 @@ class WCycleSVD:
 
     def _apply_step(
         self,
-        work: np.ndarray,
-        V: np.ndarray,
+        works: list[np.ndarray],
+        Vs: list[np.ndarray],
+        owners: list[int],
         step: Sequence[_PairPlan],
         widths: list[int],
         depth: int,
-        gemm: BatchedGemm,
-        profiler: Profiler | None,
+        level: tuple[int, int, int],
+        key: tuple[int, ...],
+        log: list[_Launch],
         level_rotations: dict[int, int],
-    ) -> int:
-        """One parallel step: run the group kernels, apply batched updates.
+    ) -> None:
+        """One sweep step of every member: one launch per kernel group.
 
         Pair columns and classifications come precomputed via
-        :meth:`_level_plan`. Gathering ``work[:, cols]`` with an index
-        array already yields a private copy, so no further defensive copy
-        is taken; recursed pairs are orthogonalized *in place* in that
-        gathered copy and the update GEMM re-gathers their original
-        columns from ``work`` (untouched until the final write-back).
-
-        The three kernel groups and the individual recursed pairs are
-        mutually independent, so with a thread-capable executor they run as
-        parallel tasks. Each task's launches land in a private profiler and
-        rotation accumulator; merging them in the serial task order (SVD
-        group, EVD group, recursed pairs by step index) reproduces the
-        serial recording sequence exactly.
+        :meth:`_level_plan`. The step's in-SM SVD pairs of all members go
+        to one SVD launch, their Gram-EVD pairs to one Gram GEMM plus one
+        EVD launch, and their recursed pairs descend together, one
+        sub-bucket per panel shape; ``level`` is the ``(m, n, w)`` of the
+        level's GEMM engine. Each launch goes into ``log`` under ``key``
+        plus its phase in the step (SVD, Gram, EVD, recursion with its
+        sub-bucket, update), so keys sort in launch order. Gathering
+        ``work[:, cols]`` with an index array yields a private copy, which
+        recursion orthogonalizes *in place*; the update GEMM therefore
+        re-gathers recursed pairs' original columns from ``work``
+        (untouched until the write-back).
         """
         if not step:
-            return 0
-        panels = [work[:, pair.cols] for pair in step]
+            return
+        gemm = self._level_gemm(*level)
+        keys = [(k, p) for k in range(len(works)) for p in range(len(step))]
+        panels = {(k, p): works[k][:, step[p].cols] for k, p in keys}
+        groups: dict[Group, list[tuple[int, int]]] = {g: [] for g in Group}
+        for k, p in keys:
+            groups[step[p].group].append((k, p))
+        rotations: dict[tuple[int, int], np.ndarray] = {}
 
-        svd_idx = [i for i, p in enumerate(step) if p.group is Group.SVD_IN_SM]
-        evd_idx = [i for i, p in enumerate(step) if p.group is Group.EVD_IN_SM]
-        rec_idx = [i for i, p in enumerate(step) if p.group is Group.RECURSE]
-
-        _GroupOut = tuple  # (rotations piece, ProfileReport, level rotations)
-        tasks: list = []
-        costs: list[float] = []
-
-        if svd_idx:
-
-            def run_svd() -> _GroupOut:
-                local = Profiler()
-                out: dict[int, np.ndarray] = {}
-                # Raise mode always: a quarantined (NaN) panel rotation
-                # would corrupt the level update silently; panel failures
-                # must surface to the whole-matrix rescue ladder.
-                sub_results, _ = self._svd_kernel().run(
-                    [panels[i] for i in svd_idx],
-                    profiler=local,
-                    on_failure="raise",
-                )
-                for i, res in zip(svd_idx, sub_results):
-                    k = panels[i].shape[1]
-                    J = res.V
-                    if J.shape[1] < k:
-                        J = complete_square_orthogonal(J, k)
-                    out[i] = J
-                return out, local.report, {}
-
-            tasks.append(run_svd)
-            costs.append(
-                sum(svd_stack_cost(panels[i].shape) for i in svd_idx)
+        svd_keys = groups[Group.SVD_IN_SM]
+        if svd_keys:
+            svd_results = self._launch_svd(
+                [panels[pk] for pk in svd_keys],
+                [owners[k] for k, _ in svd_keys],
+                key + (0, 0),
+                log,
             )
-        if evd_idx:
-
-            def run_evd() -> _GroupOut:
-                local = Profiler()
-                grams, _ = gemm.gram(
-                    [panels[i] for i in evd_idx], profiler=local
-                )
-                evd_results, _ = self._evd_kernel().run(
-                    grams, profiler=local, on_failure="raise"
-                )
-                out = {i: res.J for i, res in zip(evd_idx, evd_results)}
-                return out, local.report, {}
-
-            tasks.append(run_evd)
-            costs.append(
-                sum(evd_stack_cost(panels[i].shape[1]) for i in evd_idx)
+            for pk, res in zip(svd_keys, svd_results):
+                width = panels[pk].shape[1]
+                J = res.V
+                if J.shape[1] < width:
+                    J = complete_square_orthogonal(J, width)
+                rotations[pk] = J
+        evd_keys = groups[Group.EVD_IN_SM]
+        if evd_keys:
+            evd_panels = [panels[pk] for pk in evd_keys]
+            grams, stats = gemm.gram(evd_panels)
+            log.append((
+                key + (1, 0), "gram", level,
+                ([p.shape for p in evd_panels],), stats,
+            ))
+            evd_results, stats = _blamed(
+                self._evd_kernel().run, grams, [owners[k] for k, _ in evd_keys]
             )
-        for i in rec_idx:
-
-            def run_rec(i: int = i) -> _GroupOut:
-                local = Profiler()
-                acc: dict[int, int] = {}
-                panel = panels[i]
-                subV = np.eye(panel.shape[1])
-                self._orthogonalize(
-                    panel,
-                    subV,
-                    widths,
-                    depth + 1,
-                    tol=self.config.inner_tol,
-                    max_sweeps=self.config.inner_max_sweeps,
-                    profiler=local,
-                    level_rotations=acc,
-                    fixed_sweeps=self.config.inner_sweeps,
-                )
-                return {i: subV}, local.report, acc
-
-            tasks.append(run_rec)
-            costs.append(wcycle_matrix_cost(*panels[i].shape))
-
-        ex = self._executor
-        if ex.supports_shared_state and len(tasks) > 1:
-            outs = ex.map(lambda fn: fn(), tasks, costs=costs)
-        else:
-            # Process pools cannot share the in-place panel state; their
-            # parallelism lands inside the kernels' bucket sharding instead.
-            outs = [fn() for fn in tasks]
-
-        rotations_by_index: dict[int, np.ndarray] = {}
-        for out, report, acc in outs:
-            rotations_by_index.update(out)
-            if profiler is not None:
-                profiler.report.extend(report)
-            for d, count in acc.items():
-                level_rotations[d] = level_rotations.get(d, 0) + count
+            log.append((
+                key + (2, 0), "evd", None,
+                ([len(g) for g in grams], observed_sweeps(evd_results)),
+                stats,
+            ))
+            for pk, res in zip(evd_keys, evd_results):
+                rotations[pk] = res.J
+        recursed = groups[Group.RECURSE]
+        cfg = self.config
+        shapes = [panels[pk].shape for pk in recursed]
+        for sub, bucket in enumerate(bucket_by_shape(shapes)):
+            members = [recursed[j] for j in bucket.indices]
+            subVs = [np.eye(bucket.shape[1]) for _ in members]
+            self._orthogonalize(
+                [panels[pk] for pk in members],
+                subVs,
+                [owners[k] for k, _ in members],
+                widths,
+                depth + 1,
+                tol=cfg.inner_tol,
+                max_sweeps=cfg.inner_max_sweeps,
+                key=key + (3, sub),
+                log=log,
+                level_rotations=level_rotations,
+                fixed_sweeps=cfg.inner_sweeps,
+            )
+            rotations.update(zip(members, subVs))
 
         # The level's second batched GEMM: rotate the data panels and the
-        # accumulated V panels with the same J (one tailored launch).
-        # Recursed panels were consumed (mutated) by the recursion above,
-        # so their originals are re-gathered from the still-unmodified work.
-        ordered = sorted(rotations_by_index)
-        # Panel write-back and the preceding profiler fold both follow the
-        # serial pair order within the step; non-canonical order here would
-        # silently break the bit-identical accounting contract.
-        sanitize.check_merge_order("WCycleSVD._apply_step", ordered)
-        rec = set(rec_idx)
-        update_panels = [
-            work[:, step[i].cols] if i in rec else panels[i] for i in ordered
-        ] + [V[:, step[i].cols] for i in ordered]
-        update_rotations = [rotations_by_index[i] for i in ordered] * 2
-        updated, _ = gemm.update(update_panels, update_rotations, profiler=profiler)
-        half = len(ordered)
-        for pos, i in enumerate(ordered):
-            work[:, step[i].cols] = updated[pos]
-            V[:, step[i].cols] = updated[half + pos]
-        return len(step)
+        # accumulated V panels of every member with the same J (one
+        # tailored launch). Recursed panels were consumed (mutated) by the
+        # recursion above, so their originals are re-gathered from work.
+        consumed = set(recursed)
+        data_panels = [
+            works[k][:, step[p].cols] if (k, p) in consumed else panels[k, p]
+            for k, p in keys
+        ]
+        V_panels = [Vs[k][:, step[p].cols] for k, p in keys]
+        updated, stats = gemm.update(
+            data_panels + V_panels, [rotations[pk] for pk in keys] * 2
+        )
+        log.append((
+            key + (4, 0), "update", level,
+            ([p.shape for p in data_panels], [p.shape for p in V_panels]),
+            stats,
+        ))
+        half = len(keys)
+        for pos, (k, p) in enumerate(keys):
+            works[k][:, step[p].cols] = updated[pos]
+            Vs[k][:, step[p].cols] = updated[half + pos]
+
+    def _launch_svd(
+        self,
+        panels: list[np.ndarray],
+        owners: Sequence[int],
+        key: tuple[int, ...],
+        log: list[_Launch],
+    ) -> list[SVDResult]:
+        """One in-SM SVD launch over ``panels``, logged under ``key``."""
+        results, stats = _blamed(self._svd_kernel().run, panels, owners)
+        log.append((
+            key, "svd", None,
+            ([p.shape for p in panels], observed_sweeps(results)), stats,
+        ))
+        return results
 
 
-# -- process-pool task shell --------------------------------------------
+def _finish(res: SVDResult, q: np.ndarray | None, flip: bool) -> SVDResult:
+    """Map a working matrix's factors back to its caller's matrix."""
+    if q is not None:
+        res = SVDResult(U=q @ res.U, S=res.S, V=res.V, trace=res.trace)
+    if flip:
+        res = SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
+    return res
+
+
+def _summed(counts: list[dict[int, int]]) -> dict[int, int]:
+    """Per-depth rotation counts added up."""
+    total: dict[int, int] = {}
+    for part in counts:
+        for depth, n_rot in part.items():
+            total[depth] = total.get(depth, 0) + n_rot
+    return total
+
+
+def _blamed(run, panels, owners):
+    """``run(panels)`` in raise mode, with a failure re-pointed from panel
+    positions to the batch indices of the matrices owning the panels, and
+    to the shape of the first failing panel."""
+    try:
+        return run(panels, on_failure="raise")
+    except (ConvergenceError, NonFiniteError) as exc:
+        first = (exc.batch_indices or (0,))[0]
+        raise _remap_stack_error(exc, panels[first].shape, owners) from None
+
+
+# -- process-pool task shells --------------------------------------------
 
 
 @functools.lru_cache(maxsize=8)
 def _worker_solver(config: WCycleConfig, device: DeviceSpec) -> WCycleSVD:
     """Per-process solver cache: one serial WCycleSVD per (config, device).
 
-    The worker's solver carries no executor of its own — matrix-level
-    process parallelism already owns the fan-out, and its plan/GEMM caches
-    persist across the tasks a worker serves.
+    The solver runs on a plain serial executor — the bucket-level fan-out
+    already owns the parallelism, and its plan/GEMM caches persist across
+    the tasks a worker serves. The quarantine ladder re-solves on it too,
+    so it must not pick up a default backend (``REPRO_RUNTIME_BACKEND``)
+    or a fault-injecting wrapper: a pool built in the parent would be
+    inherited by forked workers, which may not start pools of their own.
     """
-    return WCycleSVD(config, device=device)
+    return WCycleSVD(config, device=device, runtime=SerialExecutor())
 
 
-def _factorize_large_task(item):
-    """Worker shell: solve one through-the-levels matrix from shared memory.
+def _solve_unit_task(item) -> _UnitOut:
+    """Worker shell: solve one bucket (or member shard) whose working
+    matrices sit in shared memory.
 
-    Returns ``(SVDResult, ProfileReport, level_rotations)`` — the same
-    triple the thread path produces — so the parent merges process results
-    with the identical order-preserving reduction.
+    Returns the ``(results, launch log, level_rotations)`` triple the
+    thread path produces, so the parent merges process results with the
+    identical order-preserving reduction.
     """
-    config, device, ref, batch_hint = item
-    seg, A = import_array(ref)
+    config, device, refs, owners, count = item
+    segments = []
     try:
-        solver = _worker_solver(config, device)
-        # The width tuner sees the whole batch's size, exactly as it would
-        # in the parent (w_1 selection must not depend on the fan-out).
-        solver._batch_hint = batch_hint
-        local = Profiler()
-        rotations: dict[int, int] = {}
-        res = solver._factorize_large(A, local, level_rotations=rotations)
+        mats = []
+        for ref in refs:
+            seg, A = import_array(ref)
+            segments.append(seg)
+            mats.append(A)
+        return _worker_solver(config, device)._solve_unit(mats, owners, count)
     finally:
-        release(seg)
-    return res, local.report, rotations
+        for seg in segments:
+            release(seg)
 
 
-def _factorize_large_arena_task(item):
-    """Persistent-worker shell: one large matrix read from an arena slot.
+def _solve_unit_arena_task(item) -> _UnitOut:
+    """Persistent-worker shell: one bucket (or member shard) read from
+    arena slots.
 
-    The slot was attached when the worker spawned, so the task pays no
-    shared-memory setup at all; the input is read in place (the level
-    recursion never mutates it, so ladder retries of the same lease stay
+    The slots were attached when the worker spawned, so the task pays no
+    shared-memory setup at all; the inputs are read in place (the bucket
+    solve never mutates them, so ladder retries of the same leases stay
     bit-identical) and the ordinary result triple pickles back.
     """
-    config, device, ref, batch_hint = item
-    A = _arena_resolve(ref)
-    solver = _worker_solver(config, device)
-    solver._batch_hint = batch_hint
-    local = Profiler()
-    rotations: dict[int, int] = {}
-    res = solver._factorize_large(A, local, level_rotations=rotations)
-    return res, local.report, rotations
+    config, device, refs, owners, count = item
+    mats = [_arena_resolve(ref) for ref in refs]
+    return _worker_solver(config, device)._solve_unit(mats, owners, count)

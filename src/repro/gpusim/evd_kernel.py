@@ -26,6 +26,7 @@ from repro.gpusim.counters import KernelStats, Profiler
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig, simulate_launch
 from repro.gpusim.memory import FLOAT64_BYTES, evd_fits_in_sm, evd_shared_bytes
+from repro.gpusim.svd_kernel import observed_sweeps
 from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.sweep_model import predict_sweeps_twosided
 from repro.jacobi.twosided_evd import TwoSidedConfig
@@ -156,18 +157,33 @@ class BatchedEVDKernel:
         for k in sizes:
             self.check_fits(k)
         results = self._engine.evd_batch(matrices, on_failure=on_failure)
+        stats = self.account(sizes, observed_sweeps(results), profiler=profiler)
+        return results, stats
+
+    def account(
+        self,
+        sizes: list[int],
+        sweeps: list[int],
+        *,
+        profiler: Profiler | None = None,
+    ) -> KernelStats:
+        """Launch statistics of one launch over ``k x k`` matrices of
+        ``sizes`` whose solves took ``sweeps`` sweeps each.
+
+        This is what :meth:`run` records; callers that split one launch's
+        matrices across several runs rebuild the launch from the
+        concatenated sizes and sweep counts.
+        """
         flops = 0.0
         gm_bytes = 0.0
         max_block = 0.0
         parallel = self.config.parallel_update
-        for result, k in zip(results, sizes):
-            sweeps = result.trace.sweeps if result.trace is not None else 1
+        for n_sweeps, k in zip(sweeps, sizes):
             f, g = evd_sweep_cost(k, parallel=parallel)
-            flops += f * max(1, sweeps)
-            max_block = max(max_block, f * max(1, sweeps))
+            flops += f * max(1, n_sweeps)
+            max_block = max(max_block, f * max(1, n_sweeps))
             gm_bytes += g + _evd_io_bytes(k)
-        stats = self._simulate(sizes, flops, gm_bytes, profiler, max_block)
-        return results, stats
+        return self._simulate(sizes, flops, gm_bytes, profiler, max_block)
 
     def estimate(
         self,
@@ -183,17 +199,10 @@ class BatchedEVDKernel:
             self.check_fits(k)
         if conditions is None:
             conditions = [None] * len(sizes)  # type: ignore[list-item]
-        parallel = self.config.parallel_update
-        flops = 0.0
-        gm_bytes = 0.0
-        max_block = 0.0
-        for k, cond in zip(sizes, conditions):
-            sweeps = predict_sweeps_twosided(k, cond)
-            f, g = evd_sweep_cost(k, parallel=parallel)
-            flops += f * sweeps
-            max_block = max(max_block, f * sweeps)
-            gm_bytes += g + _evd_io_bytes(k)
-        return self._simulate(sizes, flops, gm_bytes, profiler, max_block)
+        sweeps = [
+            predict_sweeps_twosided(k, cond) for k, cond in zip(sizes, conditions)
+        ]
+        return self.account(sizes, sweeps, profiler=profiler)
 
     # ------------------------------------------------------------------
 

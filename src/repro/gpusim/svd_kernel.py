@@ -119,6 +119,12 @@ def svd_sweep_cost(
     return flops, gm_bytes
 
 
+def observed_sweeps(results) -> list[int]:
+    """Sweeps each solve of a launch took, as its cost model counts them:
+    a result without a convergence trace counts as one sweep."""
+    return [r.trace.sweeps if r.trace is not None else 1 for r in results]
+
+
 def _matrix_io_bytes(m: int, n: int) -> float:
     """One-time GM traffic: stage the matrix in, write U/S/V out."""
     r = min(m, n)
@@ -242,27 +248,45 @@ class BatchedSVDKernel:
         """
         if not matrices:
             raise ConfigurationError("batch must not be empty")
-        cfg = self.config
-        shapes = [self.working_shape(*a.shape) for a in matrices]
-        for m, n in shapes:
-            self.check_fits(m, n)
+        for a in matrices:
+            self.check_fits(*self.working_shape(*a.shape))
         results = self._engine.svd_batch(matrices, on_failure=on_failure)
+        stats = self.account(
+            [a.shape for a in matrices], observed_sweeps(results),
+            profiler=profiler,
+        )
+        return results, stats
+
+    def account(
+        self,
+        shapes: list[tuple[int, int]],
+        sweeps: list[int],
+        *,
+        profiler: Profiler | None = None,
+    ) -> KernelStats:
+        """Launch statistics of one launch over matrices of ``shapes``
+        whose solves took ``sweeps`` sweeps each.
+
+        This is what :meth:`run` records; callers that split one launch's
+        matrices across several runs rebuild the launch from the
+        concatenated shapes and sweep counts.
+        """
+        cfg = self.config
+        work_shapes = [self.working_shape(m, n) for m, n in shapes]
         flops = 0.0
         gm_bytes = 0.0
         max_block = 0.0
-        for result, (m, n) in zip(results, shapes):
-            sweeps = result.trace.sweeps if result.trace is not None else 1
+        for n_sweeps, (m, n) in zip(sweeps, work_shapes):
             f, g = svd_sweep_cost(
                 m,
                 n,
                 cached=cfg.cache_inner_products,
                 v_in_gm=not v_panel_in_sm(m, n, self.device),
             )
-            flops += f * sweeps
-            max_block = max(max_block, f * sweeps)
-            gm_bytes += g * sweeps + _matrix_io_bytes(m, n)
-        stats = self._simulate(shapes, flops, gm_bytes, profiler, max_block)
-        return results, stats
+            flops += f * n_sweeps
+            max_block = max(max_block, f * n_sweeps)
+            gm_bytes += g * n_sweeps + _matrix_io_bytes(m, n)
+        return self._simulate(work_shapes, flops, gm_bytes, profiler, max_block)
 
     def estimate(
         self,
@@ -274,27 +298,16 @@ class BatchedSVDKernel:
         """Cost-only path: predicted sweeps, no arithmetic performed."""
         if not shapes:
             raise ConfigurationError("batch must not be empty")
-        cfg = self.config
         work_shapes = [self.working_shape(m, n) for m, n in shapes]
         for m, n in work_shapes:
             self.check_fits(m, n)
         if conditions is None:
             conditions = [None] * len(work_shapes)  # type: ignore[list-item]
-        flops = 0.0
-        gm_bytes = 0.0
-        max_block = 0.0
-        for (m, n), cond in zip(work_shapes, conditions):
-            sweeps = predict_sweeps_vector(n, cond)
-            f, g = svd_sweep_cost(
-                m,
-                n,
-                cached=cfg.cache_inner_products,
-                v_in_gm=not v_panel_in_sm(m, n, self.device),
-            )
-            flops += f * sweeps
-            max_block = max(max_block, f * sweeps)
-            gm_bytes += g * sweeps + _matrix_io_bytes(m, n)
-        return self._simulate(work_shapes, flops, gm_bytes, profiler, max_block)
+        sweeps = [
+            predict_sweeps_vector(n, cond)
+            for (_, n), cond in zip(work_shapes, conditions)
+        ]
+        return self.account(shapes, sweeps, profiler=profiler)
 
     # ------------------------------------------------------------------
 

@@ -125,13 +125,16 @@ def _remap_stack_error(
     ``(b, m, n)`` stack; batch drivers (and users reading the traceback)
     need the caller's batch indices and the shape of the bucket that
     failed. ``batch_indices`` maps stack position -> caller index for the
-    failing unit.
+    failing unit. Several positions may map to one caller index (a
+    W-cycle step stacks each matrix's panels side by side), which is then
+    named once; re-pointing an already remapped error replaces its note.
     """
     positions = exc.batch_indices or ()
-    global_idx = tuple(int(batch_indices[p]) for p in positions)
+    global_idx = tuple(dict.fromkeys(int(batch_indices[p]) for p in positions))
     dims = "x".join(str(d) for d in shape)
     note = f" [bucket shape {dims}, batch indices {list(global_idx)}]"
-    msg = (str(exc.args[0]) if exc.args else type(exc).__name__) + note
+    base = str(exc.args[0]) if exc.args else type(exc).__name__
+    msg = base.partition(" [bucket shape ")[0] + note
     if isinstance(exc, ConvergenceError):
         return ConvergenceError(
             msg,

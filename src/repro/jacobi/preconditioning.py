@@ -7,9 +7,12 @@ drops from O(m) to O(n), and QR's row compression tends to concentrate the
 column norms, which speeds Jacobi convergence. The left vectors come back
 via ``U = Q @ U_R``.
 
-This is an optional wrapper around any SVD solver exposing ``decompose``;
-:class:`repro.core.WCycleSVD` enables it through
-``WCycleConfig(qr_precondition=True)``.
+This is an optional wrapper around any SVD solver exposing ``decompose``.
+:class:`repro.core.WCycleSVD` applies the same detour batch-wide under
+``WCycleConfig(qr_precondition=True)``: it factors every tall member,
+solves the ``R`` factors together in shape buckets, then maps
+``U = Q @ U_R`` back; it shares :func:`worth_preconditioning` with this
+wrapper, not the wrapper itself.
 """
 
 from __future__ import annotations

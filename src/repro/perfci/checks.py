@@ -301,6 +301,17 @@ DEFAULT_CHECKS: tuple[PerfCheck, ...] = tuple(
             noise_floor=0.5,
             description="stacked in-SM EVD vs per-matrix parallel EVD loop",
         ),
+        # -- level-synchronous W-cycle buckets vs one matrix at a time
+        PerfCheck(
+            name="wcycle.bucketed.speedup",
+            source=_WALLCLOCK,
+            path="wcycle_cases[case=8x(128x64)+8x(512x64)].speedup",
+            unit="x",
+            direction="higher",
+            tolerance=0.20,
+            noise_floor=0.3,
+            description="W-cycle buckets vs per-matrix decompose calls",
+        ),
         # -- persistent-arena dispatch overhead (PR 7): deterministic
         # counters, so the gate is near-exact.
         PerfCheck(

@@ -320,7 +320,8 @@ class Executor:
             return [fn(item) for item in items]
         if len(items) == 1:
             # Inline without claiming the pool: deeper fan-out (e.g. the
-            # three-group step of a single large matrix) may still use it.
+            # kernels' engine sharding the stacks of a single large
+            # W-cycle matrix) may still use it.
             return [fn(items[0])]
         return self._map_parallel(fn, items, costs)
 

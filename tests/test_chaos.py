@@ -9,7 +9,8 @@ sequence on every run.
 
 Scenario coverage (ISSUE PR 4 acceptance): worker kill, shm segment loss,
 task hang against a deadline, mid-sweep NaN corruption, backend fallback
-down the degradation ladder, and deterministic convergence quarantine.
+down the degradation ladder, and deterministic convergence quarantine;
+kills and NaN poison also hit multi-member W-cycle buckets.
 """
 
 from __future__ import annotations
@@ -190,6 +191,84 @@ class TestChaosScenarios:
         for a, b in zip(got.launches, want.launches):
             assert a == b
         assert got.total_time == want.total_time
+
+
+class TestBucketChaos:
+    """Faults against multi-member W-cycle buckets: 128x64 (four members,
+    one of them a transposed 64x128) and 512x64 (two members)."""
+
+    @pytest.fixture(scope="class")
+    def bucket_batch(self):
+        rng = np.random.default_rng(11)
+        shapes = [(128, 64)] * 3 + [(512, 64)] * 2 + [(64, 128)]
+        return [rng.standard_normal(s) for s in shapes]
+
+    @pytest.fixture(scope="class")
+    def bucket_clean(self, bucket_batch):
+        profiler = Profiler()
+        with WCycleSVD(device="V100") as solver:
+            res = solver.decompose_batch(bucket_batch, profiler=profiler)
+            rotations = dict(solver.last_level_rotations)
+        return res, profiler.report, rotations
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_kill_mid_bucket_recovers(
+        self, chaos, bucket_batch, bucket_clean, workers
+    ):
+        """A persistent worker dies holding a bucket task (a whole bucket
+        on two workers, a member shard of one on four), with no retry
+        budget: the whole bucket replays inline on the executor-free
+        solver, so factors and accounting match a clean run launch for
+        launch."""
+        want, want_report, want_rotations = bucket_clean
+        chaos("seed=3;kill:p=1.0")
+        profiler = Profiler()
+        runtime = RuntimeConfig(
+            backend="persistent", workers=workers, allow_oversubscribe=True,
+            max_retries=0, backoff_base=0.0, on_failure="quarantine",
+        )
+        with WCycleSVD(device="V100", runtime=runtime) as solver:
+            res = solver.decompose_batch(bucket_batch, profiler=profiler)
+            rotations = dict(solver.last_level_rotations)
+        _assert_bit_identical(res.results, want.results)
+        assert rotations == want_rotations
+        assert profiler.report.launches == want_report.launches
+        assert res.failures, "the kill clause never fired"
+        assert res.failures.unrecovered == ()
+        assert {e.index for e in res.failures} == set(range(len(bucket_batch)))
+        assert {e.stage for e in res.failures} == {"wcycle"}
+
+    @pytest.mark.parametrize("workers, shards", [(2, 1), (4, 2)])
+    def test_nan_poison_keeps_healthy_bucket_mates(
+        self, chaos, bucket_batch, bucket_clean, workers, shards
+    ):
+        """A NaN lands in one member's panel mid-step, in every task (a
+        whole bucket on two workers, a member shard of one on four). The
+        bucket fails numerically and every member re-solves alone: each
+        poisoned one is named and recovered, its healthy bucket-mates
+        keep their bytes."""
+        want, want_report, _ = bucket_clean
+        chaos("seed=11;nan:p=1.0")
+        profiler = Profiler()
+        runtime = RuntimeConfig(
+            backend="threads", workers=workers, allow_oversubscribe=True,
+            max_retries=0, backoff_base=0.0, on_failure="quarantine",
+        )
+        with WCycleSVD(device="V100", runtime=runtime) as solver:
+            res = solver.decompose_batch(bucket_batch, profiler=profiler)
+        _assert_bit_identical(res.results, want.results)
+        named = {e.index for e in res.failures}
+        assert {e.cause for e in res.failures} == {"NonFiniteError"}
+        assert res.failures.unrecovered == ()
+        # One poisoned member per task; the other members were healthy.
+        for bucket in ({0, 1, 2, 5}, {3, 4}):
+            assert len(named & bucket) == shards, (named, bucket)
+        # Solo re-solves regroup launches but model the same work.
+        for kernel in want_report.by_kernel():
+            got = [s for s in profiler.report.launches if s.kernel == kernel]
+            ref = [s for s in want_report.launches if s.kernel == kernel]
+            assert sum(s.flops for s in got) == sum(s.flops for s in ref)
+            assert sum(s.gm_bytes for s in got) == sum(s.gm_bytes for s in ref)
 
 
 class TestConvergenceQuarantine:

@@ -271,12 +271,35 @@ def _ragged_batch(seed: int = 7) -> list[np.ndarray]:
     return [rng.standard_normal(s) for s in shapes]
 
 
+def _bucket_batch(seed: int = 11) -> list[np.ndarray]:
+    """Multi-member W-cycle buckets: four 128x64 working shapes (one of
+    them a transposed 64x128) and two 512x64 ones."""
+    rng = np.random.default_rng(seed)
+    shapes = [(128, 64)] * 3 + [(512, 64)] * 2 + [(64, 128)]
+    return [rng.standard_normal(s) for s in shapes]
+
+
 def _solve(batch, runtime):
     profiler = Profiler()
     with WCycleSVD(device="V100", runtime=runtime) as solver:
         results = solver.decompose_batch(batch, profiler=profiler)
         rotations = dict(solver.last_level_rotations)
     return results, profiler.report, rotations
+
+
+def _assert_identical_runs(got_run, want_run):
+    results, report, rotations = got_run
+    ref_results, ref_report, ref_rotations = want_run
+    for got, want in zip(results, ref_results):
+        assert got.U.tobytes() == want.U.tobytes()
+        assert got.S.tobytes() == want.S.tobytes()
+        assert got.V.tobytes() == want.V.tobytes()
+    assert rotations == ref_rotations
+    # Launch-for-launch identical simulated accounting, not just totals.
+    assert len(report.launches) == len(ref_report.launches)
+    for got, want in zip(report.launches, ref_report.launches):
+        assert got == want
+    assert report.total_time == ref_report.total_time
 
 
 class TestCrossBackendIdentity:
@@ -293,21 +316,35 @@ class TestCrossBackendIdentity:
 
     @pytest.mark.parametrize("backend", ["threads", "processes", "persistent"])
     def test_factors_byte_identical(self, batch, reference, backend):
-        ref_results, ref_report, ref_rotations = reference
         runtime = RuntimeConfig(
             backend=backend, workers=4, min_shard=2, allow_oversubscribe=True
         )
-        results, report, rotations = _solve(batch, runtime)
-        for got, want in zip(results, ref_results):
-            assert got.U.tobytes() == want.U.tobytes()
-            assert got.S.tobytes() == want.S.tobytes()
-            assert got.V.tobytes() == want.V.tobytes()
-        assert rotations == ref_rotations
-        # Launch-for-launch identical simulated accounting, not just totals.
-        assert len(report.launches) == len(ref_report.launches)
-        for got, want in zip(report.launches, ref_report.launches):
-            assert got == want
-        assert report.total_time == ref_report.total_time
+        _assert_identical_runs(_solve(batch, runtime), reference)
+
+    @pytest.fixture(scope="class")
+    def bucket_batch(self):
+        return _bucket_batch()
+
+    @pytest.fixture(scope="class")
+    def bucket_reference(self, bucket_batch):
+        return _solve(bucket_batch, RuntimeConfig())
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("backend", ["threads", "processes", "persistent"])
+    def test_multi_member_buckets_identical(
+        self, bucket_batch, bucket_reference, backend, workers
+    ):
+        """Two multi-member W-cycle buckets: on two workers they fan out
+        as two tasks; on four each is cut into two member shards, whose
+        launch logs merge back into the unsplit bucket's launches. Either
+        way the launches fold back in bucket order."""
+        runtime = RuntimeConfig(
+            backend=backend, workers=workers, min_shard=1,
+            allow_oversubscribe=True,
+        )
+        _assert_identical_runs(
+            _solve(bucket_batch, runtime), bucket_reference
+        )
 
     def test_serial_run_is_reproducible(self, batch, reference):
         ref_results, ref_report, _ = reference

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tests.helpers import assert_valid_svd
 from repro import Profiler, WCycleConfig, WCycleSVD
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, ConvergenceError, ShapeError
+from repro.runtime import RuntimeConfig
 from repro.utils.matrices import random_with_condition
 
 
@@ -184,6 +185,149 @@ class TestTrace:
         solver.decompose(rng.standard_normal((130, 128)))
         assert solver.last_level_rotations[0] > 0
         assert solver.last_level_rotations[1] > 0
+
+
+def _fingerprint(res):
+    trace = [(r.sweep, r.off_norm, r.rotations) for r in res.trace.records]
+    return res.U.tobytes(), res.S.tobytes(), res.V.tobytes(), trace
+
+
+def _kernel_sums(report) -> dict[str, tuple[float, float]]:
+    sums: dict[str, tuple[float, float]] = {}
+    for s in report.launches:
+        flops, gm_bytes = sums.get(s.kernel, (0.0, 0.0))
+        sums[s.kernel] = (flops + s.flops, gm_bytes + s.gm_bytes)
+    return sums
+
+
+#: (config, shapes of one bucket's members): every shape in a case shares
+#: a working shape, so the whole list is solved as one bucket.
+BUCKET_CASES = {
+    "round-robin": (WCycleConfig(), [(128, 64)] * 3),
+    "odd-even": (WCycleConfig(ordering="odd-even"), [(128, 64)] * 3),
+    "ring": (WCycleConfig(ordering="ring"), [(128, 64)] * 2),
+    "gram-cache": (WCycleConfig(gram_cache=True), [(128, 64)] * 2),
+    "evd-group": (WCycleConfig(w1=16), [(220, 90)] * 2),
+    "forced-recursion": (WCycleConfig(w1=48), [(100, 96)] * 2),
+    "inner-sweeps-none": (
+        WCycleConfig(w1=48, inner_sweeps=None),
+        [(100, 96)] * 2,
+    ),
+    "wide-member": (WCycleConfig(), [(128, 64), (64, 128), (128, 64)]),
+    "qr-level": (WCycleConfig(qr_precondition=True), [(200, 80)] * 2),
+    "qr-in-sm": (
+        WCycleConfig(qr_precondition=True),
+        [(512, 32), (512, 32), (512, 48)],
+    ),
+}
+
+
+class TestBuckets:
+    """Level-synchronous buckets: same-shape large matrices share every
+    launch of a sweep step, and nothing a member computes depends on its
+    bucket-mates."""
+
+    @pytest.mark.parametrize("case", list(BUCKET_CASES))
+    def test_member_bytes_match_solo_solve(self, case):
+        cfg, shapes = BUCKET_CASES[case]
+        rng = np.random.default_rng(5)
+        mats = [rng.standard_normal(s) for s in shapes]
+        together = WCycleSVD(cfg, device="V100").decompose_batch(mats)
+        # Pad each solo batch with in-SM matrices so the width tuner sees
+        # the same batch size while the large matrix rides alone.
+        fillers = [rng.standard_normal((6, 4)) for _ in mats[1:]]
+        for A, res in zip(mats, together):
+            alone = WCycleSVD(cfg, device="V100").decompose_batch(
+                [A] + fillers
+            )[0]
+            assert _fingerprint(res) == _fingerprint(alone), case
+            assert_valid_svd(A, res)
+
+    def test_bucket_regroups_launches_without_changing_work(self, rng):
+        # w1 pinned: a solo solve then picks the same widths as the batch.
+        cfg = WCycleConfig(w1=16)
+        shapes = [(220, 90), (220, 90), (128, 64), (64, 128), (128, 64)]
+        mats = [rng.standard_normal(s) for s in shapes]
+        profiler = Profiler()
+        solver = WCycleSVD(cfg, device="V100")
+        solver.decompose_batch(mats, profiler=profiler)
+        solo = Profiler()
+        solo_rotations: dict[int, int] = {}
+        for A in mats:
+            solo_solver = WCycleSVD(cfg, device="V100")
+            solo_solver.decompose(A, profiler=solo)
+            for depth, count in solo_solver.last_level_rotations.items():
+                solo_rotations[depth] = solo_rotations.get(depth, 0) + count
+        assert _kernel_sums(profiler.report) == _kernel_sums(solo.report)
+        assert solver.last_level_rotations == solo_rotations
+        assert profiler.report.launch_count < solo.report.launch_count
+
+
+class TestConvergenceFailure:
+    def test_error_names_every_unconverged_member(self, rng):
+        mats = [rng.standard_normal(s) for s in [(8, 8), (128, 64), (128, 64)]]
+        solver = WCycleSVD(WCycleConfig(max_sweeps=2), device="V100")
+        with pytest.raises(ConvergenceError) as info:
+            solver.decompose_batch(mats)
+        err = info.value
+        assert err.batch_indices == (1, 2)
+        assert err.sweeps == 2
+        assert "bucket shape 128x64" in str(err)
+        # The residual reported is the first offender's (matrix 1 alone,
+        # padded to the same batch size, fails with that same residual).
+        with pytest.raises(ConvergenceError) as alone:
+            solver.decompose_batch(mats[:2] + [mats[0]])
+        assert alone.value.batch_indices == (1,)
+        assert err.residual == alone.value.residual
+
+    def test_split_bucket_error_names_every_member(self, rng):
+        # Two workers cut the 128x64 bucket into two one-member shards;
+        # the raised error is still the one the unsplit bucket raises.
+        mats = [rng.standard_normal(s) for s in [(8, 8), (128, 64), (128, 64)]]
+        cfg = WCycleConfig(max_sweeps=2)
+        with pytest.raises(ConvergenceError) as serial:
+            WCycleSVD(cfg, device="V100").decompose_batch(mats)
+        runtime = RuntimeConfig(
+            backend="threads", workers=2, allow_oversubscribe=True
+        )
+        with WCycleSVD(cfg, device="V100", runtime=runtime) as solver:
+            with pytest.raises(ConvergenceError) as split:
+                solver.decompose_batch(mats)
+        assert split.value.batch_indices == (1, 2)
+        assert str(split.value) == str(serial.value)
+        assert split.value.residual == serial.value.residual
+
+    def test_kernel_failure_in_a_step_names_the_owning_matrices(self, rng):
+        # One EVD sweep cannot converge the 16x16 Grams of a 512x64 step;
+        # the failing panels belong to matrices 1 and 2, four panels each.
+        mats = [rng.standard_normal(s) for s in [(8, 8), (512, 64), (512, 64)]]
+        solver = WCycleSVD(WCycleConfig(inner_max_sweeps=1), device="V100")
+        with pytest.raises(ConvergenceError) as info:
+            solver.decompose_batch(mats)
+        message = str(info.value)
+        assert info.value.batch_indices == (1, 2)
+        assert message.count("[bucket shape") == 1, message
+        assert message.endswith("[bucket shape 16x16, batch indices [1, 2]]")
+
+    def test_quarantine_keeps_healthy_bucket_mates(self, rng):
+        # Orthogonal columns converge in one sweep; Gaussian ones cannot
+        # in two. All three share the 128x64 bucket.
+        q, _ = np.linalg.qr(rng.standard_normal((128, 64)))
+        easy = q * np.linspace(2.0, 1.0, 64)
+        hard = [rng.standard_normal((128, 64)) for _ in range(2)]
+        mats = [hard[0], easy, hard[1]]
+        cfg = WCycleConfig(max_sweeps=2)
+        res = WCycleSVD(cfg, device="V100").decompose_batch(
+            mats, on_failure="quarantine"
+        )
+        assert res.failures.unrecovered == (0, 2)
+        for i in (0, 2):
+            assert np.isnan(res[i].S).all()
+        assert res.failures.for_index(1) == []
+        alone = WCycleSVD(cfg, device="V100").decompose_batch(
+            [easy] + [rng.standard_normal((6, 4)) for _ in range(2)]
+        )[0]
+        assert _fingerprint(res[1]) == _fingerprint(alone)
 
 
 @settings(max_examples=10, deadline=None)
