@@ -14,8 +14,8 @@ this one measures real host time, in three parts:
    matrix against the engine's stacked ``evd_batch``.
 2. **Worker-scaling cases** — the full ``WCycleSVD`` solver over a
    ragged batch of large (recursion-sized) matrices, run serial and then
-   on the ``threads`` / ``processes`` / ``persistent`` runtime backends
-   at 1/2/4/8 workers. Factors are asserted byte-identical to the serial
+   on the ``threads`` / ``persistent`` runtime backends at 1/2/4/8
+   workers. Factors are asserted byte-identical to the serial
    reference in every configuration; the recorded numbers are honest
    wall-clock on whatever machine runs the benchmark (``cpu_count`` is
    recorded alongside — on a single-core box parallel backends can only
@@ -87,7 +87,7 @@ EVD_CASES = [("256x(16x16)", [16] * 256, "round-robin")]
 #: the W-cycle recursion path where per-matrix host work dominates.
 SCALING_SHAPES = [(128, 64), (96, 48), (160, 80), (64, 32)] * 8
 SCALING_WORKERS = (1, 2, 4, 8)
-SCALING_BACKENDS = ("threads", "processes", "persistent")
+SCALING_BACKENDS = ("threads", "persistent")
 
 #: W-cycle case: two buckets of eight same-shape large matrices.
 WCYCLE_CASE = ("8x(128x64)+8x(512x64)", [(128, 64)] * 8 + [(512, 64)] * 8)
@@ -284,9 +284,6 @@ def compute_scaling(
             )
             ex = get_executor(runtime)
             base = base_executor(ex)
-            # Opt in to pickled-bytes accounting (the process backend
-            # skips the extra pickle.dumps unless a benchmark asks).
-            base.count_pickled_bytes = True
             # Pool spin-up: the first map forks the workers (and, on
             # the persistent backend, attaches arenas + warm plans).
             t0 = time.perf_counter()
@@ -479,7 +476,7 @@ def test_perf_wallclock():
         assert overhead is not None, (backend, n)
         assert overhead["pool_spinup_s"] >= 0.0, (backend, n, overhead)
         assert overhead["tasks"] > 0, (backend, n, overhead)
-        if backend in ("processes", "persistent") and n > 1:
+        if backend == "persistent" and n > 1:
             assert overhead["ipc_round_trips"] > 0, (backend, n, overhead)
             assert overhead["pickled_task_bytes"] > 0, (backend, n, overhead)
         if backend == "persistent":

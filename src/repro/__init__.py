@@ -19,7 +19,7 @@ Layers
 - :mod:`repro.gpusim` — the simulated-GPU substrate (devices, kernels,
   cost model, profiler);
 - :mod:`repro.runtime` — host-parallel execution (serial / threads /
-  processes backends with bit-identical results);
+  persistent backends with bit-identical results);
 - :mod:`repro.tuning` — tailoring strategy and auto-tuning engine;
 - :mod:`repro.baselines` — modeled cuSOLVER / MAGMA / Boukaram et al.;
 - :mod:`repro.datasets` — SuiteSparse stand-ins and workload generators;

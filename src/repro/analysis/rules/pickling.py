@@ -1,11 +1,11 @@
 """PICK01 — process-pool tasks must be module-level picklables.
 
-The ``processes`` backend of :mod:`repro.runtime.executor` forks workers
+The ``persistent`` backend (:mod:`repro.runtime.persistent`) forks workers
 and ships each task function through pickle. Pickle serializes functions
 *by reference* — a lambda or a function defined inside another function
 has no importable reference, so submitting one raises
-``PicklingError`` at runtime (and only on the process backend, which the
-fast unit tests rarely exercise).
+``PicklingError`` at runtime (and only on the persistent backend, which
+the fast unit tests rarely exercise).
 
 The rule flags a lambda, or a name bound to a nested ``def``/lambda in
 the same enclosing function, passed as the callable argument of an

@@ -69,8 +69,7 @@ API_KINDS: dict[str, str] = {
     # repro.runtime surface (through any import alias)
     "repro.runtime.ThreadExecutor": KIND_EXECUTOR,
     "repro.runtime.executor.ThreadExecutor": KIND_EXECUTOR,
-    "repro.runtime.ProcessExecutor": KIND_EXECUTOR,
-    "repro.runtime.executor.ProcessExecutor": KIND_EXECUTOR,
+    "repro.runtime.PersistentExecutor": KIND_EXECUTOR,
     "repro.runtime.persistent.PersistentExecutor": KIND_EXECUTOR,
     "repro.runtime.get_executor": KIND_EXECUTOR,
     "repro.runtime.executor.get_executor": KIND_EXECUTOR,

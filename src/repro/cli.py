@@ -12,7 +12,7 @@ Commands
     cuSOLVER and MAGMA baselines.
 
 Both ``svd`` and ``estimate`` accept ``--workers N --backend
-{serial,threads,processes}`` to run on the parallel host runtime; results
+{serial,threads,persistent}`` to run on the parallel host runtime; results
 and simulated profiles are bit-identical across backends.
 ``plan``
     Show the tailoring plan the auto-tuner picks for a workload, and the
@@ -75,13 +75,12 @@ def _resolve_runtime(
     library's own message.
     """
     from repro.errors import ConfigurationError
-    from repro.runtime import RuntimeConfig
+    from repro.runtime import BACKENDS, RuntimeConfig
 
     if workers > 1 and backend == "serial":
+        flags = " or ".join(f"--backend {b}" for b in BACKENDS if b != "serial")
         raise ConfigurationError(
-            f"--workers {workers} requires a parallel backend; add "
-            f"--backend threads, --backend processes, or "
-            f"--backend persistent"
+            f"--workers {workers} requires a parallel backend; add {flags}"
         )
     return RuntimeConfig(
         backend=backend,
@@ -107,6 +106,8 @@ def _parse_shape(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="W-Cycle SVD reproduction: batched SVD on a simulated GPU",
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--backend",
-            choices=("serial", "threads", "processes", "persistent"),
+            choices=BACKENDS,
             default=_default_backend(),
             help="host execution backend (results are bit-identical; "
             "default serial, or $REPRO_RUNTIME_BACKEND when set)",

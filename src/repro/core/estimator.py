@@ -189,7 +189,7 @@ class WCycleEstimator:
 
         Thread workers share ``self`` (``self.device`` is only *read*
         inside the region — the amortize swap happens before the fan-out);
-        process workers rebuild a per-process estimator from the frozen
+        persistent workers rebuild a per-process estimator from the frozen
         config and device.
         """
         ex = self._executor
@@ -366,7 +366,7 @@ class WCycleEstimator:
         report.add(update.repeated(repeats))
 
 
-# -- process-pool task shell --------------------------------------------
+# -- persistent-worker task shell ------------------------------------------
 
 
 @functools.lru_cache(maxsize=8)

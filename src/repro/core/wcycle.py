@@ -85,7 +85,6 @@ from repro.runtime.scheduler import (
     split_shards,
     wcycle_matrix_cost,
 )
-from repro.runtime.shm import export_array, import_array, release
 from repro.tuning.autotune import AutoTuner
 from repro.types import BatchedSVDResult, ConvergenceTrace, SVDResult
 from repro.utils.bucketing import bucket_by_shape
@@ -443,7 +442,7 @@ class WCycleSVD:
             self._svd_kernel()
             self._evd_kernel()
             outs = ex.map(solve, units, costs=costs, on_error="return")
-        elif getattr(base_executor(ex), "arena_transport", False):
+        else:
             # Persistent backend: working matrices travel as arena slot
             # leases (no per-task segment create/attach/unlink); the
             # factors pickle back with the worker's launch log.
@@ -466,24 +465,6 @@ class WCycleSVD:
             finally:
                 for ref in leases:
                     arena.release_lease(ref)
-        else:
-            segments, items = [], []
-            try:
-                for unit in units:
-                    refs = []
-                    for i in unit:
-                        seg, ref = export_array(works[i])
-                        segments.append(seg)
-                        refs.append(ref)
-                    items.append(
-                        (self.config, self.device, tuple(refs), unit, count)
-                    )
-                outs = ex.map(
-                    _solve_unit_task, items, costs=costs, on_error="return"
-                )
-            finally:
-                for seg in segments:
-                    release(seg, unlink=True)
         # The merge below must fold per-bucket records in bucket order
         # (the serial recording sequence); the sanitizer asserts it.
         sanitize.check_merge_order(
@@ -1120,7 +1101,7 @@ def _blamed(run, panels, owners):
         raise _remap_stack_error(exc, panels[first].shape, owners) from None
 
 
-# -- process-pool task shells --------------------------------------------
+# -- persistent-worker task shells ----------------------------------------
 
 
 @functools.lru_cache(maxsize=8)
@@ -1135,28 +1116,6 @@ def _worker_solver(config: WCycleConfig, device: DeviceSpec) -> WCycleSVD:
     inherited by forked workers, which may not start pools of their own.
     """
     return WCycleSVD(config, device=device, runtime=SerialExecutor())
-
-
-def _solve_unit_task(item) -> _UnitOut:
-    """Worker shell: solve one bucket (or member shard) whose working
-    matrices sit in shared memory.
-
-    Returns the ``(results, launch log, level_rotations)`` triple the
-    thread path produces, so the parent merges process results with the
-    identical order-preserving reduction.
-    """
-    config, device, refs, owners, count = item
-    segments = []
-    try:
-        mats = []
-        for ref in refs:
-            seg, A = import_array(ref)
-            segments.append(seg)
-            mats.append(A)
-        return _worker_solver(config, device)._solve_unit(mats, owners, count)
-    finally:
-        for seg in segments:
-            release(seg)
 
 
 def _solve_unit_arena_task(item) -> _UnitOut:

@@ -33,9 +33,9 @@ contiguous sub-stacks (:mod:`repro.runtime.scheduler`), dispatched
 largest-cost-first, and scattered back by original batch index. Because
 every rotation decision is already per-matrix, the shard boundaries cannot
 change any matrix's arithmetic — parallel results are bit-identical to the
-serial path. The ``processes`` backend moves sub-stacks through the
-shared-memory transport of :mod:`repro.runtime.shm` instead of pickling
-them.
+serial path. The ``persistent`` backend moves sub-stacks through leased
+slots of its shared-memory :class:`~repro.runtime.arena.Arena` instead of
+pickling them.
 
 Failure handling is two-mode. In ``on_failure="raise"`` (the default) a
 matrix that exhausts its sweep budget — or turns non-finite mid-sweep —
@@ -62,19 +62,16 @@ from repro.errors import (
     FailureReport,
     NonFiniteError,
 )
-from repro.jacobi.convergence import symmetric_offdiagonal_cosine
 from repro.jacobi.factors import finalize_onesided
 from repro.jacobi.fused import (
     FusedEVDSweeper,
     FusedSVDSweeper,
     KernelTimes,
     ScratchPool,
-    cached_step_arrays,
     sweep_plan,
 )
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
-from repro.jacobi.rotations import rotation_cs
 from repro.jacobi.twosided_evd import (
     TwoSidedConfig,
     TwoSidedJacobiEVD,
@@ -96,7 +93,6 @@ from repro.runtime.scheduler import (
     split_shards,
     svd_stack_cost,
 )
-from repro.runtime.shm import export_array, import_array, release
 from repro.types import ConvergenceTrace, EVDResult, SVDResult
 from repro.utils.bucketing import bucket_by_shape, order_buckets
 from repro.utils.validation import as_matrix, check_square_symmetric
@@ -166,145 +162,6 @@ def _nan_evd_result(k: int) -> EVDResult:
     )
 
 
-def _step_index_arrays(
-    schedule: list[list[tuple[int, int]]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Convert an ordering's sweep into reusable gather-index array pairs."""
-    steps = []
-    for step in schedule:
-        if not step:
-            continue
-        idx_i = np.fromiter((p[0] for p in step), dtype=np.intp, count=len(step))
-        idx_j = np.fromiter((p[1] for p in step), dtype=np.intp, count=len(step))
-        steps.append((idx_i, idx_j))
-    return steps
-
-
-def _compact_rows(arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Drop masked-out batch rows without redundant copies.
-
-    Boolean-mask selection already yields a C-contiguous array, so the
-    ``np.ascontiguousarray`` wrapper this replaces was a second full pass
-    over the stack for nothing; and when the mask keeps every row there is
-    nothing to do at all.
-    """
-    if keep.all():
-        return arr
-    return arr[keep]
-
-
-class _LoopSVDSweeper:
-    """Reference per-step Python loop behind the ``solve_stack`` driver.
-
-    Opt-out executor (``fused_sweeps=False``): identical arithmetic to the
-    historical in-line loop, now with its per-``(ordering, n)`` step index
-    arrays memoized instead of rebuilt every call.
-    """
-
-    def __init__(self, solver: "StackedOneSidedJacobi", stack: np.ndarray) -> None:
-        cfg = solver.config
-        b, m, n = stack.shape
-        self._solver = solver
-        if isinstance(cfg.ordering, str):
-            self._steps = cached_step_arrays(cfg.ordering, n)
-        else:
-            self._steps = tuple(_step_index_arrays(solver._ordering.sweep(n)))
-        self.W = stack.copy()
-        self.V = np.tile(np.eye(n), (b, 1, 1))
-        faults.poison_stack(self.W)
-        self.sqnorms = np.einsum("bij,bij->bj", self.W, self.W)
-
-    @property
-    def count(self) -> int:
-        return self.W.shape[0]
-
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.W.reshape(self.W.shape[0], -1)).all(axis=1)
-
-    def refresh_norms(self) -> None:
-        self.sqnorms = np.einsum("bij,bij->bj", self.W, self.W)
-
-    def scale(self) -> np.ndarray:
-        return self.sqnorms.max(axis=1)
-
-    def run_sweep(self, norm_floor: np.ndarray):
-        max_cos = np.zeros(self.count)
-        rotations = np.zeros(self.count, dtype=np.int64)
-        for idx_i, idx_j in self._steps:
-            self._solver._apply_step(
-                self.W, self.V, self.sqnorms, idx_i, idx_j,
-                norm_floor, max_cos, rotations,
-            )
-        return max_cos, rotations
-
-    def extract(
-        self,
-        out_W: np.ndarray,
-        out_V: np.ndarray,
-        targets: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        out_W[targets] = self.W[positions]
-        out_V[targets] = self.V[positions]
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.W = _compact_rows(self.W, keep)
-        self.V = _compact_rows(self.V, keep)
-        self.sqnorms = _compact_rows(self.sqnorms, keep)
-
-    def close(self) -> None:
-        pass
-
-
-class _LoopEVDSweeper:
-    """Reference per-step loop for :class:`StackedParallelEVD` (opt-out)."""
-
-    def __init__(self, solver: "StackedParallelEVD", stack: np.ndarray) -> None:
-        cfg = solver.config
-        b, k, _ = stack.shape
-        self._solver = solver
-        if isinstance(cfg.ordering, str):
-            self._steps = cached_step_arrays(cfg.ordering, k)
-        else:
-            self._steps = tuple(_step_index_arrays(solver._ordering.sweep(k)))
-        self.B = stack.copy()
-        self.J = np.tile(np.eye(k), (b, 1, 1))
-        faults.poison_stack(self.B)
-
-    @property
-    def count(self) -> int:
-        return self.B.shape[0]
-
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.B.reshape(self.B.shape[0], -1)).all(axis=1)
-
-    def run_sweep(self, floor: np.ndarray):
-        rotations = np.zeros(self.count, dtype=np.int64)
-        for idx_i, idx_j in self._steps:
-            self._solver._apply_step(self.B, self.J, idx_i, idx_j, floor, rotations)
-        offs = np.array(
-            [symmetric_offdiagonal_cosine(self.B[pos]) for pos in range(self.count)]
-        )
-        return offs, rotations
-
-    def extract(
-        self,
-        out_B: np.ndarray,
-        out_J: np.ndarray,
-        targets: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        out_B[targets] = self.B[positions]
-        out_J[targets] = self.J[positions]
-
-    def compact(self, keep: np.ndarray) -> None:
-        self.B = _compact_rows(self.B, keep)
-        self.J = _compact_rows(self.J, keep)
-
-    def close(self) -> None:
-        pass
-
-
 class StackedOneSidedJacobi:
     """One-sided vector-rotation Jacobi sweeps over a ``(b, m, n)`` stack.
 
@@ -325,17 +182,13 @@ class StackedOneSidedJacobi:
     def _make_sweeper(
         self, stack: np.ndarray, kernel_times: KernelTimes | None
     ):
-        """Pick the sweep executor: fused (default) or the step loop."""
+        """The fused sweep executor for ``stack``'s column count."""
         cfg = self.config
-        if cfg.fused_sweeps or cfg.gram_cache:
-            plan = sweep_plan(
-                cfg.ordering if isinstance(cfg.ordering, str) else self._ordering,
-                stack.shape[2],
-            )
-            return FusedSVDSweeper(
-                stack, cfg, plan, self._scratch, kernel_times
-            )
-        return _LoopSVDSweeper(self, stack)
+        plan = sweep_plan(
+            cfg.ordering if isinstance(cfg.ordering, str) else self._ordering,
+            stack.shape[2],
+        )
+        return FusedSVDSweeper(stack, cfg, plan, self._scratch, kernel_times)
 
     def solve_stack(
         self,
@@ -471,62 +324,6 @@ class StackedOneSidedJacobi:
             batch_indices=tuple(int(i) for i in live),
         )
 
-    def _apply_step(
-        self,
-        W: np.ndarray,
-        V: np.ndarray,
-        sqnorms: np.ndarray,
-        idx_i: np.ndarray,
-        idx_j: np.ndarray,
-        norm_floor: np.ndarray,
-        max_cos: np.ndarray,
-        rotations: np.ndarray,
-    ) -> None:
-        """One parallel step of disjoint rotations over the whole stack."""
-        cfg = self.config
-        Wi = W[:, :, idx_i]
-        Wj = W[:, :, idx_j]
-        aij = np.einsum("bmk,bmk->bk", Wi, Wj)
-        if cfg.cache_inner_products:
-            aii = sqnorms[:, idx_i]
-            ajj = sqnorms[:, idx_j]
-        else:
-            aii = np.einsum("bmk,bmk->bk", Wi, Wi)
-            ajj = np.einsum("bmk,bmk->bk", Wj, Wj)
-        denom = np.sqrt(np.clip(aii * ajj, 0.0, None))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = np.abs(aij) / denom
-        cosine[~np.isfinite(cosine)] = 0.0
-        # Pairs touching noise-level columns are skipped (converged zero
-        # singular values); the floor is per matrix and, as in the scalar
-        # solver, inactive when the matrix itself is exactly zero.
-        floored = norm_floor > 0.0
-        if floored.any():
-            nf = norm_floor[:, None]
-            cosine[floored[:, None] & ((aii <= nf) | (ajj <= nf))] = 0.0
-        rotate = cosine > cfg.tol
-        np.maximum(max_cos, cosine.max(axis=1), out=max_cos)
-        if not rotate.any():
-            return
-        # Vectorized Eq. 4 across (batch, pairs). Inactive entries get the
-        # identity rotation c = 1, s = 0, which leaves their matrices'
-        # columns numerically unchanged.
-        c, s = rotation_cs(aii, ajj, aij, rotate)
-        cb = c[:, None, :]
-        sb = s[:, None, :]
-        W[:, :, idx_i] = cb * Wi + sb * Wj
-        W[:, :, idx_j] = -sb * Wi + cb * Wj
-        Vi = V[:, :, idx_i]
-        Vj = V[:, :, idx_j]
-        V[:, :, idx_i] = cb * Vi + sb * Vj
-        V[:, :, idx_j] = -sb * Vi + cb * Vj
-        if cfg.cache_inner_products:
-            # Eq. 6: updated squared norms without new dot products.
-            sqnorms[:, idx_i] = c**2 * aii + 2.0 * c * s * aij + s**2 * ajj
-            sqnorms[:, idx_j] = s**2 * aii - 2.0 * c * s * aij + c**2 * ajj
-        rotations += np.count_nonzero(rotate, axis=1)
-
-
 class StackedParallelEVD:
     """Parallel two-sided Jacobi EVD over a ``(b, k, k)`` stack.
 
@@ -543,16 +340,14 @@ class StackedParallelEVD:
         self._scratch = ScratchPool()
 
     def _make_sweeper(self, stack: np.ndarray):
-        """Pick the sweep executor: fused (default) or the step loop."""
+        """The fused sweep executor for ``stack``'s order."""
         cfg = self.config
-        if cfg.fused_sweeps:
-            plan = sweep_plan(
-                cfg.ordering if isinstance(cfg.ordering, str) else self._ordering,
-                stack.shape[1],
-                allow_neighbor=False,
-            )
-            return FusedEVDSweeper(stack, cfg, plan, self._scratch)
-        return _LoopEVDSweeper(self, stack)
+        plan = sweep_plan(
+            cfg.ordering if isinstance(cfg.ordering, str) else self._ordering,
+            stack.shape[1],
+            allow_neighbor=False,
+        )
+        return FusedEVDSweeper(stack, cfg, plan, self._scratch)
 
     def solve_stack(
         self, stack: np.ndarray, scales: np.ndarray, *, on_failure: str = "raise"
@@ -666,49 +461,6 @@ class StackedParallelEVD:
             residual=residual,
             batch_indices=tuple(int(i) for i in live),
         )
-
-    def _apply_step(
-        self,
-        B: np.ndarray,
-        J: np.ndarray,
-        idx_i: np.ndarray,
-        idx_j: np.ndarray,
-        floor: np.ndarray,
-        rotations: np.ndarray,
-    ) -> None:
-        """Apply one step's rotations (one snapshot) to the whole stack."""
-        tol = self.config.tol
-        bij = B[:, idx_i, idx_j]
-        bii = B[:, idx_i, idx_i]
-        bjj = B[:, idx_j, idx_j]
-        mag = np.abs(bij)
-        denom = np.sqrt(np.abs(bii * bjj))
-        fl = floor[:, None]
-        active = (mag > fl) & ((denom <= fl) | (mag > tol * denom))
-        if not active.any():
-            return
-        c, s = rotation_cs(bii, bjj, bij, active)
-        # B <- G.T B G: disjoint pairs let the column pass and the row pass
-        # each be one gathered batched update.
-        Bi = B[:, :, idx_i]
-        Bj = B[:, :, idx_j]
-        B[:, :, idx_i] = c[:, None, :] * Bi + s[:, None, :] * Bj
-        B[:, :, idx_j] = -s[:, None, :] * Bi + c[:, None, :] * Bj
-        Ri = B[:, idx_i, :]
-        Rj = B[:, idx_j, :]
-        B[:, idx_i, :] = c[:, :, None] * Ri + s[:, :, None] * Rj
-        B[:, idx_j, :] = -s[:, :, None] * Ri + c[:, :, None] * Rj
-        # Eliminated entries are exactly zero in exact arithmetic; enforce it.
-        bsel, psel = np.nonzero(active)
-        B[bsel, idx_i[psel], idx_j[psel]] = 0.0
-        B[bsel, idx_j[psel], idx_i[psel]] = 0.0
-        # Accumulate J <- J G.
-        Ji = J[:, :, idx_i]
-        Jj = J[:, :, idx_j]
-        J[:, :, idx_i] = c[:, None, :] * Ji + s[:, None, :] * Jj
-        J[:, :, idx_j] = -s[:, None, :] * Ji + c[:, None, :] * Jj
-        rotations += np.count_nonzero(active, axis=1)
-
 
 class BatchedJacobiEngine:
     """Shape-bucketed, batch-vectorized SVD/EVD execution.
@@ -1010,41 +762,9 @@ class BatchedJacobiEngine:
                 run = _CapturedCall(run_unit) if capture else run_unit
                 return [run(u) for u in units]
             return ex.map(run_unit, units, costs=costs, on_error=on_error)
-        if getattr(base_executor(ex), "arena_transport", False):
-            return self._solve_svd_units_arena(
-                work, units, costs, on_error=on_error
-            )
-        # Process backend: ship each sub-stack through shared memory and
-        # adopt (attach + unlink) the result segments the workers return.
-        segments = []
-        items = []
-        try:
-            for _, chunk in units:
-                seg, ref = export_array(np.stack([work[i] for i in chunk]))
-                segments.append(seg)
-                items.append((self.svd_config, ref, chunk))
-            outs = ex.map(
-                _solve_svd_stack_task, items, costs=costs, on_error=on_error
-            )
-        finally:
-            for seg in segments:
-                release(seg, unlink=True)
-        solved = []
-        for out in outs:
-            if isinstance(out, TaskError):
-                solved.append(out)
-                continue
-            ref_w, ref_v, traces = out
-            seg_w, W = import_array(ref_w)
-            try:
-                seg_v, V = import_array(ref_v)
-                try:
-                    solved.append((W.copy(), V.copy(), traces))
-                finally:
-                    release(seg_v, unlink=True)
-            finally:
-                release(seg_w, unlink=True)
-        return solved
+        return self._solve_svd_units_arena(
+            work, units, costs, on_error=on_error
+        )
 
     # -- arena dispatch (persistent backend) -----------------------------
 
@@ -1334,56 +1054,21 @@ class BatchedJacobiEngine:
                 run = _CapturedCall(run_unit) if capture else run_unit
                 return [run(u) for u in units]
             return ex.map(run_unit, units, costs=costs, on_error=on_error)
-        if getattr(base_executor(ex), "arena_transport", False):
-            return self._solve_evd_units_arena(
-                mats, stackable, scales, units, costs, on_error=on_error
-            )
-        segments = []
-        items = []
-        try:
-            for _, chunk in units:
-                batch_idx = tuple(stackable[p] for p in chunk)
-                seg, ref = export_array(
-                    np.stack([mats[i] for i in batch_idx])
-                )
-                segments.append(seg)
-                items.append(
-                    (
-                        self.evd_config,
-                        ref,
-                        tuple(scales[i] for i in batch_idx),
-                        batch_idx,
-                    )
-                )
-            outs = ex.map(
-                _solve_evd_stack_task, items, costs=costs, on_error=on_error
-            )
-        finally:
-            for seg in segments:
-                release(seg, unlink=True)
-        solved = []
-        for out in outs:
-            if isinstance(out, TaskError):
-                solved.append(out)
-                continue
-            ref_b, ref_j, traces = out
-            seg_b, Bs = import_array(ref_b)
-            try:
-                seg_j, Js = import_array(ref_j)
-                try:
-                    solved.append((Bs.copy(), Js.copy(), traces))
-                finally:
-                    release(seg_j, unlink=True)
-            finally:
-                release(seg_b, unlink=True)
-        return solved
+        return self._solve_evd_units_arena(
+            mats, stackable, scales, units, costs, on_error=on_error
+        )
 
 
-# -- process-pool task shells -------------------------------------------
+# -- persistent-worker task shells (arena transport) ----------------------
 #
 # Module-level so they pickle by reference; the stacked solvers they build
-# are memoized per (frozen, hashable) config so a forked worker constructs
-# each schedule once and reuses it across tasks.
+# are memoized per (frozen, hashable) config so a worker constructs each
+# schedule once and reuses it across tasks. No attach, no export, no
+# unlink: the worker's arena segments were mapped once at spawn, the input
+# slot is read in place (solve_stack copies internally, so the slot
+# survives a retry on another ladder rung bit-for-bit), and the factors are
+# written straight into the leased output slots. Only the convergence
+# traces pickle back across the pipe.
 
 
 @functools.lru_cache(maxsize=32)
@@ -1394,58 +1079,6 @@ def _stacked_svd_solver(config: OneSidedConfig) -> StackedOneSidedJacobi:
 @functools.lru_cache(maxsize=32)
 def _stacked_evd_solver(config: TwoSidedConfig) -> StackedParallelEVD:
     return StackedParallelEVD(config)
-
-
-def _solve_svd_stack_task(item):
-    """Worker shell: attach a shared sub-stack, solve, export the factors.
-
-    Stack-local failures are remapped to caller space *before* they pickle
-    back across the pool boundary, so a raised ``ConvergenceError`` names
-    the caller's batch indices wherever it surfaces.
-    """
-    config, ref, batch_idx = item
-    seg, stack = import_array(ref)
-    try:
-        try:
-            W, V, traces = _stacked_svd_solver(config).solve_stack(stack)
-        except (ConvergenceError, NonFiniteError) as exc:
-            raise _remap_stack_error(
-                exc, tuple(stack.shape[1:]), tuple(batch_idx)
-            ) from None
-    finally:
-        release(seg)
-    _, ref_w = export_array(W, transfer_ownership=True)
-    _, ref_v = export_array(V, transfer_ownership=True)
-    return ref_w, ref_v, traces
-
-
-def _solve_evd_stack_task(item):
-    """Worker shell: attach a shared EVD sub-stack, solve, export factors."""
-    config, ref, scales, batch_idx = item
-    seg, stack = import_array(ref)
-    try:
-        try:
-            B, J, traces = _stacked_evd_solver(config).solve_stack(
-                stack, np.array(scales)
-            )
-        except (ConvergenceError, NonFiniteError) as exc:
-            raise _remap_stack_error(
-                exc, tuple(stack.shape[1:]), tuple(batch_idx)
-            ) from None
-    finally:
-        release(seg)
-    _, ref_b = export_array(B, transfer_ownership=True)
-    _, ref_j = export_array(J, transfer_ownership=True)
-    return ref_b, ref_j, traces
-
-
-# -- persistent-worker task shells (arena transport) ----------------------
-#
-# No attach, no export, no unlink: the worker's arena segments were mapped
-# once at spawn, the input slot is read in place (solve_stack copies
-# internally, so the slot survives a retry on another ladder rung bit-for-
-# bit), and the factors are written straight into the leased output slots.
-# Only the convergence traces pickle back across the pipe.
 
 
 def _solve_svd_arena_task(item):

@@ -27,6 +27,11 @@ def finalize_onesided(
     accumulated right rotations. Singular values sort descending; columns
     below the numerical-rank cutoff get zero singular values and an
     orthonormal completion in ``U``.
+
+    Zeros in ``U`` come out as ``+0.0``: a stacked solve applies every step
+    to the whole stack, and the identity rotation it gives a matrix with
+    nothing to rotate turns a ``-0.0`` into ``+0.0``, so without this the
+    sign would depend on the matrix's stack-mates.
     """
     m, n = work.shape
     sigma = np.linalg.norm(work, axis=0)
@@ -43,6 +48,7 @@ def finalize_onesided(
     if not nonzero.all():
         complete_orthonormal(U, nonzero)
         sigma = np.where(nonzero, sigma, 0.0)
+    U += 0.0
     return SVDResult(U=U, S=sigma, V=V, trace=trace)
 
 

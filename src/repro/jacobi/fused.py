@@ -18,10 +18,12 @@ two-operand ``einsum`` against a ``(p, 2, 2, b)`` stack of Givens blocks.
 Consecutive step permutations are *composed* — each step gathers directly
 from the previous step's layout, and the canonical column order is restored
 once per sweep. The arithmetic is ordered so results are bit-identical to
-the reference step loop (the einsum contractions reduce in the same
-operand order as the reference ufunc expressions; verified by
-``tests/test_fused_sweeps.py``), up to the sign of rotated zeros (see
-:class:`FusedEVDSweeper`).
+the per-matrix reference solvers,
+:class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD` and
+:class:`~repro.jacobi.parallel_evd.ParallelJacobiEVD` (the einsum
+contractions reduce in the same operand order as the reference ufunc
+expressions; the test suite compares the two byte for byte), up to the
+sign of rotated zeros (see :class:`FusedEVDSweeper`).
 
 **Zero-gather odd-even specialization.** The odd-even (brick) ordering's
 steps are adjacent transpositions of the *current* layout, so its plan
@@ -39,7 +41,7 @@ directly from ``G`` instead of recomputing length-``m`` dot products. The
 existing per-sweep exact refresh is retained (``G`` is rebuilt from ``W``
 at every sweep start). This trades the per-step ``O(b p m)`` inner-product
 einsum for ``O(b n p)`` cache updates — profitable for very tall stacks —
-and is *not* bit-identical to the reference loop (same accuracy contract,
+and is *not* bit-identical to the reference solver (same accuracy contract,
 exercised by the figure-level tests).
 
 Plans (step permutations, index arrays, orientation masks) are immutable
@@ -72,7 +74,6 @@ __all__ = [
     "SweepPlan",
     "FusedEVDSweeper",
     "FusedSVDSweeper",
-    "cached_step_arrays",
     "sweep_plan",
 ]
 
@@ -291,14 +292,15 @@ def sweep_plan(
     )
 
 
-@functools.lru_cache(maxsize=256)
-def cached_step_arrays(
-    name: str, n: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Memoized per-step ``(idx_i, idx_j)`` gather arrays for the reference
-    step loop (one build per ``(ordering, n)`` instead of one per
-    ``solve_stack`` call). Arrays are read-only because they are shared."""
-    return tuple(_pair_arrays(step) for step in sweep_schedule(name, n))
+def _compact_rows(arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Drop masked-out batch rows (axis 0) without redundant copies.
+
+    Boolean-mask selection already yields a C-contiguous array, and when
+    the mask keeps every row there is nothing to do at all.
+    """
+    if keep.all():
+        return arr
+    return arr[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +363,8 @@ class FusedSVDSweeper:
     The driver (``solve_stack``) keeps all failure handling, tracing and
     dropout logic; this class only advances the numerics.
 
-    Bit-identical to the reference step loop except under ``gram_cache``
-    (documented accuracy contract instead).
+    Bit-identical to :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD`
+    except under ``gram_cache`` (documented accuracy contract instead).
     """
 
     def __init__(
@@ -412,7 +414,7 @@ class FusedSVDSweeper:
 
     def refresh_norms(self) -> None:
         """Per-sweep exact refresh (Eq. 6 drift control), as in the
-        reference loop; under ``gram_cache`` the whole Gram matrix is
+        reference solver; under ``gram_cache`` the whole Gram matrix is
         rebuilt from ``W``."""
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
@@ -464,10 +466,10 @@ class FusedSVDSweeper:
         self.S = np.empty_like(self.T)
         self.VS = np.empty_like(self.VT)
         if self.G is not None:
-            self.G = np.compress(keep, self.G, axis=0)
+            self.G = _compact_rows(self.G, keep)
             self.sqnorms = np.einsum("bii->bi", self.G)
         else:
-            self.sqnorms = self.sqnorms[keep]
+            self.sqnorms = _compact_rows(self.sqnorms, keep)
 
     def close(self) -> None:
         for buf in self._pooled:
@@ -741,11 +743,11 @@ class FusedEVDSweeper:
     ``(b, p, 2, 2)`` rotation stack. ``J`` is kept transposed
     (``JT[b] = J[b].T``) so ``J <- J G`` is the same row-pass einsum.
 
-    Bit-identical to the reference step loop but for the sign of rotated
-    zeros: einsum starts from a zero accumulator, so an entry whose two
-    products are ``-0.0`` comes out ``+0.0`` where the loop's
-    ``c x0 + s x1`` keeps ``-0.0``. The column pass's ``+ 0.0`` applies
-    the same rule.
+    Bit-identical to :class:`~repro.jacobi.parallel_evd.ParallelJacobiEVD`
+    but for the sign of rotated zeros: einsum starts from a zero
+    accumulator, so an entry whose two products are ``-0.0`` comes out
+    ``+0.0`` where the reference's ``c x0 + s x1`` keeps ``-0.0``. The
+    column pass's ``+ 0.0`` applies the same rule.
     """
 
     def __init__(
@@ -868,8 +870,8 @@ class FusedEVDSweeper:
         out_J[targets] = self.JT[positions].transpose(0, 2, 1)
 
     def compact(self, keep: np.ndarray) -> None:
-        self.B = np.compress(keep, self.B, axis=0)
-        self.JT = np.compress(keep, self.JT, axis=0)
+        self.B = _compact_rows(self.B, keep)
+        self.JT = _compact_rows(self.JT, keep)
         self.S1 = np.empty_like(self.B)
         self.S2 = np.empty_like(self.B)
         self.JS = np.empty_like(self.B)

@@ -48,20 +48,14 @@ class OneSidedConfig:
         Enable the Eq. 6 optimization (ablation switch D1).
     transpose_wide:
         Factor ``A.T`` when ``m < n`` (ablation switch D6).
-    fused_sweeps:
-        Run the stacked solver's sweeps through the fused pair-adjacent
-        executors of :mod:`repro.jacobi.fused` instead of the Python
-        per-step loop. Bit-identical to the step loop; ``False`` keeps
-        the reference loop as an opt-out. Only affects
-        :class:`repro.jacobi.batched.StackedOneSidedJacobi`.
     gram_cache:
         Maintain the full Gram matrix ``G = W^T W`` across rotations
         (O(n) updates per pair, exact per-sweep refresh) so the fused
         executor reads every step's inner products from ``G`` instead of
         recomputing ``a_ij`` dot products of length ``m``. Pays off for
-        very tall stacks (``m >> n``); not bit-identical to the
-        reference loop (same accuracy contract). Requires
-        ``cache_inner_products=True`` and implies ``fused_sweeps``.
+        very tall stacks (``m >> n``); not bit-identical to this solver
+        (same accuracy contract). Requires ``cache_inner_products=True``.
+        Only affects :class:`repro.jacobi.batched.StackedOneSidedJacobi`.
     """
 
     tol: float = 1e-14
@@ -69,7 +63,6 @@ class OneSidedConfig:
     ordering: str = "round-robin"
     cache_inner_products: bool = True
     transpose_wide: bool = True
-    fused_sweeps: bool = True
     gram_cache: bool = False
 
     def __post_init__(self) -> None:

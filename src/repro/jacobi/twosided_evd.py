@@ -37,18 +37,11 @@ class TwoSidedConfig:
     ordering:
         Pivot schedule (the parallel kernel requires disjoint steps; the
         round-robin default provides the minimum step count).
-    fused_sweeps:
-        Run the stacked parallel EVD's sweeps through the fused
-        pair-adjacent executor of :mod:`repro.jacobi.fused` instead of
-        the Python per-step loop. Bit-identical; ``False`` keeps the
-        reference loop. Only affects
-        :class:`repro.jacobi.batched.StackedParallelEVD`.
     """
 
     tol: float = 1e-14
     max_sweeps: int = 60
     ordering: str = "round-robin"
-    fused_sweeps: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tol < 1.0):
@@ -180,7 +173,15 @@ def _rotate_symmetric_inplace(
 def _finalize_evd(
     B: np.ndarray, J: np.ndarray, trace: ConvergenceTrace
 ) -> EVDResult:
-    """Sort eigenpairs descending by eigenvalue."""
+    """Sort eigenpairs descending by eigenvalue.
+
+    Zero eigenvalues come out as ``+0.0``: a stacked solve applies every
+    step to the whole stack, and the identity rotation it gives a matrix
+    with nothing to rotate turns a ``-0.0`` diagonal entry into ``+0.0``,
+    so without this the sign would depend on the matrix's stack-mates.
+    """
     eigvals = np.diag(B).copy()
     order = np.argsort(eigvals)[::-1]
-    return EVDResult(J=J[:, order].copy(), L=eigvals[order], trace=trace)
+    L = eigvals[order]
+    L += 0.0
+    return EVDResult(J=J[:, order].copy(), L=L, trace=trace)

@@ -340,19 +340,6 @@ DEFAULT_CHECKS: tuple[PerfCheck, ...] = tuple(
             noise_floor=512,
             description="pickled manifest payload at 4 workers (~6 KB)",
         ),
-        PerfCheck(
-            name="runtime.processes4.pickled_task_bytes",
-            source=_WALLCLOCK,
-            path=(
-                "worker_scaling.configs[backend=processes,workers=4]"
-                ".dispatch_overhead.pickled_task_bytes"
-            ),
-            unit="bytes",
-            direction="lower",
-            tolerance=0.25,
-            noise_floor=512,
-            description="per-task pickling on the process pool (~15 KB)",
-        ),
         # -- serving broker (PR 5)
         PerfCheck(
             name="serve.fused_speedup",

@@ -6,8 +6,8 @@ NumPy pipeline of the seed ran everything on a single core. This package
 supplies the missing host axis:
 
 - :mod:`repro.runtime.executor` — the :class:`Executor` abstraction with
-  ``serial`` / ``threads`` / ``processes`` / ``persistent`` backends and
-  cost-aware largest-first scheduling;
+  ``serial`` / ``threads`` / ``persistent`` backends and cost-aware
+  largest-first scheduling;
 - :mod:`repro.runtime.arena` — pre-pinned shared-memory arenas with a
   slot-lease protocol (allocate once, lease per batch, return on result
   handback);
@@ -18,8 +18,8 @@ supplies the missing host axis:
   copy-free through leased slots;
 - :mod:`repro.runtime.scheduler` — flop-cost estimates and deterministic
   bucket-shard planning (LPT-style ordering, stable tie-breaks);
-- :mod:`repro.runtime.shm` — ``multiprocessing.shared_memory``-backed
-  zero-copy transport for stacked ``(b, m, n)`` ndarrays;
+- :mod:`repro.runtime.shm` — one-shot ``multiprocessing.shared_memory``
+  segments, task-scoped segment namespaces and their crash ``reclaim``;
 - :mod:`repro.runtime.sanitize` — opt-in ownership/ordering sanitizer.
   Set ``REPRO_SANITIZE=1`` before importing to turn double-release,
   write-after-release, leaked segments, and non-canonical stat merges
@@ -30,8 +30,8 @@ supplies the missing host axis:
   task frames;
 - :mod:`repro.runtime.resilient` — the :class:`ResilientExecutor`
   supervisor: per-task deadlines, bounded deterministic retries with
-  exponential backoff, dead-pool respawn with shared-memory reclamation,
-  and the processes → threads → serial degradation ladder.
+  exponential backoff, dead-pool respawn, and the degradation ladder
+  down to the serial rung (persistent → serial, threads → serial).
 
 The contract threaded through every consumer (`BatchedJacobiEngine`, the
 batched kernels, `WCycleSVD`, `WCycleEstimator`) is **bit-identical
@@ -46,7 +46,6 @@ from repro.runtime.executor import (
     BACKENDS,
     ON_FAILURE_MODES,
     Executor,
-    ProcessExecutor,
     RuntimeConfig,
     SerialExecutor,
     TaskError,
@@ -93,7 +92,6 @@ __all__ = [
     "sanitize",
     "faults",
     "Executor",
-    "ProcessExecutor",
     "RuntimeConfig",
     "SerialExecutor",
     "ThreadExecutor",

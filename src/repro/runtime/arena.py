@@ -1,18 +1,18 @@
 """Pre-pinned shared-memory arenas with a slot-lease protocol.
 
-Why arenas.  The ``processes`` backend pays a fresh
-``multiprocessing.shared_memory`` segment per dispatched unit: the parent
-exports the stack (create + copy + registry bookkeeping), every worker
-attaches and detaches it, and the parent unlinks once the pickled result
-lands.  On small buckets that setup dwarfs the factorization itself —
-which is why BENCH_wallclock's ``worker_scaling`` section stayed flat.
-An :class:`Arena` hoists all of it out of the dispatch loop: a handful of
-large segments are created **once**, carved into fixed-size slots, and a
-batch merely *leases* a slot (pops an index off a free list), writes into
-it, and returns it once the result has been adopted.  Workers map each
-segment a single time — eagerly at spawn via :func:`attach`, or lazily on
-first touch via :func:`resolve` — and keep the mapping for their whole
-lifetime.
+Why arenas.  A fresh ``multiprocessing.shared_memory`` segment per
+dispatched unit means the parent exports every stack (create + copy +
+registry bookkeeping), every worker attaches and detaches it, and the
+parent unlinks once the pickled result lands.  On small buckets that
+setup dwarfs the factorization itself.  An :class:`Arena` hoists all of
+it out of the dispatch loop: a handful of large segments are created
+**once**, carved into fixed-size slots, and a batch merely *leases* a
+slot (pops an index off a free list), writes into it, and returns it once
+the result has been adopted.  Workers map each segment a single time —
+eagerly at spawn via :func:`attach`, or lazily on first touch via
+:func:`resolve` — and keep the mapping for their whole lifetime.  The
+persistent backend is the only worker transport; its tasks carry
+:class:`SlotRef` handles in place of arrays.
 
 Ownership protocol.  The parent owns every segment and every lease:
 
@@ -49,6 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime import faults
 from repro.runtime.shm import _untrack
 from repro.utils.logging import get_logger
 
@@ -160,11 +161,12 @@ def _attach_segment(
 def resolve(ref: SlotRef) -> np.ndarray:
     """Materialise the ndarray window for a leased slot (zero-copy).
 
-    Works in the owning parent (segments registered at creation), in
+    Works in the owning parent (segments registered at creation) and in
     persistent workers (attached at spawn, or lazily here for segments
-    the arena grew after the pool came up), and in forked one-shot
-    workers (mappings inherited across fork).
+    the arena grew after the pool came up). Inside a fault frame an armed
+    ``shm_lost`` clause fires here, as the task maps its slot.
     """
+    faults.on_segment_attach(ref.segment)
     seg = _registry.get(ref.segment)
     if seg is None:
         _attach_segment(ref.segment, existing_ok=True)

@@ -1,4 +1,4 @@
-"""Executor backends: serial, thread-pool, and process-pool map engines.
+"""Executor backends: serial, thread-pool, and persistent-worker map engines.
 
 An :class:`Executor` runs a list of independent tasks and returns their
 results **in task order**, regardless of completion order. Parallel
@@ -18,17 +18,13 @@ Backend notes
     sweeps of :mod:`repro.jacobi.batched` genuinely overlap across cores;
     shared state (the W-cycle's plan caches, in-place panel updates) stays
     directly usable.
-``processes``
-    ``concurrent.futures.ProcessPoolExecutor`` (fork context). Sidesteps
-    the GIL entirely; task functions must be module-level picklables and
-    bulk ndarrays travel through the zero-copy shared-memory transport of
-    :mod:`repro.runtime.shm`.
 ``persistent``
     :class:`~repro.runtime.persistent.PersistentExecutor`: long-lived
-    supervised fork workers that attach a pre-pinned shared-memory
-    :class:`~repro.runtime.arena.Arena` once at spawn, receive batched
-    task manifests (one IPC round-trip per worker per map), and hand
-    results back copy-free through leased arena slots.
+    supervised fork workers that sidestep the GIL entirely. They attach a
+    pre-pinned shared-memory :class:`~repro.runtime.arena.Arena` once at
+    spawn, receive batched task manifests (one IPC round-trip per worker
+    per map), and hand results back copy-free through leased arena slots.
+    Task functions must be module-level picklables.
 
 Nesting is safe by construction: a task that calls :meth:`Executor.map`
 from inside a worker runs the nested tasks inline (no re-submission), so
@@ -41,7 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -56,14 +52,13 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
 ]
 
 _log = get_logger("runtime.executor")
 
 #: The recognized executor backends.
-BACKENDS = ("serial", "threads", "processes", "persistent")
+BACKENDS = ("serial", "threads", "persistent")
 
 #: Environment override for the default backend: when set (and not
 #: ``"serial"``), ``get_executor(None)`` builds this backend instead of
@@ -210,7 +205,7 @@ class _CapturedCall:
 
     Picklable as long as the wrapped function is (the class is
     module-level; the state is just the function), so capture mode works
-    across the process boundary too.
+    on worker processes too.
     """
 
     __slots__ = ("fn",)
@@ -232,14 +227,10 @@ class Executor:
 
     backend = "serial"
     #: Whether tasks may close over caller state (and mutate it in place).
-    #: Process pools require picklable module-level functions instead.
+    #: The persistent backend's worker processes require picklable
+    #: module-level functions instead, and engines route its stacks
+    #: through arena slot leases.
     supports_shared_state = True
-    #: Whether engines should route stacks through Arena slot leases
-    #: instead of one-shot shm segments (set by the persistent backend).
-    arena_transport = False
-    #: Opt-in (benchmark-only) per-task pickled-byte accounting on the
-    #: process backend; off by default to keep the dispatch path lean.
-    count_pickled_bytes = False
 
     def __init__(self, workers: int = 1, *, min_shard: int = 4) -> None:
         if workers < 1:
@@ -248,12 +239,7 @@ class Executor:
         self.min_shard = int(min_shard)
         self._local = threading.local()
         self._counts_lock = threading.Lock()
-        self._dispatch_counts = {
-            "batches": 0,
-            "tasks": 0,
-            "ipc_round_trips": 0,
-            "pickled_task_bytes": 0,
-        }
+        self._dispatch_counts = {"batches": 0, "tasks": 0}
 
     def _count(self, **deltas: int) -> None:
         """Bump dispatch counters under the lock — ``map``/``submit`` may
@@ -264,11 +250,12 @@ class Executor:
                 self._dispatch_counts[key] += delta
 
     def dispatch_stats(self) -> dict:
-        """Dispatch-overhead counters (batches, tasks, IPC, pickling).
+        """Dispatch-overhead counters (batches, tasks).
 
-        The serial backend reports zeros by construction; parallel
-        backends fill in what their transport actually pays, and the
-        worker-scaling benchmark records the breakdown per config.
+        The serial backend reports zeros by construction; the persistent
+        backend adds what its transport pays (IPC round-trips, pickled
+        bytes, arena leases), and the worker-scaling benchmark records the
+        breakdown per config.
         """
         with self._counts_lock:
             return dict(self._dispatch_counts)
@@ -427,86 +414,6 @@ class ThreadExecutor(Executor):
                 self._pool = None
 
 
-class ProcessExecutor(Executor):
-    """Process-pool backend (fork context): GIL-free, pickled task shells.
-
-    Task functions must be module-level (picklable); bulk array payloads
-    should travel as :class:`~repro.runtime.shm.SharedArrayRef` handles so
-    workers map the parent's stacks zero-copy instead of re-serializing
-    them.
-    """
-
-    backend = "processes"
-    supports_shared_state = False
-
-    def __init__(self, workers: int, *, min_shard: int = 4) -> None:
-        super().__init__(workers, min_shard=min_shard)
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                import multiprocessing
-
-                # Fork keeps worker start cheap and inherits the parent's
-                # warmed module state (plan caches, imports). The pool is
-                # created before any task runs, so no competing threads
-                # hold locks at fork time.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-            return self._pool
-
-    def _map_parallel(
-        self,
-        fn: Callable[[_T], _R],
-        items: list[_T],
-        costs: Sequence[float] | None,
-    ) -> list[_R]:
-        pool = self._ensure_pool()
-        order = _submission_order(len(items), costs)
-        # One pickled submission + one pickled result per task: the
-        # per-task round-trip cost the persistent backend's manifests
-        # amortise away.
-        pickled_bytes = 0
-        if self.count_pickled_bytes:
-            import pickle
-
-            for i in order:
-                pickled_bytes += len(pickle.dumps((fn, items[i])))
-        self._count(
-            batches=1,
-            tasks=len(items),
-            ipc_round_trips=len(items),
-            pickled_task_bytes=pickled_bytes,
-        )
-        futures = {i: pool.submit(fn, items[i]) for i in order}
-        return [futures[i].result() for i in range(len(items))]
-
-    def submit(self, fn: Callable[[_T], _R], item: _T) -> "Future[_R]":
-        self._count(tasks=1, ipc_round_trips=1)
-        return self._ensure_pool().submit(fn, item)
-
-    def respawn(self) -> None:
-        """Tear down a (possibly broken) pool; the next submit re-forks.
-
-        A ``BrokenProcessPool`` poisons every future the pool will ever
-        produce, so dead-worker recovery must replace the pool wholesale.
-        """
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-
 def _env_default_config() -> RuntimeConfig | None:
     """The :data:`BACKEND_ENV_VAR` override for ``get_executor(None)``.
 
@@ -584,12 +491,10 @@ def get_executor(
             base = SerialExecutor(min_shard=config.min_shard)
         elif config.backend == "threads":
             base = ThreadExecutor(config.workers, min_shard=config.min_shard)
-        elif config.backend == "persistent":
+        else:
             from repro.runtime.persistent import PersistentExecutor
 
             base = PersistentExecutor(config.workers, min_shard=config.min_shard)
-        else:
-            base = ProcessExecutor(config.workers, min_shard=config.min_shard)
     if config.wants_resilience or faults.installed() is not None:
         policy = RetryPolicy(
             max_retries=(

@@ -13,7 +13,7 @@ runs stay bit-identical to clean ones.
 Fault kinds
 -----------
 ``kill``
-    Worker death. In a forked pool worker the process exits hard
+    Worker death. In a persistent worker the process exits hard
     (``os._exit``), breaking the pool; on thread/serial rungs it raises
     :class:`~repro.errors.WorkerCrashError` instead (threads cannot be
     killed safely).
@@ -25,8 +25,8 @@ Fault kinds
     Mid-sweep data corruption: the stacked Jacobi solvers poison one entry
     of their private working stack, tripping their per-sweep finite check.
 ``shm_lost``
-    Segment loss: :func:`repro.runtime.shm.import_array` raises
-    :class:`~repro.errors.SegmentLostError` before attaching.
+    Segment loss: :func:`repro.runtime.arena.resolve` raises
+    :class:`~repro.errors.SegmentLostError` before a task maps its slot.
 ``replica_kill``
     Serving-replica death: a cluster replica's dispatch path raises
     :class:`~repro.errors.ReplicaDeadError` mid-fused-batch, as if the
@@ -47,11 +47,12 @@ Semicolon-separated clauses::
     kind    = "kill" | "hang" | "nan" | "shm_lost"
     key     = "p"        (fire probability per task, default 1.0)
             | "match"    (substring of the task key, default any)
-            | "backend"  (only on this executor backend, default any)
+            | "backend"  (only on this executor backend — one of
+                          ``executor.BACKENDS`` — default any)
             | "attempts" (fire on attempts < N, default 1: first try only)
             | "delay"    (hang sleep seconds, default 0.05)
 
-Example: ``seed=7;kill:p=0.5,backend=processes;nan:p=0.25,attempts=2``.
+Example: ``seed=7;kill:p=0.5,backend=persistent;nan:p=0.25,attempts=2``.
 
 Faults only fire inside an *activated frame* — the task shell installed
 by :class:`~repro.runtime.resilient.ResilientExecutor` — so library code
@@ -80,6 +81,7 @@ from repro.errors import (
     SegmentLostError,
     WorkerCrashError,
 )
+from repro.runtime.executor import BACKENDS
 
 __all__ = [
     "FAULT_KINDS",
@@ -127,6 +129,12 @@ class FaultClause:
         if not (0.0 <= self.p <= 1.0):
             raise ConfigurationError(
                 f"fault probability must be in [0, 1], got {self.p}"
+            )
+        if self.backend and self.backend not in BACKENDS:
+            # A clause pinned to no real backend would silently never fire.
+            raise ConfigurationError(
+                f"fault backend must be one of {BACKENDS}, got "
+                f"{self.backend!r}"
             )
         if self.attempts < 1:
             raise ConfigurationError(
@@ -323,10 +331,7 @@ def on_task_start() -> None:
         return
     clause = _matching("kill")
     if clause is not None:
-        if (
-            frame.backend in ("processes", "persistent")
-            and os.getpid() != frame.parent_pid
-        ):
+        if frame.backend == "persistent" and os.getpid() != frame.parent_pid:
             # A real (forked) worker: die the way a crashed process does,
             # without running atexit/finalizers. The pool sees a broken
             # worker, exactly like a segfault or the OOM killer.
@@ -349,7 +354,7 @@ def on_task_start() -> None:
 
 
 def on_segment_attach(name: str) -> None:
-    """Attach hook of :func:`repro.runtime.shm.import_array`."""
+    """Slot-mapping hook of :func:`repro.runtime.arena.resolve`."""
     frame = current()
     if frame is None:
         return

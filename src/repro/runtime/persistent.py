@@ -1,7 +1,7 @@
 """The ``persistent`` backend: long-lived supervised workers over arenas.
 
-Where :class:`~repro.runtime.executor.ProcessExecutor` pays fork + pickle
-+ per-task shared-memory setup on every dispatch, a
+A pool that pays fork + pickle + per-task shared-memory setup on every
+dispatch loses small buckets to that overhead. A
 :class:`PersistentExecutor` spawns its workers **once** and amortises
 everything else:
 
@@ -17,10 +17,9 @@ everything else:
   pipe back, and the parent adopts ndarray views onto the slots.
 - **Warm plans survive the pool.**  :meth:`PersistentExecutor.warm`
   broadcasts (kind, config, n) tuples so workers pre-compile the
-  memoized sweep plans/step arrays for the manifest's bucket shapes at
-  attach time — and :meth:`respawn` replays the attach *and* the warm
-  set into the fresh workers, so a crash never reverts the pool to cold
-  caches (the PR 4 respawn path's re-fork churn).
+  memoized sweep plans for the manifest's bucket shapes at attach
+  time — and :meth:`respawn` replays the attach *and* the warm set into
+  the fresh workers, so a crash never reverts the pool to cold caches.
 
 Supervision reuses the PR 4 taxonomy unchanged: a dead worker surfaces
 as :class:`WorkerPoolBroken` (a ``BrokenExecutor``), which the
@@ -77,7 +76,7 @@ def _warm_plans(items: Sequence[tuple]) -> None:
     task of every bucket shape runs at steady-state speed.
     """
     from repro.jacobi.batched import _stacked_evd_solver, _stacked_svd_solver
-    from repro.jacobi.fused import cached_step_arrays, sweep_plan
+    from repro.jacobi.fused import sweep_plan
 
     for kind, config, n in items:
         try:
@@ -86,7 +85,6 @@ def _warm_plans(items: Sequence[tuple]) -> None:
                 _stacked_svd_solver(config)
                 if isinstance(ordering, str) and ordering != "dynamic" and n >= 2:
                     sweep_plan(ordering, n)
-                    cached_step_arrays(ordering, n)
             elif kind == "evd":
                 _stacked_evd_solver(config)
                 if isinstance(ordering, str) and n >= 2:
@@ -238,6 +236,23 @@ def _pump_loop(worker: _Worker, stats: dict, stats_lock: threading.Lock) -> None
     )
 
 
+def _close_pipe(worker: _Worker) -> None:
+    """Close a stopped worker's pipe once its pump thread is done with it.
+
+    The pump reads until the dead worker's EOF. Closing the pipe under it
+    frees the descriptor while the pump may still be about to read it,
+    and the next pipe created (a respawned pool, a new executor) can reuse
+    that descriptor number: the stale pump would then steal its replies.
+    """
+    pump = worker.pump
+    if pump is not None and pump is not threading.current_thread():
+        pump.join(timeout=1.0)
+    try:
+        worker.conn.close()
+    except OSError:  # pragma: no cover - already closed
+        pass
+
+
 def _shutdown_workers(workers: list) -> None:
     """Finalizer target — must not hold a reference to the executor."""
     for w in workers:
@@ -247,28 +262,23 @@ def _shutdown_workers(workers: list) -> None:
         except Exception:  # repro: noqa[EXC01] best-effort janitor at GC
             # or interpreter exit; daemon workers die with us regardless.
             pass
-        try:
-            w.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+    for w in workers:
+        w.proc.join(timeout=1.0)
+        _close_pipe(w)
     workers.clear()
 
 
 class PersistentExecutor(Executor):
     """Long-lived fork workers + pre-pinned arena + manifest dispatch.
 
-    Task functions must be module-level picklables (as with
-    ``processes``); bulk payloads should travel as arena
-    :class:`~repro.runtime.arena.SlotRef` handles.  Engines detect the
-    arena transport through the ``arena_transport`` class flag and the
-    :attr:`arena` property.
+    Task functions must be module-level picklables; bulk payloads should
+    travel as arena :class:`~repro.runtime.arena.SlotRef` handles.
+    Engines route their stacks through the :attr:`arena` whenever the
+    executor does not support shared state.
     """
 
     backend = "persistent"
     supports_shared_state = False
-    #: Engines route stacks through Arena slots instead of one-shot shm
-    #: segments when the (unwrapped) executor sets this.
-    arena_transport = True
 
     def __init__(
         self,
@@ -403,12 +413,9 @@ class PersistentExecutor(Executor):
             except Exception:  # repro: noqa[EXC01] already-reaped worker;
                 # nothing to clean.
                 pass
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
         for w in doomed:
             w.proc.join(timeout=1.0)
+            _close_pipe(w)
 
     def close(self) -> None:
         with self._spawn_lock:
@@ -425,10 +432,7 @@ class PersistentExecutor(Executor):
             if w.proc.is_alive():  # pragma: no cover - wedged worker
                 w.proc.terminate()
                 w.proc.join(timeout=1.0)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+            _close_pipe(w)
         if arena is not None:
             arena.close()
 

@@ -10,9 +10,9 @@ Executor` and turns its ``map`` into a supervised, attempt-bounded run:
   observable behavior and must replay exactly under fault injection);
 - each retry runs one rung further down the **degradation ladder**
   (:func:`~repro.runtime.scheduler.degradation_ladder`): a task that died
-  on the process pool retries on threads, then on the serial rung — the
+  on the persistent pool or on a thread retries on the serial rung — the
   bit-exact reference, where an infrastructure fault cannot reproduce
-  (arena-transport tasks skip the thread rung entirely; see the ladder's
+  (arena-transport tasks never retry on threads; see the ladder's
   docstring);
 - a **timed-out manifest on the persistent backend respawns the pool**
   before the retry round: a started manifest cannot be cancelled, and a
@@ -20,9 +20,10 @@ Executor` and turns its ``map`` into a supervised, attempt-bounded run:
   handles could read or write slots after their leases return to the
   free list and are re-leased — terminating the workers (the respawn
   re-attaches the arena and replays warm plans) makes that impossible;
-- a broken process pool (dead worker) is **respawned**, and the dead
-  task's shared-memory segments are **reclaimed** by namespace prefix
-  (:func:`repro.runtime.shm.reclaim`) so crashes never strand pages;
+- a broken worker pool (dead worker) is **respawned**, and any
+  shared-memory segments the dead task created are **reclaimed** by
+  namespace prefix (:func:`repro.runtime.shm.reclaim`) so crashes never
+  strand pages;
 - deterministic **numerical** failures (:class:`~repro.errors.
   ConvergenceError` and friends) are never retried — replaying them
   wastes work and reproduces the same bits — they resolve immediately,
@@ -62,7 +63,6 @@ from repro.runtime.executor import (
     Executor,
     SerialExecutor,
     TaskError,
-    ThreadExecutor,
     _CapturedCall,
     _submission_order,
 )
@@ -138,9 +138,9 @@ class RetryPolicy:
 class _TaskShell:
     """Picklable per-attempt task wrapper: fault frame + shm namespace.
 
-    Travels to process workers (state is just the task function reference,
-    the frozen fault plan, and identity strings), so injection decisions
-    and segment naming are identical wherever the attempt lands.
+    Travels to persistent workers (state is just the task function
+    reference, the frozen fault plan, and identity strings), so injection
+    decisions and segment naming are identical wherever the attempt lands.
     """
 
     __slots__ = (
@@ -218,18 +218,12 @@ class ResilientExecutor(Executor):
     # -- the degradation ladder ------------------------------------------
 
     def _rungs(self) -> list[Executor]:
-        """The inner executor plus lazily-built fallback executors."""
+        """The inner executor plus the lazily-built serial fallback."""
         if self._fallbacks is None:
-            self._fallbacks = []
-            for name in degradation_ladder(self.backend)[1:]:
-                if name == "threads":
-                    self._fallbacks.append(
-                        ThreadExecutor(self.workers, min_shard=self.min_shard)
-                    )
-                else:
-                    self._fallbacks.append(
-                        SerialExecutor(min_shard=self.min_shard)
-                    )
+            self._fallbacks = [
+                SerialExecutor(min_shard=self.min_shard)
+                for _ in degradation_ladder(self.backend)[1:]
+            ]
         return [self.inner, *self._fallbacks]
 
     # -- supervised map --------------------------------------------------
@@ -346,7 +340,7 @@ class ResilientExecutor(Executor):
                     respawned = True
                 elif (
                     isinstance(exc, DeadlineExceeded)
-                    and getattr(rung, "arena_transport", False)
+                    and not rung.supports_shared_state
                     and not respawned
                 ):
                     # fut.cancel() cannot stop a manifest that already

@@ -38,8 +38,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.runtime import faults
-
 __all__ = [
     "SharedArrayRef",
     "export_array",
@@ -182,7 +180,6 @@ def import_array(
     ownership). The attach-side tracker registration is a set-duplicate
     of the owner's and is consumed by the owner's unlink.
     """
-    faults.on_segment_attach(ref.name)
     seg = shared_memory.SharedMemory(name=ref.name)
     try:
         view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=seg.buf)

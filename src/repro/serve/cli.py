@@ -66,6 +66,8 @@ def parse_shape_mix(text: str) -> tuple[tuple[int, int], ...]:
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """The serving options, shared by ``repro-serve`` and ``repro serve``."""
+    from repro.runtime import BACKENDS
+
     parser.add_argument(
         "--requests", type=int, default=200,
         help="total requests the load generator submits (default 200)",
@@ -103,7 +105,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="engine executor workers (must not exceed os.cpu_count())",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "threads", "processes", "persistent"),
+        "--backend", choices=BACKENDS,
         default=_default_backend(),
         help="engine executor backend (default serial, or "
         "$REPRO_RUNTIME_BACKEND when set)",
@@ -142,16 +144,16 @@ def run_serve(args: argparse.Namespace) -> int:
     everything else — traffic, verification, reporting — is identical,
     because the load generator only touches the shared surface."""
     from repro.errors import ConfigurationError
-    from repro.runtime import RuntimeConfig
+    from repro.runtime import BACKENDS, RuntimeConfig
     from repro.serve.cluster import ClusterConfig, SVDCluster
     from repro.serve.loadgen import LoadSpec, run_closed_loop
     from repro.serve.server import ServeConfig, SVDServer
 
     if args.workers > 1 and args.backend == "serial":
+        flags = " or ".join(f"--backend {b}" for b in BACKENDS if b != "serial")
         raise ConfigurationError(
             f"--workers {args.workers} requires a parallel backend; add "
-            f"--backend threads, --backend processes, or "
-            f"--backend persistent"
+            f"{flags}"
         )
     if args.replicas < 1:
         raise ConfigurationError(

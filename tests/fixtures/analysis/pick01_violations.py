@@ -3,11 +3,11 @@
 Lint corpus only — never imported.
 """
 
-from repro.runtime import ProcessExecutor
+from repro.runtime import PersistentExecutor
 
 
 def square_all(xs):
-    with ProcessExecutor(2) as ex:
+    with PersistentExecutor(2) as ex:
         return ex.map(lambda x: x * x, xs)
 
 
@@ -15,5 +15,5 @@ def nested_task(xs):
     def work(x):
         return x + 1
 
-    with ProcessExecutor(2) as ex:
+    with PersistentExecutor(2) as ex:
         return ex.map(work, xs)

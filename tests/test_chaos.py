@@ -7,10 +7,10 @@ for every non-quarantined matrix. Fault draws are deterministic
 (sha256-keyed per task), so each scenario replays the identical failure
 sequence on every run.
 
-Scenario coverage (ISSUE PR 4 acceptance): worker kill, shm segment loss,
-task hang against a deadline, mid-sweep NaN corruption, backend fallback
-down the degradation ladder, and deterministic convergence quarantine;
-kills and NaN poison also hit multi-member W-cycle buckets.
+Scenario coverage: worker kill, arena segment loss, task hang against a
+deadline, mid-sweep NaN corruption, backend fallback down the degradation
+ladder, and deterministic convergence quarantine; kills and NaN poison
+also hit multi-member W-cycle buckets.
 """
 
 from __future__ import annotations
@@ -63,30 +63,15 @@ def _chaos_solve(batch, runtime):
 
 
 class TestChaosScenarios:
-    def test_worker_kill_processes_recovers(self, chaos, batch, clean):
-        """Scenario 1: a forked worker dies hard (os._exit); the pool is
-        respawned, its shm namespace reclaimed, and the retry recovers."""
-        chaos("seed=3;kill:p=1.0")
-        res = _chaos_solve(
-            batch,
-            RuntimeConfig(
-                backend="processes", workers=2, min_shard=2,
-                allow_oversubscribe=True, max_retries=2,
-                backoff_base=0.0, on_failure="quarantine",
-            ),
-        )
-        _assert_bit_identical(res.results, clean.results)
-        assert res.failures, "the kill clause never fired"
-        assert all(e.recovered for e in res.failures)
-
     def test_shm_segment_loss_recovers(self, chaos, batch, clean):
-        """Scenario 2: the input segment vanishes before a worker attaches
-        (SegmentLostError); the retry re-imports cleanly."""
+        """Scenario 2: a worker loses the arena segment holding its slots
+        as it maps them (SegmentLostError); the retry on the serial rung
+        maps them cleanly."""
         chaos("seed=4;shm_lost:p=1.0")
         res = _chaos_solve(
             batch,
             RuntimeConfig(
-                backend="processes", workers=2, min_shard=2,
+                backend="persistent", workers=2, min_shard=2,
                 allow_oversubscribe=True, max_retries=1,
                 backoff_base=0.0, on_failure="quarantine",
             ),
@@ -130,14 +115,14 @@ class TestChaosScenarios:
         assert "NonFiniteError" in {e.cause for e in res.failures}
 
     def test_backend_fallback_ladder(self, chaos, batch, clean):
-        """Scenario 5: a fault pinned to the processes backend keeps
+        """Scenario 5: a fault pinned to the persistent backend keeps
         firing on every attempt there; recovery comes from the ladder —
-        the retry lands on the threads rung, out of the clause's reach."""
-        chaos("seed=6;kill:p=1.0,backend=processes,attempts=99")
+        the retry lands on the serial rung, out of the clause's reach."""
+        chaos("seed=6;kill:p=1.0,backend=persistent,attempts=99")
         res = _chaos_solve(
             batch,
             RuntimeConfig(
-                backend="processes", workers=2, min_shard=2,
+                backend="persistent", workers=2, min_shard=2,
                 allow_oversubscribe=True, max_retries=2,
                 backoff_base=0.0, on_failure="quarantine",
             ),
@@ -376,14 +361,16 @@ class TestPersistentChaos:
 
 class TestNoStrandedSegments:
     def test_killed_worker_strands_no_shm(self, chaos, batch, clean):
-        """Satellite 3: worker death mid-task must not leave named shared
-        memory behind — the supervisor reclaims the dead attempt's
-        namespace (``rp<pid>…``) before retrying and after the map."""
+        """Worker death mid-task must not leave shared memory behind:
+        nothing under the supervisor's task namespaces (``rp<pid>…``),
+        and none of this process's arena segments once the solver is
+        closed."""
         chaos("seed=3;kill:p=1.0")
+        before = set(stranded_segments())
         res = _chaos_solve(
             batch,
             RuntimeConfig(
-                backend="processes", workers=2, min_shard=2,
+                backend="persistent", workers=2, min_shard=2,
                 allow_oversubscribe=True, max_retries=2,
                 backoff_base=0.0, on_failure="quarantine",
             ),
@@ -391,6 +378,7 @@ class TestNoStrandedSegments:
         _assert_bit_identical(res.results, clean.results)
         assert res.failures
         stale = glob.glob(f"/dev/shm/rp{os.getpid()}x*")
+        stale += sorted(set(stranded_segments()) - before)
         assert stale == [], f"stranded segments: {stale}"
 
 

@@ -93,6 +93,28 @@ class TestRuntimeFlags:
         with pytest.raises(SystemExit, match="persistant"):
             serve_parser()
 
+    @pytest.mark.parametrize("cli", ["repro", "repro-serve"])
+    def test_deleted_processes_backend_names_persistent(self, capsys, cli):
+        from repro.serve.cli import build_parser as serve_parser
+
+        if cli == "repro":
+            parser, argv = build_parser(), ["svd", "--backend", "processes"]
+        else:
+            parser, argv = serve_parser(), ["--backend", "processes"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert "persistent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cli", ["repro", "repro-serve"])
+    def test_env_override_rejects_deleted_processes_backend(
+        self, monkeypatch, cli
+    ):
+        from repro.serve.cli import build_parser as serve_parser
+
+        monkeypatch.setenv("REPRO_RUNTIME_BACKEND", "processes")
+        with pytest.raises(SystemExit, match="persistent"):
+            build_parser() if cli == "repro" else serve_parser()
+
     def test_svd_threads_backend(self, capsys, monkeypatch):
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 4)
         code = main(
@@ -123,6 +145,7 @@ class TestRuntimeFlags:
         assert code == 2
         err = capsys.readouterr().err
         assert "requires a parallel backend" in err
+        assert "--backend threads or --backend persistent" in err
 
 
 class TestResilienceFlags:

@@ -1,11 +1,14 @@
-"""Fused sweep executors vs the reference Python step loop.
+"""Fused sweep executors vs the per-matrix reference solvers.
 
 The fused executors of :mod:`repro.jacobi.fused` (pair-adjacent gather
 plans, the odd-even zero-gather specialization, and the Gram-cache path)
-promise the *same arithmetic in the same order* as the per-step loop
-wherever the reduction grouping is unchanged — so the contract tested
-here is bitwise equality, not ``allclose``. The Gram-cache path changes
-how inner products are produced and is held to the accuracy contract
+promise the *same arithmetic in the same order* as the per-step loops of
+:class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD` and
+:class:`~repro.jacobi.parallel_evd.ParallelJacobiEVD` wherever the
+reduction grouping is unchanged — so the contract tested here is bitwise
+equality of every stack member's finalized factors and trace with the
+reference solver's, not ``allclose``. The Gram-cache path changes how
+inner products are produced and is held to the accuracy contract
 instead.
 """
 
@@ -16,21 +19,23 @@ import time
 import numpy as np
 import pytest
 
+from repro import WCycleSVD
 from repro.errors import ConfigurationError
 from repro.jacobi.batched import (
     BatchedJacobiEngine,
     StackedOneSidedJacobi,
     StackedParallelEVD,
-    _compact_rows,
 )
+from repro.jacobi.factors import finalize_onesided
 from repro.jacobi.fused import (
     KernelTimes,
     ScratchPool,
-    cached_step_arrays,
+    _compact_rows,
     sweep_plan,
 )
-from repro.jacobi.onesided_vector import OneSidedConfig
-from repro.jacobi.twosided_evd import TwoSidedConfig
+from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
+from repro.jacobi.parallel_evd import ParallelJacobiEVD
+from repro.jacobi.twosided_evd import TwoSidedConfig, _finalize_evd
 from repro.orderings import get_ordering
 from repro.types import ConvergenceTrace
 
@@ -51,12 +56,49 @@ def _evd_stack(rng, b, k):
     return M + M.transpose(0, 2, 1)
 
 
-def _traces_equal(got, want):
-    return [
-        [(r.sweep, r.off_norm, r.rotations) for r in t.records] for t in got
-    ] == [
-        [(r.sweep, r.off_norm, r.rotations) for r in t.records] for t in want
-    ]
+def _evd_scales(stack):
+    """Per-matrix Frobenius norms, computed as the engine computes them."""
+    return np.array([float(np.linalg.norm(B)) for B in stack])
+
+
+def _records(trace):
+    return [(r.sweep, r.off_norm, r.rotations) for r in trace.records]
+
+
+def _assert_same_svd(got, want, label=""):
+    assert got.U.tobytes() == want.U.tobytes(), label
+    assert got.S.tobytes() == want.S.tobytes(), label
+    assert got.V.tobytes() == want.V.tobytes(), label
+    assert _records(got.trace) == _records(want.trace), label
+
+
+def _assert_same_evd(got, want, label=""):
+    assert got.J.tobytes() == want.J.tobytes(), label
+    assert got.L.tobytes() == want.L.tobytes(), label
+    assert _records(got.trace) == _records(want.trace), label
+
+
+def _assert_svd_members_match(stack, cfg, out, *, skip=()):
+    """Every stack member's finalized factors and trace equal the
+    reference solver's on that member alone, byte for byte."""
+    W, V, traces = out[:3]
+    reference = OneSidedJacobiSVD(cfg)
+    for k in range(stack.shape[0]):
+        if k in skip:
+            continue
+        got = finalize_onesided(W[k], V[k], traces[k])
+        _assert_same_svd(got, reference.decompose(stack[k]), f"member {k}")
+
+
+def _assert_evd_members_match(stack, cfg, out, *, skip=()):
+    """EVD twin of :func:`_assert_svd_members_match`."""
+    B, J, traces = out[:3]
+    reference = ParallelJacobiEVD(cfg)
+    for k in range(stack.shape[0]):
+        if k in skip:
+            continue
+        got = _finalize_evd(B[k], J[k], traces[k])
+        _assert_same_evd(got, reference.decompose(stack[k]), f"member {k}")
 
 
 class TestSVDBitwiseEquivalence:
@@ -64,18 +106,12 @@ class TestSVDBitwiseEquivalence:
     @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("shape", SVD_STACK_SHAPES)
     def test_fused_matches_step_loop(self, rng, ordering, cache, shape):
+        """Each member of a fused stack solve matches the reference
+        solver's per-step loop on that member alone."""
         stack = _svd_stack(rng, shape)
-        fused_cfg = OneSidedConfig(
-            ordering=ordering, cache_inner_products=cache, fused_sweeps=True
-        )
-        loop_cfg = OneSidedConfig(
-            ordering=ordering, cache_inner_products=cache, fused_sweeps=False
-        )
-        Wf, Vf, tf = StackedOneSidedJacobi(fused_cfg).solve_stack(stack.copy())
-        Wl, Vl, tl = StackedOneSidedJacobi(loop_cfg).solve_stack(stack.copy())
-        assert Wf.tobytes() == Wl.tobytes()
-        assert Vf.tobytes() == Vl.tobytes()
-        assert _traces_equal(tf, tl)
+        cfg = OneSidedConfig(ordering=ordering, cache_inner_products=cache)
+        out = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
+        _assert_svd_members_match(stack, cfg, out)
 
     def test_ordering_instance_accepted(self, rng):
         """Plans build from Ordering objects, not just registry names."""
@@ -89,23 +125,18 @@ class TestSVDBitwiseEquivalence:
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_report_mode_dropout_matches(self, rng, ordering):
-        """A NaN-poisoned matrix drops out identically on both paths and
-        cannot perturb the survivors."""
+        """A NaN-poisoned matrix drops out and cannot perturb the
+        survivors, which still match the reference solver."""
         stack = _svd_stack(rng, (4, 12, 6))
         stack[2, 3, 1] = np.nan
-        out = {}
-        for fused in (True, False):
-            cfg = OneSidedConfig(ordering=ordering, fused_sweeps=fused)
-            out[fused] = StackedOneSidedJacobi(cfg).solve_stack(
-                stack.copy(), on_failure="report"
-            )
-        Wf, Vf, tf, ff = out[True]
-        Wl, Vl, tl, fl = out[False]
-        assert [i for i, _ in ff] == [i for i, _ in fl] == [2]
-        assert np.isnan(Wf[2]).all() and np.isnan(Wl[2]).all()
-        assert Wf.tobytes() == Wl.tobytes()
-        assert Vf.tobytes() == Vl.tobytes()
-        assert _traces_equal(tf, tl)
+        cfg = OneSidedConfig(ordering=ordering)
+        out = StackedOneSidedJacobi(cfg).solve_stack(
+            stack.copy(), on_failure="report"
+        )
+        W, _, _, failures = out
+        assert [i for i, _ in failures] == [2]
+        assert np.isnan(W[2]).all()
+        _assert_svd_members_match(stack, cfg, out, skip={2})
 
     def test_trivial_n1_stack(self, rng):
         stack = _svd_stack(rng, (3, 5, 1))
@@ -116,62 +147,45 @@ class TestSVDBitwiseEquivalence:
 
     def test_engine_batch_matches_loop_engine(self, rng):
         """End to end through the engine: ragged batch with wide (m < n)
-        matrices, fused default vs step-loop opt-out, bit-identical."""
+        matrices against the reference solver, bit-identical."""
         batch = [
             rng.standard_normal((16, 8)),
             rng.standard_normal((6, 14)),  # wide: transposed before stacking
             rng.standard_normal((8, 8)),
             rng.standard_normal((16, 8)),
         ]
-        fused = BatchedJacobiEngine(OneSidedConfig()).svd_batch(batch)
-        loop = BatchedJacobiEngine(
-            OneSidedConfig(fused_sweeps=False)
-        ).svd_batch(batch)
-        for a, b in zip(fused, loop):
-            assert a.U.tobytes() == b.U.tobytes()
-            assert a.S.tobytes() == b.S.tobytes()
-            assert a.V.tobytes() == b.V.tobytes()
+        reference = OneSidedJacobiSVD(OneSidedConfig())
+        for i, (a, res) in enumerate(
+            zip(batch, BatchedJacobiEngine(OneSidedConfig()).svd_batch(batch))
+        ):
+            _assert_same_svd(res, reference.decompose(a), f"matrix {i}")
 
 
 class TestEVDBitwiseEquivalence:
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("size", EVD_STACK_SIZES)
     def test_fused_matches_step_loop(self, rng, ordering, size):
+        """Each member of a fused stack solve matches the reference
+        solver's per-step loop on that member alone."""
         b, k = size
         stack = _evd_stack(rng, b, k)
-        scales = np.linalg.norm(stack, axis=(1, 2))
-        fused_cfg = TwoSidedConfig(ordering=ordering, fused_sweeps=True)
-        loop_cfg = TwoSidedConfig(ordering=ordering, fused_sweeps=False)
-        Bf, Jf, tf = StackedParallelEVD(fused_cfg).solve_stack(
-            stack.copy(), scales
+        cfg = TwoSidedConfig(ordering=ordering)
+        out = StackedParallelEVD(cfg).solve_stack(
+            stack.copy(), _evd_scales(stack)
         )
-        Bl, Jl, tl = StackedParallelEVD(loop_cfg).solve_stack(
-            stack.copy(), scales
-        )
-        assert Bf.tobytes() == Bl.tobytes()
-        assert Jf.tobytes() == Jl.tobytes()
-        assert _traces_equal(tf, tl)
+        _assert_evd_members_match(stack, cfg, out)
 
     def test_report_mode_dropout_matches(self, rng):
         stack = _evd_stack(rng, 3, 6)
         stack[1] = np.nan
-        scales = np.where(
-            np.isfinite(np.linalg.norm(stack, axis=(1, 2))),
-            np.linalg.norm(stack, axis=(1, 2)),
-            1.0,
+        scales = _evd_scales(stack)
+        scales[1] = 1.0
+        cfg = TwoSidedConfig()
+        out = StackedParallelEVD(cfg).solve_stack(
+            stack.copy(), scales, on_failure="report"
         )
-        out = {}
-        for fused in (True, False):
-            cfg = TwoSidedConfig(fused_sweeps=fused)
-            out[fused] = StackedParallelEVD(cfg).solve_stack(
-                stack.copy(), scales, on_failure="report"
-            )
-        Bf, Jf, tf, ff = out[True]
-        Bl, Jl, tl, fl = out[False]
-        assert [i for i, _ in ff] == [i for i, _ in fl] == [1]
-        assert Bf.tobytes() == Bl.tobytes()
-        assert Jf.tobytes() == Jl.tobytes()
-        assert _traces_equal(tf, tl)
+        assert [i for i, _ in out[3]] == [1]
+        _assert_evd_members_match(stack, cfg, out, skip={1})
 
 
 def _evd_signed_zero_inputs(k):
@@ -205,73 +219,86 @@ def _svd_signed_zero_inputs(m, n):
     return {"orthogonal": orth, "block": block, "zero-column": zero_col}
 
 
-def _solve_evd_both(stack, ordering):
-    scales = np.linalg.norm(stack, axis=(1, 2))
-    return [
-        StackedParallelEVD(
-            TwoSidedConfig(ordering=ordering, fused_sweeps=fused)
-        ).solve_stack(stack.copy(), scales)
-        for fused in (True, False)
-    ]
-
-
 class TestSignedZeros:
     """Signed zeros through the fused passes.
 
     Einsum contractions start from a zero accumulator, so a rotated entry
     whose products are both ``-0.0`` comes out ``+0.0``; the elementwise
-    EVD column pass adds ``+ 0.0`` to match. On these inputs that rule
-    never decides a sign, and the fused output is byte-equal to the loop.
+    EVD column pass adds ``+ 0.0`` to match. A stacked step also applies
+    the identity rotation to members with nothing to rotate, which turns
+    their ``-0.0`` entries into ``+0.0``. The finalizers therefore hand
+    out ``+0.0`` for every zero of ``U`` and ``L``, so factors match the
+    reference solver and never depend on a matrix's stack- or
+    bucket-mates.
     """
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_evd_matches_step_loop(self, ordering, k):
-        inputs = _evd_signed_zero_inputs(k)
-        for name, B in inputs.items():
-            (Bf, Jf, tf), (Bl, Jl, tl) = _solve_evd_both(B[None], ordering)
-            assert Bf.tobytes() == Bl.tobytes(), name
-            assert Jf.tobytes() == Jl.tobytes(), name
-            assert _traces_equal(tf, tl), name
+        cfg = TwoSidedConfig(ordering=ordering)
+        for name, B in _evd_signed_zero_inputs(k).items():
+            stack = B[None]
+            out = StackedParallelEVD(cfg).solve_stack(
+                stack.copy(), _evd_scales(stack)
+            )
+            _assert_evd_members_match(stack, cfg, out)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("shape", [(8, 4), (9, 5), (10, 6)])
     def test_svd_matches_step_loop(self, ordering, cache, shape):
+        """All three inputs in one stack: the ``orthogonal`` member never
+        rotates, but its stack-mates do."""
         stack = np.stack(list(_svd_signed_zero_inputs(*shape).values()))
-        out = [
-            StackedOneSidedJacobi(
-                OneSidedConfig(
-                    ordering=ordering,
-                    cache_inner_products=cache,
-                    fused_sweeps=fused,
-                )
-            ).solve_stack(stack.copy())
-            for fused in (True, False)
-        ]
-        (Wf, Vf, tf), (Wl, Vl, tl) = out
-        assert Wf.tobytes() == Wl.tobytes()
-        assert Vf.tobytes() == Vl.tobytes()
-        assert _traces_equal(tf, tl)
+        cfg = OneSidedConfig(ordering=ordering, cache_inner_products=cache)
+        out = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
+        _assert_svd_members_match(stack, cfg, out)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_rotated_negative_zeros_come_out_positive(self, ordering, k):
-        """A ``-0.0`` row and column: the loop's ``c x0 + s x1`` keeps
-        ``-0.0`` where the fused passes give ``+0.0``. Values, ``J`` and
-        traces still match the loop; the fused ``B`` holds no negative
-        zero off the diagonal (dropping the ``+ 0.0`` leaves some)."""
+        """A ``-0.0`` row and column: the reference's ``c x0 + s x1``
+        keeps ``-0.0`` off the diagonal where the fused passes give
+        ``+0.0``. The finalized eigenpairs and the trace still match the
+        reference; the fused ``B`` holds no negative zero off the diagonal
+        (dropping the ``+ 0.0`` leaves some)."""
         B = np.diag(np.arange(1.0, k + 1))
         B[0, 1] = B[1, 0] = 0.5
         B[:, k - 1] = -0.0
         B[k - 1, :] = -0.0
-        (Bf, Jf, tf), (Bl, Jl, tl) = _solve_evd_both(B[None], ordering)
-        assert np.array_equal(Bf, Bl)
-        assert Jf.tobytes() == Jl.tobytes()
-        assert _traces_equal(tf, tl)
+        stack = B[None]
+        cfg = TwoSidedConfig(ordering=ordering)
+        out = StackedParallelEVD(cfg).solve_stack(
+            stack.copy(), _evd_scales(stack)
+        )
+        _assert_evd_members_match(stack, cfg, out)
         off = ~np.eye(k, dtype=bool)
-        assert not np.signbit(Bf[0][off]).any()
-        assert np.signbit(Bl[0][off]).any()
+        assert not np.signbit(out[0][0][off]).any()
+
+    @pytest.mark.parametrize("name", ["orthogonal", "block", "zero-column"])
+    def test_svd_factors_do_not_depend_on_bucket_mates(self, rng, name):
+        """A matrix solved alone and next to a rotating bucket-mate gets
+        the same bytes, through the engine and through the W-cycle's
+        whole-SVD-in-SM launch."""
+        A = _svd_signed_zero_inputs(8, 4)[name]
+        mate = rng.standard_normal((8, 4))
+        engine = BatchedJacobiEngine()
+        _assert_same_svd(
+            engine.svd_batch([A, mate])[0], engine.svd_batch([A])[0], name
+        )
+        with WCycleSVD(device="V100") as solver:
+            alone = solver.decompose_batch([A])[0]
+            paired = solver.decompose_batch([mate, A])[1]
+        _assert_same_svd(paired, alone, name)
+
+    @pytest.mark.parametrize("name", ["diagonal", "zero-column", "gram"])
+    def test_evd_factors_do_not_depend_on_bucket_mates(self, rng, name):
+        B = _evd_signed_zero_inputs(5)[name]
+        mate = _evd_stack(rng, 1, 5)[0]
+        engine = BatchedJacobiEngine()
+        _assert_same_evd(
+            engine.evd_batch([B, mate])[0], engine.evd_batch([B])[0], name
+        )
 
 
 class TestGramCache:
@@ -316,11 +343,9 @@ class TestGramCache:
             )
 
     def test_gram_implies_fused(self, rng):
-        """gram_cache=True routes through the fused executor even with
-        fused_sweeps=False, and stays accurate on the odd-even plan."""
-        cfg = OneSidedConfig(
-            gram_cache=True, fused_sweeps=False, ordering="odd-even"
-        )
+        """gram_cache=True runs the fused executor's Gram path and stays
+        accurate on the odd-even plan."""
+        cfg = OneSidedConfig(gram_cache=True, ordering="odd-even")
         A = rng.standard_normal((20, 8))
         res = BatchedJacobiEngine(cfg).svd_batch([A])[0]
         assert res.reconstruction_error(A) < 1e-12
@@ -361,15 +386,6 @@ class TestSweepPlans:
         assert not plan.restore.flags.writeable
         for step in plan.steps:
             assert not step.idx_i.flags.writeable
-
-    def test_cached_step_arrays_shared_and_correct(self):
-        arrays = cached_step_arrays("round-robin", 8)
-        assert arrays is cached_step_arrays("round-robin", 8)
-        schedule = get_ordering("round-robin").sweep(8)
-        assert len(arrays) == len(schedule)
-        for (idx_i, idx_j), step in zip(arrays, schedule):
-            assert list(zip(idx_i.tolist(), idx_j.tolist())) == step
-            assert not idx_i.flags.writeable
 
 
 class TestScratchPool:

@@ -18,9 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, SegmentLostError, ShapeError
 from repro.jacobi.batched import BatchedJacobiEngine
-from repro.runtime import RuntimeConfig, get_executor
+from repro.runtime import RuntimeConfig, faults, get_executor
 from repro.runtime.arena import (
     Arena,
     SlotRef,
@@ -157,6 +157,23 @@ class TestArenaLeases:
             assert arena.outstanding() == 0
             stats = arena.stats()
             assert stats["leases"] == stats["returns"] == 3
+
+    def test_armed_segment_loss_fires_when_a_task_maps_its_slot(self, rng):
+        """``shm_lost`` injects where a persistent task maps its slots;
+        outside a fault frame, or on a retry past the clause's budget,
+        the slot resolves."""
+        plan = faults.parse_spec("seed=1;shm_lost:p=1.0")
+        with Arena() as arena:
+            ref = arena.place(rng.standard_normal((2, 3)))
+            try:
+                with faults.activate(plan, "t0", backend="persistent"):
+                    with pytest.raises(SegmentLostError, match=ref.segment):
+                        resolve(ref)
+                with faults.activate(plan, "t0", attempt=1):
+                    assert resolve(ref).shape == (2, 3)
+                assert resolve(ref).shape == (2, 3)
+            finally:
+                arena.release_lease(ref)
 
     def test_spec_attach_is_idempotent(self):
         with Arena() as arena:

@@ -70,11 +70,6 @@ class TestBackoff:
 
 
 class TestDegradationLadder:
-    def test_processes_fall_to_threads_then_serial(self):
-        assert degradation_ladder("processes") == (
-            "processes", "threads", "serial"
-        )
-
     def test_threads_fall_to_serial(self):
         assert degradation_ladder("threads") == ("threads", "serial")
 
@@ -95,13 +90,18 @@ class TestDegradationLadder:
 class TestFaultSpecGrammar:
     def test_full_spec(self):
         plan = faults.parse_spec(
-            "seed=7;kill:p=0.5,backend=processes;nan:p=0.25,attempts=2"
+            "seed=7;kill:p=0.5,backend=persistent;nan:p=0.25,attempts=2"
         )
         assert plan.seed == 7
         assert [c.kind for c in plan.clauses] == ["kill", "nan"]
         assert plan.clauses[0].p == 0.5
-        assert plan.clauses[0].backend == "processes"
+        assert plan.clauses[0].backend == "persistent"
         assert plan.clauses[1].attempts == 2
+
+    def test_unknown_backend_rejected(self):
+        """A clause pinned to no real backend would never fire."""
+        with pytest.raises(ConfigurationError, match="persistent"):
+            faults.parse_spec("kill:p=1.0,backend=processes")
 
     def test_bare_kind_defaults(self):
         clause = faults.parse_spec("hang").clauses[0]
@@ -173,7 +173,7 @@ class TestFaultFrames:
             faults.on_task_start()  # attempt >= clause budget: clean
 
     def test_backend_filter(self):
-        plan = faults.parse_spec("seed=1;kill:p=1.0,backend=processes")
+        plan = faults.parse_spec("seed=1;kill:p=1.0,backend=persistent")
         with faults.activate(plan, "t0", backend="serial"):
             faults.on_task_start()  # wrong backend: clean
 

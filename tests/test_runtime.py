@@ -1,10 +1,10 @@
 """Parallel execution runtime: executors, scheduling, shm, bit-identity.
 
-The headline contract (ISSUE PR 2): ``serial``, ``threads``, and
-``processes`` backends must produce byte-identical factors AND identical
-simulated-GPU accounting on a ragged batch. Everything the profiler
-records is computed host-side from batch shapes, so worker count and
-shard boundaries must be invisible in every observable.
+The headline contract: ``serial``, ``threads``, and ``persistent``
+backends must produce byte-identical factors AND identical simulated-GPU
+accounting on a ragged batch. Everything the profiler records is
+computed host-side from batch shapes, so worker count and shard
+boundaries must be invisible in every observable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro import Profiler, WCycleEstimator, WCycleSVD
 from repro.errors import ConfigurationError
 from repro.runtime import (
     BACKENDS,
-    ProcessExecutor,
     RuntimeConfig,
     SerialExecutor,
     ThreadExecutor,
@@ -46,6 +45,10 @@ class TestRuntimeConfig:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(backend="cuda")
+
+    def test_rejects_deleted_processes_backend(self):
+        with pytest.raises(ConfigurationError, match="persistent"):
+            RuntimeConfig(backend="processes")
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigurationError):
@@ -174,6 +177,13 @@ class TestExecutors:
         with pytest.raises(ConfigurationError, match="REPRO_RUNTIME_BACKEND"):
             get_executor(None)
 
+    def test_env_override_rejects_deleted_processes_backend(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RUNTIME_BACKEND", "processes")
+        with pytest.raises(ConfigurationError, match="persistent"):
+            get_executor(None)
+
     def test_get_executor_passthrough(self):
         ex = ThreadExecutor(2)
         assert get_executor(ex) is ex
@@ -217,10 +227,6 @@ class TestExecutors:
         with ThreadExecutor(2) as ex:
             flags = ex.map(lambda _: ex.active, ["only"])
         assert flags == [False]
-
-    def test_process_map(self):
-        with ProcessExecutor(2) as ex:
-            assert ex.map(abs, [-1, -2, 3]) == [1, 2, 3]
 
     def test_close_is_idempotent(self):
         ex = ThreadExecutor(2)
@@ -303,8 +309,8 @@ def _assert_identical_runs(got_run, want_run):
 
 
 class TestCrossBackendIdentity:
-    """ISSUE PR 2 acceptance: parallel runs are bit-identical to serial —
-    factors AND simulated-GPU accounting — on a ragged 120-matrix batch."""
+    """Parallel runs are bit-identical to serial — factors AND
+    simulated-GPU accounting — on a ragged 120-matrix batch."""
 
     @pytest.fixture(scope="class")
     def batch(self):
@@ -314,7 +320,7 @@ class TestCrossBackendIdentity:
     def reference(self, batch):
         return _solve(batch, RuntimeConfig())
 
-    @pytest.mark.parametrize("backend", ["threads", "processes", "persistent"])
+    @pytest.mark.parametrize("backend", ["threads", "persistent"])
     def test_factors_byte_identical(self, batch, reference, backend):
         runtime = RuntimeConfig(
             backend=backend, workers=4, min_shard=2, allow_oversubscribe=True
@@ -330,7 +336,7 @@ class TestCrossBackendIdentity:
         return _solve(bucket_batch, RuntimeConfig())
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("backend", ["threads", "processes", "persistent"])
+    @pytest.mark.parametrize("backend", ["threads", "persistent"])
     def test_multi_member_buckets_identical(
         self, bucket_batch, bucket_reference, backend, workers
     ):
@@ -355,7 +361,7 @@ class TestCrossBackendIdentity:
 
 
 class TestEstimatorIdentity:
-    @pytest.mark.parametrize("backend", ["threads", "processes", "persistent"])
+    @pytest.mark.parametrize("backend", ["threads", "persistent"])
     def test_estimate_identical_across_backends(self, backend):
         shapes = [(64, 48)] * 30 + [(128, 96)] * 10 + [(16, 16)] * 50
         serial = WCycleEstimator(device="V100")

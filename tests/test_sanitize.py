@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro import WCycleSVD
-from repro.runtime import RuntimeConfig, sanitize, shm
+from repro.runtime import RuntimeConfig, base_executor, sanitize, shm
+from repro.runtime.arena import stranded_segments
 from repro.runtime.sanitize import SanitizeError
 
 
@@ -116,19 +117,25 @@ class TestMergeOrder:
 
 class TestEndToEnd:
     def test_process_backend_decompose_leaks_nothing(self, sanitizer):
-        """The W-cycle's shm traffic — exports to workers, adopted result
-        segments — must balance to zero live segments in the parent."""
+        """A W-cycle solve on the persistent worker processes returns
+        every arena lease it took, leaves no tracked segment live in the
+        parent, and strands no arena segment once closed."""
         rng = np.random.default_rng(11)
         batch = [rng.standard_normal((16, 8)) for _ in range(6)]
         batch.append(rng.standard_normal((48, 32)))
         runtime = RuntimeConfig(
-            backend="processes", workers=2, min_shard=2,
+            backend="persistent", workers=2, min_shard=2,
             allow_oversubscribe=True,
         )
         with WCycleSVD(device="V100", runtime=runtime) as solver:
             results = solver.decompose_batch(batch)
+            arena = base_executor(solver._executor).arena
+            assert arena.stats()["leases"] > 0
+            assert arena.outstanding() == 0
+            prefix = arena._prefix
         assert len(results) == len(batch)
         sanitize.assert_no_leaks()
+        assert [n for n in stranded_segments() if n.startswith(prefix)] == []
 
     def test_serial_decompose_under_sanitizer(self, sanitizer):
         rng = np.random.default_rng(12)
