@@ -63,7 +63,7 @@ from repro.gpusim.memory import svd_fits_in_sm
 from repro.core.levels import Group, classify_pair, select_w1, width_schedule
 from repro.jacobi.batched import _nan_svd_result, _remap_stack_error
 from repro.jacobi.convergence import gram_offdiagonal_cosine
-from repro.jacobi.factors import complete_square_orthogonal, finalize_onesided
+from repro.jacobi.factors import complete_square_orthogonal, finalize_stack
 from repro.jacobi.onesided_block import column_blocks
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.preconditioning import worth_preconditioning
@@ -319,11 +319,11 @@ class WCycleSVD:
         results: list[SVDResult | None] = [None] * len(matrices)
         svd_kernel = self._svd_kernel()
         # Group (Algorithm 2 line 2): whole SVD resident in SM.
-        sm_indices = [
-            i
-            for i, a in enumerate(matrices)
-            if svd_fits_in_sm(*svd_kernel.working_shape(*a.shape), self.device)
-        ]
+        fits = {
+            shape: svd_fits_in_sm(*svd_kernel.working_shape(*shape), self.device)
+            for shape in {a.shape for a in matrices}
+        }
+        sm_indices = [i for i, a in enumerate(matrices) if fits[a.shape]]
         _log.debug(
             "batch of %d: %d whole-SVD-in-SM, %d through levels",
             len(matrices),
@@ -793,10 +793,7 @@ class WCycleSVD:
             level_rotations=level_rotations,
             traces=traces,
         )
-        return [
-            finalize_onesided(work, V, trace)
-            for work, V, trace in zip(works, Vs, traces)
-        ]
+        return finalize_stack(np.stack(works), np.stack(Vs), traces)
 
     # ------------------------------------------------------------------
     # the W-cycle recursion

@@ -17,6 +17,7 @@ through ``intra_efficiency``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ class BatchedEVDKernel:
         if not matrices:
             raise ConfigurationError("batch must not be empty")
         sizes = [int(B.shape[0]) for B in matrices]
-        for k in sizes:
+        for k in dict.fromkeys(sizes):
             self.check_fits(k)
         results = self._engine.evd_batch(matrices, on_failure=on_failure)
         stats = self.account(sizes, observed_sweeps(results), profiler=profiler)
@@ -173,17 +174,25 @@ class BatchedEVDKernel:
         This is what :meth:`run` records; callers that split one launch's
         matrices across several runs rebuild the launch from the
         concatenated sizes and sweep counts.
+
+        Costs are summed once per distinct (size, sweeps) group, exactly
+        as :meth:`BatchedSVDKernel.account` does.
         """
         flops = 0.0
         gm_bytes = 0.0
         max_block = 0.0
         parallel = self.config.parallel_update
-        for n_sweeps, k in zip(sweeps, sizes):
+        groups = Counter(zip(sizes, sweeps))
+        for (k, n_sweeps), count in groups.items():
             f, g = evd_sweep_cost(k, parallel=parallel)
-            flops += f * max(1, n_sweeps)
-            max_block = max(max_block, f * max(1, n_sweeps))
-            gm_bytes += g + _evd_io_bytes(k)
-        return self._simulate(sizes, flops, gm_bytes, profiler, max_block)
+            block = f * max(1, n_sweeps)
+            flops += block * count
+            max_block = max(max_block, block)
+            gm_bytes += (g + _evd_io_bytes(k)) * count
+        return self._simulate(
+            [k for k, _ in groups], len(sizes), flops, gm_bytes, profiler,
+            max_block,
+        )
 
     def estimate(
         self,
@@ -195,7 +204,7 @@ class BatchedEVDKernel:
         """Cost-only path with predicted sweep counts."""
         if not sizes:
             raise ConfigurationError("batch must not be empty")
-        for k in sizes:
+        for k in dict.fromkeys(sizes):
             self.check_fits(k)
         if conditions is None:
             conditions = [None] * len(sizes)  # type: ignore[list-item]
@@ -209,11 +218,14 @@ class BatchedEVDKernel:
     def _simulate(
         self,
         sizes: list[int],
+        blocks: int,
         flops: float,
         gm_bytes: float,
         profiler: Profiler | None,
         max_block_flops: float = 0.0,
     ) -> KernelStats:
+        """Price a launch of ``blocks`` matrices whose sizes are those in
+        ``sizes`` (each listed at least once)."""
         cfg = self.config
         k_star = max(sizes)
         shared = max(evd_shared_bytes(k) for k in sizes)
@@ -232,7 +244,7 @@ class BatchedEVDKernel:
             self.device,
             LaunchConfig(
                 kernel=self.name,
-                blocks=len(sizes),
+                blocks=blocks,
                 threads_per_block=threads,
                 shared_bytes_per_block=shared,
                 flops=flops,

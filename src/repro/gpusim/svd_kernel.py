@@ -18,6 +18,7 @@ transpose-when-wide rule, per sweep; pairs = n(n-1)/2):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,8 +249,8 @@ class BatchedSVDKernel:
         """
         if not matrices:
             raise ConfigurationError("batch must not be empty")
-        for a in matrices:
-            self.check_fits(*self.working_shape(*a.shape))
+        for m, n in dict.fromkeys(a.shape for a in matrices):
+            self.check_fits(*self.working_shape(m, n))
         results = self._engine.svd_batch(matrices, on_failure=on_failure)
         stats = self.account(
             [a.shape for a in matrices], observed_sweeps(results),
@@ -270,23 +271,32 @@ class BatchedSVDKernel:
         This is what :meth:`run` records; callers that split one launch's
         matrices across several runs rebuild the launch from the
         concatenated shapes and sweep counts.
+
+        Costs are summed once per distinct (shape, sweeps) group. Every
+        term is an integer-valued float far below 2**53, so the grouped
+        sums equal the per-matrix sums exactly, in any order.
         """
         cfg = self.config
-        work_shapes = [self.working_shape(m, n) for m, n in shapes]
+        work_shapes = []
         flops = 0.0
         gm_bytes = 0.0
         max_block = 0.0
-        for n_sweeps, (m, n) in zip(sweeps, work_shapes):
+        groups = Counter(zip(map(tuple, shapes), sweeps))
+        for ((m, n), n_sweeps), count in groups.items():
+            m, n = self.working_shape(m, n)
+            work_shapes.append((m, n))
             f, g = svd_sweep_cost(
                 m,
                 n,
                 cached=cfg.cache_inner_products,
                 v_in_gm=not v_panel_in_sm(m, n, self.device),
             )
-            flops += f * n_sweeps
+            flops += f * n_sweeps * count
             max_block = max(max_block, f * n_sweeps)
-            gm_bytes += g * n_sweeps + _matrix_io_bytes(m, n)
-        return self._simulate(work_shapes, flops, gm_bytes, profiler, max_block)
+            gm_bytes += (g * n_sweeps + _matrix_io_bytes(m, n)) * count
+        return self._simulate(
+            work_shapes, len(shapes), flops, gm_bytes, profiler, max_block
+        )
 
     def estimate(
         self,
@@ -299,7 +309,7 @@ class BatchedSVDKernel:
         if not shapes:
             raise ConfigurationError("batch must not be empty")
         work_shapes = [self.working_shape(m, n) for m, n in shapes]
-        for m, n in work_shapes:
+        for m, n in dict.fromkeys(work_shapes):
             self.check_fits(m, n)
         if conditions is None:
             conditions = [None] * len(work_shapes)  # type: ignore[list-item]
@@ -314,19 +324,28 @@ class BatchedSVDKernel:
     def _simulate(
         self,
         shapes: list[tuple[int, int]],
+        blocks: int,
         flops: float,
         gm_bytes: float,
         profiler: Profiler | None,
         max_block_flops: float = 0.0,
     ) -> KernelStats:
+        """Price a launch of ``blocks`` matrices whose working shapes are
+        those in ``shapes`` (each listed at least once)."""
         if self.config.alpha == "auto":
             candidates = ALPHA_CHOICES
         else:
             candidates = (self.select_alpha(shapes),)
+        shared = max(
+            svd_shared_bytes(m, n)
+            + (FLOAT64_BYTES * n * n if v_panel_in_sm(m, n, self.device) else 0)
+            for m, n in shapes
+        )
         best: KernelStats | None = None
         for alpha in candidates:
             stats = self._simulate_with_alpha(
-                shapes, alpha, flops, gm_bytes, max_block_flops
+                shapes, blocks, shared, alpha, flops, gm_bytes,
+                max_block_flops,
             )
             if best is None or stats.time < best.time:
                 best = stats
@@ -338,17 +357,14 @@ class BatchedSVDKernel:
     def _simulate_with_alpha(
         self,
         shapes: list[tuple[int, int]],
+        blocks: int,
+        shared: int,
         alpha: float,
         flops: float,
         gm_bytes: float,
         max_block_flops: float = 0.0,
     ) -> KernelStats:
-        blocks, threads = self.launch_geometry(shapes, alpha)
-        shared = max(
-            svd_shared_bytes(m, n)
-            + (FLOAT64_BYTES * n * n if v_panel_in_sm(m, n, self.device) else 0)
-            for m, n in shapes
-        )
+        _, threads = self.launch_geometry(shapes, alpha)
         m_star = max(m for m, _ in shapes)
         task_threads = max(4, int(alpha * self.device.warp_size))
         # Strided-loop utilization of the threads walking an m-element

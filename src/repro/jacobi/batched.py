@@ -53,6 +53,7 @@ placeholder factors — every event recorded in the engine's
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from repro.errors import (
     FailureReport,
     NonFiniteError,
 )
-from repro.jacobi.factors import finalize_onesided
+from repro.jacobi.factors import finalize_evd_stack, finalize_stack
 from repro.jacobi.fused import (
     FusedEVDSweeper,
     FusedSVDSweeper,
@@ -72,11 +73,7 @@ from repro.jacobi.fused import (
 )
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
-from repro.jacobi.twosided_evd import (
-    TwoSidedConfig,
-    TwoSidedJacobiEVD,
-    _finalize_evd,
-)
+from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
 from repro.orderings import Ordering, get_ordering
 from repro.runtime import faults
 from repro.runtime.executor import (
@@ -139,6 +136,20 @@ def _remap_stack_error(
             batch_indices=global_idx,
         )
     return NonFiniteError(msg, batch_indices=global_idx)
+
+
+def _place_svd(
+    results: list[SVDResult | None],
+    indices: Sequence[int],
+    finalized: list[SVDResult],
+    transposed: list[bool],
+) -> None:
+    """Store ``finalized[pos]`` as ``results[indices[pos]]``, swapping
+    ``U`` and ``V`` back for matrices solved transposed."""
+    for i, res in zip(indices, finalized):
+        if transposed[i]:
+            res = SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
+        results[i] = res
 
 
 def _nan_svd_result(shape: tuple[int, int]) -> SVDResult:
@@ -409,10 +420,6 @@ class StackedParallelEVD:
                             return out_B, out_J, traces, failures
                         sweeper.compact(finite)
                         floor = floor[finite]
-                # The off-diagonal metric mixes Frobenius norms whose
-                # summation order differs between 2-D and stacked
-                # reductions; the sweepers evaluate it per matrix so the
-                # values match the scalar solver exactly.
                 offs, rotations = sweeper.run_sweep(floor)
                 ConvergenceTrace.bulk_append(
                     traces, live, sweep_index, offs, rotations
@@ -627,17 +634,10 @@ class BatchedJacobiEngine:
                         report,
                     )
                     continue
-                Ws, Vs, traces = out_unit
-                for pos, i in enumerate(chunk):
-                    res = finalize_onesided(Ws[pos], Vs[pos], traces[pos])
-                    if transposed[i]:
-                        res = SVDResult(
-                            U=res.V, S=res.S, V=res.U, trace=res.trace
-                        )
-                    results[i] = res
+                _place_svd(results, chunk, finalize_stack(*out_unit), transposed)
         finally:
-            # finalize_onesided copies out of the adopted views (argsort +
-            # fancy indexing), so the leased output slots can go back now.
+            # finalize_stack copies out of the adopted views (take along
+            # the sorted order), so the leased output slots can go back now.
             self._release_arena_leases()
         return results  # type: ignore[return-value]
 
@@ -664,16 +664,21 @@ class BatchedJacobiEngine:
             stack, on_failure="report"
         )
         failed = dict(failures)
-        for pos, i in enumerate(chunk):
-            if pos in failed:
-                res = self._reference_svd_resolve(
-                    work[i], i, failed[pos], base_attempts + 1, report
-                )
-            else:
-                res = finalize_onesided(Ws[pos], Vs[pos], traces[pos])
-            if transposed[i]:
-                res = SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
-            results[i] = res
+        healthy = [pos for pos in range(len(chunk)) if pos not in failed]
+        _place_svd(
+            results,
+            [chunk[pos] for pos in healthy],
+            finalize_stack(
+                Ws[healthy], Vs[healthy], [traces[pos] for pos in healthy]
+            ),
+            transposed,
+        )
+        for pos in sorted(failed):
+            i = chunk[pos]
+            res = self._reference_svd_resolve(
+                work[i], i, failed[pos], base_attempts + 1, report
+            )
+            _place_svd(results, [i], [res], transposed)
 
     def _reference_svd_resolve(
         self,
@@ -961,10 +966,8 @@ class BatchedJacobiEngine:
                         report,
                     )
                     continue
-                Bs, Js, traces = out_unit
-                for pos, p in enumerate(chunk):
-                    i = stackable[p]
-                    results[i] = _finalize_evd(Bs[pos], Js[pos], traces[pos])
+                for p, res in zip(chunk, finalize_evd_stack(*out_unit)):
+                    results[stackable[p]] = res
         finally:
             self._release_arena_leases()
         return results  # type: ignore[return-value]
@@ -988,13 +991,17 @@ class BatchedJacobiEngine:
             stack, scale_vec, on_failure="report"
         )
         failed = dict(failures)
-        for pos, i in enumerate(batch_idx):
-            if pos in failed:
-                results[i] = self._reference_evd_resolve(
-                    mats[i], i, failed[pos], base_attempts + 1, report
-                )
-            else:
-                results[i] = _finalize_evd(Bs[pos], Js[pos], traces[pos])
+        healthy = [pos for pos in range(len(batch_idx)) if pos not in failed]
+        finalized = finalize_evd_stack(
+            Bs[healthy], Js[healthy], [traces[pos] for pos in healthy]
+        )
+        for pos, res in zip(healthy, finalized):
+            results[batch_idx[pos]] = res
+        for pos in sorted(failed):
+            i = batch_idx[pos]
+            results[i] = self._reference_evd_resolve(
+                mats[i], i, failed[pos], base_attempts + 1, report
+            )
 
     def _reference_evd_resolve(
         self,

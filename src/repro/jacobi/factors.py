@@ -1,55 +1,109 @@
-"""Shared factor extraction for one-sided Jacobi methods.
+"""Shared factor extraction for the Jacobi methods.
 
 Every one-sided variant ends with the same post-processing: the worked
 matrix's columns have become ``U * sigma``, the accumulated rotations are
 ``V``; this module sorts, normalizes, detects numerical rank, and completes
-``U`` to an orthonormal basis for rank-deficient inputs.
+``U`` to an orthonormal basis for rank-deficient inputs. The two-sided
+eigensolvers end by sorting their eigenpairs.
+
+Both finalizers work on a whole stack at once, so a batched solve pays
+their NumPy calls once per shape bucket instead of once per matrix; the
+per-matrix solvers call them on a one-member stack. Each member's bytes
+are those of finalizing it alone: every step is elementwise or reduces
+within one member, in the order the member alone would. A member's
+factors are views of arrays shared by the whole stack, never of the
+inputs.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.types import ConvergenceTrace, SVDResult
+from repro.types import ConvergenceTrace, EVDResult, SVDResult
 
-__all__ = ["finalize_onesided", "complete_orthonormal", "complete_square_orthogonal"]
+__all__ = [
+    "finalize_stack",
+    "finalize_evd_stack",
+    "finalize_onesided",
+    "complete_orthonormal",
+    "complete_square_orthogonal",
+]
 
 _EPS = np.finfo(np.float64).eps
 
 
-def finalize_onesided(
-    work: np.ndarray, V: np.ndarray, trace: ConvergenceTrace | None
-) -> SVDResult:
-    """Extract the thin SVD from orthogonalized columns.
+def finalize_stack(
+    W: np.ndarray,
+    V: np.ndarray,
+    traces: Sequence[ConvergenceTrace | None],
+) -> list[SVDResult]:
+    """Extract the thin SVD of every member of a ``(b, m, n)`` stack.
 
-    ``work`` holds mutually orthogonal columns (``U * sigma``); ``V`` the
-    accumulated right rotations. Singular values sort descending; columns
-    below the numerical-rank cutoff get zero singular values and an
-    orthonormal completion in ``U``.
+    ``W[k]`` holds mutually orthogonal columns (``U * sigma``); ``V[k]``
+    the accumulated right rotations; ``traces[k]`` rides along. Singular
+    values sort descending; columns below the numerical-rank cutoff get
+    zero singular values and an orthonormal completion in ``U`` (only the
+    members that have such columns pay for it).
 
     Zeros in ``U`` come out as ``+0.0``: a stacked solve applies every step
     to the whole stack, and the identity rotation it gives a matrix with
     nothing to rotate turns a ``-0.0`` into ``+0.0``, so without this the
     sign would depend on the matrix's stack-mates.
     """
-    m, n = work.shape
-    sigma = np.linalg.norm(work, axis=0)
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    work = work[:, order]
-    V = V[:, order]
+    b, m, n = W.shape
     r = min(m, n)
-    sigma, work, V = sigma[:r], work[:, :r], V[:, :r]
-    cutoff = _EPS * max(m, n) * (sigma[0] if sigma.size else 0.0)
-    U = np.zeros((m, r))
+    sigma = np.linalg.norm(W, axis=1)
+    order = np.argsort(sigma, axis=1)[:, ::-1][:, :r]
+    sigma = np.take_along_axis(sigma, order, axis=1)
+    cols = order[:, None, :]
+    work = np.take_along_axis(W, cols, axis=2)
+    V = np.take_along_axis(V, cols, axis=2)
+    cutoff = _EPS * max(m, n) * (sigma[:, :1] if r else 0.0)
     nonzero = sigma > cutoff
-    U[:, nonzero] = work[:, nonzero] / sigma[nonzero]
-    if not nonzero.all():
-        complete_orthonormal(U, nonzero)
-        sigma = np.where(nonzero, sigma, 0.0)
+    U = np.zeros((b, m, r))
+    np.divide(work, sigma[:, None, :], out=U, where=nonzero[:, None, :])
+    for k in np.flatnonzero(~nonzero.all(axis=1)).tolist():
+        complete_orthonormal(U[k], nonzero[k])
+    sigma[~nonzero] = 0.0
     U += 0.0
-    return SVDResult(U=U, S=sigma, V=V, trace=trace)
+    return [
+        SVDResult(U=U[k], S=sigma[k], V=V[k], trace=traces[k])
+        for k in range(b)
+    ]
+
+
+def finalize_onesided(
+    work: np.ndarray, V: np.ndarray, trace: ConvergenceTrace | None
+) -> SVDResult:
+    """:func:`finalize_stack` of one ``(m, n)`` matrix."""
+    return finalize_stack(work[None], V[None], (trace,))[0]
+
+
+def finalize_evd_stack(
+    B: np.ndarray,
+    J: np.ndarray,
+    traces: Sequence[ConvergenceTrace | None],
+) -> list[EVDResult]:
+    """Sort the eigenpairs of every diagonalized member of a ``(b, k, k)``
+    stack descending by eigenvalue (``J[k]`` holds member ``k``'s
+    eigenvector columns).
+
+    Zero eigenvalues come out as ``+0.0``: a stacked solve applies every
+    step to the whole stack, and the identity rotation it gives a matrix
+    with nothing to rotate turns a ``-0.0`` diagonal entry into ``+0.0``,
+    so without this the sign would depend on the matrix's stack-mates.
+    """
+    eigvals = np.diagonal(B, axis1=1, axis2=2)
+    order = np.argsort(eigvals, axis=1)[:, ::-1]
+    L = np.take_along_axis(eigvals, order, axis=1)
+    L += 0.0
+    J = np.take_along_axis(J, order[:, None, :], axis=2)
+    return [
+        EVDResult(J=J[k], L=L[k], trace=traces[k]) for k in range(len(L))
+    ]
 
 
 def complete_orthonormal(U: np.ndarray, filled: np.ndarray) -> None:

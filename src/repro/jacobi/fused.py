@@ -63,8 +63,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.jacobi.convergence import symmetric_offdiagonal_cosine
-from repro.jacobi.rotations import rotation_cs
+from repro.jacobi.convergence import symmetric_offdiagonal_cosines
+from repro.jacobi.rotations import rotation_cs_quiet
 from repro.orderings import Ordering, sweep_schedule
 from repro.runtime import faults
 
@@ -363,6 +363,12 @@ class FusedSVDSweeper:
     The driver (``solve_stack``) keeps all failure handling, tracing and
     dropout logic; this class only advances the numerics.
 
+    Per-pair quantities are slot-major too: a step's inner products,
+    cosines and ``(c, s)`` are ``(p, b)`` arrays, the squared-norm cache is
+    ``(n, b)``, and ``(c, s)`` are written straight into the step's
+    ``(p, 2, 2, b)`` rotation blocks, so a step needs no transposes. A
+    sweep runs under a single ``np.errstate``.
+
     Bit-identical to :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD`
     except under ``gram_cache`` (documented accuracy contract instead).
     """
@@ -395,13 +401,7 @@ class FusedSVDSweeper:
         faults.poison_stack(T)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.G: np.ndarray | None = None
-        if config.gram_cache:
-            Wc = self._contig_w()
-            self.G = np.matmul(Wc.transpose(0, 2, 1), Wc)
-            self.sqnorms = np.einsum("bii->bi", self.G)
-        else:
-            Wc = self._contig_w()
-            self.sqnorms = np.einsum("bij,bij->bj", Wc, Wc)
+        self._norms()
 
     # -- driver protocol -------------------------------------------------
 
@@ -418,27 +418,30 @@ class FusedSVDSweeper:
         rebuilt from ``W``."""
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
-        Wc = self._contig_w()
-        if self.G is not None:
-            self.G = np.matmul(Wc.transpose(0, 2, 1), Wc)
-            self.sqnorms = np.einsum("bii->bi", self.G)
-        else:
-            self.sqnorms = np.einsum("bij,bij->bj", Wc, Wc)
+        self._norms()
         if kt:
             kt.lap(t0, "norms")
 
     def scale(self) -> np.ndarray:
-        return self.sqnorms.max(axis=1)
+        return self.sqnorms.max(axis=0)
 
     def run_sweep(self, norm_floor: np.ndarray):
         """Execute one full sweep; returns ``(max_cos, rotations)``.
 
-        The stack is back in canonical column order on return.
+        A matrix's pairs are exempt from rotation when either squared norm
+        is at or below its ``norm_floor`` entry; a floor that is not
+        positive exempts nothing. The stack is back in canonical column
+        order on return.
         """
-        if self.plan.kind == "neighbor":
-            max_cos, rotations = self._sweep_neighbor(norm_floor)
-        else:
-            max_cos, rotations = self._sweep_gather(norm_floor)
+        # A step tests fmin(a_ii, a_jj) <= f, which is exactly
+        # (a_ii <= f) | (a_jj <= f), NaN included. Only a -inf squared norm
+        # reaches a floor of -inf, and that pair's cosine is already zero.
+        floor = np.where(norm_floor > 0.0, norm_floor, -np.inf)
+        with np.errstate(all="ignore"):
+            if self.plan.kind == "neighbor":
+                max_cos, rotations = self._sweep_neighbor(floor)
+            else:
+                max_cos, rotations = self._sweep_gather(floor)
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
         self.T.take(self.plan.restore, axis=0, out=self.S)
@@ -456,9 +459,8 @@ class FusedSVDSweeper:
         targets: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        for orig, pos in zip(targets.tolist(), positions.tolist()):
-            out_W[orig] = self.T[:, pos].T
-            out_V[orig] = self.VT[:, pos].T
+        out_W[targets] = self.T[:, positions].transpose(1, 2, 0)
+        out_V[targets] = self.VT[:, positions].transpose(1, 2, 0)
 
     def compact(self, keep: np.ndarray) -> None:
         self.T = np.compress(keep, self.T, axis=1)
@@ -467,9 +469,9 @@ class FusedSVDSweeper:
         self.VS = np.empty_like(self.VT)
         if self.G is not None:
             self.G = _compact_rows(self.G, keep)
-            self.sqnorms = np.einsum("bii->bi", self.G)
+            self.sqnorms = np.einsum("bii->bi", self.G).T
         else:
-            self.sqnorms = _compact_rows(self.sqnorms, keep)
+            self.sqnorms = np.compress(keep, self.sqnorms, axis=1)
 
     def close(self) -> None:
         for buf in self._pooled:
@@ -478,44 +480,62 @@ class FusedSVDSweeper:
 
     # -- internals -------------------------------------------------------
 
-    def _contig_w(self) -> np.ndarray:
-        """The live stack as a C-contiguous ``(b, m, n)`` array.
+    def _norms(self) -> None:
+        """Exact squared column norms (and under ``gram_cache`` the Gram
+        matrix), stored slot-major as ``(n, b)``.
 
-        The refresh einsum reduces along the last axis; feeding it the
-        same memory order as the reference keeps the accumulation order
-        (and hence every bit of the refreshed norms) identical.
+        The einsum reduces over the rows of the C-contiguous ``(b, m, n)``
+        stack, the memory order the reference reduces in, so every bit of
+        the norms matches; the result is then laid out slot-major.
         """
-        return np.ascontiguousarray(self.T.transpose(1, 2, 0))
+        Wc = np.ascontiguousarray(self.T.transpose(1, 2, 0))
+        if self.cfg.gram_cache:
+            self.G = np.matmul(Wc.transpose(0, 2, 1), Wc)
+            self.sqnorms = np.einsum("bii->bi", self.G).T
+        else:
+            self.sqnorms = np.ascontiguousarray(
+                np.einsum("bij,bij->bj", Wc, Wc).T
+            )
 
-    def _rotation_params(self, aii, ajj, aij, norm_floor, max_cos):
-        """Eq. 4 rotation parameters, reference arithmetic order.
+    def _rotation_params(self, aii, ajj, aij, floor, max_cos, c, s):
+        """Eq. 4 rotation parameters of one step's ``(p, b)`` pairs, in
+        the reference's arithmetic order, written into ``c`` and ``s``
+        (either may be ``None`` for a fresh array).
 
         Returns ``(rotate, c, s)`` with identity rotations on inactive
-        pairs, or ``None`` when no pair in the step rotates.
+        pairs, or ``None`` when no pair in the step rotates. Runs inside
+        the sweep's ``np.errstate``.
         """
         # A zero denominator's sign is moot: x / ±0 is zeroed below.
         denom = np.sqrt(np.maximum(aii * ajj, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = np.abs(aij) / denom
+        cosine = np.abs(aij) / denom
         np.putmask(cosine, ~np.isfinite(cosine), 0.0)
-        floored = norm_floor > 0.0
-        if floored.any():
-            nf = norm_floor[:, None]
-            np.putmask(
-                cosine, floored[:, None] & ((aii <= nf) | (ajj <= nf)), 0.0
-            )
+        np.putmask(cosine, np.fmin(aii, ajj) <= floor, 0.0)
         rotate = cosine > self.cfg.tol
-        np.maximum(max_cos, cosine.max(axis=1), out=max_cos)
+        np.maximum(max_cos, cosine.max(axis=0), out=max_cos)
         if not rotate.any():
             return None
-        c, s = rotation_cs(aii, ajj, aij, rotate)
+        c, s = rotation_cs_quiet(aii, ajj, aij, rotate, c, s)
         return rotate, c, s
+
+    def _gram_pairs(self, step):
+        """``(a_ij, a_ii, a_jj)`` of a step's pairs read from ``G``,
+        slot-major."""
+        G = self.G
+        idx_i, idx_j = step.idx_i, step.idx_j
+        return (
+            G[:, idx_i, idx_j].T,
+            G[:, idx_i, idx_i].T,
+            G[:, idx_j, idx_j].T,
+        )
 
     def _gram_update(self, step, rotate, c, s) -> None:
         """Congruence-update ``G`` for one step's rotations (O(n) per pair)."""
         G = self.G
         idx_i = step.idx_i
         idx_j = step.idx_j
+        c = c.T
+        s = s.T
         cb = c[:, None, :]
         sb = s[:, None, :]
         Gi = G[:, :, idx_i]
@@ -529,11 +549,11 @@ class FusedSVDSweeper:
         G[:, idx_i, :] = cr * Ri + sr * Rj
         G[:, idx_j, :] = -sr * Ri + cr * Rj
         # The rotation annihilates a_ij exactly in exact arithmetic.
-        bsel, psel = np.nonzero(rotate)
+        bsel, psel = np.nonzero(rotate.T)
         G[bsel, idx_i[psel], idx_j[psel]] = 0.0
         G[bsel, idx_j[psel], idx_i[psel]] = 0.0
 
-    def _sweep_gather(self, norm_floor: np.ndarray):
+    def _sweep_gather(self, floor: np.ndarray):
         cfg = self.cfg
         kt = self._kt
         gram = self.G is not None
@@ -556,40 +576,36 @@ class FusedSVDSweeper:
             if kt:
                 t0 = kt.lap(t0, "rotate")
             if gram:
-                G = self.G
-                aij = G[:, step.idx_i, step.idx_j]
-                aii = G[:, step.idx_i, step.idx_i]
-                ajj = G[:, step.idx_j, step.idx_j]
+                aij, aii, ajj = self._gram_pairs(step)
             else:
-                aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1]).T
+                aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
                 if cache:
-                    sqnorms = sqnorms[:, step.gather]
-                    sq = sqnorms[:, :k].reshape(nb, p, 2)
-                    aii = sq[..., 0]
-                    ajj = sq[..., 1]
+                    sqnorms = sqnorms.take(step.gather, axis=0)
+                    sq = sqnorms[:k].reshape(p, 2, nb)
+                    aii = sq[:, 0]
+                    ajj = sq[:, 1]
                 else:
-                    aii = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0]).T
-                    ajj = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1]).T
+                    aii = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
+                    ajj = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
             if kt:
                 t0 = kt.lap(t0, "gram")
-            params = self._rotation_params(aii, ajj, aij, norm_floor, max_cos)
+            R = np.empty((p, 2, 2, nb))
+            params = self._rotation_params(
+                aii, ajj, aij, floor, max_cos, R[:, 0, 0], R[:, 1, 0]
+            )
             if kt:
                 t0 = kt.lap(t0, "converge")
             if params is None:
                 continue
             rotate, c, s = params
-            R = np.empty((p, 2, 2, nb))
-            ct = c.T
-            st = s.T
-            R[:, 0, 0] = ct
-            R[:, 1, 0] = st
-            R[:, 0, 1] = -st
-            R[:, 1, 1] = ct
+            np.negative(s, out=R[:, 0, 1])
+            R[:, 1, 1] = c
             np.einsum("pcbm,pcdb->pdbm", A, R, out=S[:k].reshape(p, 2, nb, m))
             Av = VT[:k].reshape(p, 2, nb, n)
             np.einsum("pcbm,pcdb->pdbm", Av, R, out=VS[:k].reshape(p, 2, nb, n))
-            S[k:] = T[k:]
-            VS[k:] = VT[k:]
+            if k < n:
+                S[k:] = T[k:]
+                VS[k:] = VT[k:]
             T, S = S, T
             VT, VS = VS, VT
             if kt:
@@ -599,15 +615,15 @@ class FusedSVDSweeper:
             elif cache:
                 # Eq. 6; aii/ajj are views into sqnorms, so both updates
                 # are computed before either slot is overwritten.
-                sq[..., 0], sq[..., 1] = _eq6_norms(c, s, aii, ajj, aij)
+                sq[:, 0], sq[:, 1] = _eq6_norms(c, s, aii, ajj, aij)
             if kt:
                 kt.lap(t0, "norms")
-            rotations += rotate.sum(axis=1)
+            rotations += rotate.sum(axis=0)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.sqnorms = sqnorms
         return max_cos, rotations
 
-    def _sweep_neighbor(self, norm_floor: np.ndarray):
+    def _sweep_neighbor(self, floor: np.ndarray):
         cfg = self.cfg
         kt = self._kt
         gram = self.G is not None
@@ -622,54 +638,48 @@ class FusedSVDSweeper:
             t0 = kt.clock() if kt else 0.0
             off = step.offset
             p = step.n_pairs
-            orient = step.orient
+            ot = step.orient[:, None]
             k = 2 * p
-            A = T[off:off + k].reshape(p, 2, nb, m)
+            end = off + k
+            A = T[off:end].reshape(p, 2, nb, m)
+            sq = None
             if gram:
-                G = self.G
-                aij = G[:, step.idx_i, step.idx_j]
-                aii = G[:, step.idx_i, step.idx_i]
-                ajj = G[:, step.idx_j, step.idx_j]
-                sq = None
+                aij, aii, ajj = self._gram_pairs(step)
             else:
-                aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1]).T
+                aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
                 if cache:
-                    sq = sqnorms[:, off:off + k].reshape(nb, p, 2)
-                    sq0 = sq[..., 0]
-                    sq1 = sq[..., 1]
-                    aii = np.where(orient, sq1, sq0)
-                    ajj = np.where(orient, sq0, sq1)
+                    sq = sqnorms[off:end].reshape(p, 2, nb)
+                    e0 = sq[:, 0]
+                    e1 = sq[:, 1]
                 else:
-                    sq = None
-                    e0 = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0]).T
-                    e1 = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1]).T
-                    aii = np.where(orient, e1, e0)
-                    ajj = np.where(orient, e0, e1)
+                    e0 = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
+                    e1 = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
+                aii = np.where(ot, e1, e0)
+                ajj = np.where(ot, e0, e1)
             if kt:
                 t0 = kt.lap(t0, "gram")
-            params = self._rotation_params(aii, ajj, aij, norm_floor, max_cos)
+            R = np.empty((p, 2, 2, nb))
+            params = self._rotation_params(
+                aii, ajj, aij, floor, max_cos, R[:, 1, 0], None
+            )
             if kt:
                 t0 = kt.lap(t0, "converge")
             if params is None:
                 # No rotation: advance the layout walk with exact swap
                 # copies (an identity-rotation einsum would flip -0.0).
-                Sp = S[off:off + k].reshape(p, 2, nb, m)
+                Sp = S[off:end].reshape(p, 2, nb, m)
                 Sp[:, 0] = A[:, 1]
                 Sp[:, 1] = A[:, 0]
-                Vv = VT[off:off + k].reshape(p, 2, nb, n)
-                Vp = VS[off:off + k].reshape(p, 2, nb, n)
+                Vv = VT[off:end].reshape(p, 2, nb, n)
+                Vp = VS[off:end].reshape(p, 2, nb, n)
                 Vp[:, 0] = Vv[:, 1]
                 Vp[:, 1] = Vv[:, 0]
-                S[:off] = T[:off]
-                S[off + k:] = T[off + k:]
-                VS[:off] = VT[:off]
-                VS[off + k:] = VT[off + k:]
+                _copy_outside(S, T, off, end)
+                _copy_outside(VS, VT, off, end)
                 T, S = S, T
                 VT, VS = VS, VT
-                if not gram and cache:
-                    tmp0 = sq0.copy()
-                    sq[..., 0] = sq1
-                    sq[..., 1] = tmp0
+                if sq is not None:
+                    sq[...] = sq[:, ::-1].copy()
                 if kt:
                     kt.lap(t0, "rotate")
                 continue
@@ -677,26 +687,19 @@ class FusedSVDSweeper:
             # Swap-folded, orientation-aware rotation block: slot 0 of the
             # output pair receives what the walk's post-step swap would
             # place there, so the step needs no separate permutation pass.
-            ct = c.T
-            st = s.T
-            ot = orient[:, None]
-            R = np.empty((p, 2, 2, nb))
-            R[:, 0, 0] = np.where(ot, st, -st)
-            R[:, 1, 0] = ct
-            R[:, 0, 1] = ct
-            R[:, 1, 1] = np.where(ot, -st, st)
+            R[:, 0, 1] = c
+            R[:, 0, 0] = np.where(ot, s, np.negative(s))
+            np.negative(R[:, 0, 0], out=R[:, 1, 1])
             np.einsum(
-                "pcbm,pcdb->pdbm", A, R, out=S[off:off + k].reshape(p, 2, nb, m)
+                "pcbm,pcdb->pdbm", A, R, out=S[off:end].reshape(p, 2, nb, m)
             )
-            Av = VT[off:off + k].reshape(p, 2, nb, n)
+            Av = VT[off:end].reshape(p, 2, nb, n)
             np.einsum(
                 "pcbm,pcdb->pdbm", Av, R,
-                out=VS[off:off + k].reshape(p, 2, nb, n),
+                out=VS[off:end].reshape(p, 2, nb, n),
             )
-            S[:off] = T[:off]
-            S[off + k:] = T[off + k:]
-            VS[:off] = VT[:off]
-            VS[off + k:] = VT[off + k:]
+            _copy_outside(S, T, off, end)
+            _copy_outside(VS, VT, off, end)
             T, S = S, T
             VT, VS = VS, VT
             if kt:
@@ -707,14 +710,23 @@ class FusedSVDSweeper:
                 new_i, new_j = _eq6_norms(c, s, aii, ajj, aij)
                 # Slot 0 now holds the (swapped-in) other column of the
                 # pair; write the updated norms swap-folded to match.
-                sq[..., 0] = np.where(orient, new_i, new_j)
-                sq[..., 1] = np.where(orient, new_j, new_i)
+                sq[:, 0] = np.where(ot, new_i, new_j)
+                sq[:, 1] = np.where(ot, new_j, new_i)
             if kt:
                 kt.lap(t0, "norms")
-            rotations += rotate.sum(axis=1)
+            rotations += rotate.sum(axis=0)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.sqnorms = sqnorms
         return max_cos, rotations
+
+
+def _copy_outside(dst: np.ndarray, src: np.ndarray, start: int, stop: int) -> None:
+    """Copy the slots of ``src`` outside ``[start, stop)`` into ``dst``;
+    an empty side costs nothing."""
+    if start:
+        dst[:start] = src[:start]
+    if stop < len(src):
+        dst[stop:] = src[stop:]
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +745,13 @@ def _pair_block_views(X: np.ndarray, p: int):
     return tuple(flat[:, i:stop:step] for i in starts)
 
 
+def _first_blocks(views: tuple, p: int, full: int) -> tuple:
+    """The first ``p`` blocks of pair-block ``views`` built for ``full``."""
+    if p == full:
+        return views
+    return tuple(v[:, :p] for v in views)
+
+
 class FusedEVDSweeper:
     """Sweep executor for :class:`repro.jacobi.batched.StackedParallelEVD`.
 
@@ -742,6 +761,8 @@ class FusedEVDSweeper:
     ``(x0 (-s) + 0.0) + x1 c``, then one row-pass einsum against a
     ``(b, p, 2, 2)`` rotation stack. ``J`` is kept transposed
     (``JT[b] = J[b].T``) so ``J <- J G`` is the same row-pass einsum.
+    The strided views of the diagonal 2x2 blocks are built once per
+    buffer, and a sweep runs under a single ``np.errstate``.
 
     Bit-identical to :class:`~repro.jacobi.parallel_evd.ParallelJacobiEVD`
     but for the sign of rotated zeros: einsum starts from a zero
@@ -773,6 +794,7 @@ class FusedEVDSweeper:
         self._pooled = [B, JT, S1, S2, JS]
         faults.poison_stack(B)
         self.B, self.JT, self.S1, self.S2, self.JS = B, JT, S1, S2, JS
+        self._build_block_views()
 
     @property
     def count(self) -> int:
@@ -783,81 +805,88 @@ class FusedEVDSweeper:
 
     def run_sweep(self, floor: np.ndarray):
         """One full sweep; returns ``(offs, rotations)`` with the stack
-        restored to canonical order (``offs`` evaluated per matrix, as in
-        the reference, to keep the metric's reduction order unchanged)."""
+        restored to canonical order (``offs``: every member's Rutishauser
+        metric, from one stacked pass)."""
         tol = self.cfg.tol
         nb = self.count
         k = self.k
+        full = k // 2
         fl = floor[:, None]
         rotations = np.zeros(nb, dtype=np.int64)
-        prods = np.empty((nb, k, k // 2))
+        prods = np.empty((nb, k, full))
         B, JT, S1, S2, JS = self.B, self.JT, self.S1, self.S2, self.JS
-        for step in self.plan.steps:
-            p = step.n_pairs
-            k2 = 2 * p
-            g = step.gather
-            B.take(g, axis=1, out=S1)
-            S1.take(g, axis=2, out=S2)
-            JT.take(g, axis=1, out=JS)
-            bii, bjj, bij, _ = _pair_block_views(S2, p)
-            mag = np.abs(bij)
-            denom = np.sqrt(np.abs(bii * bjj))
-            active = (mag > fl) & ((denom <= fl) | (mag > tol * denom))
-            if not active.any():
-                # Land the permutation; values are untouched.
-                B, S2 = S2, B
-                JT, JS = JS, JT
-                continue
-            c, s = rotation_cs(bii, bjj, bij, active)
-            R = np.empty((nb, p, 2, 2))
-            R[..., 0, 0] = c
-            R[..., 1, 0] = s
-            R[..., 0, 1] = -s
-            R[..., 1, 1] = c
-            # Column pass into S1, row pass (reading the column-updated
-            # matrix, as the reference does) into B.
-            X = S2[:, :, :k2].reshape(nb, k, p, 2)
-            Y = S1[:, :, :k2].reshape(nb, k, p, 2)
-            x0, x1 = X[..., 0], X[..., 1]
-            y0, y1 = Y[..., 0], Y[..., 1]
-            prod = prods[..., :p]
-            cb = c[:, None, :]
-            np.multiply(x0, cb, out=y0)
-            y0 += 0.0
-            y0 += np.multiply(x1, s[:, None, :], out=prod)
-            np.multiply(x0, R[:, None, :, 0, 1], out=y1)
-            y1 += 0.0
-            y1 += np.multiply(x1, cb, out=prod)
-            S1[:, :, k2:] = S2[:, :, k2:]
-            np.einsum(
-                "bpck,bpcd->bpdk",
-                S1[:, :k2, :].reshape(nb, p, 2, k),
-                R,
-                out=B[:, :k2, :].reshape(nb, p, 2, k),
-            )
-            B[:, k2:, :] = S1[:, k2:, :]
-            # Eliminated entries are exactly zero in exact arithmetic.
-            _, _, out_ij, out_ji = _pair_block_views(B, p)
-            np.putmask(out_ij, active, 0.0)
-            np.putmask(out_ji, active, 0.0)
-            np.einsum(
-                "bpck,bpcd->bpdk",
-                JS[:, :k2, :].reshape(nb, p, 2, k),
-                R,
-                out=JT[:, :k2, :].reshape(nb, p, 2, k),
-            )
-            JT[:, k2:, :] = JS[:, k2:, :]
-            rotations += active.sum(axis=1)
+        # B and S2 trade roles (rotated / permuted) step to step; their
+        # block views travel with them.
+        Bv, S2v = self._Bv, self._S2v
+        with np.errstate(all="ignore"):
+            for step in self.plan.steps:
+                p = step.n_pairs
+                k2 = 2 * p
+                g = step.gather
+                B.take(g, axis=1, out=S1)
+                S1.take(g, axis=2, out=S2)
+                JT.take(g, axis=1, out=JS)
+                bii, bjj, bij, _ = _first_blocks(S2v, p, full)
+                mag = np.abs(bij)
+                denom = np.sqrt(np.abs(bii * bjj))
+                active = (mag > fl) & ((denom <= fl) | (mag > tol * denom))
+                if not active.any():
+                    # Land the permutation; values are untouched.
+                    B, S2 = S2, B
+                    Bv, S2v = S2v, Bv
+                    JT, JS = JS, JT
+                    continue
+                R = np.empty((nb, p, 2, 2))
+                c, s = rotation_cs_quiet(
+                    bii, bjj, bij, active, R[..., 0, 0], R[..., 1, 0]
+                )
+                np.negative(s, out=R[..., 0, 1])
+                R[..., 1, 1] = c
+                # Column pass into S1, row pass (reading the column-updated
+                # matrix, as the reference does) into B.
+                X = S2[:, :, :k2].reshape(nb, k, p, 2)
+                Y = S1[:, :, :k2].reshape(nb, k, p, 2)
+                x0, x1 = X[..., 0], X[..., 1]
+                y0, y1 = Y[..., 0], Y[..., 1]
+                prod = prods[..., :p]
+                cb = c[:, None, :]
+                np.multiply(x0, cb, out=y0)
+                y0 += 0.0
+                y0 += np.multiply(x1, s[:, None, :], out=prod)
+                np.multiply(x0, R[:, None, :, 0, 1], out=y1)
+                y1 += 0.0
+                y1 += np.multiply(x1, cb, out=prod)
+                if k2 < k:
+                    S1[:, :, k2:] = S2[:, :, k2:]
+                np.einsum(
+                    "bpck,bpcd->bpdk",
+                    S1[:, :k2, :].reshape(nb, p, 2, k),
+                    R,
+                    out=B[:, :k2, :].reshape(nb, p, 2, k),
+                )
+                if k2 < k:
+                    B[:, k2:, :] = S1[:, k2:, :]
+                # Eliminated entries are exactly zero in exact arithmetic.
+                _, _, out_ij, out_ji = _first_blocks(Bv, p, full)
+                np.putmask(out_ij, active, 0.0)
+                np.putmask(out_ji, active, 0.0)
+                np.einsum(
+                    "bpck,bpcd->bpdk",
+                    JS[:, :k2, :].reshape(nb, p, 2, k),
+                    R,
+                    out=JT[:, :k2, :].reshape(nb, p, 2, k),
+                )
+                if k2 < k:
+                    JT[:, k2:, :] = JS[:, k2:, :]
+                rotations += active.sum(axis=1)
         restore = self.plan.restore
         B.take(restore, axis=1, out=S1)
         S1.take(restore, axis=2, out=S2)
         JT.take(restore, axis=1, out=JS)
         self.B, self.S1, self.S2 = S2, S1, B
+        self._Bv, self._S2v = S2v, Bv
         self.JT, self.JS = JS, JT
-        offs = np.array(
-            [symmetric_offdiagonal_cosine(self.B[pos]) for pos in range(nb)]
-        )
-        return offs, rotations
+        return symmetric_offdiagonal_cosines(self.B), rotations
 
     def extract(
         self,
@@ -875,8 +904,14 @@ class FusedEVDSweeper:
         self.S1 = np.empty_like(self.B)
         self.S2 = np.empty_like(self.B)
         self.JS = np.empty_like(self.B)
+        self._build_block_views()
 
     def close(self) -> None:
         for buf in self._pooled:
             self._pool.release(buf)
         self._pooled = []
+
+    def _build_block_views(self) -> None:
+        full = self.k // 2
+        self._Bv = _pair_block_views(self.B, full)
+        self._S2v = _pair_block_views(self.S2, full)

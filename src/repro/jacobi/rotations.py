@@ -11,8 +11,9 @@ Implements the stable rotation formulas of the paper:
 Both pick the *inner* rotation (|t| <= 1), which is what gives Jacobi its
 quadratic convergence and high relative accuracy.
 
-:func:`rotation_cs` is the one vectorized copy of the formula, used by
-every array solver; the scalar functions are its reference.
+:func:`rotation_cs_quiet` is the one vectorized copy of the formula, used
+by every array solver (:func:`rotation_cs` is it under ``np.errstate``);
+the scalar functions are its reference.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 __all__ = [
     "rotation_from_tau",
     "rotation_cs",
+    "rotation_cs_quiet",
     "onesided_rotation",
     "twosided_rotation",
     "apply_rotation_inplace",
@@ -59,15 +61,35 @@ def rotation_cs(
     most two.
     """
     with np.errstate(all="ignore"):
-        tau = (a_ii - a_jj) / (2.0 * a_ij)
-        t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-        # sign(0) == 0 would zero the rotation for tau == 0 (equal norms);
-        # that case needs the 45-degree rotation t = 1.
-        np.putmask(t, tau == 0.0, 1.0)
-        # t = +0.0 gives exactly c = 1.0, s = +0.0.
-        np.putmask(t, ~active, 0.0)
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        return c, t * c
+        return rotation_cs_quiet(a_ii, a_jj, a_ij, active)
+
+
+def rotation_cs_quiet(
+    a_ii: np.ndarray,
+    a_jj: np.ndarray,
+    a_ij: np.ndarray,
+    active: np.ndarray,
+    c: np.ndarray | None = None,
+    s: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rotation_cs` for callers already inside
+    ``np.errstate(all="ignore")`` (the fused sweeps enter it once per
+    sweep). ``c`` and ``s``, when given, receive the result in place, so a
+    caller can write it straight into its rotation blocks.
+    """
+    tau = (a_ii - a_jj) / (2.0 * a_ij)
+    t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
+    # sign(0) == 0 would zero the rotation for tau == 0 (equal norms);
+    # that case needs the 45-degree rotation t = 1.
+    np.putmask(t, tau == 0.0, 1.0)
+    # t = +0.0 gives exactly c = 1.0, s = +0.0.
+    np.putmask(t, ~active, 0.0)
+    # c = 1 / sqrt(1 + t^2), s = t c.
+    c = np.multiply(t, t, out=c)
+    c += 1.0
+    np.sqrt(c, out=c)
+    np.divide(1.0, c, out=c)
+    return c, np.multiply(t, c, out=s)
 
 
 def onesided_rotation(

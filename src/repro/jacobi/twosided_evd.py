@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.jacobi.convergence import symmetric_offdiagonal_cosine
+from repro.jacobi.factors import finalize_evd_stack
 from repro.jacobi.rotations import twosided_rotation
 from repro.orderings import Ordering, get_ordering
 from repro.types import ConvergenceTrace, EVDResult
@@ -173,15 +174,5 @@ def _rotate_symmetric_inplace(
 def _finalize_evd(
     B: np.ndarray, J: np.ndarray, trace: ConvergenceTrace
 ) -> EVDResult:
-    """Sort eigenpairs descending by eigenvalue.
-
-    Zero eigenvalues come out as ``+0.0``: a stacked solve applies every
-    step to the whole stack, and the identity rotation it gives a matrix
-    with nothing to rotate turns a ``-0.0`` diagonal entry into ``+0.0``,
-    so without this the sign would depend on the matrix's stack-mates.
-    """
-    eigvals = np.diag(B).copy()
-    order = np.argsort(eigvals)[::-1]
-    L = eigvals[order]
-    L += 0.0
-    return EVDResult(J=J[:, order].copy(), L=L, trace=trace)
+    """:func:`~repro.jacobi.factors.finalize_evd_stack` of one matrix."""
+    return finalize_evd_stack(B[None], J[None], (trace,))[0]

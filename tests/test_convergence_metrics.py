@@ -1,4 +1,8 @@
-"""Convergence metrics (off-diagonal norms, orthogonality residual)."""
+"""Convergence metrics (off-diagonal norms, orthogonality residual).
+
+The stacked Rutishauser metric is held byte for byte to the per-matrix
+body it replaced, kept here as :func:`_symmetric_cosine_oracle`.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +11,91 @@ from repro.jacobi.convergence import (
     gram_offdiagonal_cosine,
     offdiagonal_frobenius,
     orthogonality_residual,
+    symmetric_offdiagonal_cosine,
+    symmetric_offdiagonal_cosines,
 )
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _symmetric_cosine_oracle(B):
+    """The per-matrix metric the stacked pass replaced."""
+    n = B.shape[0]
+    if n < 2:
+        return 0.0
+    scale = float(np.linalg.norm(B))
+    if scale == 0.0:
+        return 0.0
+    d = np.sqrt(np.abs(np.diag(B)))
+    denom = np.outer(d, d)
+    off = np.abs(B - np.diag(np.diag(B)))
+    floor = _EPS * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = off / denom
+    cos[~np.isfinite(cos)] = 0.0
+    cos[(off > floor) & (denom <= floor)] = 1.0
+    cos[off <= floor] = 0.0
+    return float(np.clip(cos, 0.0, 1.0).max()) if cos.size else 0.0
+
+
+def _adversarial_stack(rng, k):
+    """Symmetric ``k x k`` members covering every branch of the metric."""
+    def sym():
+        M = rng.standard_normal((k, k))
+        return M + M.T
+
+    members = [sym(), np.zeros((k, k)), np.diag(rng.standard_normal(k))]
+    at_floor = np.diag(np.arange(1.0, k + 1))
+    tiny = _EPS * np.linalg.norm(at_floor)
+    at_floor[0, 1] = at_floor[1, 0] = tiny
+    # Off-diagonals exactly at eps ||B||_F: too small to move the norm.
+    assert _EPS * np.linalg.norm(at_floor) == tiny
+    members.append(at_floor)
+    zero_diag = sym()
+    zero_diag[1, 1] = 0.0  # significant b_01 over b_11 = 0: forced to 1
+    members.append(zero_diag)
+    nan_member = sym()
+    nan_member[0, 1] = nan_member[1, 0] = np.nan
+    inf_member = sym()
+    inf_member[1, 1] = np.inf
+    members += [nan_member, inf_member, sym() * 1e150, sym() * 1e-150]
+    return np.stack(members)
+
+
+class TestSymmetricOffdiagonalCosines:
+    @pytest.mark.parametrize("k", [2, 3, 5, 6, 7, 16])
+    def test_matches_oracle(self, rng, k):
+        stack = _adversarial_stack(rng, k)
+        with np.errstate(all="ignore"):
+            want = np.array([_symmetric_cosine_oracle(B) for B in stack])
+        got = symmetric_offdiagonal_cosines(stack)
+        assert got.tobytes() == want.tobytes()
+        for B, w in zip(stack, want):
+            assert symmetric_offdiagonal_cosine(B) == w
+        assert got[1] == 0.0  # all zero
+        assert got[2] == 0.0  # diagonal
+        assert got[3] == 0.0  # masked at the floor
+        assert got[4] == 1.0  # forced over a zero diagonal
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_misaligned_rows_match_oracle(self, rng, k):
+        """Odd ``k * k`` and a buffer offset by one double start rows at
+        every alignment; each member's norm still sums as the oracle's."""
+        stack = _adversarial_stack(rng, k)[:1].repeat(5, axis=0)
+        stack *= rng.uniform(0.5, 2.0, (5, 1, 1))
+        buf = np.empty(stack.size + 1)
+        shifted = buf[1:].reshape(stack.shape)
+        shifted[...] = stack
+        want = np.array([_symmetric_cosine_oracle(B) for B in stack])
+        assert symmetric_offdiagonal_cosines(shifted).tobytes() == want.tobytes()
+
+    def test_order_below_two(self):
+        assert symmetric_offdiagonal_cosines(np.ones((3, 1, 1))).tolist() == [
+            0.0,
+            0.0,
+            0.0,
+        ]
+        assert symmetric_offdiagonal_cosine(np.array([[5.0]])) == 0.0
 
 
 class TestGramOffdiagonalCosine:

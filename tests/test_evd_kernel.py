@@ -1,5 +1,7 @@
 """Simulated batched EVD kernel (paper §IV-C)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.gpusim.evd_kernel import (
     SMEVDKernelConfig,
     evd_sweep_cost,
 )
+from repro.gpusim.memory import FLOAT64_BYTES
 
 
 def _sym_batch(rng, k, count):
@@ -105,3 +108,36 @@ class TestSweepCost:
     def test_trivial_size(self):
         flops, _ = evd_sweep_cost(1, parallel=True)
         assert flops > 0
+
+
+class TestGroupedAccounting:
+    """``account`` sums costs per distinct (size, sweeps) group; the
+    result equals the per-matrix sum exactly and ignores batch order."""
+
+    SIZES = [4, 8, 8, 16, 4, 8, 16, 2, 8]
+    SWEEPS = [3, 5, 5, 7, 0, 6, 7, 1, 5]
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_equals_per_matrix_sum(self, rng, parallel):
+        kernel = BatchedEVDKernel(
+            V100, SMEVDKernelConfig(parallel_update=parallel)
+        )
+        flops = gm_bytes = max_block = 0.0
+        for k, n_sweeps in zip(self.SIZES, self.SWEEPS):
+            f, g = evd_sweep_cost(k, parallel=parallel)
+            flops += f * max(1, n_sweeps)
+            max_block = max(max_block, f * max(1, n_sweeps))
+            gm_bytes += g + FLOAT64_BYTES * (2.0 * k * k + k)
+        want = kernel._simulate(
+            self.SIZES, len(self.SIZES), flops, gm_bytes, None, max_block
+        )
+        got = kernel.account(self.SIZES, self.SWEEPS)
+        assert got.flops == flops
+        assert got.gm_bytes == gm_bytes
+        assert got.blocks == len(self.SIZES)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        order = rng.permutation(len(self.SIZES))
+        permuted = kernel.account(
+            [self.SIZES[i] for i in order], [self.SWEEPS[i] for i in order]
+        )
+        assert dataclasses.asdict(permuted) == dataclasses.asdict(got)

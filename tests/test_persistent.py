@@ -342,6 +342,45 @@ class TestPersistentExecutor:
         finally:
             wrapped.close()
 
+    def test_factors_outlive_arena_slots(self, rng):
+        """The engine releases its output slots once it has finalized, and
+        the next batch leases them again; factors it returned earlier must
+        not alias them, so they keep their bytes (checked while the arena
+        is still mapped)."""
+        first = [rng.standard_normal((16, 8)) for _ in range(32)]
+        second = [rng.standard_normal((16, 8)) for _ in range(32)]
+        sym = [rng.standard_normal((8, 8)) for _ in range(64)]
+        sym = [M + M.T for M in sym]
+        serial = BatchedJacobiEngine()
+        want_svd = serial.svd_batch(first)
+        want_evd = serial.evd_batch(sym[:32])
+        wrapped = get_executor(
+            RuntimeConfig(
+                backend="persistent", workers=2, allow_oversubscribe=True
+            )
+        )
+        engine = BatchedJacobiEngine(executor=wrapped)
+        try:
+            ex = base_executor(wrapped)
+            got_svd = engine.svd_batch(first)
+            got_evd = engine.evd_batch(sym[:32])
+            leases = ex.dispatch_stats()["arena_leases"]
+            engine.svd_batch(second)
+            engine.evd_batch(sym[32:])
+            assert ex.dispatch_stats()["arena_leases"] > leases
+            assert ex.arena.outstanding() == 0
+            for got, want in zip(got_svd, want_svd):
+                for name in "USV":
+                    assert (
+                        getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes()
+                    )
+            for got, want in zip(got_evd, want_evd):
+                assert got.J.tobytes() == want.J.tobytes()
+                assert got.L.tobytes() == want.L.tobytes()
+        finally:
+            wrapped.close()
+
 
 class TestServeWarmReplicas:
     def test_workers_stay_warm_between_fused_batches(self, rng):

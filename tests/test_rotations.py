@@ -11,6 +11,7 @@ from repro.jacobi.rotations import (
     apply_rotation_inplace,
     onesided_rotation,
     rotation_cs,
+    rotation_cs_quiet,
     rotation_from_tau,
     rotation_matrix,
     twosided_rotation,
@@ -164,6 +165,22 @@ class TestRotationCS:
         for row, (c, s) in zip(mixed, got):
             want = onesided_rotation(*row[:3]) if row[3] else (1.0, 0.0)
             assert (_bits(c), _bits(s)) == tuple(map(_bits, want)), row
+
+    def test_quiet_core_writes_into_rotation_blocks(self):
+        """The core the fused sweeps call inside their own errstate puts
+        the same bytes straight into strided views of a rotation block."""
+        rows = [(*e, True) for e in self.ACTIVE] + [
+            (*e, False) for e in self.INACTIVE
+        ]
+        aii, ajj, aij, active = (np.array(col) for col in zip(*rows))
+        active = active.astype(bool)
+        want_c, want_s = rotation_cs(aii, ajj, aij, active)
+        R = np.full((2, 2, len(rows)), np.nan)
+        with np.errstate(all="ignore"):
+            c, s = rotation_cs_quiet(aii, ajj, aij, active, R[0, 0], R[1, 0])
+        assert np.shares_memory(c, R) and np.shares_memory(s, R)
+        assert R[0, 0].tobytes() == want_c.tobytes()
+        assert R[1, 0].tobytes() == want_s.tobytes()
 
     def test_negative_zero_tau_takes_positive_45_degrees(self):
         """tau = -0.0 (equal norms, negative a_ij) rotates by t = +1 like

@@ -1,10 +1,14 @@
 """Simulated batched SVD kernel (paper §IV-B)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from tests.helpers import assert_valid_svd
 from repro.errors import ConfigurationError, ResourceError
 from repro.gpusim import V100, P100, Profiler
+from repro.gpusim.memory import FLOAT64_BYTES
 from repro.gpusim.svd_kernel import (
     BatchedSVDKernel,
     SMSVDKernelConfig,
@@ -153,3 +157,74 @@ class TestAlphaPolicies:
         kernel = BatchedSVDKernel(P100)
         assert kernel.select_alpha([(48, 16)]) == 0.5  # gcd(48,32)=16
         assert kernel.select_alpha([(100, 16)]) == 0.125  # gcd(100,32)=4
+
+
+#: A ragged launch: repeated shapes (a wide one sharing its working shape
+#: with a tall one), V in and out of shared memory, and varied sweeps.
+RAGGED_SHAPES = (
+    [(16, 8)] * 5 + [(24, 12)] * 3 + [(8, 20), (20, 8), (8, 20)]
+    + [(96, 48)] * 2 + [(32, 16)]
+)
+RAGGED_SWEEPS = [5, 6, 5, 7, 6, 8, 8, 1, 6, 6, 7, 9, 9, 7]
+
+
+def _per_matrix_launch(kernel, shapes, sweeps):
+    """The launch priced from costs summed one matrix at a time."""
+    cfg = kernel.config
+    flops = gm_bytes = max_block = 0.0
+    work_shapes = []
+    for (m, n), n_sweeps in zip(shapes, sweeps):
+        m, n = kernel.working_shape(m, n)
+        work_shapes.append((m, n))
+        f, g = svd_sweep_cost(
+            m,
+            n,
+            cached=cfg.cache_inner_products,
+            v_in_gm=not v_panel_in_sm(m, n, kernel.device),
+        )
+        flops += f * n_sweeps
+        max_block = max(max_block, f * n_sweeps)
+        r = min(m, n)
+        gm_bytes += g * n_sweeps + FLOAT64_BYTES * (m * n + m * r + r + n * r)
+    stats = kernel._simulate(
+        work_shapes, len(shapes), flops, gm_bytes, None, max_block
+    )
+    return stats, flops, gm_bytes
+
+
+class TestGroupedAccounting:
+    """``account`` sums costs per distinct (shape, sweeps) group; the
+    result equals the per-matrix sum exactly and ignores batch order."""
+
+    @pytest.mark.parametrize("alpha", ["auto", 0.25, None])
+    def test_equals_per_matrix_sum(self, rng, alpha):
+        kernel = BatchedSVDKernel(V100, SMSVDKernelConfig(alpha=alpha))
+        assert any(v_panel_in_sm(*s, V100) for s in RAGGED_SHAPES)
+        assert not all(v_panel_in_sm(*s, V100) for s in RAGGED_SHAPES)
+        got = kernel.account(RAGGED_SHAPES, RAGGED_SWEEPS)
+        want, flops, gm_bytes = _per_matrix_launch(
+            kernel, RAGGED_SHAPES, RAGGED_SWEEPS
+        )
+        assert got.flops == flops
+        assert got.gm_bytes == gm_bytes
+        assert got.blocks == len(RAGGED_SHAPES)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        order = rng.permutation(len(RAGGED_SHAPES))
+        permuted = kernel.account(
+            [RAGGED_SHAPES[i] for i in order],
+            [RAGGED_SWEEPS[i] for i in order],
+        )
+        assert dataclasses.asdict(permuted) == dataclasses.asdict(got)
+
+    def test_run_records_grouped_launch(self, rng):
+        batch = [rng.standard_normal(s) for s in RAGGED_SHAPES[:11]]
+        kernel = BatchedSVDKernel(V100, SMSVDKernelConfig(alpha="auto"))
+        results, stats = kernel.run(batch)
+        sweeps = [r.trace.sweeps for r in results]
+        want, _, _ = _per_matrix_launch(kernel, RAGGED_SHAPES[:11], sweeps)
+        assert dataclasses.asdict(stats) == dataclasses.asdict(want)
+
+    def test_first_oversized_shape_is_named(self, rng):
+        batch = [rng.standard_normal((16, 8)), np.zeros((200, 100))]
+        with pytest.raises(ResourceError, match="200x100"):
+            BatchedSVDKernel(V100).run(batch + [np.zeros((300, 100))])
