@@ -91,6 +91,8 @@ def compute(requests: int = REQUESTS, verify_every: int = VERIFY_EVERY):
         )
         assert report.failed == 0, (name, report.errors)
         assert report.mismatches == 0, (name, report.errors)
+        if name == "micro-batched" and verify_every:
+            assert report.verified > 0, (name, report.as_dict())
         reports[name] = report
         stats = report.server_stats
         rows.append(

@@ -146,6 +146,8 @@ def compute_served(requests: int = REQUESTS, verify_every: int = VERIFY_EVERY):
         assert report.completed == report.requests, (replicas, report.errors)
         assert report.failed == 0, (replicas, report.errors)
         assert report.mismatches == 0, (replicas, report.errors)
+        if verify_every:
+            assert report.verified > 0, (replicas, report.as_dict())
         assert snapshot.kills == 0 and snapshot.failovers == 0
         reports[replicas] = (report, snapshot)
         if base is None:

@@ -99,6 +99,15 @@ _log = get_logger("core.wcycle")
 #: shared memory whole: they share one in-SM launch whatever their size.
 _IN_SM: tuple[int, ...] = ()
 
+#: Rotation tolerance of the leaf kernels (the in-SM SVDs and Gram EVDs of
+#: a step), and the tightest leaf stop tolerance.
+_LEAF_TOL = 1e-14
+
+#: Leaf stop tolerance of a member's first level-0 sweep, and the loosest.
+_LEAF_STOP_FIRST = 1e-2
+
+_EPS = np.finfo(np.float64).eps
+
 #: A large matrix made ready for its bucket: ``(work, Q, flipped)``.
 _Prepared = tuple[np.ndarray, np.ndarray | None, bool]
 
@@ -179,11 +188,23 @@ class WCycleConfig:
         once, and returns, like a multigrid W-cycle (Fig. 4's narrative) —
         so 1 is the default. ``None`` converges each inner solve fully
         (a V-cycle-like variant, much more expensive per outer sweep).
-    inner_tol / inner_max_sweeps:
-        Convergence control for inner solves when ``inner_sweeps`` is None.
-        Inner rotations only need to be *good*, not exact — the outer
-        sweeps absorb their residual — so the default stops comfortably
-        above the EVD kernels' attainable floor on graded panels.
+    inner_tol:
+        Convergence tolerance of recursed solves when ``inner_sweeps`` is
+        None. Inner rotations only need to be *good*, not exact — the
+        outer sweeps absorb their residual — so the default stops
+        comfortably above the EVD kernels' attainable floor on graded
+        panels.
+    inner_max_sweeps:
+        Sweep budget of every in-SM kernel solve — the leaf SVDs and Gram
+        EVDs of each step, and the whole-matrix SVDs of matrices that fit
+        in shared memory — and of recursed solves when ``inner_sweeps`` is
+        None.
+
+    The leaves stop as tightly as their member's outer sweep needs, with
+    no option: each member's leaf solves stop once their largest cosine is
+    below ``clamp(0.01 r^2, 1e-14, 1e-2)``, where ``r`` is the member's
+    level-0 residual after its previous sweep (``1e-2`` on its first).
+    Whether a leaf pair rotates is always decided at ``1e-14``.
     """
 
     w1: int | None = None
@@ -700,6 +721,8 @@ class WCycleSVD:
                     cache_inner_products=cfg.cache_inner_products,
                     gram_cache=cfg.gram_cache,
                     transpose_wide=cfg.transpose_wide,
+                    tol=_LEAF_TOL,
+                    max_sweeps=cfg.inner_max_sweeps,
                     ordering=cfg.ordering,
                 ),
                 executor=self._executor,
@@ -709,15 +732,11 @@ class WCycleSVD:
     def _evd_kernel(self) -> BatchedEVDKernel:
         if self._evd_kernel_cache is None:
             cfg = self.config
-            # The in-SM EVD always solves to machine accuracy: it is cheap,
-            # and the rotation quality it produces bounds what the outer
-            # sweeps can reach (inner_tol only governs recursed *level*
-            # solves).
             self._evd_kernel_cache = BatchedEVDKernel(
                 self.device,
                 SMEVDKernelConfig(
                     parallel_update=cfg.parallel_evd,
-                    tol=1e-14,
+                    tol=_LEAF_TOL,
                     max_sweeps=cfg.inner_max_sweeps,
                     ordering=cfg.ordering,
                 ),
@@ -784,6 +803,7 @@ class WCycleSVD:
             works,
             Vs,
             owners,
+            [_LEAF_STOP_FIRST] * len(works),
             widths,
             depth=0,
             tol=cfg.tol,
@@ -804,6 +824,7 @@ class WCycleSVD:
         works: list[np.ndarray],
         Vs: list[np.ndarray],
         owners: Sequence[int],
+        stops: list[float],
         widths: list[int],
         depth: int,
         tol: float,
@@ -821,12 +842,16 @@ class WCycleSVD:
         serves the joined pairs of every live member through
         :meth:`_apply_step`, whose group-3 pairs recurse into
         ``depth + 1``. ``Vs[k]`` accumulates member ``k``'s rotations;
-        ``owners[k]`` is the caller batch index a failure names. Launches
-        go into ``log`` under ``key`` extended by (sweep, step); per-depth
-        rotation counts go into ``level_rotations``.
+        ``owners[k]`` is the caller batch index a failure names, and
+        ``stops[k]`` the stop tolerance of the leaf solves of its panels.
+        Launches go into ``log`` under ``key`` extended by (sweep, step);
+        per-depth rotation counts go into ``level_rotations``.
 
         Each member's convergence is checked after every sweep, and a
-        converged member drops out of the remaining sweeps. With
+        converged member drops out of the remaining sweeps. At level 0 the
+        check also sets the member's next leaf stop tolerance from its
+        residual (:func:`_leaf_stop`); recursed panels keep their
+        member's. With
         ``fixed_sweeps`` set this is one W-cycle *visit*: exactly that
         many sweeps run, no convergence check (the rotation returned to the
         parent level is then approximate, which the parent's own sweeping
@@ -845,11 +870,12 @@ class WCycleSVD:
             live_works = [works[k] for k in live]
             live_Vs = [Vs[k] for k in live]
             live_owners = [owners[k] for k in live]
+            live_stops = [stops[k] for k in live]
             for step_index, step in enumerate(plan):
                 self._apply_step(
-                    live_works, live_Vs, live_owners, step, widths, depth,
-                    (m, n, w), key + (sweep_index, step_index), log,
-                    level_rotations,
+                    live_works, live_Vs, live_owners, live_stops, step,
+                    widths, depth, (m, n, w), key + (sweep_index, step_index),
+                    log, level_rotations,
                 )
             level_rotations[depth] = (
                 level_rotations.get(depth, 0) + rotations * len(live)
@@ -864,6 +890,8 @@ class WCycleSVD:
                 if off >= tol:
                     residuals[k] = off
                     unconverged.append(k)
+                    if depth == 0:
+                        stops[k] = _leaf_stop(off)
             live = unconverged
             if not live:
                 return
@@ -944,6 +972,7 @@ class WCycleSVD:
         works: list[np.ndarray],
         Vs: list[np.ndarray],
         owners: list[int],
+        stops: list[float],
         step: Sequence[_PairPlan],
         widths: list[int],
         depth: int,
@@ -959,8 +988,13 @@ class WCycleSVD:
         to one SVD launch, their Gram-EVD pairs to one Gram GEMM plus one
         EVD launch, and their recursed pairs descend together, one
         sub-bucket per panel shape; ``level`` is the ``(m, n, w)`` of the
-        level's GEMM engine. Each launch goes into ``log`` under ``key``
-        plus its phase in the step (SVD, Gram, EVD, recursion with its
+        level's GEMM engine. Every panel's leaf solve stops at its
+        member's ``stops`` entry. A Gram leaf counts every pair whose
+        columns are above the one-sided column floor of its panel —
+        ``(eps max(m, 2w))^2`` times the largest squared column norm, the
+        floor of the SVD leaves and at most the outer test's — however
+        small its elements are next to ``||B||_F``. Each launch goes into
+        ``log`` under ``key`` plus its phase in the step (SVD, Gram, EVD, recursion with its
         sub-bucket, update), so keys sort in launch order. Gathering
         ``work[:, cols]`` with an index array yields a private copy, which
         recursion orthogonalizes *in place*; the update GEMM therefore
@@ -984,6 +1018,7 @@ class WCycleSVD:
                 [owners[k] for k, _ in svd_keys],
                 key + (0, 0),
                 log,
+                stop=[stops[k] for k, _ in svd_keys],
             )
             for pk, res in zip(svd_keys, svd_results):
                 width = panels[pk].shape[1]
@@ -1000,7 +1035,14 @@ class WCycleSVD:
                 ([p.shape for p in evd_panels],), stats,
             ))
             evd_results, stats = _blamed(
-                self._evd_kernel().run, grams, [owners[k] for k, _ in evd_keys]
+                self._evd_kernel().run,
+                grams,
+                [owners[k] for k, _ in evd_keys],
+                stop=[stops[k] for k, _ in evd_keys],
+                floors=[
+                    (0.0, (_EPS * max(p.shape)) ** 2 * g.diagonal().max())
+                    for p, g in zip(evd_panels, grams)
+                ],
             )
             log.append((
                 key + (2, 0), "evd", None,
@@ -1019,6 +1061,7 @@ class WCycleSVD:
                 [panels[pk] for pk in members],
                 subVs,
                 [owners[k] for k, _ in members],
+                [stops[k] for k, _ in members],
                 widths,
                 depth + 1,
                 tol=cfg.inner_tol,
@@ -1059,9 +1102,13 @@ class WCycleSVD:
         owners: Sequence[int],
         key: tuple[int, ...],
         log: list[_Launch],
+        stop: list[float] | None = None,
     ) -> list[SVDResult]:
-        """One in-SM SVD launch over ``panels``, logged under ``key``."""
-        results, stats = _blamed(self._svd_kernel().run, panels, owners)
+        """One in-SM SVD launch over ``panels``, logged under ``key``;
+        ``stop`` gives each panel its stop tolerance (``None``: 1e-14)."""
+        results, stats = _blamed(
+            self._svd_kernel().run, panels, owners, stop=stop
+        )
         log.append((
             key, "svd", None,
             ([p.shape for p in panels], observed_sweeps(results)), stats,
@@ -1087,12 +1134,25 @@ def _summed(counts: list[dict[int, int]]) -> dict[int, int]:
     return total
 
 
-def _blamed(run, panels, owners):
-    """``run(panels)`` in raise mode, with a failure re-pointed from panel
-    positions to the batch indices of the matrices owning the panels, and
-    to the shape of the first failing panel."""
+def _leaf_stop(residual: float) -> float:
+    """Leaf stop tolerance of a member whose last level-0 sweep left it at
+    ``residual``: ``clamp(0.01 residual^2, 1e-14, 1e-2)``.
+
+    Near convergence the outer residual falls about quadratically, so
+    leaves solved to a hundredth of ``residual^2`` seldom cost the outer
+    iteration a sweep, while the leaves of a member far from convergence
+    stop after a sweep or two. Repeated singular values converge more
+    slowly under it and take a few more (cheaper) outer sweeps.
+    """
+    return min(max(0.01 * residual * residual, _LEAF_TOL), _LEAF_STOP_FIRST)
+
+
+def _blamed(run, panels, owners, **kwargs):
+    """``run(panels, **kwargs)`` in raise mode, with a failure re-pointed
+    from panel positions to the batch indices of the matrices owning the
+    panels, and to the shape of the first failing panel."""
     try:
-        return run(panels, on_failure="raise")
+        return run(panels, on_failure="raise", **kwargs)
     except (ConvergenceError, NonFiniteError) as exc:
         first = (exc.batch_indices or (0,))[0]
         raise _remap_stack_error(exc, panels[first].shape, owners) from None

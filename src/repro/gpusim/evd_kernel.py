@@ -142,6 +142,8 @@ class BatchedEVDKernel:
         self,
         matrices: list[np.ndarray],
         *,
+        stop: list[float] | None = None,
+        floors: list[tuple[float, float]] | None = None,
         profiler: Profiler | None = None,
         on_failure: str | None = None,
     ) -> tuple[list[EVDResult], KernelStats]:
@@ -151,13 +153,20 @@ class BatchedEVDKernel:
         batch-vectorized engine (same per-matrix results as a solver loop);
         cost accounting uses the same shapes and observed sweep counts as
         before, so the simulated :class:`KernelStats` are unchanged.
+
+        ``stop`` and ``floors`` (one value / ``(noise, diag_floor)`` pair
+        per matrix, ``None`` = the configured ``tol`` / the ``eps ||B||_F``
+        noise floor) go to
+        :meth:`~repro.jacobi.batched.BatchedJacobiEngine.evd_batch`.
         """
         if not matrices:
             raise ConfigurationError("batch must not be empty")
         sizes = [int(B.shape[0]) for B in matrices]
         for k in dict.fromkeys(sizes):
             self.check_fits(k)
-        results = self._engine.evd_batch(matrices, on_failure=on_failure)
+        results = self._engine.evd_batch(
+            matrices, stop=stop, floors=floors, on_failure=on_failure
+        )
         stats = self.account(sizes, observed_sweeps(results), profiler=profiler)
         return results, stats
 

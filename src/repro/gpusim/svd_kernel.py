@@ -231,6 +231,7 @@ class BatchedSVDKernel:
         self,
         matrices: list[np.ndarray],
         *,
+        stop: list[float] | None = None,
         profiler: Profiler | None = None,
         on_failure: str | None = None,
     ) -> tuple[list[SVDResult], KernelStats]:
@@ -243,6 +244,9 @@ class BatchedSVDKernel:
         computed from the same shapes and observed sweep counts as before,
         so the simulated :class:`KernelStats` are unchanged.
 
+        ``stop`` (one value per matrix, ``None`` = the configured ``tol``)
+        decides when each matrix stops sweeping, never which pairs rotate
+        (see :meth:`~repro.jacobi.batched.StackedOneSidedJacobi.solve_stack`).
         ``on_failure`` (``"raise"``/``"quarantine"``/``None`` = inherit
         from the executor's retry policy) is forwarded to the engine;
         quarantine events are readable via :attr:`last_failures`.
@@ -251,7 +255,9 @@ class BatchedSVDKernel:
             raise ConfigurationError("batch must not be empty")
         for m, n in dict.fromkeys(a.shape for a in matrices):
             self.check_fits(*self.working_shape(m, n))
-        results = self._engine.svd_batch(matrices, on_failure=on_failure)
+        results = self._engine.svd_batch(
+            matrices, stop=stop, on_failure=on_failure
+        )
         stats = self.account(
             [a.shape for a in matrices], observed_sweeps(results),
             profiler=profiler,

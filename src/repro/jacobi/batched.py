@@ -138,6 +138,36 @@ def _remap_stack_error(
     return NonFiniteError(msg, batch_indices=global_idx)
 
 
+def _stop_array(stop, tol: float, count: int) -> np.ndarray:
+    """Per-matrix stop tolerances: ``stop``, or ``tol`` for every matrix.
+
+    A stop below the rotation tolerance could never be met (no pair under
+    ``tol`` rotates), so it is rejected.
+    """
+    if stop is None:
+        return np.full(count, tol)
+    stop = np.asarray(stop, dtype=np.float64)
+    if stop.shape != (count,) or not (stop >= tol).all():
+        raise ConfigurationError(
+            f"stop must hold {count} value(s) >= the tolerance {tol:g}"
+        )
+    return stop
+
+
+def _floor_rows(floors, count: int) -> np.ndarray:
+    """Per-matrix ``(noise, diag_floor)`` rows: ``floors``, or for every
+    matrix the standalone pair ``(eps, 0)``: elements at ``eps ||B||_F``
+    are noise, and no pair is exempt by its diagonal."""
+    if floors is None:
+        return np.tile([_EPS, 0.0], (count, 1))
+    floors = np.asarray(floors, dtype=np.float64)
+    if floors.shape != (count, 2):
+        raise ConfigurationError(
+            f"floors must hold {count} (noise, diag_floor) pair(s)"
+        )
+    return floors
+
+
 def _place_svd(
     results: list[SVDResult | None],
     indices: Sequence[int],
@@ -205,6 +235,7 @@ class StackedOneSidedJacobi:
         self,
         stack: np.ndarray,
         *,
+        stop: np.ndarray | None = None,
         on_failure: str = "raise",
         kernel_times: KernelTimes | None = None,
     ):
@@ -213,6 +244,12 @@ class StackedOneSidedJacobi:
         Returns ``(W, V, traces)``: ``W[k]`` holds the orthogonalized
         columns (``U * sigma``) of matrix ``k``, ``V[k]`` the accumulated
         rotations, ``traces[k]`` its per-sweep convergence record.
+
+        ``stop`` (one value per matrix, ``None`` = ``config.tol`` for
+        all) only decides when a matrix stops sweeping: it is done once a
+        sweep's largest cosine is below its ``stop``. Whether a pair
+        rotates is always decided by ``config.tol``, so a looser ``stop``
+        runs fewer sweeps of the same rotations.
 
         With ``on_failure="report"`` failing matrices (non-finite values
         mid-sweep, or sweep-budget exhaustion) do not raise: they are
@@ -232,6 +269,8 @@ class StackedOneSidedJacobi:
             )
         report_mode = on_failure == "report"
         b, m, n = stack.shape
+        cfg = self.config
+        stop = _stop_array(stop, cfg.tol, b)
         traces = [ConvergenceTrace() for _ in range(b)]
         failures: list[tuple[int, Exception]] = []
         out_W = stack.copy()
@@ -240,7 +279,6 @@ class StackedOneSidedJacobi:
             return (out_W, out_V, traces, failures) if report_mode else (
                 out_W, out_V, traces
             )
-        cfg = self.config
         sweeper = self._make_sweeper(stack, kernel_times)
         live = np.arange(b)
         # The finite guard costs a pass over the stack per sweep; clean
@@ -291,7 +329,7 @@ class StackedOneSidedJacobi:
                 ConvergenceTrace.bulk_append(
                     traces, live, sweep_index, max_cos, rotations
                 )
-                done = max_cos < cfg.tol
+                done = max_cos < stop[live]
                 if done.any():
                     done_pos = np.flatnonzero(done)
                     sweeper.extract(out_W, out_V, live[done_pos], done_pos)
@@ -361,7 +399,13 @@ class StackedParallelEVD:
         return FusedEVDSweeper(stack, cfg, plan, self._scratch)
 
     def solve_stack(
-        self, stack: np.ndarray, scales: np.ndarray, *, on_failure: str = "raise"
+        self,
+        stack: np.ndarray,
+        scales: np.ndarray,
+        *,
+        stop: np.ndarray | None = None,
+        floors: np.ndarray | None = None,
+        on_failure: str = "raise",
     ):
         """Diagonalize every matrix in ``stack`` (``scales[k] = ||B_k||_F``).
 
@@ -371,6 +415,13 @@ class StackedParallelEVD:
         :meth:`StackedOneSidedJacobi.solve_stack`: failing matrices are
         NaN-filled and returned as a fourth ``failures`` element instead
         of raising.
+
+        ``stop`` decides when a matrix is done, never whether a pair
+        rotates, exactly as in :meth:`StackedOneSidedJacobi.solve_stack`.
+        ``floors`` gives each matrix its ``(noise, diag_floor)`` pair (see
+        :meth:`repro.jacobi.fused.FusedEVDSweeper.run_sweep`); ``None``
+        is ``(eps, 0)`` for all: elements at ``eps ||B||_F`` are noise and
+        no pair is exempt by its diagonal.
         """
         if on_failure not in _STACK_MODES:
             raise ConfigurationError(
@@ -378,14 +429,16 @@ class StackedParallelEVD:
             )
         report_mode = on_failure == "report"
         b, k, _ = stack.shape
+        cfg = self.config
+        stop = _stop_array(stop, cfg.tol, b)
+        noise, diag_floor = _floor_rows(floors, b).T
         traces = [ConvergenceTrace() for _ in range(b)]
         failures: list[tuple[int, Exception]] = []
         out_B = stack.copy()
         out_J = np.tile(np.eye(k), (b, 1, 1))
-        cfg = self.config
         sweeper = self._make_sweeper(stack)
         live = np.arange(b)
-        floor = _EPS * scales
+        floor = noise * scales
         check_finite = report_mode or faults.active()
         try:
             for sweep_index in range(1, cfg.max_sweeps + 1):
@@ -419,12 +472,13 @@ class StackedParallelEVD:
                         if live.size == 0:
                             return out_B, out_J, traces, failures
                         sweeper.compact(finite)
-                        floor = floor[finite]
-                offs, rotations = sweeper.run_sweep(floor)
+                offs, rotations = sweeper.run_sweep(
+                    floor[live], noise[live], diag_floor[live]
+                )
                 ConvergenceTrace.bulk_append(
                     traces, live, sweep_index, offs, rotations
                 )
-                done = offs < cfg.tol
+                done = offs < stop[live]
                 if done.any():
                     done_pos = np.flatnonzero(done)
                     sweeper.extract(out_B, out_J, live[done_pos], done_pos)
@@ -437,7 +491,6 @@ class StackedParallelEVD:
                     keep = ~done
                     live = live[keep]
                     sweeper.compact(keep)
-                    floor = floor[keep]
         finally:
             sweeper.close()
         if report_mode:
@@ -566,9 +619,15 @@ class BatchedJacobiEngine:
         self,
         matrices: list[np.ndarray],
         *,
+        stop: Sequence[float] | None = None,
         on_failure: str | None = None,
     ) -> list[SVDResult]:
         """Thin SVD of every matrix, bucket-vectorized across the batch.
+
+        ``stop`` gives each matrix its own stop tolerance (see
+        :meth:`StackedOneSidedJacobi.solve_stack`); ``None`` stops every
+        matrix at the configured ``tol``. The per-matrix fallback of the
+        ``dynamic`` ordering always stops at ``tol``.
 
         ``on_failure`` selects the failure mode (``"raise"`` or
         ``"quarantine"``); ``None`` inherits the attached executor's
@@ -588,6 +647,7 @@ class BatchedJacobiEngine:
             as_matrix(a, name=f"matrices[{i}]") for i, a in enumerate(matrices)
         ]
         cfg = self.svd_config
+        stops = _stop_array(stop, cfg.tol, len(mats))
         if self._svd_stacked is None:
             # The dynamic ordering re-derives its pivot schedule from each
             # matrix's data every step; matrices cannot share a schedule.
@@ -623,14 +683,14 @@ class BatchedJacobiEngine:
         units = self._plan_units(bucket_by_shape([w.shape for w in work]))
         costs = [svd_stack_cost(shape, len(chunk)) for shape, chunk in units]
         solved = self._solve_svd_units(
-            work, units, costs, capture=(mode == "quarantine")
+            work, stops, units, costs, capture=(mode == "quarantine")
         )
         self._merge_executor_history(report)
         try:
             for (shape, chunk), out_unit in zip(units, solved):
                 if isinstance(out_unit, TaskError):
                     self._quarantine_svd_unit(
-                        work, shape, chunk, out_unit, results, transposed,
+                        work, stops, chunk, out_unit, results, transposed,
                         report,
                     )
                     continue
@@ -644,7 +704,7 @@ class BatchedJacobiEngine:
     def _quarantine_svd_unit(
         self,
         work: list[np.ndarray],
-        shape: tuple[int, ...],
+        stops: np.ndarray,
         chunk: tuple[int, ...],
         task_error: TaskError,
         results: list[SVDResult | None],
@@ -657,11 +717,12 @@ class BatchedJacobiEngine:
         carries no fault frame, so injected faults cannot re-fire); healthy
         matrices keep bucketed results bit-identical to a clean run, and
         each failing matrix descends to the reference per-matrix solver.
+        Every matrix keeps its stop tolerance.
         """
         base_attempts = max(1, len(task_error.failures))
         stack = np.stack([work[i] for i in chunk])
         Ws, Vs, traces, failures = self._svd_stacked.solve_stack(
-            stack, on_failure="report"
+            stack, stop=stops[list(chunk)], on_failure="report"
         )
         failed = dict(failures)
         healthy = [pos for pos in range(len(chunk)) if pos not in failed]
@@ -740,6 +801,7 @@ class BatchedJacobiEngine:
     def _solve_svd_units(
         self,
         work: list[np.ndarray],
+        stops: np.ndarray,
         units: list[tuple[tuple[int, ...], tuple[int, ...]]],
         costs: list[float],
         *,
@@ -758,7 +820,7 @@ class BatchedJacobiEngine:
                 stack = np.stack([work[i] for i in chunk])
                 try:
                     return self._svd_stacked.solve_stack(
-                        stack, kernel_times=kt
+                        stack, stop=stops[list(chunk)], kernel_times=kt
                     )
                 except (ConvergenceError, NonFiniteError) as exc:
                     raise _remap_stack_error(exc, shape, chunk) from None
@@ -768,7 +830,7 @@ class BatchedJacobiEngine:
                 return [run(u) for u in units]
             return ex.map(run_unit, units, costs=costs, on_error=on_error)
         return self._solve_svd_units_arena(
-            work, units, costs, on_error=on_error
+            work, stops, units, costs, on_error=on_error
         )
 
     # -- arena dispatch (persistent backend) -----------------------------
@@ -782,7 +844,7 @@ class BatchedJacobiEngine:
         for ref in leases:
             arena.release_lease(ref)
 
-    def _solve_svd_units_arena(self, work, units, costs, *, on_error):
+    def _solve_svd_units_arena(self, work, stops, units, costs, *, on_error):
         """Persistent-backend dispatch: slot leases instead of segments.
 
         Input stacks are *placed* into leased arena slots, output slots
@@ -812,7 +874,14 @@ class BatchedJacobiEngine:
                 v_ref = arena.reserve((b, n, n), stack.dtype)
                 out_leases.append(v_ref)
                 items.append(
-                    (self.svd_config, in_ref, w_ref, v_ref, chunk)
+                    (
+                        self.svd_config,
+                        in_ref,
+                        w_ref,
+                        v_ref,
+                        stops[list(chunk)].tolist(),
+                        chunk,
+                    )
                 )
             outs = ex.map(
                 _solve_svd_arena_task, items, costs=costs, on_error=on_error
@@ -839,7 +908,8 @@ class BatchedJacobiEngine:
         return solved
 
     def _solve_evd_units_arena(
-        self, mats, stackable, scales, units, costs, *, on_error
+        self, mats, stackable, scales, stops, floors, units, costs, *,
+        on_error,
     ):
         """EVD twin of :meth:`_solve_svd_units_arena`."""
         ex = self.executor
@@ -868,6 +938,8 @@ class BatchedJacobiEngine:
                         b_ref,
                         j_ref,
                         tuple(scales[i] for i in batch_idx),
+                        stops[list(batch_idx)].tolist(),
+                        floors[list(batch_idx)].tolist(),
                         batch_idx,
                     )
                 )
@@ -898,18 +970,27 @@ class BatchedJacobiEngine:
         self,
         matrices: list[np.ndarray],
         *,
+        stop: Sequence[float] | None = None,
+        floors: Sequence[tuple[float, float]] | None = None,
         on_failure: str | None = None,
     ) -> list[EVDResult]:
         """Symmetric EVD of every matrix, bucket-vectorized across the batch.
 
-        With ``parallel_evd=False`` the sequential reference solver runs per
+        ``stop`` and ``floors`` give each matrix its stop tolerance and its
+        ``(noise, diag_floor)`` pair (see
+        :meth:`StackedParallelEVD.solve_stack`); ``None`` keeps the
+        configured ``tol`` and the ``eps ||B||_F`` noise floor. With
+        ``parallel_evd=False`` the sequential reference solver runs per
         matrix (its eliminations form a dependency chain that has no batch
-        axis to share). ``on_failure`` selects the failure mode exactly as
-        in :meth:`svd_batch`.
+        axis to share), at the configured ``tol`` and noise floor.
+        ``on_failure`` selects the failure mode exactly as in
+        :meth:`svd_batch`.
         """
         mode = self._resolve_mode(on_failure)
         self.last_failures = report = FailureReport()
         mats = [check_square_symmetric(B) for B in matrices]
+        stops = _stop_array(stop, self.evd_config.tol, len(mats))
+        floors = _floor_rows(floors, len(mats))
         if not self.parallel_evd:
             solver = TwoSidedJacobiEVD(self.evd_config)
             if mode == "raise":
@@ -954,7 +1035,7 @@ class BatchedJacobiEngine:
             evd_stack_cost(shape[0], len(chunk)) for shape, chunk in units
         ]
         solved = self._solve_evd_units(
-            mats, stackable, scales, units, costs,
+            mats, stackable, scales, stops, floors, units, costs,
             capture=(mode == "quarantine"),
         )
         self._merge_executor_history(report)
@@ -962,8 +1043,8 @@ class BatchedJacobiEngine:
             for (shape, chunk), out_unit in zip(units, solved):
                 if isinstance(out_unit, TaskError):
                     self._quarantine_evd_unit(
-                        mats, stackable, scales, chunk, out_unit, results,
-                        report,
+                        mats, stackable, scales, stops, floors, chunk,
+                        out_unit, results, report,
                     )
                     continue
                 for p, res in zip(chunk, finalize_evd_stack(*out_unit)):
@@ -977,6 +1058,8 @@ class BatchedJacobiEngine:
         mats: list[np.ndarray],
         stackable: list[int],
         scales: dict[int, float],
+        stops: np.ndarray,
+        floors: np.ndarray,
         chunk: tuple[int, ...],
         task_error: TaskError,
         results: list[EVDResult | None],
@@ -988,7 +1071,11 @@ class BatchedJacobiEngine:
         stack = np.stack([mats[i] for i in batch_idx])
         scale_vec = np.array([scales[i] for i in batch_idx])
         Bs, Js, traces, failures = self._evd_stacked.solve_stack(
-            stack, scale_vec, on_failure="report"
+            stack,
+            scale_vec,
+            stop=stops[batch_idx],
+            floors=floors[batch_idx],
+            on_failure="report",
         )
         failed = dict(failures)
         healthy = [pos for pos in range(len(batch_idx)) if pos not in failed]
@@ -1039,6 +1126,8 @@ class BatchedJacobiEngine:
         mats: list[np.ndarray],
         stackable: list[int],
         scales: dict[int, float],
+        stops: np.ndarray,
+        floors: np.ndarray,
         units: list[tuple[tuple[int, ...], tuple[int, ...]]],
         costs: list[float],
         *,
@@ -1052,8 +1141,11 @@ class BatchedJacobiEngine:
                 batch_idx = tuple(stackable[p] for p in chunk)
                 stack = np.stack([mats[i] for i in batch_idx])
                 scale_vec = np.array([scales[i] for i in batch_idx])
+                idx = list(batch_idx)
                 try:
-                    return self._evd_stacked.solve_stack(stack, scale_vec)
+                    return self._evd_stacked.solve_stack(
+                        stack, scale_vec, stop=stops[idx], floors=floors[idx]
+                    )
                 except (ConvergenceError, NonFiniteError) as exc:
                     raise _remap_stack_error(exc, shape, batch_idx) from None
 
@@ -1062,7 +1154,8 @@ class BatchedJacobiEngine:
                 return [run(u) for u in units]
             return ex.map(run_unit, units, costs=costs, on_error=on_error)
         return self._solve_evd_units_arena(
-            mats, stackable, scales, units, costs, on_error=on_error
+            mats, stackable, scales, stops, floors, units, costs,
+            on_error=on_error,
         )
 
 
@@ -1090,10 +1183,12 @@ def _stacked_evd_solver(config: TwoSidedConfig) -> StackedParallelEVD:
 
 def _solve_svd_arena_task(item):
     """Persistent-worker shell: arena slots in, factors written in place."""
-    config, in_ref, w_ref, v_ref, batch_idx = item
+    config, in_ref, w_ref, v_ref, stop, batch_idx = item
     stack = _arena_resolve(in_ref)
     try:
-        W, V, traces = _stacked_svd_solver(config).solve_stack(stack)
+        W, V, traces = _stacked_svd_solver(config).solve_stack(
+            stack, stop=np.array(stop)
+        )
     except (ConvergenceError, NonFiniteError) as exc:
         raise _remap_stack_error(
             exc, tuple(stack.shape[1:]), tuple(batch_idx)
@@ -1105,11 +1200,11 @@ def _solve_svd_arena_task(item):
 
 def _solve_evd_arena_task(item):
     """Persistent-worker shell: EVD twin of :func:`_solve_svd_arena_task`."""
-    config, in_ref, b_ref, j_ref, scales, batch_idx = item
+    config, in_ref, b_ref, j_ref, scales, stop, floors, batch_idx = item
     stack = _arena_resolve(in_ref)
     try:
         B, J, traces = _stacked_evd_solver(config).solve_stack(
-            stack, np.array(scales)
+            stack, np.array(scales), stop=np.array(stop), floors=np.array(floors)
         )
     except (ConvergenceError, NonFiniteError) as exc:
         raise _remap_stack_error(

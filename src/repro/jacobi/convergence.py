@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_EPS = np.finfo(np.float64).eps
+
 __all__ = [
     "gram_offdiagonal_cosine",
     "offdiagonal_frobenius",
@@ -60,16 +62,30 @@ def offdiagonal_frobenius(B: np.ndarray, *, relative: bool = True) -> float:
     return value / total
 
 
-def symmetric_offdiagonal_cosines(stack: np.ndarray) -> np.ndarray:
+def symmetric_offdiagonal_cosines(
+    stack: np.ndarray,
+    noise: float | np.ndarray = _EPS,
+    diag_floor: float | np.ndarray = 0.0,
+) -> np.ndarray:
     """Max off-diagonal element of every symmetric member of a
     ``(b, k, k)`` stack, scaled per pair: ``|b_ij| / sqrt(|b_ii b_jj|)``
     (Rutishauser's relative criterion).
 
     Unlike the global Frobenius metric, this is what guarantees *relative*
     accuracy of small eigenvalues on graded matrices — e.g. Gram matrices,
-    whose conditioning is the square of the data's. Elements at the
-    absolute noise floor (``eps ||B||_F``) are masked; a significant
-    element over a negligible diagonal counts as 1 (must still rotate).
+    whose conditioning is the square of the data's. Two floors, each a
+    scalar or one value per member, mask pairs:
+
+    - elements at or below ``noise * ||B||_F`` count as zero, and a larger
+      element over a diagonal at that floor counts as 1 (must still
+      rotate). The default ``eps`` is the absolute noise floor;
+    - a pair whose smaller diagonal is at or below ``diag_floor`` counts
+      as zero. A floor that is not positive exempts nothing (the
+      default). A Gram matrix ``P^T P`` passes the column floor of the
+      one-sided test here, with ``noise = 0``: its diagonal holds squared
+      column norms, and relative to ``||B||_F`` the pairs of small
+      columns would sit under the noise floor long before their cosine
+      is small.
 
     One pass serves the whole stack. Each member's ``||B||_F`` is summed
     by the same BLAS dot that ``np.linalg.norm(B)`` uses (a stacked
@@ -90,12 +106,19 @@ def symmetric_offdiagonal_cosines(stack: np.ndarray) -> np.ndarray:
         denom = d[:, :, None] * d[:, None, :]
         off = np.abs(stack - diag)
         cos = off / denom
-    floor = np.finfo(np.float64).eps * scale
+    floor = _member_column(noise) * scale
     cos[~np.isfinite(cos)] = 0.0
     # Significant element over a vanishing diagonal: force a rotation.
     cos[(off > floor) & (denom <= floor)] = 1.0
     cos[off <= floor] = 0.0
+    exempt = _member_column(np.where(diag_floor > 0.0, diag_floor, -np.inf))
+    cos[np.fmin(dvals[:, :, None], dvals[:, None, :]) <= exempt] = 0.0
     return np.clip(cos, 0.0, 1.0).max(axis=(1, 2))
+
+
+def _member_column(values: float | np.ndarray) -> np.ndarray:
+    """A scalar or per-member ``(b,)`` value, broadcastable over ``(b, k, k)``."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1)
 
 
 def symmetric_offdiagonal_cosine(B: np.ndarray) -> float:

@@ -803,15 +803,27 @@ class FusedEVDSweeper:
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.B).all(axis=(1, 2))
 
-    def run_sweep(self, floor: np.ndarray):
+    def run_sweep(
+        self, floor: np.ndarray, noise: np.ndarray, diag_floor: np.ndarray
+    ):
         """One full sweep; returns ``(offs, rotations)`` with the stack
         restored to canonical order (``offs``: every member's Rutishauser
-        metric, from one stacked pass)."""
+        metric, from one stacked pass).
+
+        A pair rotates when its element is above the member's ``floor``
+        (``noise * ||B||_F`` of the input), its smaller diagonal is above
+        the member's ``diag_floor``, and its scaled element is above the
+        rotation tolerance (or its diagonal is at ``floor``). ``offs``
+        applies the same two floors; see
+        :func:`~repro.jacobi.convergence.symmetric_offdiagonal_cosines`.
+        """
         tol = self.cfg.tol
         nb = self.count
         k = self.k
         full = k // 2
         fl = floor[:, None]
+        # A diagonal floor of -inf exempts no pair the other tests rotate.
+        dfl = np.where(diag_floor > 0.0, diag_floor, -np.inf)[:, None]
         rotations = np.zeros(nb, dtype=np.int64)
         prods = np.empty((nb, k, full))
         B, JT, S1, S2, JS = self.B, self.JT, self.S1, self.S2, self.JS
@@ -829,7 +841,11 @@ class FusedEVDSweeper:
                 bii, bjj, bij, _ = _first_blocks(S2v, p, full)
                 mag = np.abs(bij)
                 denom = np.sqrt(np.abs(bii * bjj))
-                active = (mag > fl) & ((denom <= fl) | (mag > tol * denom))
+                active = (
+                    (mag > fl)
+                    & (np.fmin(bii, bjj) > dfl)
+                    & ((denom <= fl) | (mag > tol * denom))
+                )
                 if not active.any():
                     # Land the permutation; values are untouched.
                     B, S2 = S2, B
@@ -886,7 +902,8 @@ class FusedEVDSweeper:
         self.B, self.S1, self.S2 = S2, S1, B
         self._Bv, self._S2v = S2v, Bv
         self.JT, self.JS = JS, JT
-        return symmetric_offdiagonal_cosines(self.B), rotations
+        offs = symmetric_offdiagonal_cosines(self.B, noise, diag_floor)
+        return offs, rotations
 
     def extract(
         self,

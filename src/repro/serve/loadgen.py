@@ -70,8 +70,9 @@ class LoadSpec:
     deadline_ms:
         Optional per-request relative deadline.
     verify_every:
-        Spot-check cadence: every ``n``-th completed request per worker
-        is re-solved standalone and compared bit-for-bit (0 disables).
+        Spot-check cadence: every ``n``-th request the run completes,
+        whichever worker completes it, is re-solved standalone and
+        compared bit-for-bit (0 disables).
     """
 
     requests: int = 200
@@ -129,6 +130,23 @@ class LoadReport:
         }
 
 
+class _Cadence:
+    """The run-wide spot-check counter the workers share."""
+
+    def __init__(self, every: int) -> None:
+        self.every = every
+        self._completed = 0
+        self._lock = threading.Lock()
+
+    def due(self) -> bool:
+        """Count one completed request; whether it is to be verified."""
+        if not self.every:
+            return False
+        with self._lock:
+            self._completed += 1
+            return self._completed % self.every == 0
+
+
 class _Worker:
     """One closed-loop caller: submit, wait, repeat."""
 
@@ -139,12 +157,14 @@ class _Worker:
         index: int,
         count: int,
         barrier: threading.Barrier,
+        cadence: _Cadence,
     ) -> None:
         self.server = server
         self.spec = spec
         self.index = index
         self.count = count
         self.barrier = barrier
+        self.cadence = cadence
         self.completed = 0
         self.failed = 0
         self.overload_retries = 0
@@ -199,7 +219,7 @@ class _Worker:
                     self.errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             self.completed += 1
-            if spec.verify_every and self.completed % spec.verify_every == 0:
+            if self.cadence.due():
                 self._verify(matrix, result)
 
     def _verify(self, matrix: np.ndarray, result) -> None:
@@ -239,8 +259,9 @@ def run_closed_loop(
     ]
     counts = [c for c in counts if c]
     barrier = threading.Barrier(len(counts) + 1)
+    cadence = _Cadence(spec.verify_every)
     workers = [
-        _Worker(server, spec, w, count, barrier)
+        _Worker(server, spec, w, count, barrier, cadence)
         for w, count in enumerate(counts)
     ]
     threads = [

@@ -8,6 +8,24 @@ import pytest
 from repro.gpusim import V100
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-slow",
+        action="store_true",
+        help="also run the tests marked slow (the full accuracy oracle)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Tier-1 deselects the tests marked slow; ``--run-slow`` runs them."""
+    if config.getoption("--run-slow"):
+        return
+    slow = [item for item in items if "slow" in item.keywords]
+    if slow:
+        config.hook.pytest_deselected(items=slow)
+        items[:] = [item for item in items if "slow" not in item.keywords]
+
+
 @pytest.fixture(autouse=True, scope="session")
 def _sanitizer_leak_check():
     """Under ``REPRO_SANITIZE=1``, fail the session if any shared-memory

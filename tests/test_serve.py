@@ -443,3 +443,27 @@ class TestWCycleDispatch:
             reference = wcycle.decompose_batch(mats)
         for got, want in zip(served, reference):
             assert np.array_equal(got.S, want.S)
+
+
+class TestLoadgenSpotChecks:
+    def test_cadence_counts_over_the_whole_run(self):
+        # The CI smoke spec: each of the 16 threads completes 12 or 13
+        # requests, so a per-thread count to 25 would verify none of them.
+        # A short switch interval interleaves the threads' shared count
+        # often; a lost update would verify fewer than 8.
+        import sys
+
+        from repro.serve import LoadSpec, run_closed_loop
+
+        spec = LoadSpec(requests=200, concurrency=16, verify_every=25)
+        config = ServeConfig(max_batch=32, max_wait_ms=2.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SVDServer(config, runtime="serial") as server:
+                report = run_closed_loop(server, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.completed == 200, report.errors
+        assert report.verified == 8
+        assert report.mismatches == 0, report.errors

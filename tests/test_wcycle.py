@@ -301,6 +301,9 @@ class TestConvergenceFailure:
         # One EVD sweep cannot converge the 16x16 Grams of a 512x64 step;
         # the failing panels belong to matrices 1 and 2, four panels each.
         mats = [rng.standard_normal(s) for s in [(8, 8), (512, 64), (512, 64)]]
+        # The one-sweep budget binds the in-SM SVD of matrix 0 too: give it
+        # orthogonal columns, which one sweep converges.
+        mats[0] = np.diag(np.arange(8.0, 0.0, -1.0))
         solver = WCycleSVD(WCycleConfig(inner_max_sweeps=1), device="V100")
         with pytest.raises(ConvergenceError) as info:
             solver.decompose_batch(mats)
