@@ -9,20 +9,18 @@ rotations orthogonalize whole subspaces at once.
 from benchmarks.harness import record_table
 from repro import WCycleSVD
 from repro.baselines import CuSolverModel
-from repro.core.wcycle import WCycleConfig
 from repro.datasets import SUITESPARSE_MATRICES
 from repro.utils.matrices import random_with_condition
 
 SCALE = 4
 
 
-def compute(gram_cache: bool = False):
+def compute():
     spec = SUITESPARSE_MATRICES["impcol_d"]
     n = spec.cols // SCALE
     A = random_with_condition(spec.rows // SCALE, n, spec.condition, rng=42)
     cu_trace = CuSolverModel("V100").decompose(A).trace
-    config = WCycleConfig(gram_cache=gram_cache)
-    w_trace = WCycleSVD(config, device="V100").decompose(A).trace
+    w_trace = WCycleSVD(device="V100").decompose(A).trace
     depth = max(len(cu_trace), len(w_trace))
     rows = []
     for k in range(depth):
@@ -62,9 +60,3 @@ def test_fig15a_accuracy(benchmark):
         "decrease monotonically toward working accuracy.",
     )
     _check(rows)
-
-
-def test_fig15a_accuracy_gram_cache():
-    """The Gram-cached kernel path changes where inner products come from
-    but not the accuracy story: the same Fig. 15(a) bars must hold."""
-    _check(compute(gram_cache=True))

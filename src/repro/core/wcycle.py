@@ -66,7 +66,7 @@ from repro.jacobi.convergence import gram_offdiagonal_cosine
 from repro.jacobi.factors import complete_square_orthogonal, finalize_stack
 from repro.jacobi.onesided_block import column_blocks
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
-from repro.jacobi.preconditioning import worth_preconditioning
+from repro.jacobi.preconditioning import qr_detour, safe_exponent, unshift
 from repro.orderings import Ordering, get_ordering, sweep_schedule
 from repro.runtime import sanitize
 from repro.runtime.executor import (
@@ -108,8 +108,8 @@ _LEAF_STOP_FIRST = 1e-2
 
 _EPS = np.finfo(np.float64).eps
 
-#: A large matrix made ready for its bucket: ``(work, Q, flipped)``.
-_Prepared = tuple[np.ndarray, np.ndarray | None, bool]
+#: A large matrix made ready for its bucket: ``(work, Q, flipped, shift)``.
+_Prepared = tuple[np.ndarray, np.ndarray | None, bool, int]
 
 #: One launch a bucket solve recorded: ``(key, kind, level, inputs,
 #: stats)``. ``key`` orders launches as a serial solve records them; ``kind``
@@ -171,11 +171,6 @@ class WCycleConfig:
         float pins it, ``None`` uses the GCD rule.
     cache_inner_products / transpose_wide / parallel_evd:
         Kernel optimization switches (ablations D1, D6, D3).
-    gram_cache:
-        Run the in-SM SVD kernel's sweeps off a full Gram-matrix cache
-        (:attr:`repro.jacobi.onesided_vector.OneSidedConfig.gram_cache`).
-        Requires ``cache_inner_products``; same accuracy contract, not
-        bit-identical to the default path.
     qr_precondition:
         Factor tall matrices as ``A = QR`` and run the W-cycle on the
         ``n x n`` triangular factor (refs [5], [42]) — an optional
@@ -214,7 +209,6 @@ class WCycleConfig:
     tlp_threshold: float | None = None
     alpha: float | str | None = "auto"
     cache_inner_products: bool = True
-    gram_cache: bool = False
     transpose_wide: bool = True
     parallel_evd: bool = True
     qr_precondition: bool = False
@@ -231,10 +225,6 @@ class WCycleConfig:
         if self.max_sweeps < 1:
             raise ConfigurationError(
                 f"max_sweeps must be >= 1, got {self.max_sweeps}"
-            )
-        if self.gram_cache and not self.cache_inner_products:
-            raise ConfigurationError(
-                "gram_cache requires cache_inner_products=True"
             )
         if self.w1 is not None and self.w1 < 1:
             raise ConfigurationError(f"w1 must be >= 1, got {self.w1}")
@@ -379,20 +369,27 @@ class WCycleSVD:
         )
 
     def _prepare(self, A: np.ndarray) -> _Prepared:
-        """The working matrix of a large ``A``: ``(work, Q, flipped)``.
+        """The working matrix of a large ``A``: ``(work, Q, flipped,
+        shift)``.
 
-        ``work`` is ``A`` transposed when wide, replaced under
+        ``work`` is ``A`` shifted by ``2^-shift`` when its scale would
+        over- or underflow the sweeps
+        (:func:`~repro.jacobi.preconditioning.safe_exponent`, else
+        ``shift`` is 0), transposed when wide, and replaced under
         ``qr_precondition`` by the triangular factor ``R`` of a tall enough
         one (``Q`` is then its orthonormal factor, else ``None``). It may
         be a view of ``A``: the solve copies before it mutates.
         """
         cfg = self.config
+        shift = safe_exponent(A)
+        if shift:
+            A = np.ldexp(A, -shift)
         flip = cfg.transpose_wide and A.shape[0] < A.shape[1]
         work = A.T if flip else A
         q = None
-        if cfg.qr_precondition and worth_preconditioning(*work.shape):
-            q, work = np.linalg.qr(work, mode="reduced")
-        return work, q, flip
+        if cfg.qr_precondition:
+            q, work = qr_detour(work)
+        return work, q, flip, shift
 
     def _run_large(
         self,
@@ -639,7 +636,7 @@ class WCycleSVD:
         records = ProfileReport()
         rotations = {}
         for i in bucket:
-            work, q, flip = prepared[i]
+            work, q, flip, shift = prepared[i]
             try:
                 (res,), log, solo_rotations = serial._solve_unit(
                     [work], (i,), count
@@ -660,7 +657,7 @@ class WCycleSVD:
                     attempts=attempts + 1,
                     recovered=True,
                 )
-            results.append(_finish(res, q, flip))
+            results.append(_finish(res, q, flip, shift))
             records.extend(self._replay([log]))
             rotations = _summed([rotations, solo_rotations])
         return results, records, rotations
@@ -719,7 +716,6 @@ class WCycleSVD:
                 SMSVDKernelConfig(
                     alpha=cfg.alpha,
                     cache_inner_products=cfg.cache_inner_products,
-                    gram_cache=cfg.gram_cache,
                     transpose_wide=cfg.transpose_wide,
                     tol=_LEAF_TOL,
                     max_sweeps=cfg.inner_max_sweeps,
@@ -1116,13 +1112,15 @@ class WCycleSVD:
         return results
 
 
-def _finish(res: SVDResult, q: np.ndarray | None, flip: bool) -> SVDResult:
+def _finish(
+    res: SVDResult, q: np.ndarray | None, flip: bool, shift: int
+) -> SVDResult:
     """Map a working matrix's factors back to its caller's matrix."""
     if q is not None:
         res = SVDResult(U=q @ res.U, S=res.S, V=res.V, trace=res.trace)
     if flip:
         res = SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
-    return res
+    return unshift(res, shift)
 
 
 def _summed(counts: list[dict[int, int]]) -> dict[int, int]:

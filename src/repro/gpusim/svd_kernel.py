@@ -4,7 +4,11 @@ One thread block per matrix; each column-pair orthogonalization is assigned
 to ``α`` of a warp; the Eq. 6 inner-product cache removes two of the three
 dot products per rotation. The real math is
 :class:`repro.jacobi.OneSidedJacobiSVD`; this module adds the resource
-checks and the cost accounting of the kernel a GPU would run.
+checks and the cost accounting of the kernel a GPU would run. For a tall
+matrix (``m >= 2n``) the host applies the kernel's rotations to its
+triangular factor ``R`` (:func:`repro.jacobi.preconditioning.qr_detour`),
+which in exact arithmetic needs the same rotations; the cost below is
+charged on the ``m x n`` matrix with the observed sweep count either way.
 
 Cost formulas (per matrix of shape ``m x n`` with ``n <= m`` after the
 transpose-when-wide rule, per sweep; pairs = n(n-1)/2):
@@ -52,10 +56,6 @@ class SMSVDKernelConfig:
         approximates (second method).
     cache_inner_products:
         Eq. 6 optimization (ablation D1).
-    gram_cache:
-        Carry the full Gram matrix across rotations instead of just the
-        squared norms (see :attr:`repro.jacobi.onesided_vector.
-        OneSidedConfig.gram_cache`). Requires ``cache_inner_products``.
     transpose_wide:
         Factor ``A.T`` when ``m < n`` (ablation D6).
     tol / max_sweeps / ordering:
@@ -64,7 +64,6 @@ class SMSVDKernelConfig:
 
     alpha: float | str | None = None
     cache_inner_products: bool = True
-    gram_cache: bool = False
     transpose_wide: bool = True
     tol: float = 1e-14
     max_sweeps: int = 60
@@ -171,7 +170,6 @@ class BatchedSVDKernel:
                 max_sweeps=cfg.max_sweeps,
                 ordering=cfg.ordering,
                 cache_inner_products=cfg.cache_inner_products,
-                gram_cache=cfg.gram_cache,
                 transpose_wide=cfg.transpose_wide,
             ),
             executor=executor,

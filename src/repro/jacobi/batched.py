@@ -23,6 +23,15 @@ Per-matrix independence is preserved exactly:
   the per-matrix solvers to the last bit in practice and to ``<= 1e-12``
   by contract.
 
+A tall bucket (``m >= 2n``) is swept as the ``n x n`` triangular factors
+of one stacked QR and mapped back as ``W = Q @ W_R``
+(:func:`~repro.jacobi.preconditioning.qr_detour`), the detour the
+per-matrix solver takes too, so a rotation touches ``n`` rows instead of
+``m``. A matrix whose largest entry is far from 1 is shifted by an exact
+power of two before it is bucketed, and its singular values are shifted
+back when its factors are placed
+(:func:`~repro.jacobi.preconditioning.safe_exponent`).
+
 Data-dependent schedules (the ``dynamic`` ordering) and the sequential
 two-sided EVD cannot share one schedule across a bucket; those fall back to
 the per-matrix solvers.
@@ -73,6 +82,7 @@ from repro.jacobi.fused import (
 )
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
+from repro.jacobi.preconditioning import qr_detour, safe_exponent, unshift
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
 from repro.orderings import Ordering, get_ordering
 from repro.runtime import faults
@@ -173,13 +183,15 @@ def _place_svd(
     indices: Sequence[int],
     finalized: list[SVDResult],
     transposed: list[bool],
+    shifts: list[int],
 ) -> None:
     """Store ``finalized[pos]`` as ``results[indices[pos]]``, swapping
-    ``U`` and ``V`` back for matrices solved transposed."""
+    ``U`` and ``V`` back for matrices solved transposed and scaling ``S``
+    back for matrices solved shifted."""
     for i, res in zip(indices, finalized):
         if transposed[i]:
             res = SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
-        results[i] = res
+        results[i] = unshift(res, shifts[i])
 
 
 def _nan_svd_result(shape: tuple[int, int]) -> SVDResult:
@@ -262,15 +274,31 @@ class StackedOneSidedJacobi:
         ``kernel_times`` (optional) accumulates the fused executors'
         per-segment kernel-time breakdown; see
         :class:`repro.jacobi.fused.KernelTimes`.
+
+        A tall stack (``m >= 2n``) is swept as the triangular factors of
+        one stacked QR, and ``W = Q @ W_R`` is returned
+        (:func:`~repro.jacobi.preconditioning.qr_detour`), exactly as the
+        per-matrix solver does it.
         """
         if on_failure not in _STACK_MODES:
             raise ConfigurationError(
                 f"on_failure must be one of {_STACK_MODES}, got {on_failure!r}"
             )
-        report_mode = on_failure == "report"
+        stop = _stop_array(stop, self.config.tol, len(stack))
+        Q, R = qr_detour(stack)
+        out = self._sweep_stack(
+            R, stack.shape[1], stop, on_failure == "report", kernel_times
+        )
+        if Q is None:
+            return out
+        return (Q @ out[0], *out[1:])
+
+    def _sweep_stack(self, stack, rows, stop, report_mode, kernel_times):
+        """The sweeps of :meth:`solve_stack` over ``stack`` (the ``R``
+        factors of a tall input); ``rows`` is the input's row count, which
+        sets the column floor."""
         b, m, n = stack.shape
         cfg = self.config
-        stop = _stop_array(stop, cfg.tol, b)
         traces = [ConvergenceTrace() for _ in range(b)]
         failures: list[tuple[int, Exception]] = []
         out_W = stack.copy()
@@ -322,7 +350,7 @@ class StackedOneSidedJacobi:
                     # Eq. 6 is exact in real arithmetic but accumulates
                     # rounding.
                     sweeper.refresh_norms()
-                norm_floor = (_EPS * max(m, n)) ** 2 * sweeper.scale()
+                norm_floor = (_EPS * max(rows, n)) ** 2 * sweeper.scale()
                 max_cos, rotations = sweeper.run_sweep(norm_floor)
                 if kernel_times is not None:
                     kernel_times.sweeps += 1
@@ -669,16 +697,20 @@ class BatchedJacobiEngine:
                     )
                     out.append(_nan_svd_result(a.shape))
             return out
+        # Each matrix is solved transposed when wide, and shifted by a
+        # power of two when its scale would over- or underflow the sweeps.
         work: list[np.ndarray] = []
         transposed: list[bool] = []
+        shifts: list[int] = []
         for a in mats:
             m, n = a.shape
-            if cfg.transpose_wide and m < n:
-                work.append(a.T)
-                transposed.append(True)
-            else:
-                work.append(a)
-                transposed.append(False)
+            shift = safe_exponent(a)
+            if shift:
+                a = np.ldexp(a, -shift)
+            flip = cfg.transpose_wide and m < n
+            work.append(a.T if flip else a)
+            transposed.append(flip)
+            shifts.append(shift)
         results: list[SVDResult | None] = [None] * len(mats)
         units = self._plan_units(bucket_by_shape([w.shape for w in work]))
         costs = [svd_stack_cost(shape, len(chunk)) for shape, chunk in units]
@@ -691,10 +723,13 @@ class BatchedJacobiEngine:
                 if isinstance(out_unit, TaskError):
                     self._quarantine_svd_unit(
                         work, stops, chunk, out_unit, results, transposed,
-                        report,
+                        shifts, report,
                     )
                     continue
-                _place_svd(results, chunk, finalize_stack(*out_unit), transposed)
+                _place_svd(
+                    results, chunk, finalize_stack(*out_unit), transposed,
+                    shifts,
+                )
         finally:
             # finalize_stack copies out of the adopted views (take along
             # the sorted order), so the leased output slots can go back now.
@@ -709,6 +744,7 @@ class BatchedJacobiEngine:
         task_error: TaskError,
         results: list[SVDResult | None],
         transposed: list[bool],
+        shifts: list[int],
         report: FailureReport,
     ) -> None:
         """Recover a failed unit without giving up its healthy matrices.
@@ -733,13 +769,14 @@ class BatchedJacobiEngine:
                 Ws[healthy], Vs[healthy], [traces[pos] for pos in healthy]
             ),
             transposed,
+            shifts,
         )
         for pos in sorted(failed):
             i = chunk[pos]
             res = self._reference_svd_resolve(
                 work[i], i, failed[pos], base_attempts + 1, report
             )
-            _place_svd(results, [i], [res], transposed)
+            _place_svd(results, [i], [res], transposed, shifts)
 
     def _reference_svd_resolve(
         self,

@@ -34,15 +34,10 @@ permutation. The builder self-validates against the ordering's emitted
 schedule and falls back to the gather plan when the schedule deviates
 (e.g. a deduplicated phase).
 
-**Gram caching** (``OneSidedConfig.gram_cache``). Optionally the full Gram
-matrix ``G = W^T W`` is maintained across rotations with O(n)-per-pair
-congruence updates, so each step reads ``a_ij``, ``a_ii``, ``a_jj``
-directly from ``G`` instead of recomputing length-``m`` dot products. The
-existing per-sweep exact refresh is retained (``G`` is rebuilt from ``W``
-at every sweep start). This trades the per-step ``O(b p m)`` inner-product
-einsum for ``O(b n p)`` cache updates — profitable for very tall stacks —
-and is *not* bit-identical to the reference solver (same accuracy contract,
-exercised by the figure-level tests).
+**Tall stacks arrive as their triangular factors.** The stacked solver
+hands a tall stack (``m >= 2n``) to the sweeper as its ``n x n`` factors
+``R`` (:func:`repro.jacobi.preconditioning.qr_detour`), so a step's
+inner products and rotations run on fewer than ``2n`` rows.
 
 Plans (step permutations, index arrays, orientation masks) are immutable
 and memoized per ``(ordering, n)``; rotation scratch buffers are pooled per
@@ -91,8 +86,7 @@ class KernelTimes:
 
     Segments mirror the GPU kernel phases of the paper's batched solver:
 
-    - ``gram``: inner products (``a_ij`` einsums or Gram-cache reads and
-      congruence updates);
+    - ``gram``: the inner products (``a_ij`` einsums);
     - ``rotate``: layout gathers/restores, rotation-parameter math (Eq. 4)
       and the fused rotation einsums;
     - ``norms``: Eq. 6 squared-norm updates and the per-sweep exact
@@ -141,7 +135,7 @@ class GatherStep:
     ``gather`` maps the *previous* step's layout into this step's layout
     (compositions are pre-folded, so each step costs one ``np.take``).
     ``idx_i``/``idx_j`` are the canonical column ids of the step's pairs,
-    in slot order — the Gram-cache path indexes ``G`` with them.
+    in slot order.
     """
 
     n_pairs: int
@@ -369,8 +363,7 @@ class FusedSVDSweeper:
     ``(p, 2, 2, b)`` rotation blocks, so a step needs no transposes. A
     sweep runs under a single ``np.errstate``.
 
-    Bit-identical to :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD`
-    except under ``gram_cache`` (documented accuracy contract instead).
+    Bit-identical to :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD`.
     """
 
     def __init__(
@@ -400,7 +393,6 @@ class FusedSVDSweeper:
         # T[0, 0, 0] is W[0, 0, 0] of matrix 0.
         faults.poison_stack(T)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
-        self.G: np.ndarray | None = None
         self._norms()
 
     # -- driver protocol -------------------------------------------------
@@ -414,8 +406,7 @@ class FusedSVDSweeper:
 
     def refresh_norms(self) -> None:
         """Per-sweep exact refresh (Eq. 6 drift control), as in the
-        reference solver; under ``gram_cache`` the whole Gram matrix is
-        rebuilt from ``W``."""
+        reference solver."""
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
         self._norms()
@@ -467,11 +458,7 @@ class FusedSVDSweeper:
         self.VT = np.compress(keep, self.VT, axis=1)
         self.S = np.empty_like(self.T)
         self.VS = np.empty_like(self.VT)
-        if self.G is not None:
-            self.G = _compact_rows(self.G, keep)
-            self.sqnorms = np.einsum("bii->bi", self.G).T
-        else:
-            self.sqnorms = np.compress(keep, self.sqnorms, axis=1)
+        self.sqnorms = np.compress(keep, self.sqnorms, axis=1)
 
     def close(self) -> None:
         for buf in self._pooled:
@@ -481,21 +468,16 @@ class FusedSVDSweeper:
     # -- internals -------------------------------------------------------
 
     def _norms(self) -> None:
-        """Exact squared column norms (and under ``gram_cache`` the Gram
-        matrix), stored slot-major as ``(n, b)``.
+        """Exact squared column norms, stored slot-major as ``(n, b)``.
 
         The einsum reduces over the rows of the C-contiguous ``(b, m, n)``
         stack, the memory order the reference reduces in, so every bit of
         the norms matches; the result is then laid out slot-major.
         """
         Wc = np.ascontiguousarray(self.T.transpose(1, 2, 0))
-        if self.cfg.gram_cache:
-            self.G = np.matmul(Wc.transpose(0, 2, 1), Wc)
-            self.sqnorms = np.einsum("bii->bi", self.G).T
-        else:
-            self.sqnorms = np.ascontiguousarray(
-                np.einsum("bij,bij->bj", Wc, Wc).T
-            )
+        self.sqnorms = np.ascontiguousarray(
+            np.einsum("bij,bij->bj", Wc, Wc).T
+        )
 
     def _rotation_params(self, aii, ajj, aij, floor, max_cos, c, s):
         """Eq. 4 rotation parameters of one step's ``(p, b)`` pairs, in
@@ -518,45 +500,9 @@ class FusedSVDSweeper:
         c, s = rotation_cs_quiet(aii, ajj, aij, rotate, c, s)
         return rotate, c, s
 
-    def _gram_pairs(self, step):
-        """``(a_ij, a_ii, a_jj)`` of a step's pairs read from ``G``,
-        slot-major."""
-        G = self.G
-        idx_i, idx_j = step.idx_i, step.idx_j
-        return (
-            G[:, idx_i, idx_j].T,
-            G[:, idx_i, idx_i].T,
-            G[:, idx_j, idx_j].T,
-        )
-
-    def _gram_update(self, step, rotate, c, s) -> None:
-        """Congruence-update ``G`` for one step's rotations (O(n) per pair)."""
-        G = self.G
-        idx_i = step.idx_i
-        idx_j = step.idx_j
-        c = c.T
-        s = s.T
-        cb = c[:, None, :]
-        sb = s[:, None, :]
-        Gi = G[:, :, idx_i]
-        Gj = G[:, :, idx_j]
-        G[:, :, idx_i] = cb * Gi + sb * Gj
-        G[:, :, idx_j] = -sb * Gi + cb * Gj
-        cr = c[:, :, None]
-        sr = s[:, :, None]
-        Ri = G[:, idx_i, :]
-        Rj = G[:, idx_j, :]
-        G[:, idx_i, :] = cr * Ri + sr * Rj
-        G[:, idx_j, :] = -sr * Ri + cr * Rj
-        # The rotation annihilates a_ij exactly in exact arithmetic.
-        bsel, psel = np.nonzero(rotate.T)
-        G[bsel, idx_i[psel], idx_j[psel]] = 0.0
-        G[bsel, idx_j[psel], idx_i[psel]] = 0.0
-
     def _sweep_gather(self, floor: np.ndarray):
         cfg = self.cfg
         kt = self._kt
-        gram = self.G is not None
         cache = cfg.cache_inner_products
         nb = self.count
         m, n = self.m, self.n
@@ -575,18 +521,15 @@ class FusedSVDSweeper:
             A = T[:k].reshape(p, 2, nb, m)
             if kt:
                 t0 = kt.lap(t0, "rotate")
-            if gram:
-                aij, aii, ajj = self._gram_pairs(step)
+            aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
+            if cache:
+                sqnorms = sqnorms.take(step.gather, axis=0)
+                sq = sqnorms[:k].reshape(p, 2, nb)
+                aii = sq[:, 0]
+                ajj = sq[:, 1]
             else:
-                aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
-                if cache:
-                    sqnorms = sqnorms.take(step.gather, axis=0)
-                    sq = sqnorms[:k].reshape(p, 2, nb)
-                    aii = sq[:, 0]
-                    ajj = sq[:, 1]
-                else:
-                    aii = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
-                    ajj = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
+                aii = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
+                ajj = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
             if kt:
                 t0 = kt.lap(t0, "gram")
             R = np.empty((p, 2, 2, nb))
@@ -610,9 +553,7 @@ class FusedSVDSweeper:
             VT, VS = VS, VT
             if kt:
                 t0 = kt.lap(t0, "rotate")
-            if gram:
-                self._gram_update(step, rotate, c, s)
-            elif cache:
+            if cache:
                 # Eq. 6; aii/ajj are views into sqnorms, so both updates
                 # are computed before either slot is overwritten.
                 sq[:, 0], sq[:, 1] = _eq6_norms(c, s, aii, ajj, aij)
@@ -626,7 +567,6 @@ class FusedSVDSweeper:
     def _sweep_neighbor(self, floor: np.ndarray):
         cfg = self.cfg
         kt = self._kt
-        gram = self.G is not None
         cache = cfg.cache_inner_products
         nb = self.count
         m, n = self.m, self.n
@@ -643,19 +583,16 @@ class FusedSVDSweeper:
             end = off + k
             A = T[off:end].reshape(p, 2, nb, m)
             sq = None
-            if gram:
-                aij, aii, ajj = self._gram_pairs(step)
+            aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
+            if cache:
+                sq = sqnorms[off:end].reshape(p, 2, nb)
+                e0 = sq[:, 0]
+                e1 = sq[:, 1]
             else:
-                aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
-                if cache:
-                    sq = sqnorms[off:end].reshape(p, 2, nb)
-                    e0 = sq[:, 0]
-                    e1 = sq[:, 1]
-                else:
-                    e0 = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
-                    e1 = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
-                aii = np.where(ot, e1, e0)
-                ajj = np.where(ot, e0, e1)
+                e0 = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
+                e1 = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
+            aii = np.where(ot, e1, e0)
+            ajj = np.where(ot, e0, e1)
             if kt:
                 t0 = kt.lap(t0, "gram")
             R = np.empty((p, 2, 2, nb))
@@ -704,9 +641,7 @@ class FusedSVDSweeper:
             VT, VS = VS, VT
             if kt:
                 t0 = kt.lap(t0, "rotate")
-            if gram:
-                self._gram_update(step, rotate, c, s)
-            elif cache:
+            if cache:
                 new_i, new_j = _eq6_norms(c, s, aii, ajj, aij)
                 # Slot 0 now holds the (swapped-in) other column of the
                 # pair; write the updated norms swap-folded to match.

@@ -1,7 +1,13 @@
 """One-sided Jacobi SVD with column *vector* rotations (paper §II-C, §IV-B).
 
-This is the algorithm the batched SVD kernel runs inside GPU shared memory.
-Two paper optimizations are implemented and individually switchable:
+This is the algorithm the batched SVD kernel runs inside GPU shared memory,
+up to one host-side detour: a tall matrix (``m >= 2n``) is factored as
+``A = QR`` and the rotations run on ``R``, which needs the same rotations
+in exact arithmetic since ``R^T R = A^T A``
+(:func:`repro.jacobi.preconditioning.qr_detour`). Inputs whose largest
+entry is far from 1 are shifted by an exact power of two first
+(:func:`repro.jacobi.preconditioning.safe_exponent`). Two paper
+optimizations are implemented and individually switchable:
 
 - **transpose-when-wide** (§IV-B): for ``m < n`` the SVD of ``A.T`` is
   computed instead, halving the number of column pairs per sweep;
@@ -21,6 +27,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.jacobi.factors import finalize_onesided
+from repro.jacobi.preconditioning import qr_detour, safe_exponent, unshift
 from repro.jacobi.rotations import rotation_cs
 from repro.orderings import Ordering, get_ordering
 from repro.types import ConvergenceTrace, SVDResult
@@ -48,14 +55,6 @@ class OneSidedConfig:
         Enable the Eq. 6 optimization (ablation switch D1).
     transpose_wide:
         Factor ``A.T`` when ``m < n`` (ablation switch D6).
-    gram_cache:
-        Maintain the full Gram matrix ``G = W^T W`` across rotations
-        (O(n) updates per pair, exact per-sweep refresh) so the fused
-        executor reads every step's inner products from ``G`` instead of
-        recomputing ``a_ij`` dot products of length ``m``. Pays off for
-        very tall stacks (``m >> n``); not bit-identical to this solver
-        (same accuracy contract). Requires ``cache_inner_products=True``.
-        Only affects :class:`repro.jacobi.batched.StackedOneSidedJacobi`.
     """
 
     tol: float = 1e-14
@@ -63,7 +62,6 @@ class OneSidedConfig:
     ordering: str = "round-robin"
     cache_inner_products: bool = True
     transpose_wide: bool = True
-    gram_cache: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tol < 1.0):
@@ -71,11 +69,6 @@ class OneSidedConfig:
         if self.max_sweeps < 1:
             raise ConfigurationError(
                 f"max_sweeps must be >= 1, got {self.max_sweeps}"
-            )
-        if self.gram_cache and not self.cache_inner_products:
-            raise ConfigurationError(
-                "gram_cache maintains the inner-product cache as a full "
-                "Gram matrix; it requires cache_inner_products=True"
             )
 
 
@@ -118,30 +111,42 @@ class OneSidedJacobiSVD:
     def decompose(self, A: np.ndarray) -> SVDResult:
         """Compute the thin SVD ``A = U @ diag(S) @ V.T``."""
         A = as_matrix(A)
+        shift = safe_exponent(A)
+        if shift:
+            A = np.ldexp(A, -shift)
         m, n = A.shape
         if self.config.transpose_wide and m < n:
             inner = self._factorize_tall(A.T.copy())
-            return SVDResult(U=inner.V, S=inner.S, V=inner.U, trace=inner.trace)
-        return self._factorize_tall(A.copy())
+            res = SVDResult(U=inner.V, S=inner.S, V=inner.U, trace=inner.trace)
+        else:
+            res = self._factorize_tall(A.copy())
+        return unshift(res, shift)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
     def _factorize_tall(self, W: np.ndarray) -> SVDResult:
-        """Factorize ``W`` (modified in place); no transposition logic here."""
+        """Factorize ``W`` (modified in place); no transposition logic here.
+
+        A tall ``W`` is swept as its triangular factor ``R`` and mapped
+        back as ``Q @ W_R`` (:func:`~repro.jacobi.preconditioning.qr_detour`).
+        """
         m, n = W.shape
         V = np.eye(n)
         trace = ConvergenceTrace()
         self.last_stats = _SweepStats()
         if n == 1:
             return self._finalize(W, V, trace)
-        self._run_sweeps(W, V, trace)
-        return self._finalize(W, V, trace)
+        Q, R = qr_detour(W)
+        self._run_sweeps(R, V, trace, rows=m)
+        return self._finalize(R if Q is None else Q @ R, V, trace)
 
     def _run_sweeps(
-        self, W: np.ndarray, V: np.ndarray, trace: ConvergenceTrace
+        self, W: np.ndarray, V: np.ndarray, trace: ConvergenceTrace, rows: int
     ) -> None:
+        """Sweep ``W`` in place; ``rows`` is the row count of the matrix
+        being factorized, which sets the column floor."""
         cfg = self.config
         n = W.shape[1]
         dynamic = self._dynamic
@@ -163,7 +168,7 @@ class OneSidedJacobiSVD:
             # values; pairs touching them are skipped (their cosine is
             # noise/noise and would never drop below tol).
             scale = float(sqnorms.max())
-            norm_floor = (eps * max(W.shape)) ** 2 * scale
+            norm_floor = (eps * max(rows, n)) ** 2 * scale
             max_cosine = 0.0
             sweep_rotations = 0
             if dynamic is None:

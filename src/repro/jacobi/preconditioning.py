@@ -1,22 +1,37 @@
-"""QR preconditioning for one-sided Jacobi (paper refs [5], [42]).
+"""QR preconditioning for one-sided Jacobi (paper refs [5], [42]), and the
+power-of-two prescale that keeps the sweeps' products in range.
 
 For a tall ``m x n`` matrix, factorizing ``A = Q R`` first and running the
 Jacobi SVD on the small ``n x n`` triangular factor is the classic
-preconditioning of Kudo & Yamamoto / Bečka et al.: the per-rotation cost
-drops from O(m) to O(n), and QR's row compression tends to concentrate the
-column norms, which speeds Jacobi convergence. The left vectors come back
-via ``U = Q @ U_R``.
+preconditioning of Kudo & Yamamoto / Bečka et al.: each rotation is computed
+from the Gram entries of its column pair only, and ``R^T R = A^T A``, so the
+sweeps over ``R`` rotate as those over ``A`` would in exact arithmetic, but
+each rotation touches ``n`` rows instead of ``m``. The left vectors come
+back via ``U = Q @ U_R``.
 
-This is an optional wrapper around any SVD solver exposing ``decompose``.
-:class:`repro.core.WCycleSVD` applies the same detour batch-wide under
+The one-sided solvers take this detour themselves:
+:class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD` and the stacked
+engine (:class:`~repro.jacobi.batched.StackedOneSidedJacobi`) pass every
+tall matrix or stack through :func:`qr_detour`, sweep ``R`` and map the
+orthogonalized columns back as ``W = Q @ W_R``. Stacked ``np.linalg.qr``
+and ``matmul`` compute each member exactly as the 2-D calls do, so the two
+solvers stay byte-identical.
+
+:func:`qr_precondition_decompose` is an optional wrapper around any SVD
+solver exposing ``decompose``. :class:`repro.core.WCycleSVD` applies
+:func:`qr_detour` to the whole W-cycle under
 ``WCycleConfig(qr_precondition=True)``: it factors every tall member,
 solves the ``R`` factors together in shape buckets, then maps
-``U = Q @ U_R`` back; it shares :func:`worth_preconditioning` with this
-wrapper, not the wrapper itself.
+``U = Q @ U_R`` back.
+
+:func:`safe_exponent` is the solvers' other input conditioning: a matrix
+whose largest entry is far from 1 is shifted by an exact power of two
+before its sweeps, and only its singular values are shifted back.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -25,10 +40,24 @@ from repro.errors import ConfigurationError
 from repro.types import SVDResult
 from repro.utils.validation import as_matrix
 
-__all__ = ["qr_precondition_decompose", "worth_preconditioning"]
+__all__ = [
+    "qr_detour",
+    "qr_precondition_decompose",
+    "safe_exponent",
+    "unshift",
+    "worth_preconditioning",
+]
 
 #: Default aspect ratio beyond which the QR detour pays for itself.
 DEFAULT_ASPECT_THRESHOLD = 2.0
+
+#: Largest ``|e|`` of ``max |a_ij| = f 2^e`` (``0.5 <= f < 1``) that the
+#: sweeps take unshifted. Every rotation test multiplies two squared column
+#: norms (``sqrt(a_ii a_jj)``). Within the window the largest product,
+#: ``(m max^2)^2 < m^2 2^800``, stays finite for any ``m`` below ``2^100``.
+#: Two columns above the column floor ``(eps m max)^2 >= 2^-104 2^-402``
+#: multiply to at least ``2^-1012``, above the smallest normal ``2^-1022``.
+_SAFE_EXPONENT = 200
 
 
 def worth_preconditioning(
@@ -45,6 +74,44 @@ def worth_preconditioning(
             f"aspect_threshold must be >= 1, got {aspect_threshold}"
         )
     return m >= aspect_threshold * n
+
+
+def qr_detour(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(Q, R)`` of a tall matrix or ``(b, m, n)`` stack, else ``(None, A)``.
+
+    The detour is taken when :func:`worth_preconditioning` holds (``m >=
+    2n``) and there are at least two columns to rotate. The caller sweeps
+    ``R`` (``n x n`` per member) and maps its orthogonalized columns back as
+    ``W = Q @ W_R``; the column floor of the sweeps stays that of ``A``.
+    """
+    m, n = A.shape[-2:]
+    if n < 2 or not worth_preconditioning(m, n):
+        return None, A
+    Q, R = np.linalg.qr(A, mode="reduced")
+    return Q, R
+
+
+def safe_exponent(A: np.ndarray) -> int:
+    """Power-of-two exponent to take out of ``A`` before sweeping it.
+
+    Returns the ``e`` of ``max |a_ij| = f 2^e`` (``0.5 <= f < 1``) when it
+    is outside the safe window (``|e| > 200``), else 0. ``np.ldexp(A, -e)``
+    is then exact, subnormal entries included, and brings the largest entry
+    into ``[0.5, 1)``. It costs one pass over ``A``, as the finite check
+    of :func:`~repro.utils.validation.as_matrix` does.
+    """
+    e = math.frexp(float(np.abs(A).max()))[1]
+    return e if abs(e) > _SAFE_EXPONENT else 0
+
+
+def unshift(res: SVDResult, exponent: int) -> SVDResult:
+    """Factors of ``2^exponent A`` from those of ``A``: only the singular
+    values scale, since ``U`` and ``V`` are scale-free."""
+    if not exponent:
+        return res
+    return SVDResult(
+        U=res.U, S=np.ldexp(res.S, exponent), V=res.V, trace=res.trace
+    )
 
 
 def qr_precondition_decompose(

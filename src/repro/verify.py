@@ -32,10 +32,11 @@ class SVDVerification:
 
     All metrics are relative/normalized; ``ok`` applies the default
     working-accuracy thresholds. ``sv_error_vs_lapack`` is each singular
-    value's error scaled by ``max(1, sigma_max)``; ``sv_relative_error``
-    scales it by the value itself (over the nonzero reference values),
-    which only relatively accurate solvers keep small on graded inputs.
-    ``ok`` does not read it.
+    value's error relative to ``sigma_max`` (absolute for a zero matrix),
+    so it means the same at every scale; ``sv_relative_error`` scales it
+    by the value itself (over the nonzero reference values), which only
+    relatively accurate solvers keep small on graded inputs. ``ok`` does
+    not read it.
     """
 
     reconstruction_error: float
@@ -88,7 +89,7 @@ def verify_svd(A: np.ndarray, result: SVDResult) -> SVDVerification:
     """Run the full check battery on ``result`` against ``A``."""
     A = as_matrix(A)
     ref = np.linalg.svd(A, compute_uv=False)
-    scale = max(1.0, float(ref[0]) if ref.size else 1.0)
+    scale = float(ref[0]) if ref.size and ref[0] > 0.0 else 1.0
     diff = np.abs(result.S - ref)
     sv_error = float(diff.max()) / scale if ref.size else 0.0
     nonzero = ref > 0.0

@@ -1,15 +1,13 @@
 """Fused sweep executors vs the per-matrix reference solvers.
 
 The fused executors of :mod:`repro.jacobi.fused` (pair-adjacent gather
-plans, the odd-even zero-gather specialization, and the Gram-cache path)
-promise the *same arithmetic in the same order* as the per-step loops of
+plans and the odd-even zero-gather specialization) promise the *same
+arithmetic in the same order* as the per-step loops of
 :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD` and
 :class:`~repro.jacobi.parallel_evd.ParallelJacobiEVD` wherever the
 reduction grouping is unchanged — so the contract tested here is bitwise
 equality of every stack member's finalized factors and trace with the
-reference solver's, not ``allclose``. The Gram-cache path changes how
-inner products are produced and is held to the accuracy contract
-instead.
+reference solver's, not ``allclose``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro import WCycleSVD
-from repro.errors import ConfigurationError
 from repro.jacobi.batched import (
     BatchedJacobiEngine,
     StackedOneSidedJacobi,
@@ -299,56 +296,6 @@ class TestSignedZeros:
         _assert_same_evd(
             engine.evd_batch([B, mate])[0], engine.evd_batch([B])[0], name
         )
-
-
-class TestGramCache:
-    def test_requires_inner_product_cache(self):
-        with pytest.raises(ConfigurationError):
-            OneSidedConfig(gram_cache=True, cache_inner_products=False)
-
-    def test_wcycle_config_mirrors_validation(self):
-        from repro.core.wcycle import WCycleConfig
-
-        with pytest.raises(ConfigurationError):
-            WCycleConfig(gram_cache=True, cache_inner_products=False)
-
-    def test_wcycle_accepts_gram_cache(self, rng):
-        from repro import WCycleSVD
-        from repro.core.wcycle import WCycleConfig
-
-        A = rng.standard_normal((24, 12))
-        res = WCycleSVD(WCycleConfig(gram_cache=True)).decompose(A)
-        assert res.reconstruction_error(A) < 1e-12
-
-    def test_accuracy_contract(self, rng):
-        """The Gram path is not bit-identical to the loop, but it must
-        meet the same accuracy contract as the reference solver."""
-        batch = [
-            rng.standard_normal((24, 8)),
-            rng.standard_normal((64, 12)),
-            rng.standard_normal((16, 16)),
-        ]
-        engine = BatchedJacobiEngine(OneSidedConfig(gram_cache=True))
-        results = engine.svd_batch(batch)
-        for A, res in zip(batch, results):
-            assert res.reconstruction_error(A) < 1e-12
-            want = np.linalg.svd(A, compute_uv=False)
-            np.testing.assert_allclose(res.S, want, rtol=0.0, atol=1e-10)
-            r = min(A.shape)
-            np.testing.assert_allclose(
-                res.U.T @ res.U, np.eye(r), rtol=0.0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                res.V.T @ res.V, np.eye(r), rtol=0.0, atol=1e-12
-            )
-
-    def test_gram_implies_fused(self, rng):
-        """gram_cache=True runs the fused executor's Gram path and stays
-        accurate on the odd-even plan."""
-        cfg = OneSidedConfig(gram_cache=True, ordering="odd-even")
-        A = rng.standard_normal((20, 8))
-        res = BatchedJacobiEngine(cfg).svd_batch([A])[0]
-        assert res.reconstruction_error(A) < 1e-12
 
 
 class TestSweepPlans:

@@ -14,6 +14,7 @@ from repro.jacobi.batched import (
     StackedParallelEVD,
 )
 from repro.jacobi.onesided_vector import OneSidedConfig
+from repro.jacobi.preconditioning import qr_detour
 from repro.jacobi.twosided_evd import TwoSidedConfig
 from repro.runtime import RuntimeConfig, get_executor
 
@@ -53,17 +54,20 @@ class TestStopNeverChangesARotation:
             W, V, (trace,) = solver.solve_stack(stack, stop=np.array([1e-2]))
             sweeps = trace.sweeps
             assert 1 < sweeps < solver.solve_stack(stack)[2][0].sweeps
-            # The tight side, driven sweep by sweep as solve_stack does.
-            sweeper = solver._make_sweeper(stack, None)
+            # The tight side, driven sweep by sweep as solve_stack does:
+            # on the triangular factor of the tall stack, at the column
+            # floor of the 24-row input.
+            Q, R = qr_detour(stack)
+            sweeper = solver._make_sweeper(R, None)
             try:
                 for _ in range(sweeps):
                     sweeper.refresh_norms()
                     sweeper.run_sweep((_EPS * 24) ** 2 * sweeper.scale())
-                want_W, want_V = np.empty_like(W), np.empty_like(V)
+                want_W, want_V = np.empty_like(R), np.empty_like(V)
                 sweeper.extract(want_W, want_V, np.arange(1), np.arange(1))
             finally:
                 sweeper.close()
-            assert W.tobytes() == want_W.tobytes()
+            assert W.tobytes() == (Q @ want_W).tobytes()
             assert V.tobytes() == want_V.tobytes()
 
     @pytest.mark.parametrize("gram_floors", [False, True])

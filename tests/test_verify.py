@@ -49,6 +49,16 @@ class TestVerifySvd:
         report = verify_svd(A, bad)
         assert report.sv_error_vs_lapack > 0.1
 
+    def test_wrong_values_detected_at_small_scale(self, rng):
+        """The singular-value check is relative to sigma_max, not
+        absolute below sigma_max = 1."""
+        A = rng.standard_normal((8, 5)) * 1e-100
+        res = lapack_svd(A)
+        bad = SVDResult(U=res.U, S=res.S * 1.5, V=res.V)
+        report = verify_svd(A, bad)
+        assert report.sv_error_vs_lapack > 0.1
+        assert not report.ok
+
     def test_summary_readable(self, rng):
         A = rng.standard_normal((6, 4))
         text = verify_svd(A, lapack_svd(A)).summary()

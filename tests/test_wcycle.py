@@ -206,7 +206,6 @@ BUCKET_CASES = {
     "round-robin": (WCycleConfig(), [(128, 64)] * 3),
     "odd-even": (WCycleConfig(ordering="odd-even"), [(128, 64)] * 3),
     "ring": (WCycleConfig(ordering="ring"), [(128, 64)] * 2),
-    "gram-cache": (WCycleConfig(gram_cache=True), [(128, 64)] * 2),
     "evd-group": (WCycleConfig(w1=16), [(220, 90)] * 2),
     "forced-recursion": (WCycleConfig(w1=48), [(100, 96)] * 2),
     "inner-sweeps-none": (

@@ -13,6 +13,11 @@ The shapes reach the three kinds of leaf: 128x64 steps solve in-SM SVDs,
 512x64 steps Gram EVDs, and 256x128 steps recurse. One seed of the first
 two runs in tier-1; the 256x128 cases and a second seed are marked
 ``slow`` and run with ``--run-slow``.
+
+The scale classes put a 16x8 (whole in shared memory), a 128x64 and a
+512x64 Gaussian at 1e-310 to 1e300 through one ``decompose_batch`` call,
+checked on the exactly rescaled input ``2^-e A``; two scales run in
+tier-1.
 """
 
 from __future__ import annotations
@@ -22,54 +27,15 @@ import pytest
 
 from repro import WCycleSVD
 from repro.verify import verify_svd
+from tests.helpers import (
+    GRADED,
+    INPUTS,
+    assert_meets_contract,
+    rescaled,
+)
 
 TOL = 1e-12
 
-
-def _with_sigma(rng, m, n, sigma):
-    """``U diag(sigma) V^T`` with random orthonormal bases."""
-    U, _ = np.linalg.qr(rng.standard_normal((m, n)))
-    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (U * sigma) @ V.T
-
-
-def _zero_columns(rng, m, n):
-    A = rng.standard_normal((m, n))
-    A[:, 3::7] = 0.0
-    return A
-
-
-#: Input classes: ``name -> build(rng, m, n)``, an ``m x n`` matrix (the
-#: wide class returns ``n x m``).
-INPUTS = {
-    "gaussian": lambda rng, m, n: rng.standard_normal((m, n)),
-    "cols-1e-5": lambda rng, m, n: (
-        rng.standard_normal((m, n)) * np.logspace(0, -5, n)
-    ),
-    "cols-1e-8": lambda rng, m, n: (
-        rng.standard_normal((m, n)) * np.logspace(0, -8, n)
-    ),
-    "rows-1e-8": lambda rng, m, n: (
-        rng.standard_normal((m, n)) * np.logspace(0, -8, m)[:, None]
-    ),
-    "rank-half": lambda rng, m, n: (
-        rng.standard_normal((m, n // 2)) @ rng.standard_normal((n // 2, n))
-    ),
-    "zero-columns": _zero_columns,
-    "clustered": lambda rng, m, n: _with_sigma(
-        rng, m, n, 1.0 + 1e-10 * np.linspace(1.0, 0.0, n)
-    ),
-    "repeated": lambda rng, m, n: _with_sigma(
-        rng, m, n, np.repeat([3.0, 1.0], n // 2)
-    ),
-    "geometric": lambda rng, m, n: _with_sigma(
-        rng, m, n, np.logspace(0, -12, n)
-    ),
-    "wide": lambda rng, m, n: rng.standard_normal((n, m)),
-}
-
-#: Classes whose small singular values must be relatively accurate.
-GRADED = ("cols-1e-5", "cols-1e-8")
 
 #: Outer sweeps each class may take, per shape: one above the largest
 #: count measured over seeds 0 and 1.
@@ -115,14 +81,7 @@ def test_wcycle_meets_the_contract(solver, name, shape, seed):
     rng = np.random.default_rng([seed, *shape])
     A = INPUTS[name](rng, *shape)
     result = solver.decompose(A)
-    report = verify_svd(A, result)
-    assert report.reconstruction_error <= TOL, report.summary()
-    assert report.u_orthogonality <= TOL, report.summary()
-    assert report.v_orthogonality <= TOL, report.summary()
-    assert report.sv_descending and report.sv_nonnegative, report.summary()
-    assert report.sv_error_vs_lapack <= TOL, report.summary()
-    if name in GRADED:
-        assert report.sv_relative_error <= TOL, report.sv_relative_error
+    assert_meets_contract(A, result, relative=name in GRADED)
     assert result.trace.sweeps <= MAX_SWEEPS[shape][name], result.trace.sweeps
 
 
@@ -139,3 +98,32 @@ def test_graded_gram_leaves_converge(solver, g):
     assert report.v_orthogonality <= 1e-13, report.summary()
     assert report.sv_relative_error <= TOL, report.sv_relative_error
     assert result.trace.sweeps <= 5
+
+
+#: Scales of the scale classes. Without the prescale, this test's 128x64
+#: and 512x64 Gaussians raised ``ConvergenceError`` or ``ShapeError``, or
+#: came back with 100%-wrong singular values, at all of them but 1e-77.
+SCALES = (1e-310, 1e-300, 1e-160, 1e-100, 1e-77, 1e77, 1e100, 1e160, 1e300)
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        pytest.param(
+            s, marks=() if s in (1e-160, 1e160) else (pytest.mark.slow,),
+            id=f"{s:g}",
+        )
+        for s in SCALES
+    ],
+)
+def test_scaled_inputs_meet_the_contract(solver, scale):
+    rng = np.random.default_rng(11)
+    mats = [
+        rng.standard_normal(shape) * scale
+        for shape in ((16, 8), (128, 64), (512, 64))
+    ]
+    for A, result in zip(mats, solver.decompose_batch(mats)):
+        assert np.isfinite(result.S).all(), (A.shape, result.S)
+        assert_meets_contract(*rescaled(A, result), label=str(A.shape))
+        if A.shape in MAX_SWEEPS:
+            assert result.trace.sweeps <= MAX_SWEEPS[A.shape]["gaussian"]
