@@ -28,7 +28,6 @@ a seconds-long CI subset) or via pytest
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -116,11 +115,8 @@ def write_bench_json(rows, reports) -> Path:
     unit = "requests/second (host wall-clock, closed loop)"
     payload = {
         # Unified meta block shared with the other BENCH writers and
-        # the results sidecars; legacy top-level fields retained.
+        # the results sidecars.
         "meta": bench_meta("perf_serving", unit=unit),
-        "benchmark": "perf_serving",
-        "unit": unit,
-        "cpu_count": os.cpu_count(),
         "workload": {
             "requests": base.requests,
             "concurrency": CONCURRENCY,

@@ -322,12 +322,8 @@ def write_bench_json(
     unit = "seconds (host wall-clock, best of %d)" % ROUNDS
     payload = {
         # Unified meta block (benchmark, unit, schema version, host
-        # fingerprint): what repro-perf keys baselines on. The legacy
-        # top-level fields stay for older readers of the trajectory.
+        # fingerprint): what repro-perf keys baselines on.
         "meta": bench_meta("perf_wallclock", unit=unit),
-        "benchmark": "perf_wallclock",
-        "unit": unit,
-        "cpu_count": os.cpu_count(),
         "cases": [
             {
                 "case": name,

@@ -36,7 +36,6 @@ from repro.errors import (
     FailureReport,
     NonFiniteError,
     PlanError,
-    ReplicaDeadError,
     ReproError,
     ResourceError,
     SegmentLostError,
@@ -53,15 +52,7 @@ from repro.runtime import (
     RuntimeConfig,
     get_executor,
 )
-from repro.serve import (
-    ClusterConfig,
-    ClusterStats,
-    ServeConfig,
-    ServerStats,
-    SVDClient,
-    SVDCluster,
-    SVDServer,
-)
+from repro.serve import ServeConfig, ServerStats, SVDClient, SVDServer
 from repro.types import BatchedSVDResult, ConvergenceTrace, EVDResult, SVDResult
 from repro.verify import SVDVerification, verify_svd
 
@@ -76,7 +67,6 @@ __all__ = [
     "FailureReport",
     "NonFiniteError",
     "PlanError",
-    "ReplicaDeadError",
     "ReproError",
     "ResourceError",
     "SegmentLostError",
@@ -85,12 +75,9 @@ __all__ = [
     "ShapeError",
     "TaskFailure",
     "WorkerCrashError",
-    "ClusterConfig",
-    "ClusterStats",
     "ServeConfig",
     "ServerStats",
     "SVDClient",
-    "SVDCluster",
     "SVDServer",
     "Profiler",
     "get_device",

@@ -9,10 +9,8 @@ taxonomy along one axis that matters for recovery:
 
 - **infrastructure faults** (:class:`WorkerCrashError`,
   :class:`DeadlineExceeded`, :class:`SegmentLostError`,
-  :class:`NonFiniteError`, :class:`ReplicaDeadError`) are
-  transient-by-assumption and retried with backoff, possibly on a
-  degraded backend — or, at the cluster layer, re-routed to a surviving
-  replica;
+  :class:`NonFiniteError`) are transient-by-assumption and retried with
+  backoff, possibly on a degraded backend;
 - **numerical failures** (:class:`ConvergenceError`) are deterministic —
   retrying reproduces them bit-for-bit — so they are never retried; in
   quarantine mode the offending matrices are re-solved by the reference
@@ -115,58 +113,20 @@ class ServerOverloaded(ReproError, RuntimeError):
     broker rejects at the door instead of buffering without bound, so a
     client can shed load, retry later, or fail fast.
 
-    The cluster router raises it only when *every* routable replica
-    rejected the request; ``replicas`` then names them, and ``pending``/
-    ``capacity`` aggregate over the replicas tried.
-
     Attributes
     ----------
     pending:
-        Queue depth at rejection time (summed across replicas for a
-        cluster-level rejection).
+        Queue depth at rejection time.
     capacity:
-        The configured ``max_pending`` bound (summed for a cluster).
-    replicas:
-        Names of the replicas that rejected the request, when the
-        rejection came from the shard router (empty for a single-server
-        rejection).
+        The configured ``max_pending`` bound.
     """
 
     def __init__(
-        self,
-        message: str,
-        *,
-        pending: int = 0,
-        capacity: int = 0,
-        replicas: tuple[str, ...] = (),
+        self, message: str, *, pending: int = 0, capacity: int = 0
     ) -> None:
         super().__init__(message)
         self.pending = int(pending)
         self.capacity = int(capacity)
-        self.replicas = tuple(str(r) for r in replicas)
-
-
-class ReplicaDeadError(ReproError, RuntimeError):
-    """A serving replica died (or was declared dead) holding requests.
-
-    Raised on the futures of requests assigned to a replica that the
-    :class:`~repro.serve.cluster.ReplicaManager` killed or declared dead
-    — and, when fault injection arms a ``replica_kill`` clause, from the
-    replica's dispatch path mid-fused-batch. It is an **infrastructure**
-    failure in the PR 4 taxonomy: the shard router transparently re-routes
-    affected requests to surviving replicas (the retried solve is
-    bit-identical), and only surfaces the error when no routable replica
-    remains or the failover budget is exhausted.
-
-    Attributes
-    ----------
-    replica:
-        Name of the dead replica (empty when unknown).
-    """
-
-    def __init__(self, message: str, *, replica: str = "") -> None:
-        super().__init__(message)
-        self.replica = str(replica)
 
 
 class ServerClosed(ReproError, RuntimeError):

@@ -21,6 +21,7 @@ from repro.jacobi.convergence import gram_offdiagonal_cosine
 from repro.jacobi.factors import complete_square_orthogonal, finalize_onesided
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
+from repro.jacobi.preconditioning import safe_exponent, unshift
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
 from repro.orderings import Ordering, get_ordering
 from repro.types import ConvergenceTrace, SVDResult
@@ -123,8 +124,16 @@ class BlockJacobiSVD:
         self.last_stats = _BlockStats()
 
     def decompose(self, A: np.ndarray) -> SVDResult:
-        """Compute the thin SVD ``A = U @ diag(S) @ V.T``."""
+        """Compute the thin SVD ``A = U @ diag(S) @ V.T``.
+
+        Inputs whose largest entry is beyond ``2^±200`` are swept as an
+        exact power-of-two rescaling, so the Gram products stay finite
+        and normal; only ``S`` is scaled back.
+        """
         A = as_matrix(A)
+        shift = safe_exponent(A)
+        if shift:
+            A = np.ldexp(A, -shift)
         cfg = self.config
         m, n = A.shape
         work = A.copy()
@@ -143,14 +152,14 @@ class BlockJacobiSVD:
                     transpose_wide=False,
                 )
             )
-            return inner.decompose(A)
+            return unshift(inner.decompose(A), shift)
         schedule = self._ordering.sweep(len(blocks))
         for sweep_index in range(1, cfg.max_sweeps + 1):
             rotations = self._do_sweep(work, V, blocks, schedule)
             off = gram_offdiagonal_cosine(work)
             trace.append(sweep_index, off, rotations)
             if off < cfg.tol:
-                return self._finalize(work, V, trace)
+                return unshift(self._finalize(work, V, trace), shift)
         raise ConvergenceError(
             f"block Jacobi (w={cfg.width}) did not converge in "
             f"{cfg.max_sweeps} sweeps "

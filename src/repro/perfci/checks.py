@@ -26,7 +26,7 @@ self-describing, and adding a check is data, not code.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -230,7 +230,6 @@ def get_check(name: str) -> PerfCheck:
 
 _WALLCLOCK = "BENCH_wallclock.json"
 _SERVE = "BENCH_serve.json"
-_CLUSTER = "BENCH_cluster.json"
 
 #: The shipped registry: every hot-path win PRs 1-9 recorded, one check
 #: per number the repo's story leans on. Tolerances are deliberately
@@ -380,28 +379,6 @@ DEFAULT_CHECKS: tuple[PerfCheck, ...] = tuple(
             tolerance=0.40,
             noise_floor=8.0,
             description="fused serving tail latency",
-        ),
-        # -- replica cluster (PR 9): parity-bar host, so wide bounds —
-        # the gate exists to catch the router serializing the fleet.
-        PerfCheck(
-            name="cluster.1replica.throughput_rps",
-            source=_CLUSTER,
-            path="replicas.1.report.throughput_rps",
-            unit="req/s",
-            direction="higher",
-            tolerance=0.30,
-            noise_floor=50.0,
-            description="single-replica cluster throughput (router tax)",
-        ),
-        PerfCheck(
-            name="cluster.4replica.p99_ms",
-            source=_CLUSTER,
-            path="replicas.4.report.server.router.latency_p99_ms",
-            unit="ms",
-            direction="lower",
-            tolerance=0.50,
-            noise_floor=20.0,
-            description="4-replica routed tail latency",
         ),
         # -- results sidecar (satellite: record_table sidecars are
         # first-class check sources too)

@@ -27,15 +27,6 @@ Fault kinds
 ``shm_lost``
     Segment loss: :func:`repro.runtime.arena.resolve` raises
     :class:`~repro.errors.SegmentLostError` before a task maps its slot.
-``replica_kill``
-    Serving-replica death: a cluster replica's dispatch path raises
-    :class:`~repro.errors.ReplicaDeadError` mid-fused-batch, as if the
-    whole replica process died holding the batch. Unlike the other
-    kinds, this one fires *outside* task frames — the cluster's
-    :func:`on_replica_dispatch` hook consults the installed plan
-    directly (the replica, not a task, is the failure unit), matching
-    ``match`` against the replica name and gating on the replica's
-    prior kill count via ``attempts``.
 
 Spec grammar (``REPRO_FAULTS`` / the ``chaos`` pytest fixture)
 --------------------------------------------------------------
@@ -77,7 +68,6 @@ import numpy as np
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
-    ReplicaDeadError,
     SegmentLostError,
     WorkerCrashError,
 )
@@ -97,14 +87,13 @@ __all__ = [
     "active",
     "on_task_start",
     "on_segment_attach",
-    "on_replica_dispatch",
     "poison_stack",
 ]
 
 _ENV_VAR = "REPRO_FAULTS"
 
 #: The recognized fault kinds.
-FAULT_KINDS = ("kill", "hang", "nan", "shm_lost", "replica_kill")
+FAULT_KINDS = ("kill", "hang", "nan", "shm_lost")
 
 #: Exit status of a simulated worker death (visible in pool diagnostics).
 KILL_EXIT_CODE = 3
@@ -363,51 +352,6 @@ def on_segment_attach(name: str) -> None:
             f"injected loss of shared-memory segment {name!r} for task "
             f"{frame.key!r} (attempt {frame.attempt})"
         )
-
-
-def on_replica_dispatch(
-    replica: str, *, dispatch: int, prior_kills: int = 0
-) -> None:
-    """Dispatch hook of a cluster replica: simulated whole-replica death.
-
-    Called by the replica's engine wrapper once per fused batch, *after*
-    the batch left the micro-batcher and *before* the solve — so an
-    armed ``replica_kill`` clause dies exactly mid-batch, with requests
-    in flight, which is the failover scenario worth testing.
-
-    Unlike the frame-scoped kinds this consults the installed plan
-    directly: replica death is a property of the serving topology, not
-    of one resilient task. The draw is keyed on
-    ``(seed, "replica_kill", "<replica>:d<dispatch>")`` so a seeded
-    chaos run kills the same replica at the same batch every time;
-    ``clause.match`` filters by replica name and ``clause.attempts``
-    bounds the *cluster-wide* injected kill count (callers pass the
-    fleet's total kills as ``prior_kills``): a ``p=1.0`` clause budgeted
-    per replica would chase a failed-over batch from replica to replica
-    and kill the whole fleet instead of exercising failover.
-
-    Raises
-    ------
-    ReplicaDeadError
-        When an armed clause fires for this dispatch.
-    """
-    plan = _plan
-    if plan is None or not plan:
-        return
-    for clause in plan.clauses:
-        if clause.kind != "replica_kill":
-            continue
-        if clause.match and clause.match not in replica:
-            continue
-        if prior_kills >= clause.attempts:
-            continue
-        key = f"{replica}:d{dispatch}"
-        if _draw(plan.seed, "replica_kill", key) < clause.p:
-            raise ReplicaDeadError(
-                f"injected death of replica {replica!r} mid-batch "
-                f"(dispatch {dispatch}, prior kills {prior_kills})",
-                replica=replica,
-            )
 
 
 def poison_stack(stack: np.ndarray) -> bool:

@@ -189,11 +189,7 @@ class ResilientExecutor(Executor):
     """
 
     def __init__(
-        self,
-        inner: Executor,
-        policy: RetryPolicy | None = None,
-        *,
-        namespace_root: str | None = None,
+        self, inner: Executor, policy: RetryPolicy | None = None
     ) -> None:
         super().__init__(inner.workers, min_shard=inner.min_shard)
         self.inner = inner
@@ -202,16 +198,6 @@ class ResilientExecutor(Executor):
         self.supports_shared_state = inner.supports_shared_state
         self._fallbacks: list[Executor] | None = None
         self._map_seq = 0
-        #: Prefix every task namespace of this executor starts with. The
-        #: default scopes segments per process; a cluster replica passes
-        #: its own root (e.g. ``rpserve0r1``) so that when the *replica*
-        #: dies, every segment any of its attempts ever created can be
-        #: reclaimed by one prefix sweep without touching other replicas.
-        self.namespace_root = (
-            namespace_root
-            if namespace_root is not None
-            else f"rp{os.getpid()}"
-        )
         #: Retry history of the most recent top-level ``map`` call.
         self.last_failures: list[TaskFailure] = []
 
@@ -262,7 +248,7 @@ class ResilientExecutor(Executor):
         plan = faults.installed()
         rungs = self._rungs()
         self._map_seq += 1
-        ns_root = f"{self.namespace_root}x{self._map_seq}"
+        ns_root = f"rp{os.getpid()}x{self._map_seq}"
         count = len(items)
         results: list = [None] * count
         errors: dict[int, BaseException] = {}

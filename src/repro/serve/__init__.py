@@ -23,9 +23,6 @@ per-matrix results — and failures — back out to per-request futures.
 - :mod:`repro.serve.stats` — :class:`ServerStats` snapshots;
 - :mod:`repro.serve.client` — :class:`SVDClient`, the blocking
   convenience surface;
-- :mod:`repro.serve.cluster` — :class:`SVDCluster`: N supervised server
-  replicas behind a health-checked consistent-hash shard router, with
-  graceful draining and taxonomy-aware failover;
 - :mod:`repro.serve.loadgen` — the closed-loop load generator behind
   ``repro-serve``, the serving benchmark, and the CI smoke job.
 
@@ -36,15 +33,6 @@ changes scheduling, never arithmetic.
 
 from repro.serve.batcher import FLUSH_CAUSES, FusedBatch, MicroBatcher
 from repro.serve.client import SVDClient
-from repro.serve.cluster import (
-    REPLICA_STATES,
-    ClusterConfig,
-    ClusterStats,
-    ReplicaManager,
-    ReplicaStats,
-    ShardRouter,
-    SVDCluster,
-)
 from repro.serve.fanout import (
     positions_to_request_ids,
     remap_fused_failure,
@@ -57,21 +45,14 @@ from repro.serve.stats import ServerStats
 
 __all__ = [
     "FLUSH_CAUSES",
-    "REPLICA_STATES",
-    "ClusterConfig",
-    "ClusterStats",
     "FusedBatch",
     "MicroBatcher",
-    "ReplicaManager",
-    "ReplicaStats",
     "SVDClient",
-    "SVDCluster",
     "SVDFuture",
     "SVDServer",
     "ServeConfig",
     "ServeRequest",
     "ServerStats",
-    "ShardRouter",
     "LoadReport",
     "LoadSpec",
     "run_closed_loop",

@@ -1,13 +1,10 @@
 """``repro-serve`` — drive the serving broker from the command line.
 
-Starts an in-process serving target — one
-:class:`~repro.serve.server.SVDServer`, or with ``--replicas N > 1`` a
-whole :class:`~repro.serve.cluster.SVDCluster` (N supervised replicas
-behind the health-checked shard router) — runs the closed-loop load
-generator against it, and prints the statistics snapshot (queue depth,
-batch-fill histogram, latency quantiles; plus replica states, failovers,
-and drains for a cluster). Also reachable as ``python -m repro serve
-...`` and as the ``repro-serve`` console script.
+Starts an in-process :class:`~repro.serve.server.SVDServer`, runs the
+closed-loop load generator against it, and prints the statistics
+snapshot (queue depth, batch-fill histogram, latency quantiles). Also
+reachable as ``python -m repro serve ...`` and as the ``repro-serve``
+console script.
 """
 
 from __future__ import annotations
@@ -116,16 +113,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="spot-check every n-th completion against a standalone "
         "solve (bitwise; default off)",
     )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="server replicas; > 1 serves through the health-checked "
-        "shard-router cluster (default 1 = a single server)",
-    )
-    parser.add_argument(
-        "--probe-interval-ms", type=float, default=50.0,
-        help="cluster health-probe period (default 50.0; only with "
-        "--replicas > 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,13 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_serve(args: argparse.Namespace) -> int:
-    """Build the serving target from parsed args, run the load, print
-    stats. ``--replicas N > 1`` swaps the single server for a cluster;
-    everything else — traffic, verification, reporting — is identical,
-    because the load generator only touches the shared surface."""
+    """Build the server from parsed args, run the load, print stats."""
     from repro.errors import ConfigurationError
     from repro.runtime import BACKENDS, RuntimeConfig
-    from repro.serve.cluster import ClusterConfig, SVDCluster
     from repro.serve.loadgen import LoadSpec, run_closed_loop
     from repro.serve.server import ServeConfig, SVDServer
 
@@ -154,10 +137,6 @@ def run_serve(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--workers {args.workers} requires a parallel backend; add "
             f"{flags}"
-        )
-    if args.replicas < 1:
-        raise ConfigurationError(
-            f"--replicas must be >= 1, got {args.replicas}"
         )
     runtime = RuntimeConfig(
         backend=args.backend,
@@ -177,23 +156,13 @@ def run_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         verify_every=args.verify_every,
     )
-    if args.replicas > 1:
-        cluster_config = ClusterConfig(
-            replicas=args.replicas,
-            probe_interval_ms=args.probe_interval_ms,
-            serve=config,
-        )
-        with SVDCluster(cluster_config, runtime=runtime) as target:
-            report = run_closed_loop(target, spec)
-    else:
-        with SVDServer(config, runtime=runtime) as target:
-            report = run_closed_loop(target, spec)
+    with SVDServer(config, runtime=runtime) as server:
+        report = run_closed_loop(server, spec)
     shapes = ", ".join(f"{m}x{n}" for m, n in args.shapes)
-    fleet = f", {args.replicas} replicas" if args.replicas > 1 else ""
     print(
         f"{report.requests} requests ({shapes}) via {args.concurrency} "
         f"closed-loop clients on {args.backend} "
-        f"({args.workers} worker(s){fleet})"
+        f"({args.workers} worker(s))"
     )
     print(
         f"throughput: {report.throughput:,.0f} req/s "

@@ -1,14 +1,10 @@
-"""In-process client over a serving target.
+"""In-process client over an :class:`~repro.serve.server.SVDServer`.
 
 The client is the synchronous convenience surface: it submits on the
 caller's behalf and blocks on the returned futures, so application code
 that just wants "an SVD, served" never touches futures or batching
-knobs. The target is anything with the ``submit`` contract — one
-:class:`~repro.serve.server.SVDServer` or a whole
-:class:`~repro.serve.cluster.SVDCluster`; the client neither knows nor
-cares whether a shard router sits behind its handle. Many clients (one
-per application thread) can share one target — that concurrency is
-exactly what fills the micro-batcher's buckets.
+knobs. Many clients (one per application thread) can share one server —
+that concurrency is exactly what fills the micro-batcher's buckets.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.serve.cluster import SVDCluster
 from repro.serve.request import SVDFuture
 from repro.serve.server import SVDServer
 from repro.types import SVDResult
@@ -26,7 +21,7 @@ __all__ = ["SVDClient"]
 
 
 class SVDClient:
-    """Blocking request helpers bound to one serving target.
+    """Blocking request helpers bound to one server.
 
     Examples
     --------
@@ -38,17 +33,9 @@ class SVDClient:
     ...     result = client.solve(rng.standard_normal((16, 8)))
     >>> result.S.shape
     (8,)
-
-    A cluster serves through the identical surface:
-
-    >>> from repro.serve import SVDCluster
-    >>> with SVDCluster() as cluster:
-    ...     result = SVDClient(cluster).solve(rng.standard_normal((16, 8)))
-    >>> result.S.shape
-    (8,)
     """
 
-    def __init__(self, server: SVDServer | SVDCluster) -> None:
+    def __init__(self, server: SVDServer) -> None:
         self.server = server
 
     def submit(

@@ -7,23 +7,17 @@ service rate, so the generator measures the broker, not an unbounded
 backlog). Matrix shapes are drawn from a mixed distribution by a seeded
 per-worker generator, so runs are reproducible request-for-request.
 
-The target is anything with the server surface — ``submit`` / ``clock``
-/ ``stats`` — which today means one
-:class:`~repro.serve.server.SVDServer` or a whole
-:class:`~repro.serve.cluster.SVDCluster` (``repro-serve --replicas N``).
-The per-worker seeded request streams are identical either way, so a
-cluster run offers bit-for-bit the same traffic as a single-server run
-and throughput curves across replica counts compare like for like.
+The target is one :class:`~repro.serve.server.SVDServer`; the
+generator touches only its ``submit`` / ``clock`` / ``stats`` surface.
 
 Used three ways:
 
-- the ``repro-serve`` CLI's traffic mode (single server or cluster),
-- the serving benchmarks (``benchmarks/perf_serving.py`` →
-  ``BENCH_serve.json``; ``benchmarks/test_ext_cluster_scaling.py`` →
-  ``BENCH_cluster.json``),
-- the CI serving-smoke and cluster-smoke jobs, which run it under
-  ``REPRO_SANITIZE=1`` and assert every future resolved and no
-  shared-memory segment was stranded.
+- the ``repro-serve`` CLI's traffic mode,
+- the serving benchmark (``benchmarks/perf_serving.py`` →
+  ``BENCH_serve.json``),
+- the CI serving-smoke job, which runs it under ``REPRO_SANITIZE=1``
+  (once clean, once under an armed fault plan) and asserts every future
+  resolved and no shared-memory segment was stranded.
 
 All timing reads the server's clock (injected or monotonic); the module
 never consults the wall clock itself.
@@ -37,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, ServerOverloaded
-from repro.serve.cluster import ClusterStats, SVDCluster
 from repro.serve.server import SVDServer
 from repro.serve.stats import ServerStats
 
@@ -113,7 +106,7 @@ class LoadReport:
     throughput: float
     verified: int
     mismatches: int
-    server_stats: ServerStats | ClusterStats
+    server_stats: ServerStats
     errors: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -152,7 +145,7 @@ class _Worker:
 
     def __init__(
         self,
-        server: SVDServer | SVDCluster,
+        server: SVDServer,
         spec: LoadSpec,
         index: int,
         count: int,
@@ -201,9 +194,9 @@ class _Worker:
                     threading.Event().wait(_REJECT_BACKOFF)
                 except Exception as exc:  # repro: noqa[EXC01] an
                     # admission-time rejection other than backpressure
-                    # (e.g. a cluster with no live replicas) counts as a
-                    # failed request, not a dead worker thread — the
-                    # report must still account for every request.
+                    # (a ShapeError, or ServerClosed) counts as a failed
+                    # request, not a dead worker thread — the report
+                    # must still account for every request.
                     future = None
                     self.failed += 1
                     if len(self.errors) < 8:
@@ -241,16 +234,8 @@ class _Worker:
                 )
 
 
-def run_closed_loop(
-    server: SVDServer | SVDCluster, spec: LoadSpec
-) -> LoadReport:
-    """Run one scenario against a started target; blocks until done.
-
-    The target may be a single server or a cluster — the generator only
-    touches the shared surface (``submit`` / ``clock`` / ``stats``), and
-    the seeded per-worker request streams do not depend on the target,
-    so the same spec offers identical traffic to both.
-    """
+def run_closed_loop(server: SVDServer, spec: LoadSpec) -> LoadReport:
+    """Run one scenario against a started server; blocks until done."""
     per_worker = spec.requests // spec.concurrency
     remainder = spec.requests % spec.concurrency
     counts = [

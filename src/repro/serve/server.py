@@ -33,7 +33,7 @@ Design points:
   dispatch lock (the engine instance is not reentrant); parallelism
   comes from the engine's executor *inside* a batch, which is where the
   vectorized work is.
-- **Warm replicas** — the server builds its executor once and keeps it
+- **Warm workers** — the server builds its executor once and keeps it
   for its whole lifetime, so with ``RuntimeConfig(backend="persistent")``
   the worker processes, their attached shared-memory arenas, and their
   memoized sweep plans all survive *between* fused batches: steady-state
@@ -393,37 +393,6 @@ class SVDServer:
             return self._stats.snapshot(
                 pending=self._pending, inflight=self._inflight
             )
-
-    def reset_stats(self) -> None:
-        """Zero the counters and drop the latency window.
-
-        Rolls the observability epoch without touching queued or
-        in-flight work: a snapshot taken immediately after sees zero
-        counters and an *empty* latency window (NaN quantiles), the same
-        degraded-gracefully form as before the first completion. The
-        cluster's replica supervisor uses this when a replica re-enters
-        service, so its health window reflects only post-revival
-        behavior.
-        """
-        with self._cond:
-            self._stats.reset()
-
-    def ping(self) -> bool:
-        """Liveness probe: can this server still take and dispatch work?
-
-        ``True`` while the server is accepting requests and its dispatch
-        machinery is intact — i.e. it is not closed, and if a background
-        dispatch thread was started, that thread is still alive. A
-        manually-driven server (``start=False``) is alive as long as it
-        is open, since the driver *is* the dispatch loop. The cluster's
-        health probes call this; it takes the lock but does no work, so
-        probing is cheap enough to run every interval.
-        """
-        with self._cond:
-            if self._closed:
-                return False
-            thread = self._thread
-        return thread is None or thread.is_alive()
 
     @property
     def pending(self) -> int:

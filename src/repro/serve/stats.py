@@ -23,10 +23,9 @@ __all__ = ["ServerStats"]
 def _quantile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank quantile of an already-sorted list (NaN when empty).
 
-    The empty case matters: a stats reset (or a freshly revived cluster
-    replica) leaves the latency window with zero samples, and a snapshot
-    taken before the next completion must degrade to NaN — exactly like
-    the pre-first-completion state — instead of raising.
+    The empty case matters: a snapshot taken before the first completion
+    sees a latency window with zero samples and must degrade to NaN
+    instead of raising.
     """
     if not sorted_values:
         return float("nan")
@@ -151,25 +150,6 @@ class _StatsAccumulator:
 
     def __post_init__(self) -> None:
         self.latencies = deque(maxlen=int(self.window))
-
-    def reset(self) -> None:
-        """Zero every counter and drop the latency window.
-
-        Used when a monitoring epoch rolls over — e.g. the cluster
-        re-admits a replica from probation and wants its window to
-        reflect only post-revival behavior. The very next
-        :meth:`snapshot` sees an *empty* window, which must degrade to
-        NaN quantiles, not raise.
-        """
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.quarantined = 0
-        self.batches = 0
-        self.batch_fill.clear()
-        self.flush_causes.clear()
-        self.latencies.clear()
 
     def note_batch(self, fill: int, cause: str) -> None:
         self.batches += 1

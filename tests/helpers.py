@@ -81,6 +81,10 @@ GRADED = ("cols-1e-5", "cols-1e-8")
 #: The accuracy oracle's bar for every check of :func:`verify_svd`.
 CONTRACT_TOL = 1e-12
 
+#: Scales at which the Gram products of an unshifted Gaussian overflow
+#: or underflow, down to subnormal entries.
+EXTREME_SCALES = (1e-310, 1e-160, 1e-77, 1e77, 1e160, 1e300)
+
 
 def assert_meets_contract(A, result, *, relative=False, label=""):
     """Hold ``result`` to the oracle's contract: backward error,

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from tests.helpers import assert_valid_svd
+from tests.helpers import (
+    EXTREME_SCALES,
+    assert_meets_contract,
+    assert_valid_svd,
+    rescaled,
+)
 from repro.baselines import (
     CUSOLVER_BATCHED_LIMIT,
     BatchedDPDirect,
@@ -122,6 +127,14 @@ class TestBoukaram:
         direct_rel = abs(direct_s[1] - 1e-9) / 1e-9
         assert direct_rel < 1e-4
         assert gram_rel > 10 * direct_rel
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES, ids=lambda s: f"{s:g}")
+    def test_gram_at_any_finite_scale_meets_the_contract(self, scale):
+        A = np.random.default_rng(0).standard_normal((64, 32)) * scale
+        result = BatchedDPGram("P100").decompose(A)
+        assert_meets_contract(
+            *rescaled(A, result), relative=True, label=f"{scale:g}"
+        )
 
     def test_direct_batched_launches(self):
         report = BatchedDPDirect("P100").estimate_batch([(64, 64)] * 10)

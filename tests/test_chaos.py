@@ -10,7 +10,8 @@ sequence on every run.
 Scenario coverage: worker kill, arena segment loss, task hang against a
 deadline, mid-sweep NaN corruption, backend fallback down the degradation
 ladder, and deterministic convergence quarantine; kills and NaN poison
-also hit multi-member W-cycle buckets.
+also hit multi-member W-cycle buckets, and kills, NaN poison and segment
+loss hit the fused batches of the serving broker.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.runtime import RuntimeConfig, base_executor, get_executor
 from repro.runtime.arena import stranded_segments
+from repro.serve import ServeConfig, SVDServer
 
 
 def _batch(seed: int = 7) -> list[np.ndarray]:
@@ -382,83 +384,35 @@ class TestNoStrandedSegments:
         assert stale == [], f"stranded segments: {stale}"
 
 
-class TestClusterChaos:
-    """Scenario 7 (PR 9 acceptance): a serving replica dies mid-fused-
-    batch. The shard router must fail the stranded requests over to the
-    surviving replicas, every future must resolve exactly once, the
-    re-routed solves must be bit-identical to standalone solves, and the
-    dead replica's shared-memory namespace must be reclaimed."""
+class TestServeChaos:
+    """The served path under injected faults: requests fused by
+    :class:`~repro.serve.SVDServer` ride the resilient executor, so a
+    fault inside a fused batch's tasks is retried below the broker. Every
+    future must resolve with the bytes of a standalone solve, and no
+    shared-memory segment may be stranded."""
 
-    def _mats(self, seed=17, count=10):
-        rng = np.random.default_rng(seed)
-        shapes = [(16, 8), (12, 12), (16, 8), (24, 16)]
-        return [
-            rng.standard_normal(shapes[i % len(shapes)])
-            for i in range(count)
-        ]
-
-    def test_replica_kill_mid_batch_fails_over_bit_identically(
-        self, chaos
-    ):
-        from repro.serve import ClusterConfig, ServeConfig, SVDCluster
-
-        mats = self._mats()
+    @pytest.mark.parametrize("kind", ["kill", "nan", "shm_lost"])
+    def test_served_batches_recover_bit_identically(self, chaos, kind):
+        rng = np.random.default_rng(29)
+        shapes = [(16, 8), (12, 12), (24, 16)]
+        mats = [rng.standard_normal(shapes[i % 3]) for i in range(24)]
         want = BatchedJacobiEngine().svd_batch(mats)
-        # p=1.0 with a cluster-wide budget of one: the first fused batch
-        # to dispatch kills its replica; the retried batch must survive.
-        chaos("seed=13;replica_kill:p=1.0,attempts=1")
-        config = ClusterConfig(
-            replicas=3,
-            revive=False,
-            serve=ServeConfig(max_batch=8, max_wait_ms=1.0),
+        chaos(f"seed=31;{kind}:p=1.0,attempts=1")
+        executor = get_executor(
+            RuntimeConfig(
+                backend="persistent", workers=2, min_shard=2,
+                allow_oversubscribe=True, max_retries=2,
+                backoff_base=0.0, on_failure="quarantine",
+            )
         )
-        with SVDCluster(config, runtime="serial") as cluster:
-            futures = [cluster.submit(m) for m in mats]
-            got = [f.result(timeout=60) for f in futures]
-            snap = cluster.stats()
+        try:
+            config = ServeConfig(max_batch=32, max_wait_ms=5.0)
+            with SVDServer(config, runtime=executor) as server:
+                futures = [server.submit(m) for m in mats]
+                got = [f.result(timeout=60) for f in futures]
+            failures = executor.last_failures
+        finally:
+            executor.close()
         _assert_bit_identical(got, want)
-        assert snap.kills == 1, "the replica_kill clause never fired"
-        assert snap.failovers > 0
-        assert snap.router.completed == len(mats)
-        assert snap.router.failed == 0
-        dead = [n for n, s in snap.states.items() if s == "dead"]
-        assert len(dead) == 1
-        # Exactly-once held structurally; nothing of any generation —
-        # dead or alive — lingers in /dev/shm after close().
+        assert failures, f"the {kind} clause never fired"
         assert stranded_segments() == []
-
-    def test_replica_kill_with_revival_restores_the_fleet(self, chaos):
-        from repro.serve import ClusterConfig, ServeConfig, SVDCluster
-
-        mats = self._mats(seed=23, count=6)
-        want = BatchedJacobiEngine().svd_batch(mats)
-        chaos("seed=13;replica_kill:p=1.0,attempts=1")
-        config = ClusterConfig(
-            replicas=2,
-            fail_dead=1,
-            probation_ms=0.0,
-            probation_successes=1,
-            probe_interval_ms=5.0,
-            serve=ServeConfig(max_batch=8, max_wait_ms=1.0),
-        )
-        with SVDCluster(config, runtime="serial") as cluster:
-            futures = [cluster.submit(m) for m in mats]
-            got = [f.result(timeout=60) for f in futures]
-            # The supervisor thread revives the dead replica after the
-            # (zero-length) probation; wait for it to come back.
-            deadline = 200
-            while deadline and cluster.stats().revivals == 0:
-                threading_wait(0.01)
-                deadline -= 1
-            snap = cluster.stats()
-        _assert_bit_identical(got, want)
-        assert snap.kills == 1
-        assert snap.revivals >= 1
-        assert stranded_segments() == []
-
-
-def threading_wait(seconds: float) -> None:
-    """Sleep without importing time into the chaos suite's namespace."""
-    import threading
-
-    threading.Event().wait(seconds)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import assert_valid_svd
+from tests.helpers import (
+    EXTREME_SCALES,
+    assert_meets_contract,
+    assert_valid_svd,
+    rescaled,
+)
 from repro.errors import ConfigurationError
 from repro.jacobi import BlockJacobiConfig, BlockJacobiSVD
 from repro.jacobi.onesided_block import column_blocks
@@ -85,6 +90,16 @@ class TestCorrectness:
         res = BlockJacobiSVD(BlockJacobiConfig(width=2)).decompose(A)
         assert res.reconstruction_error(A) < 1e-10
         assert (res.S[2:] < 1e-10).all()
+
+    @pytest.mark.parametrize("source", ["gram-evd", "direct-svd"])
+    @pytest.mark.parametrize("scale", EXTREME_SCALES, ids=lambda s: f"{s:g}")
+    def test_any_finite_scale_meets_the_contract(self, source, scale):
+        A = np.random.default_rng(0).standard_normal((64, 32)) * scale
+        cfg = BlockJacobiConfig(rotation_source=source)
+        result = BlockJacobiSVD(cfg).decompose(A)
+        assert_meets_contract(
+            *rescaled(A, result), relative=True, label=f"{source} {scale:g}"
+        )
 
 
 class TestTheorem1:

@@ -116,6 +116,11 @@ class TestFaultSpecGrammar:
         with pytest.raises(ConfigurationError):
             faults.parse_spec("oom:p=1.0")
 
+    def test_replica_kill_is_not_a_kind(self):
+        # No code path would consult it, so the clause could never fire.
+        with pytest.raises(ConfigurationError):
+            faults.parse_spec("seed=1;replica_kill:p=1.0,attempts=1")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             faults.parse_spec("kill:rate=1.0")

