@@ -361,9 +361,9 @@ class _LifecycleAnalysis(Analysis):
     def exception_state(self, instr, pre: Env, post: Env) -> Env:
         if self._is_release_stmt(instr):
             # A release that raises has still retired the resource for
-            # leak-accounting purposes (the sanitizer owns that failure
-            # mode); carrying the pre-state would report a phantom leak
-            # from inside the ``finally`` itself.
+            # leak-accounting purposes (the arena's own release check
+            # owns that failure mode); carrying the pre-state would
+            # report a phantom leak from inside the ``finally`` itself.
             return post
         return pre
 

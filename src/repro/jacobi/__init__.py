@@ -29,10 +29,7 @@ from repro.jacobi.convergence import (
 )
 from repro.jacobi.onesided_vector import OneSidedJacobiSVD, OneSidedConfig
 from repro.jacobi.onesided_block import BlockJacobiSVD, BlockJacobiConfig
-from repro.jacobi.preconditioning import (
-    qr_precondition_decompose,
-    worth_preconditioning,
-)
+from repro.jacobi.preconditioning import worth_preconditioning
 from repro.jacobi.twosided_evd import TwoSidedJacobiEVD, TwoSidedConfig
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
 
@@ -53,6 +50,5 @@ __all__ = [
     "TwoSidedJacobiEVD",
     "TwoSidedConfig",
     "ParallelJacobiEVD",
-    "qr_precondition_decompose",
     "worth_preconditioning",
 ]

@@ -17,9 +17,8 @@ orthogonalized columns back as ``W = Q @ W_R``. Stacked ``np.linalg.qr``
 and ``matmul`` compute each member exactly as the 2-D calls do, so the two
 solvers stay byte-identical.
 
-:func:`qr_precondition_decompose` is an optional wrapper around any SVD
-solver exposing ``decompose``. :class:`repro.core.WCycleSVD` applies
-:func:`qr_detour` to the whole W-cycle under
+:class:`repro.core.WCycleSVD` applies :func:`qr_detour` to the whole
+W-cycle under
 ``WCycleConfig(qr_precondition=True)``: it factors every tall member,
 solves the ``R`` factors together in shape buckets, then maps
 ``U = Q @ U_R`` back.
@@ -32,24 +31,20 @@ before its sweeps, and only its singular values are shifted back.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.types import SVDResult
-from repro.utils.validation import as_matrix
 
 __all__ = [
     "qr_detour",
-    "qr_precondition_decompose",
     "safe_exponent",
     "unshift",
     "worth_preconditioning",
 ]
 
-#: Default aspect ratio beyond which the QR detour pays for itself.
-DEFAULT_ASPECT_THRESHOLD = 2.0
+#: Aspect ratio ``m / n`` from which the QR detour pays for itself.
+ASPECT_THRESHOLD = 2.0
 
 #: Largest ``|e|`` of ``max |a_ij| = f 2^e`` (``0.5 <= f < 1``) that the
 #: sweeps take unshifted. Every rotation test multiplies two squared column
@@ -60,20 +55,14 @@ DEFAULT_ASPECT_THRESHOLD = 2.0
 _SAFE_EXPONENT = 200
 
 
-def worth_preconditioning(
-    m: int, n: int, *, aspect_threshold: float = DEFAULT_ASPECT_THRESHOLD
-) -> bool:
+def worth_preconditioning(m: int, n: int) -> bool:
     """Whether a tall ``m x n`` matrix benefits from the QR detour.
 
     The QR costs ~2 m n^2 flops once; Jacobi saves ~(m - n) work on every
     one of O(n^2) rotations per sweep, so the detour wins once the aspect
-    ratio clears a small threshold.
+    ratio clears :data:`ASPECT_THRESHOLD`.
     """
-    if aspect_threshold < 1.0:
-        raise ConfigurationError(
-            f"aspect_threshold must be >= 1, got {aspect_threshold}"
-        )
-    return m >= aspect_threshold * n
+    return m >= ASPECT_THRESHOLD * n
 
 
 def qr_detour(A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
@@ -113,27 +102,3 @@ def unshift(res: SVDResult, exponent: int) -> SVDResult:
         U=res.U, S=np.ldexp(res.S, exponent), V=res.V, trace=res.trace
     )
 
-
-def qr_precondition_decompose(
-    A: np.ndarray,
-    decompose: Callable[[np.ndarray], SVDResult],
-    *,
-    aspect_threshold: float = DEFAULT_ASPECT_THRESHOLD,
-) -> SVDResult:
-    """SVD of ``A`` via QR preconditioning when profitable.
-
-    Falls through to ``decompose(A)`` when the matrix is not tall enough
-    for the detour to pay (including all wide matrices).
-    """
-    A = as_matrix(A)
-    m, n = A.shape
-    if not worth_preconditioning(m, n, aspect_threshold=aspect_threshold):
-        return decompose(A)
-    Q, R = np.linalg.qr(A, mode="reduced")
-    inner = decompose(R)
-    return SVDResult(
-        U=Q @ inner.U,
-        S=inner.S,
-        V=inner.V,
-        trace=inner.trace,
-    )

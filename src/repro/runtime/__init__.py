@@ -10,7 +10,10 @@ supplies the missing host axis:
   largest-first scheduling;
 - :mod:`repro.runtime.arena` — pre-pinned shared-memory arenas with a
   slot-lease protocol (allocate once, lease per batch, return on result
-  handback);
+  handback), the only shared-memory mechanism and the only worker
+  transport. The arena enforces its protocol on every run: a double or
+  foreign release raises, and a view of a lease that is not outstanding
+  is refused;
 - :mod:`repro.runtime.persistent` — the ``persistent`` backend: long-lived
   supervised fork workers that attach arenas once at spawn, take batched
   task manifests (one IPC round-trip per worker per map), pre-compile
@@ -18,12 +21,6 @@ supplies the missing host axis:
   copy-free through leased slots;
 - :mod:`repro.runtime.scheduler` — flop-cost estimates and deterministic
   bucket-shard planning (LPT-style ordering, stable tie-breaks);
-- :mod:`repro.runtime.shm` — one-shot ``multiprocessing.shared_memory``
-  segments, task-scoped segment namespaces and their crash ``reclaim``;
-- :mod:`repro.runtime.sanitize` — opt-in ownership/ordering sanitizer.
-  Set ``REPRO_SANITIZE=1`` before importing to turn double-release,
-  write-after-release, leaked segments, and non-canonical stat merges
-  into immediate errors;
 - :mod:`repro.runtime.faults` — deterministic fault injection. Set
   ``REPRO_FAULTS=<spec>`` (e.g. ``seed=7;kill:p=0.1``) to arm seeded
   worker-death / hang / NaN / segment-loss injections inside resilient
@@ -61,15 +58,9 @@ from repro.runtime.scheduler import (
     svd_stack_cost,
     wcycle_matrix_cost,
 )
-from repro.runtime.shm import (
-    SharedArrayRef,
-    export_array,
-    import_array,
-    release,
-)
 from repro.runtime.arena import Arena, ArenaSpec, SlotRef
 from repro.runtime.persistent import PersistentExecutor, WorkerPoolBroken
-from repro.runtime import faults, sanitize
+from repro.runtime import faults
 from repro.runtime.faults import FaultClause, FaultPlan
 from repro.runtime.resilient import (
     ResilientExecutor,
@@ -77,9 +68,6 @@ from repro.runtime.resilient import (
     base_executor,
     policy_of,
 )
-
-if sanitize.env_requested():
-    sanitize.install()
 
 _env_fault_plan = faults.env_plan()
 if _env_fault_plan is not None:
@@ -89,7 +77,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BACKENDS",
     "ON_FAILURE_MODES",
-    "sanitize",
     "faults",
     "Executor",
     "RuntimeConfig",
@@ -110,10 +97,6 @@ __all__ = [
     "split_shards",
     "degradation_ladder",
     "retry_backoff",
-    "SharedArrayRef",
-    "export_array",
-    "import_array",
-    "release",
     "Arena",
     "ArenaSpec",
     "SlotRef",

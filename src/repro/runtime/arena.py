@@ -24,7 +24,11 @@ Ownership protocol.  The parent owns every segment and every lease:
 - The parent adopts results with :meth:`Arena.view` and MUST return every
   lease with :meth:`Arena.release_lease`, normally from a ``finally``
   block once the factors have been finalized.  The ``repro-lint`` rule
-  ``SHM02`` audits exactly this pairing.
+  ``SHM03`` audits this pairing, and use of a view after its release,
+  statically.
+- The arena enforces the protocol at run time, on every run:
+  :meth:`Arena.release_lease` raises on a double or foreign release, and
+  :meth:`Arena.view` refuses a lease that is not outstanding.
 - :meth:`Arena.close` unlinks every segment.  Worker death never strands
   a lease: the free list lives in the parent, so a crashed attempt's slot
   is returned by the same ``finally`` block that serves the clean path,
@@ -43,14 +47,13 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.runtime import faults
-from repro.runtime.shm import _untrack
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -123,6 +126,16 @@ class ArenaSpec:
 
 _registry_lock = threading.Lock()
 _registry: dict[str, shared_memory.SharedMemory] = {}
+
+
+def _untrack(name: str) -> None:
+    """Drop a segment's resource-tracker registration, quietly."""
+    try:
+        resource_tracker.unregister(f"/{name.lstrip('/')}", "shared_memory")
+    except Exception:  # repro: noqa[EXC01] best-effort janitor hygiene:
+        # the tracker's registry layout differs across CPython versions
+        # and a failed unregister must never fail the attach itself.
+        pass  # pragma: no cover - tracker internals vary
 
 
 def attach(spec: ArenaSpec) -> int:
@@ -219,10 +232,10 @@ def _destroy_segments(shms: list[shared_memory.SharedMemory]) -> None:
 class Arena:
     """A parent-owned pool of pre-pinned shared-memory slots.
 
-    ``slot_bytes``/``slots_per_segment`` size the first segment; use
-    :meth:`ensure` to pre-size from a bucket plan so the steady state
-    never grows.  All methods are thread-safe; the free list and lease
-    table live exclusively in the owning parent.
+    ``slot_bytes``/``slots_per_segment`` size the first segment; later
+    segments are added as reservations need them.  All methods are
+    thread-safe; the free list and lease table live exclusively in the
+    owning parent.
     """
 
     def __init__(
@@ -275,24 +288,6 @@ class Arena:
         """Power-of-two slot size covering ``nbytes``."""
         return 1 << max(1, int(nbytes) - 1).bit_length()
 
-    def ensure(self, nbytes: int, count: int = 1) -> None:
-        """Pre-grow so at least ``count`` free slots of ``>= nbytes`` exist.
-
-        Called with the largest stack footprint of a bucket plan before
-        dispatch, so the steady state leases without ever growing.
-        """
-        with self._lock:
-            self._check_open()
-            have = sum(
-                len(seg.free) for seg in self._segments if seg.slot_bytes >= nbytes
-            )
-            if have >= count:
-                return
-            slot_bytes = max(self._default_slot_bytes, self._fit_slot_bytes(nbytes))
-            nslots = max(self._slots_per_segment, count - have)
-            self._add_segment(slot_bytes, nslots)
-            self._counters["grown_segments"] += 1
-
     # -- lease protocol --------------------------------------------------
 
     def reserve(self, shape: tuple[int, ...], dtype: np.dtype | str) -> SlotRef:
@@ -343,8 +338,7 @@ class Arena:
         """Return a leased slot to the free list.
 
         A second release of the same lease is a protocol error (the slot
-        may already be leased to someone else), mirroring the sanitizer's
-        double-release rule for one-shot segments.
+        may already be leased to someone else).
         """
         with self._lock:
             if self._closed:
@@ -362,26 +356,6 @@ class Arena:
                     break
             self._counters["returns"] += 1
 
-    def reclaim_leases(self) -> int:
-        """Force-return every outstanding lease (post-mortem janitor).
-
-        The supervised dispatch paths return leases from ``finally``
-        blocks, so this is a belt-and-braces hook for teardown paths that
-        lost track (and for chaos tests proving nothing can stay leased).
-        """
-        with self._lock:
-            if self._closed:
-                return 0
-            count = len(self._leased)
-            for (name, slot) in list(self._leased):
-                for seg in self._segments:
-                    if seg.name == name:
-                        seg.free.append(slot)
-                        break
-            self._leased.clear()
-            self._counters["returns"] += count
-            return count
-
     # -- introspection ---------------------------------------------------
 
     @property
@@ -396,10 +370,6 @@ class Arena:
     def outstanding(self) -> int:
         with self._lock:
             return len(self._leased)
-
-    def capacity_bytes(self) -> int:
-        with self._lock:
-            return sum(seg.slot_bytes * seg.nslots for seg in self._segments)
 
     def stats(self) -> dict[str, int]:
         """Lease-protocol counters for the dispatch-overhead breakdown."""

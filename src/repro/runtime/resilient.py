@@ -20,10 +20,9 @@ Executor` and turns its ``map`` into a supervised, attempt-bounded run:
   handles could read or write slots after their leases return to the
   free list and are re-leased — terminating the workers (the respawn
   re-attaches the arena and replays warm plans) makes that impossible;
-- a broken worker pool (dead worker) is **respawned**, and any
-  shared-memory segments the dead task created are **reclaimed** by
-  namespace prefix (:func:`repro.runtime.shm.reclaim`) so crashes never
-  strand pages;
+- a broken worker pool (dead worker) is **respawned** once per retry
+  round; a dead worker strands no shared memory, because arena leases
+  live in the parent and return from the engine's ``finally`` blocks;
 - deterministic **numerical** failures (:class:`~repro.errors.
   ConvergenceError` and friends) are never retried — replaying them
   wastes work and reproduces the same bits — they resolve immediately,
@@ -58,7 +57,7 @@ from repro.errors import (
     ShapeError,
     TaskFailure,
 )
-from repro.runtime import faults, shm
+from repro.runtime import faults
 from repro.runtime.executor import (
     Executor,
     SerialExecutor,
@@ -136,16 +135,14 @@ class RetryPolicy:
 
 
 class _TaskShell:
-    """Picklable per-attempt task wrapper: fault frame + shm namespace.
+    """Picklable per-attempt task wrapper that activates the fault frame.
 
     Travels to persistent workers (state is just the task function
     reference, the frozen fault plan, and identity strings), so injection
-    decisions and segment naming are identical wherever the attempt lands.
+    decisions are identical wherever the attempt lands.
     """
 
-    __slots__ = (
-        "fn", "plan", "key", "attempt", "backend", "parent_pid", "namespace"
-    )
+    __slots__ = ("fn", "plan", "key", "attempt", "backend", "parent_pid")
 
     def __init__(
         self,
@@ -156,7 +153,6 @@ class _TaskShell:
         attempt: int,
         backend: str,
         parent_pid: int,
-        namespace: str,
     ) -> None:
         self.fn = fn
         self.plan = plan
@@ -164,7 +160,6 @@ class _TaskShell:
         self.attempt = attempt
         self.backend = backend
         self.parent_pid = parent_pid
-        self.namespace = namespace
 
     def __call__(self, item):
         with faults.activate(
@@ -174,9 +169,8 @@ class _TaskShell:
             backend=self.backend,
             parent_pid=self.parent_pid,
         ):
-            with shm.namespace(self.namespace):
-                faults.on_task_start()
-                return self.fn(item)
+            faults.on_task_start()
+            return self.fn(item)
 
 
 class ResilientExecutor(Executor):
@@ -248,12 +242,11 @@ class ResilientExecutor(Executor):
         plan = faults.installed()
         rungs = self._rungs()
         self._map_seq += 1
-        ns_root = f"rp{os.getpid()}x{self._map_seq}"
+        key_root = f"rp{os.getpid()}x{self._map_seq}"
         count = len(items)
         results: list = [None] * count
         errors: dict[int, BaseException] = {}
         history: dict[int, list[TaskFailure]] = {i: [] for i in range(count)}
-        stale_namespaces: list[str] = []
         pending = _submission_order(count, costs)
         for attempt in range(policy.max_retries + 1):
             if not pending:
@@ -271,24 +264,20 @@ class ResilientExecutor(Executor):
                     "retry round %d on rung %s: tasks %s",
                     attempt, rung.backend, pending,
                 )
-            futures: list[tuple[int, str, Future]] = []
+            futures: list[tuple[int, Future]] = []
             for idx in pending:
-                key = f"{ns_root}t{idx}"
                 shell = _TaskShell(
                     fn,
                     plan,
-                    key=key,
+                    key=f"{key_root}t{idx}",
                     attempt=attempt,
                     backend=rung.backend,
                     parent_pid=os.getpid(),
-                    namespace=f"{key}a{attempt}",
                 )
-                futures.append(
-                    (idx, shell.namespace, self._dispatch(rung, shell, items[idx]))
-                )
+                futures.append((idx, self._dispatch(rung, shell, items[idx])))
             retry: list[int] = []
             respawned = False
-            for idx, task_ns, fut in futures:
+            for idx, fut in futures:
                 try:
                     results[idx] = fut.result(timeout=policy.task_timeout)
                     continue
@@ -314,11 +303,6 @@ class ResilientExecutor(Executor):
                     # boundary: every task failure is classified below —
                     # retried, quarantined, or re-raised — never swallowed.
                     exc = caught
-                # The attempt's namespace can only hold segments nobody
-                # will ever release now; reclaim immediately (and again at
-                # map end, in case a timed-out task was still creating).
-                stale_namespaces.append(task_ns)
-                shm.reclaim(task_ns)
                 if isinstance(exc, BrokenExecutor) and not respawned:
                     # One dead worker poisons every future of the pool;
                     # replace it once per round, before the retry round.
@@ -355,8 +339,6 @@ class ResilientExecutor(Executor):
                 else:
                     errors[idx] = exc
             pending = retry
-        for task_ns in stale_namespaces:
-            shm.reclaim(task_ns)
         self.last_failures = [
             entry for idx in sorted(history) for entry in history[idx]
         ]

@@ -15,9 +15,9 @@ Used three ways:
 - the ``repro-serve`` CLI's traffic mode,
 - the serving benchmark (``benchmarks/perf_serving.py`` →
   ``BENCH_serve.json``),
-- the CI serving-smoke job, which runs it under ``REPRO_SANITIZE=1``
-  (once clean, once under an armed fault plan) and asserts every future
-  resolved and no shared-memory segment was stranded.
+- the CI serving-smoke job, which runs it once clean and once under an
+  armed fault plan, and asserts every future resolved and no arena
+  segment was stranded.
 
 All timing reads the server's clock (injected or monotonic); the module
 never consults the wall clock itself.

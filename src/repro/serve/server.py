@@ -527,6 +527,9 @@ class SVDServer:
             self._stats.quarantined += len(
                 {ids[pos] for pos in recovered | unrecovered}
             )
+            self._stats.task_failures.update(
+                e.cause for e in report if e.index < 0
+            )
         self._finish(completed, now, failed=False)
         self._finish(failed, now, failed=True)
         _log.event(

@@ -46,6 +46,13 @@ class ServerStats:
         Requests that left the bucketed fast path but were recovered by
         the engine's quarantine ladder (their futures still resolved
         with valid factors).
+    task_failures:
+        Histogram ``{cause: count}`` of the task-level failures the
+        resilient executor retried below the broker (the ``index == -1``
+        entries of each fused batch's failure report), summed over
+        batches. A retried batch still resolves every future, so without
+        it a worker kill, a lost segment or a poisoned sweep leaves no
+        trace in the stats.
     pending:
         Requests queued in the micro-batcher right now.
     inflight:
@@ -69,6 +76,7 @@ class ServerStats:
     failed: int
     rejected: int
     quarantined: int
+    task_failures: dict[str, int]
     pending: int
     inflight: int
     batches: int
@@ -94,11 +102,16 @@ class ServerStats:
             f"{cause}:{count}"
             for cause, count in sorted(self.flush_causes.items())
         )
+        retried = ", ".join(
+            f"{cause}:{count}"
+            for cause, count in sorted(self.task_failures.items())
+        )
         return "\n".join(
             [
                 f"requests: {self.submitted} submitted, "
                 f"{self.completed} completed, {self.failed} failed, "
                 f"{self.rejected} rejected, {self.quarantined} quarantined",
+                f"task failures retried: {retried or '-'}",
                 f"queue: {self.pending} pending, {self.inflight} in flight",
                 f"batches: {self.batches} dispatched, "
                 f"mean fill {self.mean_fill:.2f} "
@@ -119,6 +132,7 @@ class ServerStats:
             "failed": self.failed,
             "rejected": self.rejected,
             "quarantined": self.quarantined,
+            "task_failures": dict(sorted(self.task_failures.items())),
             "pending": self.pending,
             "inflight": self.inflight,
             "batches": self.batches,
@@ -144,6 +158,7 @@ class _StatsAccumulator:
     rejected: int = 0
     quarantined: int = 0
     batches: int = 0
+    task_failures: Counter = field(default_factory=Counter)
     batch_fill: Counter = field(default_factory=Counter)
     flush_causes: Counter = field(default_factory=Counter)
     latencies: deque = field(default_factory=deque)
@@ -175,6 +190,7 @@ class _StatsAccumulator:
             failed=self.failed,
             rejected=self.rejected,
             quarantined=self.quarantined,
+            task_failures=dict(self.task_failures),
             pending=int(pending),
             inflight=int(inflight),
             batches=self.batches,

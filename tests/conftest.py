@@ -26,17 +26,6 @@ def pytest_collection_modifyitems(config, items):
         items[:] = [item for item in items if "slow" not in item.keywords]
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _sanitizer_leak_check():
-    """Under ``REPRO_SANITIZE=1``, fail the session if any shared-memory
-    segment acquired during the run was never released."""
-    yield
-    from repro.runtime import sanitize
-
-    if sanitize.enabled():
-        sanitize.assert_no_leaks()
-
-
 @pytest.fixture
 def chaos():
     """Arm a deterministic fault plan for the test body.

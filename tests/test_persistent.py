@@ -1,13 +1,14 @@
 """Persistent worker arenas: slot leases, manifest dispatch, warm pools.
 
 Covers the PR 7 tentpole from the bottom up: the :class:`Arena` lease
-protocol (grow/lease/return/reclaim, double-release rejection, clean
-unlink), the :class:`PersistentExecutor` (LPT manifests, batched IPC,
-error semantics, respawn that re-attaches arenas and replays warm
-plans), and the serving layer keeping replicas warm *between* fused
-batches. The cross-backend bit-identity acceptance lives in
-``tests/test_runtime.py`` (``persistent`` is parametrized there); the
-fault-injection scenarios live in ``tests/test_chaos.py``.
+protocol (grow/lease/return, double-release rejection, clean unlink),
+the :class:`PersistentExecutor` (LPT manifests, batched IPC, error
+semantics, respawn that re-attaches arenas and replays warm plans, lease
+balance after engine and W-cycle solves), and the serving layer keeping
+replicas warm *between* fused batches. The cross-backend bit-identity
+acceptance lives in ``tests/test_runtime.py`` (``persistent`` is
+parametrized there); the fault-injection scenarios live in
+``tests/test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import WCycleSVD
 from repro.errors import ConfigurationError, SegmentLostError, ShapeError
 from repro.jacobi.batched import BatchedJacobiEngine
 from repro.runtime import RuntimeConfig, faults, get_executor
@@ -133,30 +135,6 @@ class TestArenaLeases:
                 assert np.array_equal(arena.view(ref), big)
             finally:
                 arena.release_lease(ref)
-
-    def test_ensure_pregrows_to_fit_count(self):
-        with Arena(slot_bytes=1 << 10, slots_per_segment=2) as arena:
-            arena.ensure(1 << 10, count=8)
-            assert arena.stats()["grown_segments"] == 1
-            # Sized ahead of time: leasing 8 slots grows nothing more.
-            refs = [arena.reserve((128,), np.float64) for _ in range(8)]
-            try:
-                assert arena.stats()["grown_segments"] == 1
-            finally:
-                for ref in refs:
-                    arena.release_lease(ref)
-
-    def test_reclaim_returns_every_outstanding_lease(self):
-        with Arena() as arena:
-            for _ in range(3):
-                arena.reserve((2, 2), np.float64)  # repro: noqa[SHM02]
-                # deliberately dropped refs: reclaim_leases() is the
-                # teardown janitor under test.
-            assert arena.outstanding() == 3
-            assert arena.reclaim_leases() == 3
-            assert arena.outstanding() == 0
-            stats = arena.stats()
-            assert stats["leases"] == stats["returns"] == 3
 
     def test_armed_segment_loss_fires_when_a_task_maps_its_slot(self, rng):
         """``shm_lost`` injects where a persistent task maps its slots;
@@ -380,6 +358,26 @@ class TestPersistentExecutor:
                 assert got.L.tobytes() == want.L.tobytes()
         finally:
             wrapped.close()
+
+    def test_process_backend_decompose_leaks_nothing(self):
+        """A W-cycle solve on the persistent worker processes returns
+        every arena lease it took and strands no arena segment once
+        closed."""
+        rng = np.random.default_rng(11)
+        batch = [rng.standard_normal((16, 8)) for _ in range(6)]
+        batch.append(rng.standard_normal((48, 32)))
+        runtime = RuntimeConfig(
+            backend="persistent", workers=2, min_shard=2,
+            allow_oversubscribe=True,
+        )
+        with WCycleSVD(device="V100", runtime=runtime) as solver:
+            results = solver.decompose_batch(batch)
+            arena = base_executor(solver._executor).arena
+            assert arena.stats()["leases"] > 0
+            assert arena.outstanding() == 0
+            prefix = arena._prefix
+        assert len(results) == len(batch)
+        assert [n for n in stranded_segments() if n.startswith(prefix)] == []
 
 
 class TestServeWarmReplicas:

@@ -5,11 +5,9 @@ import pytest
 
 from tests.helpers import assert_valid_svd
 from repro import WCycleConfig, WCycleSVD
-from repro.errors import ConfigurationError
 from repro.jacobi import (
     OneSidedJacobiSVD,
     StackedOneSidedJacobi,
-    qr_precondition_decompose,
     worth_preconditioning,
 )
 from repro.jacobi.preconditioning import qr_detour
@@ -24,48 +22,6 @@ class TestWorthIt:
 
     def test_wide_matrix(self):
         assert not worth_preconditioning(40, 400)
-
-    def test_threshold(self):
-        assert worth_preconditioning(120, 40, aspect_threshold=3.0)
-        assert not worth_preconditioning(119, 40, aspect_threshold=3.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            worth_preconditioning(10, 5, aspect_threshold=0.5)
-
-
-class TestQrPreconditionDecompose:
-    def _solver(self):
-        return OneSidedJacobiSVD().decompose
-
-    def test_tall_matrix_correct(self, rng):
-        A = rng.standard_normal((120, 12))
-        res = qr_precondition_decompose(A, self._solver())
-        assert_valid_svd(A, res)
-
-    def test_falls_through_for_square(self, rng):
-        A = rng.standard_normal((16, 16))
-        res = qr_precondition_decompose(A, self._solver())
-        assert_valid_svd(A, res)
-
-    def test_rank_deficient_tall(self, rng):
-        A = rng.standard_normal((80, 3)) @ np.diag([1.0, 1.0, 0.0])
-        res = qr_precondition_decompose(A, self._solver())
-        assert res.reconstruction_error(A) < 1e-10
-        assert res.S[2] < 1e-10
-
-    def test_preconditioning_shrinks_rotation_length(self, rng):
-        """Rotations act on n-vectors instead of m-vectors after QR."""
-        A = rng.standard_normal((300, 20))
-        inner = OneSidedJacobiSVD()
-        calls = []
-
-        def spy(R):
-            calls.append(R.shape)
-            return inner.decompose(R)
-
-        qr_precondition_decompose(A, spy)
-        assert calls == [(20, 20)]
 
 
 class TestSolversTakeTheDetour:

@@ -1,4 +1,4 @@
-"""Parallel execution runtime: executors, scheduling, shm, bit-identity.
+"""Parallel execution runtime: executors, scheduling, bit-identity.
 
 The headline contract: ``serial``, ``threads``, and ``persistent``
 backends must produce byte-identical factors AND identical simulated-GPU
@@ -23,10 +23,7 @@ from repro.runtime import (
     ThreadExecutor,
     base_executor,
     evd_stack_cost,
-    export_array,
     get_executor,
-    import_array,
-    release,
     shard_count,
     split_shards,
     svd_stack_cost,
@@ -114,45 +111,6 @@ class TestShardPlanning:
     def test_split_rejects_bad_shards(self):
         with pytest.raises(ConfigurationError):
             split_shards(range(4), 0)
-
-
-class TestSharedMemory:
-    def test_round_trip(self, rng):
-        arr = rng.standard_normal((5, 12, 8))
-        seg, ref = export_array(arr)
-        try:
-            other, view = import_array(ref)
-            try:
-                assert view.dtype == arr.dtype
-                assert np.array_equal(view, arr)
-            finally:
-                release(other)
-        finally:
-            release(seg, unlink=True)
-
-    def test_transfer_ownership_returns_no_segment(self, rng):
-        arr = rng.standard_normal((3, 4))
-        seg, ref = export_array(arr, transfer_ownership=True)
-        assert seg is None
-        # The receiver adopts the segment: attach, verify, unlink.
-        adopted, view = import_array(ref)
-        try:
-            assert np.array_equal(view, arr)
-        finally:
-            release(adopted, unlink=True)
-
-    def test_release_is_idempotent(self, rng):
-        # Straight-line by design: the double release *is* the behavior
-        # under test, so there is no exception window to protect. The
-        # sanitizer (when on) deliberately rejects double releases, so the
-        # un-sanitized contract is tested with auditing paused.
-        from repro.runtime import sanitize
-
-        with sanitize.paused():
-            seg, _ = export_array(rng.standard_normal((2, 2)))  # repro: noqa[SHM01]
-            release(seg, unlink=True)
-            release(seg, unlink=True)
-            release(None)
 
 
 class TestExecutors:
