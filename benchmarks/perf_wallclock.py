@@ -14,17 +14,16 @@ this one measures real host time, in three parts:
    matrix against the engine's stacked ``evd_batch``.
 2. **Worker-scaling cases** — the full ``WCycleSVD`` solver over a
    ragged batch of large (recursion-sized) matrices, run serial and then
-   on the ``threads`` / ``persistent`` runtime backends at 1/2/4/8
-   workers. Factors are asserted byte-identical to the serial
+   on the ``persistent`` runtime backend at 1/2/4/8 workers. Factors are asserted byte-identical to the serial
    reference in every configuration; the recorded numbers are honest
    wall-clock on whatever machine runs the benchmark (``cpu_count`` is
-   recorded alongside — on a single-core box parallel backends can only
-   add overhead, so the >= 2x expectation at 4 workers is asserted only
+   recorded alongside — on a single-core box the parallel backend can
+   only add overhead, so the >= 2x expectation at 4 workers is asserted only
    when at least 4 CPUs are present). Each parallel config also records
    a **dispatch-overhead breakdown**: pool spin-up seconds (first-touch
-   warm map), IPC round-trips, pickled task bytes, and — on the
-   ``persistent`` backend — arena lease/return counts, so the trajectory
-   shows *where* the non-compute time goes, not just the total.
+   warm map), IPC round-trips, pickled task bytes, and arena
+   lease/return counts, so the trajectory shows *where* the non-compute
+   time goes, not just the total.
 3. **W-cycle case** — same-shape large matrices solved one
    ``WCycleSVD.decompose`` call at a time (every matrix walks its levels
    alone) against one ``decompose_batch`` call (level-synchronous
@@ -87,7 +86,6 @@ EVD_CASES = [("256x(16x16)", [16] * 256, "round-robin")]
 #: the W-cycle recursion path where per-matrix host work dominates.
 SCALING_SHAPES = [(128, 64), (96, 48), (160, 80), (64, 32)] * 8
 SCALING_WORKERS = (1, 2, 4, 8)
-SCALING_BACKENDS = ("threads", "persistent")
 
 #: W-cycle case: two buckets of eight same-shape large matrices.
 WCYCLE_CASE = ("8x(128x64)+8x(512x64)", [(128, 64)] * 8 + [(512, 64)] * 8)
@@ -255,7 +253,6 @@ _WARM_COUNTER_KEYS = (
 def compute_scaling(
     shapes=None,
     workers=SCALING_WORKERS,
-    backends=SCALING_BACKENDS,
     rounds: int = SCALING_ROUNDS,
 ) -> list[tuple]:
     """Rows of (config, workers, wallclock_s, speedup, overhead-dict).
@@ -265,8 +262,8 @@ def compute_scaling(
     The overhead dict (``None`` on the serial row) breaks the dispatch
     cost down: ``pool_spinup_s`` is the first-touch warm map (worker
     spawn + arena attach), the rest are the executor's own dispatch
-    counters (IPC round-trips, pickled task bytes, and on ``persistent``
-    the arena lease/return/segment counts).
+    counters (IPC round-trips, pickled task bytes, and the arena
+    lease/return/segment counts).
     """
     matrices = _batch(SCALING_SHAPES if shapes is None else shapes, seed=1)
     reference = None
@@ -277,38 +274,37 @@ def compute_scaling(
 
     t_serial = _best_of(run_serial, rounds)
     rows = [("serial", 1, t_serial, 1.0, None)]
-    for backend in backends:
-        for n in workers:
-            runtime = RuntimeConfig(
-                backend=backend, workers=n, allow_oversubscribe=True
-            )
-            ex = get_executor(runtime)
-            base = base_executor(ex)
-            # Pool spin-up: the first map forks the workers (and, on
-            # the persistent backend, attaches arenas + warm plans).
-            t0 = time.perf_counter()
-            base.map(_warm_noop, list(range(n)))
-            spinup_s = time.perf_counter() - t0
-            warm = base.dispatch_stats()
-            results = None
+    for n in workers:
+        runtime = RuntimeConfig(
+            backend="persistent", workers=n, allow_oversubscribe=True
+        )
+        ex = get_executor(runtime)
+        base = base_executor(ex)
+        # Pool spin-up: the first map forks the workers and attaches
+        # arenas + warm plans.
+        t0 = time.perf_counter()
+        base.map(_warm_noop, list(range(n)))
+        spinup_s = time.perf_counter() - t0
+        warm = base.dispatch_stats()
+        results = None
 
-            def run_parallel():
-                nonlocal results
-                solver = WCycleSVD(device="V100", runtime=ex)
-                results = solver.decompose_batch(matrices)
+        def run_parallel():
+            nonlocal results
+            solver = WCycleSVD(device="V100", runtime=ex)
+            results = solver.decompose_batch(matrices)
 
-            t = _best_of(run_parallel, rounds)
-            stats = base.dispatch_stats()
-            for key in _WARM_COUNTER_KEYS:
-                if key in stats and key in warm:
-                    stats[key] -= warm[key]
-            ex.close()
-            overhead = {"pool_spinup_s": spinup_s, **stats}
-            for got, want in zip(results, reference):
-                assert got.U.tobytes() == want.U.tobytes(), (backend, n)
-                assert got.S.tobytes() == want.S.tobytes(), (backend, n)
-                assert got.V.tobytes() == want.V.tobytes(), (backend, n)
-            rows.append((backend, n, t, t_serial / t, overhead))
+        t = _best_of(run_parallel, rounds)
+        stats = base.dispatch_stats()
+        for key in _WARM_COUNTER_KEYS:
+            if key in stats and key in warm:
+                stats[key] -= warm[key]
+        ex.close()
+        overhead = {"pool_spinup_s": spinup_s, **stats}
+        for got, want in zip(results, reference):
+            assert got.U.tobytes() == want.U.tobytes(), n
+            assert got.S.tobytes() == want.S.tobytes(), n
+            assert got.V.tobytes() == want.V.tobytes(), n
+        rows.append(("persistent", n, t, t_serial / t, overhead))
     return rows
 
 
@@ -430,7 +426,7 @@ def report(
         "Wall-clock: W-cycle worker scaling (vs serial, identical factors)",
         ["backend", "workers", "wallclock (s)", "speedup"],
         [row[:4] for row in scaling_rows],
-        notes="Host seconds on %s CPU(s); parallel backends need real "
+        notes="Host seconds on %s CPU(s); the parallel backend needs real "
         "cores to pay off." % (os.cpu_count() or "?"),
     )
     write_bench_json(rows, scaling_rows, evd_rows, wcycle_row)
@@ -467,26 +463,23 @@ def test_perf_wallclock():
         assert breakdown["sweeps"] > 0, row
     # Every parallel config must have recorded its dispatch-overhead
     # breakdown (spin-up + IPC counters; arena leases must balance
-    # returns on the persistent backend).
-    for backend, n, _, _, overhead in scaling_rows[1:]:
-        assert overhead is not None, (backend, n)
-        assert overhead["pool_spinup_s"] >= 0.0, (backend, n, overhead)
-        assert overhead["tasks"] > 0, (backend, n, overhead)
-        if backend == "persistent" and n > 1:
-            assert overhead["ipc_round_trips"] > 0, (backend, n, overhead)
-            assert overhead["pickled_task_bytes"] > 0, (backend, n, overhead)
-        if backend == "persistent":
-            assert overhead["arena_leases"] > 0, (backend, n, overhead)
-            assert overhead["arena_leases"] == overhead["arena_returns"], (
-                backend, n, overhead,
-            )
+    # returns).
+    for _, n, _, _, overhead in scaling_rows[1:]:
+        assert overhead is not None, n
+        assert overhead["pool_spinup_s"] >= 0.0, (n, overhead)
+        assert overhead["tasks"] > 0, (n, overhead)
+        if n > 1:
+            assert overhead["ipc_round_trips"] > 0, (n, overhead)
+            assert overhead["pickled_task_bytes"] > 0, (n, overhead)
+        assert overhead["arena_leases"] > 0, (n, overhead)
+        assert overhead["arena_leases"] == overhead["arena_returns"], (
+            n, overhead,
+        )
     # Scaling bar (>= 2x at 4 workers) needs >= 4 real cores; on smaller
     # machines the numbers are recorded but the bar is not enforced.
     if (os.cpu_count() or 1) >= 4:
         best_at_4 = max(
-            speedup
-            for backend, n, _, speedup, _overhead in scaling_rows
-            if n == 4
+            speedup for _, n, _, speedup, _overhead in scaling_rows if n == 4
         )
         assert best_at_4 >= 2.0, scaling_rows
 
@@ -496,7 +489,7 @@ def main(argv: list[str] | None = None) -> None:
     if "--smoke" in argv:
         # CI-sized subset: one engine case, one round, one 2-worker
         # scaling config on a small batch — exercises the full pipeline
-        # (runtime backends included) in seconds.
+        # (the persistent runtime included) in seconds.
         rows = compute(cases=CASES[:1], rounds=1)
         # The kernel-time breakdown must reach the JSON payload: CI fails
         # the smoke run if the engine stopped recording it.
@@ -507,20 +500,16 @@ def main(argv: list[str] | None = None) -> None:
                 assert key in breakdown, (key, breakdown)
             assert breakdown["sweeps"] > 0, breakdown
         scaling_rows = compute_scaling(
-            shapes=[(64, 32), (48, 24)] * 4,
-            workers=(2,),
-            backends=("threads", "persistent"),
-            rounds=1,
+            shapes=[(64, 32), (48, 24)] * 4, workers=(2,), rounds=1
         )
         # The persistent row must carry a balanced arena-lease ledger —
         # CI fails the smoke run on a leaked (or double-returned) slot.
-        for backend, n, _, _, overhead in scaling_rows[1:]:
-            assert overhead is not None, (backend, n)
-            if backend == "persistent":
-                assert overhead["arena_leases"] > 0, overhead
-                assert (
-                    overhead["arena_leases"] == overhead["arena_returns"]
-                ), overhead
+        for _, n, _, _, overhead in scaling_rows[1:]:
+            assert overhead is not None, n
+            assert overhead["arena_leases"] > 0, overhead
+            assert (
+                overhead["arena_leases"] == overhead["arena_returns"]
+            ), overhead
         evd_rows = compute_evd(
             cases=[("32x(16x16)", [16] * 32, "round-robin")], rounds=1
         )

@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from repro import SVDClient, SVDServer, ServeConfig
+from repro import SVDServer, ServeConfig
 from repro.jacobi.batched import BatchedJacobiEngine
 
 
@@ -42,15 +42,17 @@ def main() -> None:
         )
         print(f"  bit-identical to standalone solves: {identical}")
 
-        # --- the synchronous surface: many client threads ---------------
+        # --- blocking callers: many client threads ---------------------
         # Concurrency is what fills fused batches: each thread blocks on
-        # its own solve while the broker coalesces across threads.
+        # its own request's future while the broker coalesces across
+        # threads.
         def worker(seed: int) -> None:
-            client = SVDClient(server)
             local = np.random.default_rng(seed)
             for _ in range(8):
                 a = local.standard_normal((16, 8))
-                res = client.solve(a, priority=seed % 2, deadline_ms=50.0)
+                res = server.submit(
+                    a, priority=seed % 2, deadline_ms=50.0
+                ).result()
                 assert res.S.shape == (8,)
 
         threads = [

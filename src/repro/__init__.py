@@ -18,8 +18,8 @@ Layers
 - :mod:`repro.jacobi` — the one-sided/two-sided Jacobi numerical kernels;
 - :mod:`repro.gpusim` — the simulated-GPU substrate (devices, kernels,
   cost model, profiler);
-- :mod:`repro.runtime` — host-parallel execution (serial / threads /
-  persistent backends with bit-identical results);
+- :mod:`repro.runtime` — host-parallel execution (serial and persistent
+  backends with bit-identical results);
 - :mod:`repro.tuning` — tailoring strategy and auto-tuning engine;
 - :mod:`repro.baselines` — modeled cuSOLVER / MAGMA / Boukaram et al.;
 - :mod:`repro.datasets` — SuiteSparse stand-ins and workload generators;
@@ -52,7 +52,7 @@ from repro.runtime import (
     RuntimeConfig,
     get_executor,
 )
-from repro.serve import ServeConfig, ServerStats, SVDClient, SVDServer
+from repro.serve import ServeConfig, ServerStats, SVDServer
 from repro.types import BatchedSVDResult, ConvergenceTrace, EVDResult, SVDResult
 from repro.verify import SVDVerification, verify_svd
 
@@ -77,7 +77,6 @@ __all__ = [
     "WorkerCrashError",
     "ServeConfig",
     "ServerStats",
-    "SVDClient",
     "SVDServer",
     "Profiler",
     "get_device",

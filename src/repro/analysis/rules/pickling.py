@@ -11,14 +11,14 @@ The rule flags a lambda, or a name bound to a nested ``def``/lambda in
 the same enclosing function, passed as the callable argument of an
 executor-style dispatch call (``.map(...)``, ``.submit(...)``,
 ``.apply_async(...)``). Two escape hatches keep the repository's
-legitimate thread-backend closures quiet:
+legitimate in-process closures quiet:
 
 - the call is lexically guarded by a ``supports_shared_state`` test (the
   codebase's idiom for "this branch never runs on a process pool");
-- the receiver is statically a thread/serial pool: a direct
-  ``SerialExecutor()``/``ThreadExecutor()``/``ThreadPoolExecutor()``
-  construction, or a name bound to one in the same function (including
-  ``with ThreadExecutor(2) as ex:`` bindings).
+- the receiver is statically a serial/thread pool: a direct
+  ``SerialExecutor()``/``ThreadPoolExecutor()`` construction, or a name
+  bound to one in the same function (including
+  ``with SerialExecutor() as ex:`` bindings).
 
 Anything else is either a real fork-pickle hazard or a pattern worth an
 annotated ``# repro: noqa[PICK01]``.
@@ -33,9 +33,7 @@ from repro.analysis.framework import FileContext, Finding, Rule, register
 
 _DISPATCH_METHODS = frozenset({"map", "submit", "apply_async"})
 _GUARD_ATTR = "supports_shared_state"
-_THREAD_SAFE_POOLS = frozenset(
-    {"SerialExecutor", "ThreadExecutor", "ThreadPoolExecutor"}
-)
+_THREAD_SAFE_POOLS = frozenset({"SerialExecutor", "ThreadPoolExecutor"})
 
 
 def _pool_tail(expr: ast.expr) -> str | None:

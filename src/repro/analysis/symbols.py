@@ -67,8 +67,6 @@ API_KINDS: dict[str, str] = {
     "concurrent.futures.ThreadPoolExecutor": KIND_POOL,
     "concurrent.futures.thread.ThreadPoolExecutor": KIND_POOL,
     # repro.runtime surface (through any import alias)
-    "repro.runtime.ThreadExecutor": KIND_EXECUTOR,
-    "repro.runtime.executor.ThreadExecutor": KIND_EXECUTOR,
     "repro.runtime.PersistentExecutor": KIND_EXECUTOR,
     "repro.runtime.persistent.PersistentExecutor": KIND_EXECUTOR,
     "repro.runtime.get_executor": KIND_EXECUTOR,

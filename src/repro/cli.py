@@ -11,9 +11,10 @@ Commands
     Price a batched-SVD workload on a device and compare against the
     cuSOLVER and MAGMA baselines.
 
-Both ``svd`` and ``estimate`` accept ``--workers N --backend
-{serial,threads,persistent}`` to run on the parallel host runtime; results
-and simulated profiles are bit-identical across backends.
+``svd`` accepts ``--workers N --backend persistent`` to run on the
+parallel host runtime; results and simulated profiles are bit-identical
+across backends. ``estimate`` walks the cost model analytically and runs
+in-process.
 ``plan``
     Show the tailoring plan the auto-tuner picks for a workload, and the
     low-precision level plans of §V-E.
@@ -125,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch", type=int, default=10)
         p.add_argument("--device", default="V100")
         p.add_argument("--seed", type=int, default=0)
+        if name == "estimate":
+            continue  # an analytic walk runs in-process: no runtime flags
         p.add_argument(
             "--workers",
             type=int,
@@ -234,29 +237,12 @@ def cmd_svd(
     return 0
 
 
-def cmd_estimate(
-    shape: tuple[int, int],
-    batch: int,
-    device: str,
-    seed: int,
-    workers: int = 1,
-    backend: str = "serial",
-    max_retries: int | None = None,
-    task_timeout: float | None = None,
-    on_failure: str = "raise",
-) -> int:
+def cmd_estimate(shape: tuple[int, int], batch: int, device: str) -> int:
     from repro import WCycleEstimator
     from repro.baselines import CuSolverModel, MagmaModel
 
-    runtime = _resolve_runtime(
-        workers, backend, max_retries, task_timeout, on_failure
-    )
     shapes = [shape] * batch
-    estimator = WCycleEstimator(device=device, runtime=runtime)
-    try:
-        t_w = estimator.estimate_time(shapes)
-    finally:
-        estimator.close()
+    t_w = WCycleEstimator(device=device).estimate_time(shapes)
     t_c = CuSolverModel(device).estimate_time(shapes)
     t_m = MagmaModel(device).estimate_time(shapes)
     print(f"{batch} x {shape[0]}x{shape[1]} on {device} (simulated seconds)")
@@ -307,11 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.max_retries, args.task_timeout, args.on_failure,
             )
         if args.command == "estimate":
-            return cmd_estimate(
-                args.shape, args.batch, args.device, args.seed,
-                args.workers, args.backend,
-                args.max_retries, args.task_timeout, args.on_failure,
-            )
+            return cmd_estimate(args.shape, args.batch, args.device)
         if args.command == "plan":
             return cmd_plan(args.shape, args.batch, args.device)
         if args.command == "serve":

@@ -18,7 +18,6 @@ rounds highly heterogeneous batches up into power-of-two buckets.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 
@@ -32,8 +31,6 @@ from repro.gpusim.gemm import BatchedGemm, GemmTask, TilingSpec
 from repro.gpusim.memory import svd_fits_in_sm
 from repro.gpusim.svd_kernel import BatchedSVDKernel, SMSVDKernelConfig
 from repro.jacobi.sweep_model import predict_sweeps_block
-from repro.runtime.executor import Executor, RuntimeConfig, get_executor
-from repro.runtime.scheduler import wcycle_matrix_cost
 from repro.tuning.autotune import AutoTuner
 
 __all__ = ["WCycleEstimator"]
@@ -67,15 +64,9 @@ class WCycleEstimator:
         config: WCycleConfig | None = None,
         *,
         device: str | DeviceSpec = "V100",
-        runtime: RuntimeConfig | Executor | str | None = None,
     ) -> None:
         self.config = config or WCycleConfig()
         self.device = get_device(device)
-        self._executor = get_executor(runtime)
-
-    def close(self) -> None:
-        """Release the runtime's pooled workers (idempotent)."""
-        self._executor.close()
 
     # ------------------------------------------------------------------
 
@@ -140,12 +131,11 @@ class WCycleEstimator:
 
             self.device = replace(device, kernel_launch_overhead=0.0)
         try:
-            # Every group's level walk is independent; each task fills a
-            # private report and the reports are concatenated in group
-            # order — the serial recording sequence — so parallel estimates
-            # are identical to serial ones.
-            for group_report in self._walk_groups(groups):
-                report.extend(group_report)
+            for ((m, n), cond), count in groups:
+                widths = self._widths(m, n, count)
+                self._estimate_level(
+                    m, n, count, widths, 0, cond, multiplier=1, report=report
+                )
         finally:
             self.device = device
         if amortize and groups:
@@ -183,37 +173,6 @@ class WCycleEstimator:
         return self.estimate_batch(shapes, conditions=conditions).total_time
 
     # ------------------------------------------------------------------
-
-    def _walk_groups(self, groups) -> list[ProfileReport]:
-        """Run every (shape, condition) group's level walk, one report each.
-
-        Thread workers share ``self`` (``self.device`` is only *read*
-        inside the region — the amortize swap happens before the fan-out);
-        persistent workers rebuild a per-process estimator from the frozen
-        config and device.
-        """
-        ex = self._executor
-        costs = [
-            count * wcycle_matrix_cost(*shape)
-            for (shape, _), count in groups
-        ]
-        if ex.supports_shared_state:
-
-            def task(item) -> ProfileReport:
-                ((m, n), cond), count = item
-                local = ProfileReport()
-                widths = self._widths(m, n, count)
-                self._estimate_level(
-                    m, n, count, widths, 0, cond, multiplier=1, report=local
-                )
-                return local
-
-            return ex.map(task, groups, costs=costs)
-        items = [
-            (self.config, self.device, shape, cond, count)
-            for (shape, cond), count in groups
-        ]
-        return ex.map(_estimate_group_task, items, costs=costs)
 
     def _svd_kernel(self) -> BatchedSVDKernel:
         cfg = self.config
@@ -364,31 +323,3 @@ class WCycleEstimator:
         ] * batch
         update = gemm.simulate_update(update_tasks)
         report.add(update.repeated(repeats))
-
-
-# -- persistent-worker task shell ------------------------------------------
-
-
-@functools.lru_cache(maxsize=8)
-def _worker_estimator(
-    config: WCycleConfig, device: DeviceSpec
-) -> WCycleEstimator:
-    """Per-process estimator cache keyed by the frozen (config, device)."""
-    return WCycleEstimator(config, device=device)
-
-
-def _estimate_group_task(item) -> ProfileReport:
-    """Worker shell: walk one (shape, condition) group into a report.
-
-    ``device`` arrives already amortized (overhead-free) when the parent
-    batch is mixed, so the walk matches the parent's serial walk exactly.
-    """
-    config, device, shape, cond, count = item
-    est = _worker_estimator(config, device)
-    m, n = shape
-    local = ProfileReport()
-    widths = est._widths(m, n, count)
-    est._estimate_level(
-        m, n, count, widths, 0, cond, multiplier=1, report=local
-    )
-    return local

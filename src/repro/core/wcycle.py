@@ -454,10 +454,6 @@ class WCycleSVD:
             # engine shard its stacks across the pool instead.
             outs = [_CapturedCall(solve)(units[0])]
         elif ex.supports_shared_state:
-            # Build both kernels before fanning out so worker threads share
-            # one instance instead of racing to construct it.
-            self._svd_kernel()
-            self._evd_kernel()
             outs = ex.map(solve, units, costs=costs, on_error="return")
         else:
             # Persistent backend: working matrices travel as arena slot

@@ -30,7 +30,9 @@ per-matrix solver takes too, so a rotation touches ``n`` rows instead of
 ``m``. A matrix whose largest entry is far from 1 is shifted by an exact
 power of two before it is bucketed, and its singular values are shifted
 back when its factors are placed
-(:func:`~repro.jacobi.preconditioning.safe_exponent`).
+(:func:`~repro.jacobi.preconditioning.safe_exponent`); a symmetric matrix
+of :meth:`BatchedJacobiEngine.evd_batch` likewise, with its eigenvalues
+shifted back (:func:`~repro.jacobi.preconditioning.shift_symmetric`).
 
 Data-dependent schedules (the ``dynamic`` ordering) and the sequential
 two-sided EVD cannot share one schedule across a bucket; those fall back to
@@ -82,7 +84,13 @@ from repro.jacobi.fused import (
 )
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
-from repro.jacobi.preconditioning import qr_detour, safe_exponent, unshift
+from repro.jacobi.preconditioning import (
+    qr_detour,
+    safe_exponent,
+    shift_symmetric,
+    unshift,
+    unshift_evd,
+)
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
 from repro.orderings import Ordering, get_ordering
 from repro.runtime import faults
@@ -1050,6 +1058,9 @@ class BatchedJacobiEngine:
         results: list[EVDResult | None] = [None] * len(mats)
         stackable: list[int] = []
         scales: dict[int, float] = {}
+        # A matrix whose scale would over- or underflow the sweeps is solved
+        # shifted by a power of two, and so is its absolute diagonal floor.
+        shifts: dict[int, int] = {}
         for i, B in enumerate(mats):
             k = B.shape[0]
             if k == 1:
@@ -1057,14 +1068,20 @@ class BatchedJacobiEngine:
                     J=np.eye(1), L=B[0].copy(), trace=ConvergenceTrace()
                 )
                 continue
-            scale = float(np.linalg.norm(B))
+            mats[i], scale, shift = shift_symmetric(B)
             if scale == 0.0:
                 results[i] = EVDResult(
                     J=np.eye(k), L=np.zeros(k), trace=ConvergenceTrace()
                 )
                 continue
+            if shift:
+                shifts[i] = shift
             scales[i] = scale
             stackable.append(i)
+        if shifts:
+            floors = floors.copy()
+            for i, shift in shifts.items():
+                floors[i, 1] = np.ldexp(floors[i, 1], -shift)
         units = self._plan_units(
             bucket_by_shape([mats[i].shape for i in stackable])
         )
@@ -1088,6 +1105,8 @@ class BatchedJacobiEngine:
                     results[stackable[p]] = res
         finally:
             self._release_arena_leases()
+        for i, shift in shifts.items():
+            results[i] = unshift_evd(results[i], shift)
         return results  # type: ignore[return-value]
 
     def _quarantine_evd_unit(

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.jacobi.convergence import symmetric_offdiagonal_cosine
+from repro.jacobi.preconditioning import shift_symmetric, unshift_evd
 from repro.jacobi.rotations import rotation_cs
 from repro.jacobi.twosided_evd import TwoSidedConfig, _finalize_evd
 from repro.orderings import Ordering, get_ordering
@@ -58,7 +59,7 @@ class ParallelJacobiEVD:
         self.last_rotations = 0
         if n == 1:
             return EVDResult(J=J, L=B[0].copy(), trace=trace)
-        scale = float(np.linalg.norm(B))
+        B, scale, shift = shift_symmetric(B)
         if scale == 0.0:
             return EVDResult(J=J, L=np.zeros(n), trace=trace)
         cfg = self.config
@@ -72,7 +73,7 @@ class ParallelJacobiEVD:
             trace.append(sweep_index, off, rotations)
             self.last_rotations += rotations
             if off < cfg.tol:
-                return _finalize_evd(B, J, trace)
+                return unshift_evd(_finalize_evd(B, J, trace), shift)
         raise ConvergenceError(
             f"parallel two-sided Jacobi did not converge in "
             f"{cfg.max_sweeps} sweeps "

@@ -25,7 +25,9 @@ solves the ``R`` factors together in shape buckets, then maps
 
 :func:`safe_exponent` is the solvers' other input conditioning: a matrix
 whose largest entry is far from 1 is shifted by an exact power of two
-before its sweeps, and only its singular values are shifted back.
+before its sweeps, and only its singular values are shifted back. The
+symmetric EVD solvers take the same shift through :func:`shift_symmetric`
+and shift only their eigenvalues back (:func:`unshift_evd`).
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ import math
 
 import numpy as np
 
-from repro.types import SVDResult
+from repro.types import EVDResult, SVDResult
 
 __all__ = [
     "qr_detour",
     "safe_exponent",
+    "shift_symmetric",
     "unshift",
+    "unshift_evd",
     "worth_preconditioning",
 ]
 
@@ -102,3 +106,32 @@ def unshift(res: SVDResult, exponent: int) -> SVDResult:
         U=res.U, S=np.ldexp(res.S, exponent), V=res.V, trace=res.trace
     )
 
+
+def shift_symmetric(B: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``(B 2^-e, ||B 2^-e||_F, e)`` for a ``k x k`` symmetric ``B``, with
+    ``e = safe_exponent(B)``.
+
+    The two-sided sweeps multiply diagonal entries (``b_ii b_jj``), which
+    over- or underflow outside the same window as the one-sided products.
+    The Frobenius norm every EVD solver takes for its noise floor bounds
+    the largest entry (``max <= ||B||_F <= k max``), so only a norm
+    outside the window pays for the exact pass; ``B`` comes back
+    unchanged (the same object) when ``e`` is 0.
+    """
+    with np.errstate(over="ignore"):  # an infinite norm is outside too
+        scale = float(np.linalg.norm(B))
+    if B.shape[0] * 2.0**-_SAFE_EXPONENT <= scale < 2.0 ** (_SAFE_EXPONENT - 1):
+        return B, scale, 0
+    shift = safe_exponent(B)
+    if not shift:
+        return B, scale, 0
+    B = np.ldexp(B, -shift)
+    return B, float(np.linalg.norm(B)), shift
+
+
+def unshift_evd(res: EVDResult, exponent: int) -> EVDResult:
+    """Factors of ``2^exponent B`` from those of ``B``: only the
+    eigenvalues scale, since ``J`` is scale-free."""
+    if not exponent:
+        return res
+    return EVDResult(J=res.J, L=np.ldexp(res.L, exponent), trace=res.trace)

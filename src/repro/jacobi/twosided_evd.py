@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.jacobi.convergence import symmetric_offdiagonal_cosine
 from repro.jacobi.factors import finalize_evd_stack
+from repro.jacobi.preconditioning import shift_symmetric, unshift_evd
 from repro.jacobi.rotations import twosided_rotation
 from repro.orderings import Ordering, get_ordering
 from repro.types import ConvergenceTrace, EVDResult
@@ -84,7 +85,7 @@ class TwoSidedJacobiEVD:
         self.last_rotations = 0
         if n == 1:
             return EVDResult(J=J, L=B[0].copy(), trace=trace)
-        scale = float(np.linalg.norm(B))
+        B, scale, shift = shift_symmetric(B)
         if scale == 0.0:
             return EVDResult(J=J, L=np.zeros(n), trace=trace)
         cfg = self.config
@@ -95,7 +96,7 @@ class TwoSidedJacobiEVD:
             trace.append(sweep_index, off, rotations)
             self.last_rotations += rotations
             if off < cfg.tol:
-                return _finalize_evd(B, J, trace)
+                return unshift_evd(_finalize_evd(B, J, trace), shift)
         raise ConvergenceError(
             f"two-sided Jacobi did not converge in {cfg.max_sweeps} sweeps "
             f"(residual {trace.records[-1].off_norm:.3e})",

@@ -6,8 +6,8 @@ NumPy pipeline of the seed ran everything on a single core. This package
 supplies the missing host axis:
 
 - :mod:`repro.runtime.executor` — the :class:`Executor` abstraction with
-  ``serial`` / ``threads`` / ``persistent`` backends and cost-aware
-  largest-first scheduling;
+  its two backends, the ``serial`` reference and ``persistent``, and
+  cost-aware largest-first scheduling;
 - :mod:`repro.runtime.arena` — pre-pinned shared-memory arenas with a
   slot-lease protocol (allocate once, lease per batch, return on result
   handback), the only shared-memory mechanism and the only worker
@@ -28,7 +28,7 @@ supplies the missing host axis:
 - :mod:`repro.runtime.resilient` — the :class:`ResilientExecutor`
   supervisor: per-task deadlines, bounded deterministic retries with
   exponential backoff, dead-pool respawn, and the degradation ladder
-  down to the serial rung (persistent → serial, threads → serial).
+  down to the serial rung (persistent → serial).
 
 The contract threaded through every consumer (`BatchedJacobiEngine`, the
 batched kernels, `WCycleSVD`, `WCycleEstimator`) is **bit-identical
@@ -46,7 +46,6 @@ from repro.runtime.executor import (
     RuntimeConfig,
     SerialExecutor,
     TaskError,
-    ThreadExecutor,
     get_executor,
 )
 from repro.runtime.scheduler import (
@@ -81,7 +80,6 @@ __all__ = [
     "Executor",
     "RuntimeConfig",
     "SerialExecutor",
-    "ThreadExecutor",
     "TaskError",
     "get_executor",
     "ResilientExecutor",

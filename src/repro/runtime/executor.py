@@ -1,8 +1,8 @@
-"""Executor backends: serial, thread-pool, and persistent-worker map engines.
+"""Executor backends: serial and persistent-worker map engines.
 
 An :class:`Executor` runs a list of independent tasks and returns their
-results **in task order**, regardless of completion order. Parallel
-backends schedule tasks largest-estimated-cost-first (the classic LPT
+results **in task order**, regardless of completion order. The parallel
+backend schedules tasks largest-estimated-cost-first (the classic LPT
 heuristic) so one straggler bucket does not serialize the tail of the run;
 because results are re-ordered by task index afterwards, the schedule
 never affects what callers observe.
@@ -10,14 +10,8 @@ never affects what callers observe.
 Backend notes
 -------------
 ``serial``
-    Plain in-order loop. The reference every parallel backend must match
+    Plain in-order loop. The reference the parallel backend must match
     bit-for-bit.
-``threads``
-    ``concurrent.futures.ThreadPoolExecutor``. NumPy releases the GIL
-    inside its ufunc/``einsum``/``matmul`` inner loops, so the stacked
-    sweeps of :mod:`repro.jacobi.batched` genuinely overlap across cores;
-    shared state (the W-cycle's plan caches, in-place panel updates) stays
-    directly usable.
 ``persistent``
     :class:`~repro.runtime.persistent.PersistentExecutor`: long-lived
     supervised fork workers that sidestep the GIL entirely. They attach a
@@ -37,7 +31,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -51,14 +45,13 @@ __all__ = [
     "TaskError",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "get_executor",
 ]
 
 _log = get_logger("runtime.executor")
 
 #: The recognized executor backends.
-BACKENDS = ("serial", "threads", "persistent")
+BACKENDS = ("serial", "persistent")
 
 #: Environment override for the default backend: when set (and not
 #: ``"serial"``), ``get_executor(None)`` builds this backend instead of
@@ -83,9 +76,10 @@ class RuntimeConfig:
     backend:
         One of :data:`BACKENDS`.
     workers:
-        Worker count for the parallel backends (``serial`` always runs
-        with one). ``workers > os.cpu_count()`` is rejected here — once,
-        for every entry point — unless ``allow_oversubscribe`` opts in.
+        Worker count for the ``persistent`` backend (``serial`` always
+        runs with one). ``workers > os.cpu_count()`` is rejected here —
+        once, for every entry point — unless ``allow_oversubscribe`` opts
+        in.
     min_shard:
         Smallest per-worker slice when a stacked shape bucket is split
         across workers — splitting below this trades vectorization for
@@ -238,16 +232,6 @@ class Executor:
         self.workers = int(workers)
         self.min_shard = int(min_shard)
         self._local = threading.local()
-        self._counts_lock = threading.Lock()
-        self._dispatch_counts = {"batches": 0, "tasks": 0}
-
-    def _count(self, **deltas: int) -> None:
-        """Bump dispatch counters under the lock — ``map``/``submit`` may
-        be driven from several threads at once (the serve broker plus any
-        background caller), and lost increments would skew the ledger."""
-        with self._counts_lock:
-            for key, delta in deltas.items():
-                self._dispatch_counts[key] += delta
 
     def dispatch_stats(self) -> dict:
         """Dispatch-overhead counters (batches, tasks).
@@ -257,8 +241,7 @@ class Executor:
         bytes, arena leases), and the worker-scaling benchmark records the
         breakdown per config.
         """
-        with self._counts_lock:
-            return dict(self._dispatch_counts)
+        return {"batches": 0, "tasks": 0}
 
     # -- nesting ---------------------------------------------------------
 
@@ -286,7 +269,7 @@ class Executor:
     ) -> list[_R]:
         """Apply ``fn`` to every item; results returned in item order.
 
-        Parallel backends submit tasks in descending-cost order and
+        The parallel backend submits tasks in descending-cost order and
         reorder results afterwards. Nested calls (from inside a task) and
         single-item maps run inline in the calling thread.
 
@@ -326,9 +309,9 @@ class Executor:
         """Run one task and return a :class:`~concurrent.futures.Future`.
 
         The base (serial) implementation executes inline and returns an
-        already-resolved future; pool backends dispatch to a worker. No
-        nesting bookkeeping is done here — callers that need ``active``
-        semantics wrap ``fn`` themselves.
+        already-resolved future; the persistent backend dispatches to a
+        worker. No nesting bookkeeping is done here — callers that need
+        ``active`` semantics wrap ``fn`` themselves.
         """
         fut: Future = Future()
         try:
@@ -361,57 +344,6 @@ class SerialExecutor(Executor):
 
     def __init__(self, workers: int = 1, *, min_shard: int = 4) -> None:
         super().__init__(1, min_shard=min_shard)
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool backend; scales through NumPy's GIL-releasing kernels."""
-
-    backend = "threads"
-    supports_shared_state = True
-
-    def __init__(self, workers: int, *, min_shard: int = 4) -> None:
-        super().__init__(workers, min_shard=min_shard)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-worker",
-                )
-            return self._pool
-
-    def _map_parallel(
-        self,
-        fn: Callable[[_T], _R],
-        items: list[_T],
-        costs: Sequence[float] | None,
-    ) -> list[_R]:
-        pool = self._ensure_pool()
-        order = _submission_order(len(items), costs)
-        self._count(batches=1, tasks=len(items))
-        futures = {
-            i: pool.submit(self._run_task, fn, items[i]) for i in order
-        }
-        return [futures[i].result() for i in range(len(items))]
-
-    def submit(self, fn: Callable[[_T], _R], item: _T) -> "Future[_R]":
-        self._count(tasks=1)
-        return self._ensure_pool().submit(fn, item)
-
-    def respawn(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
 
 def _env_default_config() -> RuntimeConfig | None:
@@ -455,7 +387,7 @@ def get_executor(
     :class:`RuntimeConfig`, a backend name, or ``None`` (serial, unless
     the :data:`BACKEND_ENV_VAR` environment override names another
     backend). When a bare backend name is given, ``workers`` defaults to
-    ``os.cpu_count()`` for the parallel backends.
+    ``os.cpu_count()`` for the parallel backend.
 
     The result is wrapped in a
     :class:`~repro.runtime.resilient.ResilientExecutor` when the config's
@@ -489,8 +421,6 @@ def get_executor(
         )
         if config.backend == "serial":
             base = SerialExecutor(min_shard=config.min_shard)
-        elif config.backend == "threads":
-            base = ThreadExecutor(config.workers, min_shard=config.min_shard)
         else:
             from repro.runtime.persistent import PersistentExecutor
 

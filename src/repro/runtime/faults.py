@@ -6,17 +6,18 @@ corruption turning a stack non-finite — are rare, non-deterministic, and
 impossible to regression-test directly. This module makes them *cheap and
 deterministic*: a :class:`FaultPlan` is a seeded set of clauses, and
 whether a given clause fires for a given task is a pure function of
-``(seed, kind, task key)``, so a chaos run replays the exact same faults
-every time — which is what lets the chaos suite assert that recovered
-runs stay bit-identical to clean ones.
+``(seed, kind, task key)``. The key names the task by its map's sequence
+number and its index, never by process id, so a chaos run replays the
+exact same faults every time, in every process — which is what lets the
+chaos suite assert that recovered runs stay bit-identical to clean ones.
 
 Fault kinds
 -----------
 ``kill``
     Worker death. In a persistent worker the process exits hard
-    (``os._exit``), breaking the pool; on thread/serial rungs it raises
-    :class:`~repro.errors.WorkerCrashError` instead (threads cannot be
-    killed safely).
+    (``os._exit``), breaking the pool; in the parent process (the serial
+    rung, or a single-task map run inline) it raises
+    :class:`~repro.errors.WorkerCrashError` instead.
 ``hang``
     A stuck task: sleeps ``delay`` seconds so the resilient executor's
     per-task deadline trips. On the serial rung (no concurrent waiter) it

@@ -10,10 +10,8 @@ Executor` and turns its ``map`` into a supervised, attempt-bounded run:
   observable behavior and must replay exactly under fault injection);
 - each retry runs one rung further down the **degradation ladder**
   (:func:`~repro.runtime.scheduler.degradation_ladder`): a task that died
-  on the persistent pool or on a thread retries on the serial rung — the
-  bit-exact reference, where an infrastructure fault cannot reproduce
-  (arena-transport tasks never retry on threads; see the ladder's
-  docstring);
+  on the persistent pool retries on the serial rung — the bit-exact
+  reference, where an infrastructure fault cannot reproduce;
 - a **timed-out manifest on the persistent backend respawns the pool**
   before the retry round: a started manifest cannot be cancelled, and a
   zombie worker still holding :class:`~repro.runtime.arena.SlotRef`
@@ -35,8 +33,10 @@ reference computes — recovery never perturbs results, only wall-clock.
 
 The wrapper is also the arming point for :mod:`repro.runtime.faults`:
 each dispatched task runs inside a :class:`_TaskShell` that activates a
-deterministic fault frame keyed by task id and attempt, so injected
-faults fire on first attempts and retries run clean.
+deterministic fault frame keyed by map sequence number, task index and
+attempt — never by process — so a plan injects the same faults in every
+process that replays the same calls, first attempts fail and retries run
+clean.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ class ResilientExecutor(Executor):
         plan = faults.installed()
         rungs = self._rungs()
         self._map_seq += 1
-        key_root = f"rp{os.getpid()}x{self._map_seq}"
+        key_root = f"r{self._map_seq}"
         count = len(items)
         results: list = [None] * count
         errors: dict[int, BaseException] = {}
@@ -353,8 +353,8 @@ class ResilientExecutor(Executor):
 
     def _dispatch(self, rung: Executor, shell: _TaskShell, item) -> Future:
         if rung.supports_shared_state:
-            # Route through our _run_task so `self.active` is visible in
-            # the rung's worker thread: nested maps then inline against
+            # Route through our _run_task so `self.active` is set while
+            # the rung runs the task: nested maps then inline against
             # *this* wrapper instead of re-submitting (deadlock-free).
             return rung.submit(functools.partial(self._run_task, shell), item)
         return rung.submit(shell, item)

@@ -97,22 +97,16 @@ def split_shards(
 def degradation_ladder(backend: str) -> tuple[str, ...]:
     """Backend fallback order for retried tasks (most to least capable).
 
-    A task that keeps failing on a parallel backend retries on the serial
-    rung: worker-pool faults (dead workers, lost segments, wedged threads)
-    cannot reproduce there, and it is also the bit-exact reference, so a
-    task that survives anywhere produces identical results everywhere.
-
-    The ``persistent`` backend has no thread rung: its tasks carry arena
-    :class:`~repro.runtime.arena.SlotRef` handles, and a thread that
-    misses its deadline cannot be terminated — a zombie thread holding
-    slot refs could touch slots after their leases return to the free
-    list and are re-leased to another batch. The serial rung runs inline
-    (no concurrent waiter), so it can never leave a zombie behind.
+    A task that keeps failing on the persistent pool retries on the
+    serial rung: worker-pool faults (dead workers, lost segments, wedged
+    tasks) cannot reproduce there, and it is also the bit-exact
+    reference, so a task that survives anywhere produces identical
+    results everywhere. The serial rung runs inline (no concurrent
+    waiter), so a missed deadline there can never leave a zombie holding
+    arena :class:`~repro.runtime.arena.SlotRef` handles behind.
     """
     if backend == "persistent":
         return ("persistent", "serial")
-    if backend == "threads":
-        return ("threads", "serial")
     if backend == "serial":
         return ("serial",)
     raise ConfigurationError(

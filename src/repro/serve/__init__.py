@@ -21,8 +21,6 @@ per-matrix results — and failures — back out to per-request futures.
 - :mod:`repro.serve.fanout` — fused-stack position -> request id
   translation (the mapping every failure must cross);
 - :mod:`repro.serve.stats` — :class:`ServerStats` snapshots;
-- :mod:`repro.serve.client` — :class:`SVDClient`, the blocking
-  convenience surface;
 - :mod:`repro.serve.loadgen` — the closed-loop load generator behind
   ``repro-serve``, the serving benchmark, and the CI smoke job.
 
@@ -32,7 +30,6 @@ changes scheduling, never arithmetic.
 """
 
 from repro.serve.batcher import FLUSH_CAUSES, FusedBatch, MicroBatcher
-from repro.serve.client import SVDClient
 from repro.serve.fanout import (
     positions_to_request_ids,
     remap_fused_failure,
@@ -47,7 +44,6 @@ __all__ = [
     "FLUSH_CAUSES",
     "FusedBatch",
     "MicroBatcher",
-    "SVDClient",
     "SVDFuture",
     "SVDServer",
     "ServeConfig",

@@ -86,7 +86,7 @@ class TestChaosScenarios:
         res = _chaos_solve(
             batch,
             RuntimeConfig(
-                backend="threads", workers=2, min_shard=2,
+                backend="persistent", workers=2, min_shard=2,
                 allow_oversubscribe=True, max_retries=1,
                 task_timeout=0.05, backoff_base=0.0,
                 on_failure="quarantine",
@@ -104,7 +104,7 @@ class TestChaosScenarios:
         res = _chaos_solve(
             batch,
             RuntimeConfig(
-                backend="threads", workers=2, min_shard=2,
+                backend="persistent", workers=2, min_shard=2,
                 allow_oversubscribe=True, max_retries=1,
                 backoff_base=0.0, on_failure="quarantine",
             ),
@@ -146,7 +146,7 @@ class TestChaosScenarios:
         res = _chaos_solve(
             mats,
             RuntimeConfig(
-                backend="threads", workers=2, allow_oversubscribe=True,
+                backend="persistent", workers=2, allow_oversubscribe=True,
                 max_retries=0, backoff_base=0.0, on_failure="quarantine",
             ),
         )
@@ -164,7 +164,7 @@ class TestChaosScenarios:
         chaos("seed=3;kill:p=1.0")
         profiler = Profiler()
         runtime = RuntimeConfig(
-            backend="threads", workers=2, min_shard=2,
+            backend="persistent", workers=2, min_shard=2,
             allow_oversubscribe=True, max_retries=1,
             backoff_base=0.0, on_failure="quarantine",
         )
@@ -235,7 +235,7 @@ class TestBucketChaos:
         chaos("seed=11;nan:p=1.0")
         profiler = Profiler()
         runtime = RuntimeConfig(
-            backend="threads", workers=workers, allow_oversubscribe=True,
+            backend="persistent", workers=workers, allow_oversubscribe=True,
             max_retries=0, backoff_base=0.0, on_failure="quarantine",
         )
         with WCycleSVD(device="V100", runtime=runtime) as solver:

@@ -66,9 +66,9 @@ class TestRuntimeFlags:
         assert args.backend == expected
 
     def test_env_override_sets_backend_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME_BACKEND", "threads")
+        monkeypatch.setenv("REPRO_RUNTIME_BACKEND", "persistent")
         args = build_parser().parse_args(["svd"])
-        assert args.backend == "threads"
+        assert args.backend == "persistent"
         args = build_parser().parse_args(["svd", "--backend", "serial"])
         assert args.backend == "serial"  # explicit flag beats the env
 
@@ -94,6 +94,26 @@ class TestRuntimeFlags:
             serve_parser()
 
     @pytest.mark.parametrize("cli", ["repro", "repro-serve"])
+    def test_deleted_threads_backend_names_the_remaining_ones(
+        self, capsys, cli
+    ):
+        from repro.serve.cli import build_parser as serve_parser
+
+        if cli == "repro":
+            parser, argv = build_parser(), ["svd", "--backend", "threads"]
+        else:
+            parser, argv = serve_parser(), ["--backend", "threads"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert "'serial', 'persistent'" in capsys.readouterr().err
+
+    def test_estimate_takes_no_runtime_flags(self):
+        for flag in ("--workers", "--backend", "--max-retries",
+                     "--task-timeout", "--on-failure"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["estimate", flag, "1"])
+
+    @pytest.mark.parametrize("cli", ["repro", "repro-serve"])
     def test_deleted_processes_backend_names_persistent(self, capsys, cli):
         from repro.serve.cli import build_parser as serve_parser
 
@@ -115,15 +135,15 @@ class TestRuntimeFlags:
         with pytest.raises(SystemExit, match="persistent"):
             build_parser() if cli == "repro" else serve_parser()
 
-    def test_svd_threads_backend(self, capsys, monkeypatch):
+    def test_svd_persistent_backend(self, capsys, monkeypatch):
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 4)
         code = main(
             ["svd", "--shape", "12x8", "--batch", "3",
-             "--workers", "2", "--backend", "threads"]
+             "--workers", "2", "--backend", "persistent"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "threads, 2 worker(s)" in out
+        assert "persistent, 2 worker(s)" in out
         assert "max reconstruction error" in out
 
     def test_estimate_backend_reported(self, capsys):
@@ -132,7 +152,7 @@ class TestRuntimeFlags:
 
     def test_workers_beyond_cpu_count_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 2)
-        code = main(["svd", "--workers", "3", "--backend", "threads"])
+        code = main(["svd", "--workers", "3", "--backend", "persistent"])
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -141,11 +161,11 @@ class TestRuntimeFlags:
 
     def test_serial_backend_with_many_workers_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 8)
-        code = main(["estimate", "--workers", "2", "--backend", "serial"])
+        code = main(["svd", "--workers", "2", "--backend", "serial"])
         assert code == 2
         err = capsys.readouterr().err
         assert "requires a parallel backend" in err
-        assert "--backend threads or --backend persistent" in err
+        assert "add --backend persistent" in err
 
 
 class TestResilienceFlags:
@@ -179,7 +199,7 @@ class TestResilienceFlags:
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 4)
         code = main(
             ["svd", "--shape", "12x8", "--batch", "3",
-             "--workers", "2", "--backend", "threads",
+             "--workers", "2", "--backend", "persistent",
              "--max-retries", "1", "--task-timeout", "30"]
         )
         assert code == 0

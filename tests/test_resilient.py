@@ -9,7 +9,12 @@ and the supervised ``map`` loop's retry/deadline/quarantine behavior.
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +25,12 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.runtime import (
+    PersistentExecutor,
     ResilientExecutor,
     RetryPolicy,
     RuntimeConfig,
     SerialExecutor,
     TaskError,
-    ThreadExecutor,
     base_executor,
     degradation_ladder,
     faults,
@@ -70,13 +75,10 @@ class TestBackoff:
 
 
 class TestDegradationLadder:
-    def test_threads_fall_to_serial(self):
-        assert degradation_ladder("threads") == ("threads", "serial")
-
     def test_persistent_falls_straight_to_serial(self):
-        # No thread rung: arena SlotRef tasks must never retry on a rung
-        # that cannot be terminated after a missed deadline — a zombie
-        # thread could touch slots after their leases are re-leased.
+        # The serial rung runs inline, so a missed deadline there leaves
+        # no zombie that could touch slots after their leases are
+        # re-leased.
         assert degradation_ladder("persistent") == ("persistent", "serial")
 
     def test_serial_has_no_fallback(self):
@@ -102,6 +104,12 @@ class TestFaultSpecGrammar:
         """A clause pinned to no real backend would never fire."""
         with pytest.raises(ConfigurationError, match="persistent"):
             faults.parse_spec("kill:p=1.0,backend=processes")
+
+    def test_deleted_threads_backend_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match="'serial', 'persistent'"
+        ):
+            faults.parse_spec("kill:p=1.0,backend=threads")
 
     def test_bare_kind_defaults(self):
         clause = faults.parse_spec("hang").clauses[0]
@@ -154,7 +162,7 @@ class TestFaultFrames:
 
     def test_kill_fires_inside_frame(self):
         plan = faults.parse_spec("seed=1;kill:p=1.0")
-        with faults.activate(plan, "t0", backend="threads"):
+        with faults.activate(plan, "t0", backend="serial"):
             assert faults.active()
             with pytest.raises(WorkerCrashError):
                 faults.on_task_start()
@@ -163,7 +171,7 @@ class TestFaultFrames:
         plan = faults.parse_spec("seed=5;kill:p=0.5")
         outcomes = []
         for key in [f"t{i}" for i in range(16)] * 2:
-            with faults.activate(plan, key, backend="threads"):
+            with faults.activate(plan, key, backend="serial"):
                 try:
                     faults.on_task_start()
                     outcomes.append(False)
@@ -174,7 +182,7 @@ class TestFaultFrames:
 
     def test_attempt_gate_stops_retries(self):
         plan = faults.parse_spec("seed=1;kill:p=1.0,attempts=1")
-        with faults.activate(plan, "t0", attempt=1, backend="threads"):
+        with faults.activate(plan, "t0", attempt=1, backend="serial"):
             faults.on_task_start()  # attempt >= clause budget: clean
 
     def test_backend_filter(self):
@@ -184,8 +192,8 @@ class TestFaultFrames:
 
     def test_nested_activation_keeps_outer_identity(self):
         plan = faults.parse_spec("seed=1;kill:p=1.0,match=outer")
-        with faults.activate(plan, "outer", backend="threads"):
-            with faults.activate(plan, "inner", backend="threads"):
+        with faults.activate(plan, "outer", backend="serial"):
+            with faults.activate(plan, "inner", backend="serial"):
                 assert faults.current().key == "outer"
 
     def test_hang_on_serial_raises_deadline(self):
@@ -209,10 +217,19 @@ class _FailFirst:
         return x * 2
 
 
+def _sleepy(x):
+    time.sleep(0.5)
+    return x
+
+
+def _times_ten(x):
+    return x * 10
+
+
 class TestSupervisedMap:
     def test_clean_map_passthrough(self):
-        with ResilientExecutor(ThreadExecutor(2)) as ex:
-            # threads: nothing is pickled
+        with ResilientExecutor(SerialExecutor()) as ex:
+            # serial: nothing is pickled
             out = ex.map(lambda x: x + 1, [1, 2, 3])  # repro: noqa[PICK01]
             assert out == [2, 3, 4]
             assert ex.last_failures == []
@@ -220,7 +237,7 @@ class TestSupervisedMap:
     def test_retry_recovers_and_records_history(self):
         fn = _FailFirst(WorkerCrashError("boom"))
         with ResilientExecutor(
-            ThreadExecutor(2), RetryPolicy(max_retries=1, backoff_base=0.0)
+            SerialExecutor(), RetryPolicy(max_retries=1, backoff_base=0.0)
         ) as ex:
             assert ex.map(fn, [1, 2]) == [2, 4]
             causes = {f.cause for f in ex.last_failures}
@@ -229,7 +246,7 @@ class TestSupervisedMap:
 
     def test_budget_exhaustion_raises_original(self):
         with ResilientExecutor(
-            ThreadExecutor(2), RetryPolicy(max_retries=0)
+            SerialExecutor(), RetryPolicy(max_retries=0)
         ) as ex:
             with pytest.raises(WorkerCrashError):
                 ex.map(_FailFirst(WorkerCrashError("boom")), [1])
@@ -237,7 +254,7 @@ class TestSupervisedMap:
     def test_numerical_failure_never_retried(self):
         fn = _FailFirst(ConvergenceError("stuck", sweeps=3, residual=0.1))
         with ResilientExecutor(
-            ThreadExecutor(2), RetryPolicy(max_retries=3, backoff_base=0.0)
+            SerialExecutor(), RetryPolicy(max_retries=3, backoff_base=0.0)
         ) as ex:
             with pytest.raises(ConvergenceError):
                 ex.map(fn, [1])
@@ -245,7 +262,7 @@ class TestSupervisedMap:
 
     def test_capture_mode_returns_task_error_with_history(self):
         fn = _FailFirst(ConvergenceError("stuck", sweeps=3, residual=0.1))
-        with ResilientExecutor(ThreadExecutor(2)) as ex:
+        with ResilientExecutor(SerialExecutor()) as ex:
             out = ex.map(fn, [1, 2], on_error="return")
         good = [o for o in out if not isinstance(o, TaskError)]
         bad = [o for o in out if isinstance(o, TaskError)]
@@ -255,37 +272,62 @@ class TestSupervisedMap:
         assert all(len(e.failures) == 1 for e in bad)
 
     def test_deadline_enforced_on_pool_rung(self):
-        def sleepy(x):
-            time.sleep(0.5)
-            return x
-
         with ResilientExecutor(
-            ThreadExecutor(2),
+            PersistentExecutor(2),
             RetryPolicy(max_retries=0, task_timeout=0.05),
         ) as ex:
             with pytest.raises(DeadlineExceeded):
-                ex.map(sleepy, [1])  # repro: noqa[PICK01] threads
+                ex.map(_sleepy, [1])
 
     def test_ladder_retry_escapes_backend_bound_fault(self, chaos):
-        """A kill pinned to the threads backend cannot follow the task to
-        the serial rung, so one retry recovers."""
-        chaos("seed=2;kill:p=1.0,backend=threads,attempts=99")
+        """A kill pinned to the persistent backend cannot follow the task
+        to the serial rung, so one retry recovers."""
+        chaos("seed=2;kill:p=1.0,backend=persistent,attempts=99")
         with ResilientExecutor(
-            ThreadExecutor(2), RetryPolicy(max_retries=1, backoff_base=0.0)
+            PersistentExecutor(2), RetryPolicy(max_retries=1, backoff_base=0.0)
         ) as ex:
-            out = ex.map(lambda x: x * 10, [1, 2])  # repro: noqa[PICK01]
-            assert out == [10, 20]
+            assert ex.map(_times_ten, [1, 2]) == [10, 20]
             rungs = {f.cause for f in ex.last_failures}
-        assert rungs == {"WorkerCrashError"}
+        assert rungs == {"WorkerPoolBroken"}
 
     def test_nested_map_runs_inline_under_outer_frame(self):
-        with ResilientExecutor(ThreadExecutor(2)) as ex:
+        with ResilientExecutor(SerialExecutor()) as ex:
 
             def outer(i):
                 inner = ex.map(lambda j: i * 10 + j, [0, 1])  # repro: noqa[PICK01]
                 return sum(inner)
 
-            assert ex.map(outer, [1, 2]) == [21, 41]  # repro: noqa[PICK01] threads
+            assert ex.map(outer, [1, 2]) == [21, 41]  # repro: noqa[PICK01] serial
+
+
+#: Twelve tasks under a p = 0.5 kill plan with no retries; prints the
+#: indices of the tasks that failed.
+_REPLAY = """
+from repro.runtime import (
+    ResilientExecutor, RetryPolicy, SerialExecutor, TaskError, faults,
+)
+faults.install(faults.parse_spec("seed=1;kill:p=0.5"))
+with ResilientExecutor(SerialExecutor(), RetryPolicy(max_retries=0)) as ex:
+    out = ex.map(abs, range(12), on_error="return")
+print([i for i, r in enumerate(out) if isinstance(r, TaskError)])
+"""
+
+
+def test_fault_plan_replays_in_every_process():
+    """A fault's draw keys on the map and the task, never on the process,
+    so the same plan fails the same tasks in every run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _REPLAY],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    failed = ast.literal_eval(runs[0])
+    assert 0 < len(failed) < 12
 
 
 class TestWiring:
@@ -320,9 +362,9 @@ class TestWiring:
             ex.close()
 
     def test_mirrors_scheduling_surface(self):
-        inner = ThreadExecutor(3, min_shard=7)
+        inner = PersistentExecutor(3, min_shard=7)
         with ResilientExecutor(inner) as ex:
-            assert ex.backend == "threads"
+            assert ex.backend == "persistent"
             assert ex.workers == 3
             assert ex.min_shard == 7
             assert ex.supports_shared_state == inner.supports_shared_state

@@ -1,26 +1,28 @@
 """Parallel execution runtime: executors, scheduling, bit-identity.
 
-The headline contract: ``serial``, ``threads``, and ``persistent``
-backends must produce byte-identical factors AND identical simulated-GPU
-accounting on a ragged batch. Everything the profiler records is
-computed host-side from batch shapes, so worker count and shard
-boundaries must be invisible in every observable.
+The headline contract: the ``serial`` and ``persistent`` backends must
+produce byte-identical factors AND identical simulated-GPU accounting on
+a ragged batch. Everything the profiler records is computed host-side
+from batch shapes, so worker count and shard boundaries must be
+invisible in every observable.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pytest
 
-from repro import Profiler, WCycleEstimator, WCycleSVD
+from repro import Profiler, WCycleSVD
 from repro.errors import ConfigurationError
 from repro.runtime import (
     BACKENDS,
+    PersistentExecutor,
+    ResilientExecutor,
     RuntimeConfig,
     SerialExecutor,
-    ThreadExecutor,
     base_executor,
     evd_stack_cost,
     get_executor,
@@ -49,7 +51,11 @@ class TestRuntimeConfig:
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigurationError):
-            RuntimeConfig(backend="threads", workers=0)
+            RuntimeConfig(backend="persistent", workers=0)
+
+    def test_rejects_deleted_threads_backend(self):
+        with pytest.raises(ConfigurationError, match="'serial', 'persistent'"):
+            RuntimeConfig(backend="threads")
 
     def test_rejects_nonpositive_min_shard(self):
         with pytest.raises(ConfigurationError):
@@ -142,16 +148,23 @@ class TestExecutors:
         with pytest.raises(ConfigurationError, match="persistent"):
             get_executor(None)
 
+    def test_env_override_rejects_deleted_threads_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNTIME_BACKEND", "threads")
+        with pytest.raises(
+            ConfigurationError, match="'serial', 'persistent'"
+        ):
+            get_executor(None)
+
     def test_get_executor_passthrough(self):
-        ex = ThreadExecutor(2)
+        ex = PersistentExecutor(2)
         assert get_executor(ex) is ex
         ex.close()
 
     def test_get_executor_from_name(self, monkeypatch):
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 4)
-        ex = get_executor("threads", workers=3)
+        ex = get_executor("persistent", workers=3)
         inner = base_executor(ex)
-        assert isinstance(inner, ThreadExecutor)
+        assert isinstance(inner, PersistentExecutor)
         assert inner.workers == 3
         ex.close()
 
@@ -163,51 +176,45 @@ class TestExecutors:
         assert SerialExecutor().map(lambda x: x, []) == []
 
     def test_map_preserves_item_order_despite_costs(self):
-        with ThreadExecutor(4) as ex:
-            out = ex.map(lambda x: x * x, [1, 2, 3, 4], costs=[1, 9, 2, 8])
+        with PersistentExecutor(2) as ex:
+            out = ex.map(_square, [1, 2, 3, 4], costs=[1, 9, 2, 8])
         assert out == [1, 4, 9, 16]
 
     def test_nested_map_runs_inline(self):
         """A task calling map() again must not resubmit to the pool."""
-        with ThreadExecutor(2) as ex:
+        with ResilientExecutor(SerialExecutor()) as ex:
 
             def outer(i):
                 assert ex.active
-                return sum(ex.map(lambda j: i * 10 + j, [0, 1]))
+                # serial: nothing is pickled
+                return sum(ex.map(lambda j: i * 10 + j, [0, 1]))  # repro: noqa[PICK01]
 
             assert not ex.active
-            assert ex.map(outer, [1, 2]) == [21, 41]
+            assert ex.map(outer, [1, 2]) == [21, 41]  # repro: noqa[PICK01] serial
             assert not ex.active
 
     def test_single_item_map_does_not_claim_pool(self):
         """One-item maps run inline but leave the pool free for deeper
-        fan-out — `active` stays False inside the task."""
-        with ThreadExecutor(2) as ex:
-            flags = ex.map(lambda _: ex.active, ["only"])
+        fan-out — `active` stays False inside the task, and no worker is
+        spawned."""
+        with PersistentExecutor(2) as ex:
+            flags = ex.map(functools.partial(_is_active, ex), ["only"])
+            assert ex.dispatch_stats()["spawns"] == 0
         assert flags == [False]
 
     def test_close_is_idempotent(self):
-        ex = ThreadExecutor(2)
-        ex.map(lambda x: x, [1, 2])
+        ex = PersistentExecutor(2)
+        ex.map(_square, [1, 2])
         ex.close()
         ex.close()
 
-    def test_dispatch_counts_are_thread_safe(self):
-        """The serve broker and a background caller may drive the same
-        executor concurrently; the ledger must not lose increments."""
-        import threading
 
-        with ThreadExecutor(2) as ex:
-            def hammer():
-                for _ in range(10_000):
-                    ex._count(tasks=1)
+def _square(x):
+    return x * x
 
-            threads = [threading.Thread(target=hammer) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert ex.dispatch_stats()["tasks"] == 40_000
+
+def _is_active(ex, _item):
+    return ex.active
 
 
 class TestCostModel:
@@ -278,7 +285,7 @@ class TestCrossBackendIdentity:
     def reference(self, batch):
         return _solve(batch, RuntimeConfig())
 
-    @pytest.mark.parametrize("backend", ["threads", "persistent"])
+    @pytest.mark.parametrize("backend", ["persistent"])
     def test_factors_byte_identical(self, batch, reference, backend):
         runtime = RuntimeConfig(
             backend=backend, workers=4, min_shard=2, allow_oversubscribe=True
@@ -294,7 +301,7 @@ class TestCrossBackendIdentity:
         return _solve(bucket_batch, RuntimeConfig())
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("backend", ["threads", "persistent"])
+    @pytest.mark.parametrize("backend", ["persistent"])
     def test_multi_member_buckets_identical(
         self, bucket_batch, bucket_reference, backend, workers
     ):
@@ -316,26 +323,3 @@ class TestCrossBackendIdentity:
         for got, want in zip(results, ref_results):
             assert got.S.tobytes() == want.S.tobytes()
         assert len(report.launches) == len(ref_report.launches)
-
-
-class TestEstimatorIdentity:
-    @pytest.mark.parametrize("backend", ["threads", "persistent"])
-    def test_estimate_identical_across_backends(self, backend):
-        shapes = [(64, 48)] * 30 + [(128, 96)] * 10 + [(16, 16)] * 50
-        serial = WCycleEstimator(device="V100")
-        try:
-            want = serial.estimate_batch(shapes)
-        finally:
-            serial.close()
-        runtime = RuntimeConfig(
-            backend=backend, workers=4, allow_oversubscribe=True
-        )
-        parallel = WCycleEstimator(device="V100", runtime=runtime)
-        try:
-            got = parallel.estimate_batch(shapes)
-        finally:
-            parallel.close()
-        assert got.total_time == want.total_time
-        assert len(got.launches) == len(want.launches)
-        for a, b in zip(got.launches, want.launches):
-            assert a == b

@@ -21,7 +21,6 @@ from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.onesided_vector import OneSidedConfig
 from repro.serve import (
     ServeConfig,
-    SVDClient,
     SVDServer,
     positions_to_request_ids,
     remap_fused_failure,
@@ -402,14 +401,15 @@ class TestLifecycle:
         # The one test that exercises the real dispatch thread + real
         # clock: submit from the caller, block on the future.
         with SVDServer(ServeConfig(max_batch=4, max_wait_ms=0.5)) as server:
-            client = SVDClient(server)
-            result = client.solve(rng.standard_normal((8, 4)))
+            result = server.submit(rng.standard_normal((8, 4))).result()
         assert result.S.shape == (4,)
 
     def test_client_solve_batch_fuses(self, rng):
+        # A client that submits its whole batch before it waits.
         mats = [rng.standard_normal((8, 4)) for _ in range(8)]
         with SVDServer(ServeConfig(max_batch=8, max_wait_ms=5.0)) as server:
-            results = SVDClient(server).solve_batch(mats)
+            futures = [server.submit(a) for a in mats]
+            results = [f.result() for f in futures]
             stats = server.stats()
         assert len(results) == 8
         assert stats.completed == 8

@@ -153,7 +153,7 @@ def _runtime(backend):
     )
 
 
-@pytest.mark.parametrize("backend", ["threads", "persistent"])
+@pytest.mark.parametrize("backend", ["persistent"])
 class TestStopsReachTheWorkers:
     """A sharded stack ships each member's stop (and EVD floors) with it:
     two workers return the serial bytes."""
@@ -187,7 +187,7 @@ class TestStopsReachTheWorkers:
         assert all(_same_evd(g, w) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("backend", ["threads", "persistent"])
+@pytest.mark.parametrize("backend", ["persistent"])
 def test_wcycle_leaf_stacks_sharded_across_workers(rng, backend):
     """One matrix runs inline and its kernels' engine shards every leaf
     stack across the pool; the leaves keep their member's stops there."""

@@ -1,13 +1,22 @@
 """Two-sided Jacobi EVD — sequential reference and parallel kernel math."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ConvergenceError, ShapeError
-from repro.jacobi import ParallelJacobiEVD, TwoSidedConfig, TwoSidedJacobiEVD
+from repro.jacobi import (
+    BatchedJacobiEngine,
+    ParallelJacobiEVD,
+    TwoSidedConfig,
+    TwoSidedJacobiEVD,
+)
 from repro.utils.matrices import random_spd
+
+from tests.helpers import EXTREME_SCALES
 
 SOLVERS = [TwoSidedJacobiEVD, ParallelJacobiEVD]
 
@@ -82,6 +91,66 @@ class TestEVDCorrectness:
         solver = solver_cls(TwoSidedConfig(max_sweeps=1, tol=1e-15))
         with pytest.raises(ConvergenceError):
             solver.decompose(B)
+
+
+def _engine_evd(B):
+    """The stacked engine, with an in-range matrix in the same bucket."""
+    inner = _sym(np.random.default_rng(1), B.shape[0])
+    got, mate = BatchedJacobiEngine().evd_batch([B, inner])
+    assert mate.L.tobytes() == (
+        BatchedJacobiEngine().evd_batch([inner])[0].L.tobytes()
+    )
+    return got
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        _engine_evd,
+        lambda B: ParallelJacobiEVD().decompose(B),
+        lambda B: TwoSidedJacobiEVD().decompose(B),
+    ],
+    ids=["engine", "parallel", "sequential"],
+)
+@pytest.mark.parametrize("scale", EXTREME_SCALES, ids=lambda s: f"{s:g}")
+def test_any_finite_scale(solve, scale):
+    """Eigenvalues of a scaled symmetric matrix are those of its exact,
+    normal-range version ``2^-e B`` shifted back, to 1e-12 of the
+    largest; ``J`` stays orthonormal and diagonalizes it."""
+    B = _sym(np.random.default_rng(0), 16) * scale
+    res = solve(B)
+    e = math.frexp(float(np.abs(B).max()))[1]
+    exact = np.ldexp(B, -e)
+    L = np.ldexp(res.L, -e)
+    want = np.sort(np.linalg.eigvalsh(exact))[::-1]
+    assert np.max(np.abs(L - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_allclose(res.J.T @ res.J, np.eye(16), atol=1e-12)
+    assert np.linalg.norm((res.J * L) @ res.J.T - exact) <= (
+        1e-12 * np.linalg.norm(exact)
+    )
+
+
+def test_engine_diag_floor_shifts_with_the_matrix():
+    """``evd_batch``'s diagonal floor is absolute: a matrix shifted by a
+    power of two is solved with its floor shifted alike, so the rotations
+    are those of the in-range solve. The floor exempts the pairs of a
+    column graded to 1e-16 here, so an unshifted floor would show."""
+    rng = np.random.default_rng(0)
+    P = rng.standard_normal((12, 8)) * np.logspace(0, -16, 8)
+    B = P.T @ P
+    floor = (np.finfo(float).eps * 12) ** 2 * float(np.diag(B).max())
+    e = math.frexp(float(np.abs(B).max()))[1]
+    engine = BatchedJacobiEngine()
+    (want,) = engine.evd_batch(
+        [np.ldexp(B, -e)], floors=[(0.0, np.ldexp(floor, -e))]
+    )
+    (got,) = engine.evd_batch(
+        [np.ldexp(B, 700)], floors=[(0.0, np.ldexp(floor, 700))]
+    )
+    assert got.J.tobytes() == want.J.tobytes()
+    assert got.L.tobytes() == np.ldexp(want.L, e + 700).tobytes()
+    (unfloored,) = engine.evd_batch([np.ldexp(B, -e)], floors=[(0.0, 0.0)])
+    assert unfloored.J.tobytes() != want.J.tobytes()
 
 
 class TestParallelVsSequential:

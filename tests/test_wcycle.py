@@ -287,7 +287,7 @@ class TestConvergenceFailure:
         with pytest.raises(ConvergenceError) as serial:
             WCycleSVD(cfg, device="V100").decompose_batch(mats)
         runtime = RuntimeConfig(
-            backend="threads", workers=2, allow_oversubscribe=True
+            backend="persistent", workers=2, allow_oversubscribe=True
         )
         with WCycleSVD(cfg, device="V100", runtime=runtime) as solver:
             with pytest.raises(ConvergenceError) as split:
