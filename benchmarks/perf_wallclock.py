@@ -261,9 +261,9 @@ def compute_scaling(
     serial reference — scaling numbers for wrong answers are worthless.
     The overhead dict (``None`` on the serial row) breaks the dispatch
     cost down: ``pool_spinup_s`` is the first-touch warm map (worker
-    spawn + arena attach), the rest are the executor's own dispatch
-    counters (IPC round-trips, pickled task bytes, and the arena
-    lease/return/segment counts).
+    spawn; none with one worker, whose maps all run inline), the rest
+    are the executor's own dispatch counters (IPC round-trips, pickled
+    task bytes, and the arena lease/return/segment counts).
     """
     matrices = _batch(SCALING_SHAPES if shapes is None else shapes, seed=1)
     reference = None
@@ -280,8 +280,10 @@ def compute_scaling(
         )
         ex = get_executor(runtime)
         base = base_executor(ex)
-        # Pool spin-up: the first map forks the workers and attaches
-        # arenas + warm plans.
+        # Pool spin-up: the first map forks the workers (a one-worker map
+        # runs inline and forks none). Workers build their solvers and
+        # sweep plans on first use, and attach the arena when a map
+        # first ships an array.
         t0 = time.perf_counter()
         base.map(_warm_noop, list(range(n)))
         spinup_s = time.perf_counter() - t0
@@ -469,9 +471,10 @@ def test_perf_wallclock():
         assert overhead["pool_spinup_s"] >= 0.0, (n, overhead)
         assert overhead["tasks"] > 0, (n, overhead)
         if n > 1:
+            # A one-worker map runs inline: no manifest, no lease.
             assert overhead["ipc_round_trips"] > 0, (n, overhead)
             assert overhead["pickled_task_bytes"] > 0, (n, overhead)
-        assert overhead["arena_leases"] > 0, (n, overhead)
+            assert overhead["arena_leases"] > 0, (n, overhead)
         assert overhead["arena_leases"] == overhead["arena_returns"], (
             n, overhead,
         )

@@ -10,15 +10,11 @@ the fast unit tests rarely exercise).
 The rule flags a lambda, or a name bound to a nested ``def``/lambda in
 the same enclosing function, passed as the callable argument of an
 executor-style dispatch call (``.map(...)``, ``.submit(...)``,
-``.apply_async(...)``). Two escape hatches keep the repository's
-legitimate in-process closures quiet:
-
-- the call is lexically guarded by a ``supports_shared_state`` test (the
-  codebase's idiom for "this branch never runs on a process pool");
-- the receiver is statically a serial/thread pool: a direct
-  ``SerialExecutor()``/``ThreadPoolExecutor()`` construction, or a name
-  bound to one in the same function (including
-  ``with SerialExecutor() as ex:`` bindings).
+``.apply_async(...)``). One escape hatch keeps legitimate in-process
+closures quiet: the receiver is statically a serial/thread pool, a direct
+``SerialExecutor()``/``ThreadPoolExecutor()`` construction, or a name
+bound to one in the same function (including
+``with SerialExecutor() as ex:`` bindings).
 
 Anything else is either a real fork-pickle hazard or a pattern worth an
 annotated ``# repro: noqa[PICK01]``.
@@ -32,7 +28,6 @@ from typing import Iterator
 from repro.analysis.framework import FileContext, Finding, Rule, register
 
 _DISPATCH_METHODS = frozenset({"map", "submit", "apply_async"})
-_GUARD_ATTR = "supports_shared_state"
 _THREAD_SAFE_POOLS = frozenset({"SerialExecutor", "ThreadPoolExecutor"})
 
 
@@ -97,13 +92,6 @@ def _nested_callables(fn: ast.AST) -> set[str]:
     return names
 
 
-def _guard_mentions(test: ast.expr) -> bool:
-    return any(
-        isinstance(sub, ast.Attribute) and sub.attr == _GUARD_ATTR
-        for sub in ast.walk(test)
-    )
-
-
 @register
 class Pick01NonPicklableTask(Rule):
     id = "PICK01"
@@ -126,41 +114,23 @@ class Pick01NonPicklableTask(Rule):
                 node = parents[node]
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     safe |= _thread_safe_names(node)
-            yield from self._check_scope(
-                ctx, fn, fn, nested, safe, guarded=False
-            )
+            yield from self._check_scope(ctx, fn, nested, safe)
 
     def _check_scope(
         self,
         ctx: FileContext,
-        fn: ast.AST,
         node: ast.AST,
         nested: set[str],
         safe: set[str],
-        *,
-        guarded: bool,
     ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 continue
-            if isinstance(child, ast.If) and _guard_mentions(child.test):
-                # The true branch runs only with shared state (threads /
-                # serial); the orelse branch is the process path and stays
-                # audited.
-                yield from self._check_scope(
-                    ctx, fn, _Suite(child.body), nested, safe, guarded=True
-                )
-                yield from self._check_scope(
-                    ctx, fn, _Suite(child.orelse), nested, safe, guarded=guarded
-                )
-                continue
             if isinstance(child, ast.Call):
-                yield from self._check_call(ctx, child, nested, safe, guarded)
-            yield from self._check_scope(
-                ctx, fn, child, nested, safe, guarded=guarded
-            )
+                yield from self._check_call(ctx, child, nested, safe)
+            yield from self._check_scope(ctx, child, nested, safe)
 
     def _check_call(
         self,
@@ -168,12 +138,11 @@ class Pick01NonPicklableTask(Rule):
         call: ast.Call,
         nested: set[str],
         safe: set[str],
-        guarded: bool,
     ) -> Iterator[Finding]:
         func = call.func
         if not isinstance(func, ast.Attribute):
             return
-        if func.attr not in _DISPATCH_METHODS or guarded:
+        if func.attr not in _DISPATCH_METHODS:
             return
         if isinstance(func.value, ast.Name) and func.value.id in safe:
             return
@@ -195,17 +164,5 @@ class Pick01NonPicklableTask(Rule):
                 task,
                 f"nested function `{task.id}` passed to `.{func.attr}(...)`; "
                 f"process pools pickle tasks by reference — move it to "
-                f"module level or guard the branch with "
-                f"`supports_shared_state`",
+                f"module level",
             )
-
-
-class _Suite:
-    """Adapter exposing a statement list through ``iter_child_nodes``."""
-
-    def __init__(self, body: list[ast.stmt]) -> None:
-        self._fields = ("body",)
-        self.body = body
-
-    _attributes: tuple = ()
-    _fields = ("body",)

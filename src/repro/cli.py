@@ -39,10 +39,11 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-def _default_backend() -> str:
-    """The ``--backend`` default: serial, unless the runtime's
-    ``REPRO_RUNTIME_BACKEND`` override names another backend — the CLI
-    is an entry point that passes no spec of its own unless a flag says
+def _default_backend(prog: str) -> str:
+    """The ``--backend`` default of the ``prog`` CLI (``repro`` or
+    ``repro-serve``): serial, unless the runtime's
+    ``REPRO_RUNTIME_BACKEND`` override names another backend — a CLI is
+    an entry point that passes no spec of its own unless a flag says
     otherwise, so the env hook must reach it too.
 
     argparse never validates a *default* against ``choices``, so a typo
@@ -55,7 +56,7 @@ def _default_backend() -> str:
         return "serial"
     if name not in BACKENDS:
         raise SystemExit(
-            f"repro: {BACKEND_ENV_VAR}={name!r} is not a recognized "
+            f"{prog}: {BACKEND_ENV_VAR}={name!r} is not a recognized "
             f"backend; expected one of: {', '.join(BACKENDS)}"
         )
     return name
@@ -68,7 +69,7 @@ def _resolve_runtime(
     task_timeout: float | None = None,
     on_failure: str = "raise",
 ):
-    """Validate the CLI's parallelism flags into a RuntimeConfig.
+    """Validate the CLIs' parallelism flags into a RuntimeConfig.
 
     Oversubscription (``--workers`` beyond ``os.cpu_count()``) is rejected
     by :class:`~repro.runtime.RuntimeConfig` itself — the CLI never sets
@@ -125,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shape", type=_parse_shape, default=(64, 64))
         p.add_argument("--batch", type=int, default=10)
         p.add_argument("--device", default="V100")
-        p.add_argument("--seed", type=int, default=0)
         if name == "estimate":
-            continue  # an analytic walk runs in-process: no runtime flags
+            continue  # an analytic walk of [shape] * batch: no seed, no runtime
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--workers",
             type=int,
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             choices=BACKENDS,
-            default=_default_backend(),
+            default=_default_backend("repro"),
             help="host execution backend (results are bit-identical; "
             "default serial, or $REPRO_RUNTIME_BACKEND when set)",
         )

@@ -77,8 +77,7 @@ from repro.runtime.executor import (
     _CapturedCall,
     get_executor,
 )
-from repro.runtime.arena import resolve as _arena_resolve
-from repro.runtime.resilient import base_executor, policy_of
+from repro.runtime.resilient import policy_of
 from repro.runtime.scheduler import (
     shard_count,
     split_shards,
@@ -450,34 +449,17 @@ class WCycleSVD:
 
         if len(units) == 1:
             # One unit (a single matrix, or no spare workers) gains nothing
-            # from a unit-level fan-out; solving it here lets the kernels'
-            # engine shard its stacks across the pool instead.
+            # from a unit-level fan-out; solving it on this solver lets the
+            # kernels' engine shard its stacks across the pool instead.
             outs = [_CapturedCall(solve)(units[0])]
-        elif ex.supports_shared_state:
-            outs = ex.map(solve, units, costs=costs, on_error="return")
         else:
-            # Persistent backend: working matrices travel as arena slot
-            # leases (no per-task segment create/attach/unlink); the
-            # factors pickle back with the worker's launch log.
-            arena = base_executor(ex).arena
-            leases, items = [], []
-            try:
-                for unit in units:
-                    refs = []
-                    for i in unit:
-                        ref = arena.place(works[i])
-                        leases.append(ref)
-                        refs.append(ref)
-                    items.append(
-                        (self.config, self.device, tuple(refs), unit, count)
-                    )
-                outs = ex.map(
-                    _solve_unit_arena_task, items, costs=costs,
-                    on_error="return",
-                )
-            finally:
-                for ref in leases:
-                    arena.release_lease(ref)
+            items = [
+                (self.config, self.device, [works[i] for i in unit], unit, count)
+                for unit in units
+            ]
+            outs = ex.map(
+                _solve_unit_task, items, costs=costs, on_error="return"
+            )
         # The merge below folds per-bucket records in bucket order, the
         # serial recording sequence: bucket_by_shape keeps first-seen
         # order over the ascending `large` list.
@@ -1166,15 +1148,13 @@ def _worker_solver(config: WCycleConfig, device: DeviceSpec) -> WCycleSVD:
     return WCycleSVD(config, device=device, runtime=SerialExecutor())
 
 
-def _solve_unit_arena_task(item) -> _UnitOut:
-    """Persistent-worker shell: one bucket (or member shard) read from
-    arena slots.
+def _solve_unit_task(item) -> _UnitOut:
+    """One bucket (or member shard) of working matrices, on every backend.
 
-    The slots were attached when the worker spawned, so the task pays no
-    shared-memory setup at all; the inputs are read in place (the bucket
-    solve never mutates them, so ladder retries of the same leases stay
-    bit-identical) and the ordinary result triple pickles back.
+    Solved by the process's serial solver of the item's config and
+    device, so the parent and a persistent worker solve a unit alike.
+    The solve never mutates the working matrices (a ladder retry of the
+    same item stays bit-identical), and the result triple is returned.
     """
-    config, device, refs, owners, count = item
-    mats = [_arena_resolve(ref) for ref in refs]
-    return _worker_solver(config, device)._solve_unit(mats, owners, count)
+    config, device, works, owners, count = item
+    return _worker_solver(config, device)._solve_unit(works, owners, count)

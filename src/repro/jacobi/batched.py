@@ -44,9 +44,9 @@ contiguous sub-stacks (:mod:`repro.runtime.scheduler`), dispatched
 largest-cost-first, and scattered back by original batch index. Because
 every rotation decision is already per-matrix, the shard boundaries cannot
 change any matrix's arithmetic — parallel results are bit-identical to the
-serial path. The ``persistent`` backend moves sub-stacks through leased
-slots of its shared-memory :class:`~repro.runtime.arena.Arena` instead of
-pickling them.
+serial path. Every backend runs the same module-level unit task through
+one ``Executor.map`` call, on items that hold the sub-stacks as plain
+ndarrays; how they reach a worker is the executor's business.
 
 Failure handling is two-mode. In ``on_failure="raise"`` (the default) a
 matrix that exhausts its sweep budget — or turns non-finite mid-sweep —
@@ -97,11 +97,10 @@ from repro.runtime import faults
 from repro.runtime.executor import (
     ON_FAILURE_MODES,
     Executor,
+    SerialExecutor,
     TaskError,
-    _CapturedCall,
 )
-from repro.runtime.arena import resolve as _arena_resolve
-from repro.runtime.resilient import base_executor, policy_of
+from repro.runtime.resilient import policy_of
 from repro.runtime.scheduler import (
     evd_stack_cost,
     shard_count,
@@ -602,19 +601,17 @@ class BatchedJacobiEngine:
         self.last_kernel_times: KernelTimes | None = None
         # The dynamic ordering is not a static schedule (the scalar solver
         # special-cases it too); its batches run through the fallback loop.
+        # The stacked solvers are the process's memoized ones for their
+        # configs, the ones the unit tasks solve with in every process.
         self._svd_stacked = (
             None
             if self.svd_config.ordering == "dynamic"
-            else StackedOneSidedJacobi(self.svd_config)
+            else _stacked_svd_solver(self.svd_config)
         )
-        self._evd_stacked = StackedParallelEVD(self.evd_config)
+        self._evd_stacked = _stacked_evd_solver(self.evd_config)
         #: Structured record of the most recent batch call's failures and
         #: recoveries (reset per call; empty/falsy after a clean run).
         self.last_failures = FailureReport()
-        #: Arena output-slot leases adopted as views by the current batch
-        #: call; returned by :meth:`_release_arena_leases` once the
-        #: finalize loop has copied the factors out (persistent backend).
-        self._arena_leases: list = []
 
     def _resolve_mode(self, on_failure: str | None) -> str:
         """Pick the failure mode: explicit arg > executor policy > raise."""
@@ -726,22 +723,16 @@ class BatchedJacobiEngine:
             work, stops, units, costs, capture=(mode == "quarantine")
         )
         self._merge_executor_history(report)
-        try:
-            for (shape, chunk), out_unit in zip(units, solved):
-                if isinstance(out_unit, TaskError):
-                    self._quarantine_svd_unit(
-                        work, stops, chunk, out_unit, results, transposed,
-                        shifts, report,
-                    )
-                    continue
-                _place_svd(
-                    results, chunk, finalize_stack(*out_unit), transposed,
-                    shifts,
+        for (shape, chunk), out_unit in zip(units, solved):
+            if isinstance(out_unit, TaskError):
+                self._quarantine_svd_unit(
+                    work, stops, chunk, out_unit, results, transposed,
+                    shifts, report,
                 )
-        finally:
-            # finalize_stack copies out of the adopted views (take along
-            # the sorted order), so the leased output slots can go back now.
-            self._release_arena_leases()
+                continue
+            _place_svd(
+                results, chunk, finalize_stack(*out_unit), transposed, shifts
+            )
         return results  # type: ignore[return-value]
 
     def _quarantine_svd_unit(
@@ -843,6 +834,15 @@ class BatchedJacobiEngine:
                 units.append((bucket.shape, chunk))
         return units
 
+    def _map_units(self, task, items, costs, capture: bool) -> list:
+        """One map of ``task`` over the unit items on the attached
+        executor (inline without one); with ``capture`` failed units come
+        back as :class:`~repro.runtime.executor.TaskError` values instead
+        of raising (the quarantine path re-solves them)."""
+        return (self.executor or SerialExecutor()).map(
+            task, items, costs=costs, on_error="return" if capture else "raise"
+        )
+
     def _solve_svd_units(
         self,
         work: list[np.ndarray],
@@ -852,162 +852,18 @@ class BatchedJacobiEngine:
         *,
         capture: bool = False,
     ) -> list:
-        """Solve every unit; with ``capture`` failed units come back as
-        :class:`~repro.runtime.executor.TaskError` values instead of
-        raising (the quarantine path re-solves them)."""
-        ex = self.executor
-        on_error = "return" if capture else "raise"
-        if ex is None or ex.supports_shared_state:
-            kt = self.last_kernel_times if ex is None else None
-
-            def run_unit(unit):
-                shape, chunk = unit
-                stack = np.stack([work[i] for i in chunk])
-                try:
-                    return self._svd_stacked.solve_stack(
-                        stack, stop=stops[list(chunk)], kernel_times=kt
-                    )
-                except (ConvergenceError, NonFiniteError) as exc:
-                    raise _remap_stack_error(exc, shape, chunk) from None
-
-            if ex is None:
-                run = _CapturedCall(run_unit) if capture else run_unit
-                return [run(u) for u in units]
-            return ex.map(run_unit, units, costs=costs, on_error=on_error)
-        return self._solve_svd_units_arena(
-            work, stops, units, costs, on_error=on_error
-        )
-
-    # -- arena dispatch (persistent backend) -----------------------------
-
-    def _release_arena_leases(self) -> None:
-        """Return the output-slot leases adopted by the last batch call."""
-        leases, self._arena_leases = self._arena_leases, []
-        if not leases:
-            return
-        arena = base_executor(self.executor).arena
-        for ref in leases:
-            arena.release_lease(ref)
-
-    def _solve_svd_units_arena(self, work, stops, units, costs, *, on_error):
-        """Persistent-backend dispatch: slot leases instead of segments.
-
-        Input stacks are *placed* into leased arena slots, output slots
-        are *reserved* up front, and the manifest items carry only
-        :class:`~repro.runtime.arena.SlotRef` handles — workers write the
-        factors straight into the output slots and return just the
-        convergence traces. The parent adopts views; the output leases
-        ride :attr:`_arena_leases` until the finalize loop has copied out
-        of them (the caller's ``finally`` returns them).
-        """
-        ex = self.executor
-        base = base_executor(ex)
-        arena = base.arena
-        for n in sorted({shape[1] for shape, _ in units}):
-            base.warm("svd", self.svd_config, n)
-        in_leases: list = []
-        out_leases: list = []
-        try:
-            items = []
-            for shape, chunk in units:
-                stack = np.stack([work[i] for i in chunk])
-                in_ref = arena.place(stack)
-                in_leases.append(in_ref)
-                b, m, n = stack.shape
-                w_ref = arena.reserve((b, m, n), stack.dtype)
-                out_leases.append(w_ref)
-                v_ref = arena.reserve((b, n, n), stack.dtype)
-                out_leases.append(v_ref)
-                items.append(
-                    (
-                        self.svd_config,
-                        in_ref,
-                        w_ref,
-                        v_ref,
-                        stops[list(chunk)].tolist(),
-                        chunk,
-                    )
-                )
-            outs = ex.map(
-                _solve_svd_arena_task, items, costs=costs, on_error=on_error
+        """Solve every unit with :func:`_solve_svd_unit`."""
+        items = [
+            (
+                self.svd_config,
+                np.stack([work[i] for i in chunk]),
+                stops[list(chunk)].tolist(),
+                chunk,
+                self.last_kernel_times,
             )
-            solved = []
-            for out, item in zip(outs, items):
-                if isinstance(out, TaskError):
-                    solved.append(out)
-                    continue
-                solved.append(
-                    (arena.view(item[2]), arena.view(item[3]), out)
-                )
-        except BaseException:
-            for ref in out_leases:
-                arena.release_lease(ref)
-            raise
-        finally:
-            # Input slots are read-only to the workers and fully consumed
-            # once the map returns; output slots outlive this frame as
-            # adopted views and are returned after the finalize loop.
-            for ref in in_leases:
-                arena.release_lease(ref)
-        self._arena_leases.extend(out_leases)
-        return solved
-
-    def _solve_evd_units_arena(
-        self, mats, stackable, scales, stops, floors, units, costs, *,
-        on_error,
-    ):
-        """EVD twin of :meth:`_solve_svd_units_arena`."""
-        ex = self.executor
-        base = base_executor(ex)
-        arena = base.arena
-        for k in sorted({shape[0] for shape, _ in units}):
-            base.warm("evd", self.evd_config, k)
-        in_leases: list = []
-        out_leases: list = []
-        try:
-            items = []
-            for shape, chunk in units:
-                batch_idx = tuple(stackable[p] for p in chunk)
-                stack = np.stack([mats[i] for i in batch_idx])
-                in_ref = arena.place(stack)
-                in_leases.append(in_ref)
-                b, k, _ = stack.shape
-                b_ref = arena.reserve((b, k, k), stack.dtype)
-                out_leases.append(b_ref)
-                j_ref = arena.reserve((b, k, k), stack.dtype)
-                out_leases.append(j_ref)
-                items.append(
-                    (
-                        self.evd_config,
-                        in_ref,
-                        b_ref,
-                        j_ref,
-                        tuple(scales[i] for i in batch_idx),
-                        stops[list(batch_idx)].tolist(),
-                        floors[list(batch_idx)].tolist(),
-                        batch_idx,
-                    )
-                )
-            outs = ex.map(
-                _solve_evd_arena_task, items, costs=costs, on_error=on_error
-            )
-            solved = []
-            for out, item in zip(outs, items):
-                if isinstance(out, TaskError):
-                    solved.append(out)
-                    continue
-                solved.append(
-                    (arena.view(item[2]), arena.view(item[3]), out)
-                )
-        except BaseException:
-            for ref in out_leases:
-                arena.release_lease(ref)
-            raise
-        finally:
-            for ref in in_leases:
-                arena.release_lease(ref)
-        self._arena_leases.extend(out_leases)
-        return solved
+            for _, chunk in units
+        ]
+        return self._map_units(_solve_svd_unit, items, costs, capture)
 
     # -- EVD ------------------------------------------------------------
 
@@ -1093,18 +949,15 @@ class BatchedJacobiEngine:
             capture=(mode == "quarantine"),
         )
         self._merge_executor_history(report)
-        try:
-            for (shape, chunk), out_unit in zip(units, solved):
-                if isinstance(out_unit, TaskError):
-                    self._quarantine_evd_unit(
-                        mats, stackable, scales, stops, floors, chunk,
-                        out_unit, results, report,
-                    )
-                    continue
-                for p, res in zip(chunk, finalize_evd_stack(*out_unit)):
-                    results[stackable[p]] = res
-        finally:
-            self._release_arena_leases()
+        for (shape, chunk), out_unit in zip(units, solved):
+            if isinstance(out_unit, TaskError):
+                self._quarantine_evd_unit(
+                    mats, stackable, scales, stops, floors, chunk, out_unit,
+                    results, report,
+                )
+                continue
+            for p, res in zip(chunk, finalize_evd_stack(*out_unit)):
+                results[stackable[p]] = res
         for i, shift in shifts.items():
             results[i] = unshift_evd(results[i], shift)
         return results  # type: ignore[return-value]
@@ -1189,42 +1042,33 @@ class BatchedJacobiEngine:
         *,
         capture: bool = False,
     ) -> list:
-        ex = self.executor
-        on_error = "return" if capture else "raise"
-        if ex is None or ex.supports_shared_state:
-            def run_unit(unit):
-                shape, chunk = unit
-                batch_idx = tuple(stackable[p] for p in chunk)
-                stack = np.stack([mats[i] for i in batch_idx])
-                scale_vec = np.array([scales[i] for i in batch_idx])
-                idx = list(batch_idx)
-                try:
-                    return self._evd_stacked.solve_stack(
-                        stack, scale_vec, stop=stops[idx], floors=floors[idx]
-                    )
-                except (ConvergenceError, NonFiniteError) as exc:
-                    raise _remap_stack_error(exc, shape, batch_idx) from None
-
-            if ex is None:
-                run = _CapturedCall(run_unit) if capture else run_unit
-                return [run(u) for u in units]
-            return ex.map(run_unit, units, costs=costs, on_error=on_error)
-        return self._solve_evd_units_arena(
-            mats, stackable, scales, stops, floors, units, costs,
-            on_error=on_error,
-        )
+        """Solve every unit with :func:`_solve_evd_unit`."""
+        items = []
+        for _, chunk in units:
+            batch_idx = tuple(stackable[p] for p in chunk)
+            idx = list(batch_idx)
+            items.append(
+                (
+                    self.evd_config,
+                    np.stack([mats[i] for i in batch_idx]),
+                    [scales[i] for i in batch_idx],
+                    stops[idx].tolist(),
+                    floors[idx].tolist(),
+                    batch_idx,
+                )
+            )
+        return self._map_units(_solve_evd_unit, items, costs, capture)
 
 
-# -- persistent-worker task shells (arena transport) ----------------------
+# -- the unit tasks -------------------------------------------------------
 #
-# Module-level so they pickle by reference; the stacked solvers they build
-# are memoized per (frozen, hashable) config so a worker constructs each
-# schedule once and reuses it across tasks. No attach, no export, no
-# unlink: the worker's arena segments were mapped once at spawn, the input
-# slot is read in place (solve_stack copies internally, so the slot
-# survives a retry on another ladder rung bit-for-bit), and the factors are
-# written straight into the leased output slots. Only the convergence
-# traces pickle back across the pipe.
+# Module-level, so the persistent backend's workers can run them; every
+# backend runs them, the serial one inline in the caller's process. The
+# stacked solvers are memoized per (frozen, hashable) config, so each
+# process builds a config's sweep schedules once and reuses them across
+# tasks; a worker forked after the parent built one inherits it. The
+# per-matrix stop tolerances, scales and floors travel as lists, so the
+# only arrays an item holds are its stack.
 
 
 @functools.lru_cache(maxsize=32)
@@ -1237,35 +1081,23 @@ def _stacked_evd_solver(config: TwoSidedConfig) -> StackedParallelEVD:
     return StackedParallelEVD(config)
 
 
-def _solve_svd_arena_task(item):
-    """Persistent-worker shell: arena slots in, factors written in place."""
-    config, in_ref, w_ref, v_ref, stop, batch_idx = item
-    stack = _arena_resolve(in_ref)
+def _solve_svd_unit(item):
+    """One SVD unit: ``(W, V, traces)`` of its stack's sweeps."""
+    config, stack, stop, batch_idx, kernel_times = item
     try:
-        W, V, traces = _stacked_svd_solver(config).solve_stack(
-            stack, stop=np.array(stop)
+        return _stacked_svd_solver(config).solve_stack(
+            stack, stop=np.array(stop), kernel_times=kernel_times
         )
     except (ConvergenceError, NonFiniteError) as exc:
-        raise _remap_stack_error(
-            exc, tuple(stack.shape[1:]), tuple(batch_idx)
-        ) from None
-    _arena_resolve(w_ref)[...] = W
-    _arena_resolve(v_ref)[...] = V
-    return traces
+        raise _remap_stack_error(exc, stack.shape[1:], batch_idx) from None
 
 
-def _solve_evd_arena_task(item):
-    """Persistent-worker shell: EVD twin of :func:`_solve_svd_arena_task`."""
-    config, in_ref, b_ref, j_ref, scales, stop, floors, batch_idx = item
-    stack = _arena_resolve(in_ref)
+def _solve_evd_unit(item):
+    """One EVD unit: ``(B, J, traces)`` of its stack's sweeps."""
+    config, stack, scales, stop, floors, batch_idx = item
     try:
-        B, J, traces = _stacked_evd_solver(config).solve_stack(
+        return _stacked_evd_solver(config).solve_stack(
             stack, np.array(scales), stop=np.array(stop), floors=np.array(floors)
         )
     except (ConvergenceError, NonFiniteError) as exc:
-        raise _remap_stack_error(
-            exc, tuple(stack.shape[1:]), tuple(batch_idx)
-        ) from None
-    _arena_resolve(b_ref)[...] = B
-    _arena_resolve(j_ref)[...] = J
-    return traces
+        raise _remap_stack_error(exc, stack.shape[1:], batch_idx) from None

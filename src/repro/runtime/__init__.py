@@ -9,16 +9,14 @@ supplies the missing host axis:
   its two backends, the ``serial`` reference and ``persistent``, and
   cost-aware largest-first scheduling;
 - :mod:`repro.runtime.arena` — pre-pinned shared-memory arenas with a
-  slot-lease protocol (allocate once, lease per batch, return on result
-  handback), the only shared-memory mechanism and the only worker
-  transport. The arena enforces its protocol on every run: a double or
-  foreign release raises, and a view of a lease that is not outstanding
-  is refused;
-- :mod:`repro.runtime.persistent` — the ``persistent`` backend: long-lived
-  supervised fork workers that attach arenas once at spawn, take batched
-  task manifests (one IPC round-trip per worker per map), pre-compile
-  memoized sweep plans for manifest shapes, and hand results back
-  copy-free through leased slots;
+  slot-lease protocol (allocate once, lease per task, return once it
+  resolves), the only shared-memory mechanism. The arena enforces its
+  protocol on every run: a double or foreign release raises;
+- :mod:`repro.runtime.persistent` — the ``persistent`` backend and the
+  only user of arenas: long-lived supervised fork workers that attach
+  arenas once at spawn and take batched task manifests (one IPC
+  round-trip per worker per map). The ndarrays of the items it ships
+  travel through leased slots; results pickle back;
 - :mod:`repro.runtime.scheduler` — flop-cost estimates and deterministic
   bucket-shard planning (LPT-style ordering, stable tie-breaks);
 - :mod:`repro.runtime.faults` — deterministic fault injection. Set
@@ -31,8 +29,7 @@ supplies the missing host axis:
   down to the serial rung (persistent → serial).
 
 The contract threaded through every consumer (`BatchedJacobiEngine`, the
-batched kernels, `WCycleSVD`, `WCycleEstimator`) is **bit-identical
-results**: parallel execution only partitions work whose per-matrix
+batched kernels, `WCycleSVD`, `SVDServer`) is **bit-identical results**: parallel execution only partitions work whose per-matrix
 arithmetic is already independent, and all simulated accounting
 (:class:`~repro.gpusim.counters.KernelStats`, profiler reports) is merged
 in a canonical order that reproduces the serial recording sequence exactly.

@@ -6,29 +6,27 @@ registry bookkeeping), every worker attaches and detaches it, and the
 parent unlinks once the pickled result lands.  On small buckets that
 setup dwarfs the factorization itself.  An :class:`Arena` hoists all of
 it out of the dispatch loop: a handful of large segments are created
-**once**, carved into fixed-size slots, and a batch merely *leases* a
-slot (pops an index off a free list), writes into it, and returns it once
-the result has been adopted.  Workers map each segment a single time —
-eagerly at spawn via :func:`attach`, or lazily on first touch via
-:func:`resolve` — and keep the mapping for their whole lifetime.  The
-persistent backend is the only worker transport; its tasks carry
-:class:`SlotRef` handles in place of arrays.
+**once**, carved into fixed-size slots, and a task merely *leases* a
+slot (pops an index off a free list), has its array copied in, and
+returns it once the task has resolved.  Workers map each segment a single
+time — eagerly at spawn via :func:`attach`, or lazily on first touch via
+:func:`resolve` — and keep the mapping for their whole lifetime.  Only
+the persistent backend (:mod:`repro.runtime.persistent`) uses an arena:
+its manifests carry :class:`SlotRef` handles in place of the items'
+arrays.
 
 Ownership protocol.  The parent owns every segment and every lease:
 
 - :meth:`Arena.place` / :meth:`Arena.reserve` lease a slot (``place``
   also copies an array in); both return a picklable :class:`SlotRef`.
 - A worker calls :func:`resolve` on a ref to get a zero-copy ndarray
-  window onto the slot — input slots are read, output slots are written
-  in place, and only tiny metadata travels back over the pipe.
-- The parent adopts results with :meth:`Arena.view` and MUST return every
-  lease with :meth:`Arena.release_lease`, normally from a ``finally``
-  block once the factors have been finalized.  The ``repro-lint`` rule
-  ``SHM03`` audits this pairing, and use of a view after its release,
-  statically.
+  window onto the slot and only reads it; results travel back over the
+  pipe.
+- The parent MUST return every lease with :meth:`Arena.release_lease`,
+  normally from a ``finally`` block once the task has resolved.  The
+  ``repro-lint`` rule ``SHM03`` audits this pairing statically.
 - The arena enforces the protocol at run time, on every run:
-  :meth:`Arena.release_lease` raises on a double or foreign release, and
-  :meth:`Arena.view` refuses a lease that is not outstanding.
+  :meth:`Arena.release_lease` raises on a double or foreign release.
 - :meth:`Arena.close` unlinks every segment.  Worker death never strands
   a lease: the free list lives in the parent, so a crashed attempt's slot
   is returned by the same ``finally`` block that serves the clean path,
@@ -47,7 +45,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Iterable
 
 import numpy as np
@@ -99,10 +97,6 @@ class SlotRef:
     shape: tuple[int, ...]
     dtype: str
 
-    @property
-    def nbytes(self) -> int:
-        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
-
 
 @dataclass(frozen=True)
 class ArenaSpec:
@@ -126,16 +120,6 @@ class ArenaSpec:
 
 _registry_lock = threading.Lock()
 _registry: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _untrack(name: str) -> None:
-    """Drop a segment's resource-tracker registration, quietly."""
-    try:
-        resource_tracker.unregister(f"/{name.lstrip('/')}", "shared_memory")
-    except Exception:  # repro: noqa[EXC01] best-effort janitor hygiene:
-        # the tracker's registry layout differs across CPython versions
-        # and a failed unregister must never fail the attach itself.
-        pass  # pragma: no cover - tracker internals vary
 
 
 def attach(spec: ArenaSpec) -> int:
@@ -162,12 +146,11 @@ def _attach_segment(
                 raise ConfigurationError(f"arena segment {name!r} already mapped")
             return None
         seg = shared_memory.SharedMemory(name=name)
+        # CPython registers an attach with the resource tracker just like
+        # a create. A forked worker shares the parent's tracker, which
+        # keeps a set of names: the attach adds nothing, and the owning
+        # parent's unlink stays the one unregister the tracker sees.
         _registry[name] = seg
-        # CPython registers attaches with the fork-shared resource
-        # tracker just like creates; drop the duplicate so the owning
-        # parent's unlink stays the single unregister the tracker sees.
-        # (Registry first: once mapped, the registry owns the handle.)
-        _untrack(name)
         return seg
 
 
@@ -322,17 +305,6 @@ class Arena:
         ref = self.reserve(arr.shape, arr.dtype)
         resolve(ref)[...] = arr
         return ref
-
-    def view(self, ref: SlotRef) -> np.ndarray:
-        """Parent-side window onto a leased slot (zero-copy adoption)."""
-        with self._lock:
-            self._check_open()
-            if (ref.segment, ref.slot) not in self._leased:
-                raise ConfigurationError(
-                    f"arena slot {ref.segment}[{ref.slot}] is not leased — "
-                    "views may only adopt outstanding leases"
-                )
-        return resolve(ref)
 
     def release_lease(self, ref: SlotRef) -> None:
         """Return a leased slot to the free list.

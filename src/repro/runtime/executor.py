@@ -7,24 +7,30 @@ heuristic) so one straggler bucket does not serialize the tail of the run;
 because results are re-ordered by task index afterwards, the schedule
 never affects what callers observe.
 
+The transport contract is the whole of ``map`` and ``submit``: callers
+pass a module-level task and items that hold plain ndarrays (at the top
+level or inside tuples and lists), and get the task's return values
+back. How the arrays reach the task is the backend's business.
+
 Backend notes
 -------------
 ``serial``
-    Plain in-order loop. The reference the parallel backend must match
-    bit-for-bit.
+    Plain in-order loop that passes the arrays by reference. The
+    reference the parallel backend must match bit-for-bit.
 ``persistent``
     :class:`~repro.runtime.persistent.PersistentExecutor`: long-lived
     supervised fork workers that sidestep the GIL entirely. They attach a
     pre-pinned shared-memory :class:`~repro.runtime.arena.Arena` once at
-    spawn, receive batched task manifests (one IPC round-trip per worker
-    per map), and hand results back copy-free through leased arena slots.
-    Task functions must be module-level picklables.
+    spawn and receive batched task manifests (one IPC round-trip per
+    worker per map); the items' arrays travel through leased arena
+    slots, and results pickle back through the pipe.
 
 Nesting is safe by construction: a task that calls :meth:`Executor.map`
 from inside a worker runs the nested tasks inline (no re-submission), so
 a bounded pool can never deadlock on its own children. A single-task map
 also runs inline *without* claiming the pool, which lets parallelism land
-at the outermost level that actually fans out.
+at the outermost level that actually fans out. An inline map, on any
+backend, passes the arrays by reference.
 """
 
 from __future__ import annotations
@@ -220,11 +226,6 @@ class Executor:
     """Base class: ordered, cost-aware ``map`` over independent tasks."""
 
     backend = "serial"
-    #: Whether tasks may close over caller state (and mutate it in place).
-    #: The persistent backend's worker processes require picklable
-    #: module-level functions instead, and engines route its stacks
-    #: through arena slot leases.
-    supports_shared_state = True
 
     def __init__(self, workers: int = 1, *, min_shard: int = 4) -> None:
         if workers < 1:
@@ -269,9 +270,12 @@ class Executor:
     ) -> list[_R]:
         """Apply ``fn`` to every item; results returned in item order.
 
-        The parallel backend submits tasks in descending-cost order and
-        reorder results afterwards. Nested calls (from inside a task) and
-        single-item maps run inline in the calling thread.
+        ``fn`` is a module-level task and each item holds plain ndarrays
+        (at the top level or inside tuples and lists) beside picklable
+        values. The parallel backend submits tasks in descending-cost
+        order and reorders results afterwards. Nested calls (from inside
+        a task), single-item maps and one-worker maps run inline in the
+        calling thread, with the arrays passed by reference.
 
         With ``on_error="return"`` a failing task yields a
         :class:`TaskError` in its result slot instead of aborting the
@@ -308,7 +312,8 @@ class Executor:
     def submit(self, fn: Callable[[_T], _R], item: _T) -> "Future[_R]":
         """Run one task and return a :class:`~concurrent.futures.Future`.
 
-        The base (serial) implementation executes inline and returns an
+        ``fn`` and ``item`` follow the contract of :meth:`map`. The base
+        (serial) implementation executes inline and returns an
         already-resolved future; the persistent backend dispatches to a
         worker. No nesting bookkeeping is done here — callers that need
         ``active`` semantics wrap ``fn`` themselves.

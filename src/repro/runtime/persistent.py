@@ -7,27 +7,32 @@ everything else:
 
 - **Arena attach at spawn.**  Workers receive the owning parent's
   :class:`~repro.runtime.arena.ArenaSpec` right after fork and map every
-  segment a single time; per-batch traffic is just
-  :class:`~repro.runtime.arena.SlotRef` handles (a few hundred bytes).
+  segment a single time.
+- **Arrays travel as slots.**  Callers hand :meth:`~PersistentExecutor.map`
+  and :meth:`~PersistentExecutor.submit` a module-level task and items
+  that hold plain ndarrays, at the top level or inside tuples and lists.
+  For each item it ships, the executor copies those arrays into leased
+  arena slots and pickles only the :class:`~repro.runtime.arena.SlotRef`
+  handles; the worker maps them back into ndarrays as the task is
+  called, inside a resilient task shell's fault frame when there is one.
+  Results pickle back through the pipe. Every lease a map or submit took
+  returns to the free list once it resolves. An inline map (one item,
+  one worker, or a nested call) passes the arrays by reference and takes
+  no lease.
 - **Batched task manifests.**  ``map`` partitions the task list across
   workers LPT-style and ships ONE pickled manifest per worker — one IPC
   round-trip per bucket shard group instead of one pickle per task.
-- **Copy-free handback.**  Engine tasks write factors straight into
-  leased output slots; only convergence traces and indices ride the
-  pipe back, and the parent adopts ndarray views onto the slots.
-- **Warm plans survive the pool.**  :meth:`PersistentExecutor.warm`
-  broadcasts (kind, config, n) tuples so workers pre-compile the
-  memoized sweep plans for the manifest's bucket shapes at attach
-  time — and :meth:`respawn` replays the attach *and* the warm set into
-  the fresh workers, so a crash never reverts the pool to cold caches.
+- **Plans live in the workers.**  A worker builds a memoized solver or
+  sweep plan on its first task that needs it and keeps it for its
+  lifetime; workers forked after the parent built one inherit it.
 
 Supervision reuses the PR 4 taxonomy unchanged: a dead worker surfaces
 as :class:`WorkerPoolBroken` (a ``BrokenExecutor``), which the
 :class:`~repro.runtime.resilient.ResilientExecutor` already treats as
-retryable-with-respawn.  Leases are parent-owned, so a killed worker
-cannot strand one — the same ``finally`` blocks that serve the clean
-path return them, and the arena's segments survive untouched for the
-respawned pool to re-attach.
+retryable-with-respawn.  Leases are parent-owned and workers only read
+their slots, so a killed worker cannot strand one — its map or submit
+returns the leases as it fails — and the arena's segments survive
+untouched for the respawned pool to re-attach.
 """
 
 from __future__ import annotations
@@ -38,11 +43,15 @@ import threading
 import time
 import weakref
 from concurrent.futures import BrokenExecutor, Future
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Sequence, TypeVar
 
-from repro.runtime.arena import Arena, ArenaSpec
+import numpy as np
+
+from repro.runtime.arena import Arena, SlotRef, resolve
 from repro.runtime.arena import attach as arena_attach
-from repro.runtime.executor import Executor, _submission_order
+from repro.runtime.executor import Executor, _CapturedCall, _submission_order
+from repro.runtime.resilient import _TaskShell
 from repro.utils.logging import get_logger
 
 __all__ = ["PersistentExecutor", "WorkerPoolBroken"]
@@ -67,33 +76,40 @@ class WorkerPoolBroken(BrokenExecutor):
 # ---------------------------------------------------------------------------
 
 
-def _warm_plans(items: Sequence[tuple]) -> None:
-    """Pre-compile memoized solvers/sweep plans for manifest shapes.
+def _unpack(item: Any) -> Any:
+    """``item`` with every :class:`SlotRef` mapped back into its ndarray
+    (zero-copy, read in place), through tuples and lists."""
+    if type(item) is SlotRef:
+        return resolve(item)
+    if type(item) in (tuple, list):
+        return type(item)(_unpack(x) for x in item)
+    return item
 
-    Runs inside a worker on a ``("warm", items)`` message.  Each item is
-    ``(kind, config, n)``; priming the lru-cached solver constructors and
-    the :mod:`repro.jacobi.fused` plan caches here means the first *real*
-    task of every bucket shape runs at steady-state speed.
-    """
-    from repro.jacobi.batched import _stacked_evd_solver, _stacked_svd_solver
-    from repro.jacobi.fused import sweep_plan
 
-    for kind, config, n in items:
-        try:
-            ordering = getattr(config, "ordering", None)
-            if kind == "svd":
-                _stacked_svd_solver(config)
-                if isinstance(ordering, str) and ordering != "dynamic" and n >= 2:
-                    sweep_plan(ordering, n)
-            elif kind == "evd":
-                _stacked_evd_solver(config)
-                if isinstance(ordering, str) and n >= 2:
-                    sweep_plan(ordering, n, allow_neighbor=False)
-        except Exception:  # repro: noqa[EXC01] warm-up is a best-effort
-            # cache primer: a config the solver constructors reject warms
-            # nothing, and the real dispatch will surface the error with
-            # full task context instead of killing the worker loop here.
-            pass
+class _SlotTask:
+    """A shipped task: maps its item's slots, then runs ``fn`` on the
+    ndarrays the caller handed in."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+
+    def __call__(self, item):
+        return self.fn(_unpack(item))
+
+
+def _shipped(fn: Callable) -> Callable:
+    """The form of ``fn`` a worker runs: its item's slots map just before
+    the task body, inside the wrappers ``fn`` carries. Under a capture
+    wrapper a failure to map them is the task's error value; under a
+    resilient task shell they map inside its fault frame, where an armed
+    ``shm_lost`` fires."""
+    if isinstance(fn, _CapturedCall):
+        return _CapturedCall(_shipped(fn.fn))
+    if isinstance(fn, _TaskShell):
+        return fn.around(_shipped(fn.fn))
+    return _SlotTask(fn)
 
 
 def _picklable_results(results: list) -> list:
@@ -133,11 +149,10 @@ def _picklable_results(results: list) -> list:
 def _worker_main(conn) -> None:
     """Message loop of one persistent worker (runs in the forked child).
 
-    Protocol (parent -> worker): ``("attach", ArenaSpec)``,
-    ``("warm", [(kind, config, n), ...])``, ``("run", batch_id, fn,
-    [(task_idx, item), ...])``, ``("exit",)``.  Replies (worker ->
-    parent): ``("done", batch_id, [(task_idx, ok, payload), ...])`` where
-    ``payload`` is the return value or the raised exception.
+    Protocol (parent -> worker): ``("attach", ArenaSpec)``, ``("run",
+    batch_id, fn, [(task_idx, item), ...])``, ``("exit",)``.  Replies
+    (worker -> parent): ``("done", batch_id, [(task_idx, ok, payload),
+    ...])`` where ``payload`` is the return value or the raised exception.
     """
     while True:
         try:
@@ -150,9 +165,6 @@ def _worker_main(conn) -> None:
             break
         if kind == "attach":
             arena_attach(msg[1])
-            continue
-        if kind == "warm":
-            _warm_plans(msg[1])
             continue
         _, batch_id, fn, tasks = msg
         results = []
@@ -236,6 +248,12 @@ def _pump_loop(worker: _Worker, stats: dict, stats_lock: threading.Lock) -> None
     )
 
 
+def _release(leases: list) -> None:
+    """Return the ``(arena, ref)`` leases one map or submit took."""
+    for arena, ref in leases:
+        arena.release_lease(ref)
+
+
 def _close_pipe(worker: _Worker) -> None:
     """Close a stopped worker's pipe once its pump thread is done with it.
 
@@ -271,14 +289,13 @@ def _shutdown_workers(workers: list) -> None:
 class PersistentExecutor(Executor):
     """Long-lived fork workers + pre-pinned arena + manifest dispatch.
 
-    Task functions must be module-level picklables; bulk payloads should
-    travel as arena :class:`~repro.runtime.arena.SlotRef` handles.
-    Engines route their stacks through the :attr:`arena` whenever the
-    executor does not support shared state.
+    Task functions must be module-level picklables. The plain ndarrays an
+    item holds (at the top level or inside tuples and lists) travel
+    through leased slots of the executor's :attr:`arena`; everything else
+    in the item pickles.
     """
 
     backend = "persistent"
-    supports_shared_state = False
 
     def __init__(
         self,
@@ -295,7 +312,6 @@ class PersistentExecutor(Executor):
         #: Mutated in place (never rebound) — shared with the finalizer.
         self._workers: list[_Worker] = []
         self._arena: Arena | None = None
-        self._warmed: dict[tuple, None] = {}
         self._batch_seq = 0
         self._rr = 0
         self._stats_lock = threading.Lock()
@@ -329,28 +345,18 @@ class PersistentExecutor(Executor):
                     self._send_control(w, ("attach", self._arena.spec()))
             return self._arena
 
-    # -- warm-plan broadcast --------------------------------------------
-
-    def warm(self, kind: str, config: object, n: int) -> None:
-        """Record + broadcast a (kind, config, n) plan-cache primer.
-
-        Idempotent per key.  The warm set is replayed on every spawn and
-        respawn, so fresh workers never run a manifest shape cold.
-        """
-        key = (kind, config, int(n))
-        with self._spawn_lock:
-            if key in self._warmed:
-                return
-            self._warmed[key] = None
-            for w in self._workers:
-                self._send_control(w, ("warm", [key]))
-
     # -- pool lifecycle --------------------------------------------------
 
     def _ensure_workers(self) -> list[_Worker]:
         with self._spawn_lock:
             if self._workers:
                 return self._workers
+            # Workers forked with the resource tracker up share it. When a
+            # worker maps an arena segment, its attach then registers a
+            # name the tracker already holds, and the arena's unlink stays
+            # the one unregister the tracker sees (a tracker of a worker's
+            # own would unlink live segments when the worker exits).
+            resource_tracker.ensure_running()
             t0 = self._clock()
             ctx = multiprocessing.get_context("fork")
             spawned: list[_Worker] = []
@@ -378,13 +384,10 @@ class PersistentExecutor(Executor):
                     daemon=True,
                 )
                 w.pump.start()
-            spec = None if self._arena is None else self._arena.spec()
-            warm = list(self._warmed)
-            for w in spawned:
-                if spec is not None:
+            if self._arena is not None:
+                spec = self._arena.spec()
+                for w in spawned:
                     self._send_control(w, ("attach", spec))
-                if warm:
-                    self._send_control(w, ("warm", warm))
             self._workers.extend(spawned)
             with self._stats_lock:
                 self._stats["spawns"] += 1
@@ -392,13 +395,13 @@ class PersistentExecutor(Executor):
             return self._workers
 
     def respawn(self) -> None:
-        """Replace dead workers; re-attach the arena and re-warm plans.
+        """Replace the workers; the next map or submit spawns a fresh pool.
 
         The arena itself is untouched: segments are parent-owned and the
         free list never left the parent, so outstanding leases remain
-        valid and are returned by their owners' ``finally`` blocks.  The
-        fresh pool re-attaches the same segments by name and replays the
-        accumulated warm set (no cold-cache churn after a crash).
+        valid and return as their map or submit resolves (the in-flight
+        tasks of the doomed workers fail as :class:`WorkerPoolBroken`).
+        The fresh pool re-attaches the same segments by name.
         """
         with self._spawn_lock:
             doomed = list(self._workers)
@@ -437,6 +440,22 @@ class PersistentExecutor(Executor):
             arena.close()
 
     # -- dispatch --------------------------------------------------------
+
+    def _ship(self, item: Any, leases: list) -> Any:
+        """``item`` with every plain ndarray (at the top level or inside
+        tuples and lists) copied into a leased arena slot and replaced by
+        its :class:`SlotRef`; each ``(arena, ref)`` lease is appended to
+        ``leases``. Object arrays and ndarray subclasses pickle as-is."""
+        if type(item) is np.ndarray and not item.dtype.hasobject:
+            arena = self.arena
+            ref = arena.place(item)  # repro: noqa[SHM03] the lease joins
+            # the caller's `leases` at once, and every caller returns that
+            # list from a `finally` (or the submit's done callback).
+            leases.append((arena, ref))
+            return ref
+        if type(item) in (tuple, list):
+            return type(item)(self._ship(x, leases) for x in item)
+        return item
 
     def _send_control(self, worker: _Worker, msg: tuple) -> None:
         payload = pickle.dumps(msg)
@@ -501,19 +520,26 @@ class PersistentExecutor(Executor):
             j = min(range(len(workers)), key=lambda k: (loads[k], k))
             manifests[j].append(i)
             loads[j] += 1.0 if costs is None else float(costs[i])
-        futures = [
-            self._send_batch(w, fn, [(i, items[i]) for i in idxs])
-            for w, idxs in zip(workers, manifests)
-            if idxs
-        ]
+        task = _shipped(fn)
+        leases: list = []
         results: list[Any] = [None] * len(items)
         errors: dict[int, BaseException] = {}
-        for fut in futures:
-            for task_idx, ok, payload in fut.result():
-                if ok:
-                    results[task_idx] = payload
-                else:
-                    errors[task_idx] = payload
+        try:
+            futures = [
+                self._send_batch(
+                    w, task, [(i, self._ship(items[i], leases)) for i in idxs]
+                )
+                for w, idxs in zip(workers, manifests)
+                if idxs
+            ]
+            for fut in futures:
+                for task_idx, ok, payload in fut.result():
+                    if ok:
+                        results[task_idx] = payload
+                    else:
+                        errors[task_idx] = payload
+        finally:
+            _release(leases)
         if errors:
             # Match pool-executor semantics: the failure of the earliest
             # task index is the one the caller observes.
@@ -526,11 +552,20 @@ class PersistentExecutor(Executor):
         with self._spawn_lock:
             worker = workers[self._rr % len(workers)]
             self._rr += 1
-        inner = self._send_batch(worker, fn, [(0, item)])
+        leases: list = []
+        try:
+            inner = self._send_batch(
+                worker, _shipped(fn), [(0, self._ship(item, leases))]
+            )
+        except BaseException:
+            _release(leases)
+            raise
         outer: Future = Future()
         outer.set_running_or_notify_cancel()
 
         def _resolve(done: Future) -> None:
+            # The leases return before the caller can see the outcome.
+            _release(leases)
             exc = done.exception()
             if exc is not None:
                 outer.set_exception(exc)
@@ -547,17 +582,15 @@ class PersistentExecutor(Executor):
     # -- introspection ---------------------------------------------------
 
     def dispatch_stats(self) -> dict[str, Any]:
-        """Dispatch-overhead counters (plus arena lease counters)."""
+        """Dispatch-overhead counters plus the arena's lease counters
+        (zero until a map or submit first ships an ndarray)."""
         with self._stats_lock:
             out = dict(self._stats)
         with self._spawn_lock:
             arena = self._arena
-        if arena is not None and not arena.closed:
-            arena_stats = arena.stats()
-            out["arena_leases"] = arena_stats["leases"]
-            out["arena_returns"] = arena_stats["returns"]
-            out["arena_segments"] = arena_stats["segments"]
-            out["arena_capacity_bytes"] = arena_stats["capacity_bytes"]
+        live = arena.stats() if arena is not None and not arena.closed else {}
+        for key in ("leases", "returns", "segments", "capacity_bytes"):
+            out[f"arena_{key}"] = live.get(key, 0)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,15 +12,14 @@ Executor` and turns its ``map`` into a supervised, attempt-bounded run:
   (:func:`~repro.runtime.scheduler.degradation_ladder`): a task that died
   on the persistent pool retries on the serial rung — the bit-exact
   reference, where an infrastructure fault cannot reproduce;
-- a **timed-out manifest on the persistent backend respawns the pool**
-  before the retry round: a started manifest cannot be cancelled, and a
-  zombie worker still holding :class:`~repro.runtime.arena.SlotRef`
-  handles could read or write slots after their leases return to the
-  free list and are re-leased — terminating the workers (the respawn
-  re-attaches the arena and replays warm plans) makes that impossible;
+- a **timed-out task on the persistent backend respawns the pool**
+  before the retry round: a started manifest cannot be cancelled, so
+  its worker would stay stuck in it (a zombie that only reads its input
+  slots and whose result nobody collects) — terminating the workers
+  frees it, and the next map finds a live pool;
 - a broken worker pool (dead worker) is **respawned** once per retry
   round; a dead worker strands no shared memory, because arena leases
-  live in the parent and return from the engine's ``finally`` blocks;
+  live in the parent and return as its submit resolves;
 - deterministic **numerical** failures (:class:`~repro.errors.
   ConvergenceError` and friends) are never retried — replaying them
   wastes work and reproduces the same bits — they resolve immediately,
@@ -161,6 +160,17 @@ class _TaskShell:
         self.backend = backend
         self.parent_pid = parent_pid
 
+    def around(self, task: Callable) -> "_TaskShell":
+        """This attempt's shell around ``task`` in place of its own."""
+        return _TaskShell(
+            task,
+            self.plan,
+            key=self.key,
+            attempt=self.attempt,
+            backend=self.backend,
+            parent_pid=self.parent_pid,
+        )
+
     def __call__(self, item):
         with faults.activate(
             self.plan,
@@ -177,9 +187,9 @@ class ResilientExecutor(Executor):
     """Retry/deadline/fallback supervisor around a base executor.
 
     Mirrors the wrapped executor's scheduling surface (``backend``,
-    ``workers``, ``min_shard``, ``supports_shared_state``), so engines
-    plan shards and pick dispatch paths exactly as they would against the
-    bare executor — resilience changes failure handling, never planning.
+    ``workers``, ``min_shard``), so engines plan shards exactly as they
+    would against the bare executor — resilience changes failure
+    handling, never planning.
     """
 
     def __init__(
@@ -189,7 +199,6 @@ class ResilientExecutor(Executor):
         self.inner = inner
         self.policy = policy or RetryPolicy()
         self.backend = inner.backend
-        self.supports_shared_state = inner.supports_shared_state
         self._fallbacks: list[Executor] | None = None
         self._map_seq = 0
         #: Retry history of the most recent top-level ``map`` call.
@@ -303,25 +312,17 @@ class ResilientExecutor(Executor):
                     # boundary: every task failure is classified below —
                     # retried, quarantined, or re-raised — never swallowed.
                     exc = caught
-                if isinstance(exc, BrokenExecutor) and not respawned:
-                    # One dead worker poisons every future of the pool;
-                    # replace it once per round, before the retry round.
-                    rung.respawn()
-                    respawned = True
-                elif (
-                    isinstance(exc, DeadlineExceeded)
-                    and not rung.supports_shared_state
+                if (
+                    isinstance(exc, (BrokenExecutor, DeadlineExceeded))
                     and not respawned
                 ):
-                    # fut.cancel() cannot stop a manifest that already
-                    # started: the slow worker would keep running with
-                    # its SlotRefs while the retry succeeds, the engine
-                    # returns the leases, and the free list re-leases
-                    # those slots to the next batch — a zombie write then
-                    # silently corrupts unrelated results. Terminate the
-                    # pool before the retry round (respawn re-attaches
-                    # the arena and replays the warm set); other in-
-                    # flight manifests fail as BrokenExecutor and retry.
+                    # One dead worker poisons every future of the pool,
+                    # and fut.cancel() cannot stop a manifest that
+                    # already started, so a worker past its deadline
+                    # stays stuck in it. Replace the pool once per
+                    # round, before the retry round; other in-flight
+                    # manifests fail as BrokenExecutor and retry. The
+                    # serial rung has no pool: its respawn is a no-op.
                     rung.respawn()
                     respawned = True
                 history[idx].append(
@@ -352,10 +353,11 @@ class ResilientExecutor(Executor):
         return results
 
     def _dispatch(self, rung: Executor, shell: _TaskShell, item) -> Future:
-        if rung.supports_shared_state:
-            # Route through our _run_task so `self.active` is set while
-            # the rung runs the task: nested maps then inline against
-            # *this* wrapper instead of re-submitting (deadlock-free).
+        if rung.backend == "serial":
+            # The serial rung runs the task in this thread. Route it
+            # through our _run_task so `self.active` is set meanwhile:
+            # nested maps then inline against *this* wrapper instead of
+            # re-submitting (deadlock-free).
             return rung.submit(functools.partial(self._run_task, shell), item)
         return rung.submit(shell, item)
 

@@ -101,9 +101,9 @@ def degradation_ladder(backend: str) -> tuple[str, ...]:
     serial rung: worker-pool faults (dead workers, lost segments, wedged
     tasks) cannot reproduce there, and it is also the bit-exact
     reference, so a task that survives anywhere produces identical
-    results everywhere. The serial rung runs inline (no concurrent
-    waiter), so a missed deadline there can never leave a zombie holding
-    arena :class:`~repro.runtime.arena.SlotRef` handles behind.
+    results everywhere. The serial rung runs inline in the caller's
+    thread, on the caller's arrays: it has no pool for a missed deadline
+    to leave a stuck worker in, and no shared memory to lose.
     """
     if backend == "persistent":
         return ("persistent", "serial")

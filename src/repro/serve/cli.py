@@ -10,31 +10,12 @@ console script.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
+from repro.cli import _default_backend, _resolve_runtime
+
 __all__ = ["main", "build_parser", "run_serve", "parse_shape_mix"]
-
-
-def _default_backend() -> str:
-    """Serial, unless ``REPRO_RUNTIME_BACKEND`` names another backend —
-    the env hook must reach the serve CLI like every other entry point
-    that passes no explicit spec.
-
-    argparse never validates a *default* against ``choices``, so a typo
-    in the env var is rejected here as a clean usage error."""
-    from repro.runtime import BACKENDS, BACKEND_ENV_VAR
-
-    name = os.environ.get(BACKEND_ENV_VAR, "").strip()
-    if not name:
-        return "serial"
-    if name not in BACKENDS:
-        raise SystemExit(
-            f"repro-serve: {BACKEND_ENV_VAR}={name!r} is not a recognized "
-            f"backend; expected one of: {', '.join(BACKENDS)}"
-        )
-    return name
 
 
 def parse_shape_mix(text: str) -> tuple[tuple[int, int], ...]:
@@ -103,7 +84,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", choices=BACKENDS,
-        default=_default_backend(),
+        default=_default_backend("repro-serve"),
         help="engine executor backend (default serial, or "
         "$REPRO_RUNTIME_BACKEND when set)",
     )
@@ -127,21 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_serve(args: argparse.Namespace) -> int:
     """Build the server from parsed args, run the load, print stats."""
-    from repro.errors import ConfigurationError
-    from repro.runtime import BACKENDS, RuntimeConfig
     from repro.serve.loadgen import LoadSpec, run_closed_loop
     from repro.serve.server import ServeConfig, SVDServer
 
-    if args.workers > 1 and args.backend == "serial":
-        flags = " or ".join(f"--backend {b}" for b in BACKENDS if b != "serial")
-        raise ConfigurationError(
-            f"--workers {args.workers} requires a parallel backend; add "
-            f"{flags}"
-        )
-    runtime = RuntimeConfig(
-        backend=args.backend,
-        workers=args.workers,
-        on_failure="quarantine",
+    runtime = _resolve_runtime(
+        args.workers, args.backend, on_failure="quarantine"
     )
     config = ServeConfig(
         max_batch=args.max_batch,

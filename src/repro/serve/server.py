@@ -35,10 +35,11 @@ Design points:
   vectorized work is.
 - **Warm workers** — the server builds its executor once and keeps it
   for its whole lifetime, so with ``RuntimeConfig(backend="persistent")``
-  the worker processes, their attached shared-memory arenas, and their
-  memoized sweep plans all survive *between* fused batches: steady-state
-  request traffic pays zero pool spin-up and zero segment create/unlink
-  per batch. :meth:`~SVDServer.close` tears the pool and arenas down.
+  the worker processes, their attached shared-memory arenas, and the
+  sweep plans they built on first use all survive *between* fused
+  batches: steady-state request traffic pays zero pool spin-up and zero
+  segment create/unlink per batch. :meth:`~SVDServer.close` tears the
+  pool and arenas down.
 """
 
 from __future__ import annotations

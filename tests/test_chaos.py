@@ -343,7 +343,7 @@ class TestPersistentChaos:
     def test_nan_poison_on_persistent_recovers(self, chaos, batch, clean):
         """The nan fault reaches arena-transported stacks too: solvers
         poison their private working copy inside the worker, the finite
-        check trips, and the retry re-reads the untouched input slot."""
+        check trips, and the retry re-reads the untouched input."""
         chaos("seed=11;nan:p=1.0")
         res = _chaos_solve(
             batch,

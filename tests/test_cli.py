@@ -113,6 +113,13 @@ class TestRuntimeFlags:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["estimate", flag, "1"])
 
+    def test_estimate_takes_no_seed(self):
+        # estimate prices [shape] * batch analytically: a seed would be a
+        # setting that changes nothing, so the flag is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--seed", "1"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("cli", ["repro", "repro-serve"])
     def test_deleted_processes_backend_names_persistent(self, capsys, cli):
         from repro.serve.cli import build_parser as serve_parser
@@ -160,8 +167,15 @@ class TestRuntimeFlags:
         assert "[1, 2]" in err
 
     def test_serial_backend_with_many_workers_rejected(self, capsys, monkeypatch):
+        from repro.serve.cli import main as serve_main
+
         monkeypatch.setattr("repro.runtime.executor.os.cpu_count", lambda: 8)
         code = main(["svd", "--workers", "2", "--backend", "serial"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "requires a parallel backend" in err
+        assert "add --backend persistent" in err
+        code = serve_main(["--workers", "2", "--backend", "serial"])
         assert code == 2
         err = capsys.readouterr().err
         assert "requires a parallel backend" in err

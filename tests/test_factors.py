@@ -201,8 +201,7 @@ class TestFinalizeStackOracle:
             _same_bytes(res, _finalize_onesided_oracle(W[k], V[k], None), "USV")
 
     def test_factors_are_fresh_arrays(self, rng):
-        """No factor aliases the stacks it was finalized from (the engine
-        releases those as arena slots)."""
+        """No factor aliases the stacks it was finalized from."""
         W = _svd_work_stack(rng, 8, 4)
         V = rng.standard_normal((W.shape[0], 4, 4))
         for res in finalize_stack(W, V, [None] * W.shape[0]):

@@ -1,19 +1,21 @@
 """Persistent worker arenas: slot leases, manifest dispatch, warm pools.
 
-Covers the PR 7 tentpole from the bottom up: the :class:`Arena` lease
-protocol (grow/lease/return, double-release rejection, clean unlink),
-the :class:`PersistentExecutor` (LPT manifests, batched IPC, error
-semantics, respawn that re-attaches arenas and replays warm plans, lease
-balance after engine and W-cycle solves), and the serving layer keeping
-replicas warm *between* fused batches. The cross-backend bit-identity
-acceptance lives in ``tests/test_runtime.py`` (``persistent`` is
-parametrized there); the fault-injection scenarios live in
-``tests/test_chaos.py``.
+Covers the persistent backend from the bottom up: the :class:`Arena`
+lease protocol (grow/lease/return, double-release rejection, clean
+unlink), the :class:`PersistentExecutor` (LPT manifests, batched IPC,
+error semantics, respawn that re-attaches arenas, lease balance after
+engine and W-cycle solves), its array transport (items holding ndarrays
+ship through slots, inline maps take no lease, every lease returns), and
+the serving layer keeping replicas warm *between* fused batches. The
+cross-backend bit-identity acceptance lives in ``tests/test_runtime.py``
+(``persistent`` is parametrized there); the fault-injection scenarios
+live in ``tests/test_chaos.py``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -73,6 +75,36 @@ def _boom_on_even(x):
     return -x
 
 
+def _combine(item):
+    """Arrays at the top level of the item and inside a nested tuple."""
+    a, (b, c), scale = item
+    return a @ b + c * scale
+
+
+def _raise_on_negative_scale(item):
+    if item[2] < 0:
+        raise ShapeError("negative scale")
+    return _combine(item)
+
+
+def _die_in_worker(x):
+    """Kills the worker it runs in; returns ``x`` in the parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return x
+
+
+def _combine_items(rng, count, *, negative=()):
+    return [
+        (
+            rng.standard_normal((6, 4)),
+            (rng.standard_normal((4, 3)), rng.standard_normal((6, 3))),
+            -1.0 if k in negative else float(k),
+        )
+        for k in range(count)
+    ]
+
+
 class TestArenaLeases:
     def test_place_round_trip(self, rng):
         stack = rng.standard_normal((3, 8, 4))
@@ -80,7 +112,6 @@ class TestArenaLeases:
             ref = arena.place(stack)
             try:
                 assert isinstance(ref, SlotRef)
-                assert np.array_equal(arena.view(ref), stack)
                 assert np.array_equal(resolve(ref), stack)
             finally:
                 arena.release_lease(ref)
@@ -92,7 +123,7 @@ class TestArenaLeases:
             ref = arena.reserve((2, 5, 5), np.float64)
             try:
                 resolve(ref)[...] = want
-                assert np.array_equal(arena.view(ref), want)
+                assert np.array_equal(resolve(ref), want)
             finally:
                 arena.release_lease(ref)
 
@@ -116,14 +147,6 @@ class TestArenaLeases:
             with pytest.raises(ConfigurationError, match="double release"):
                 arena.release_lease(ref)
 
-    def test_view_requires_outstanding_lease(self):
-        with Arena() as arena:
-            ref = arena.reserve((2, 2), np.float64)  # repro: noqa[SHM02]
-            # released on purpose: view() must reject the stale ref.
-            arena.release_lease(ref)
-            with pytest.raises(ConfigurationError, match="not leased"):
-                arena.view(ref)
-
     def test_oversized_reservation_grows_a_segment(self, rng):
         with Arena(slot_bytes=1 << 10, slots_per_segment=2) as arena:
             big = rng.standard_normal((64, 64))  # 32 KiB > 1 KiB slots
@@ -132,7 +155,7 @@ class TestArenaLeases:
                 stats = arena.stats()
                 assert stats["grown_segments"] == 1
                 assert stats["segments"] == 2
-                assert np.array_equal(arena.view(ref), big)
+                assert np.array_equal(resolve(ref), big)
             finally:
                 arena.release_lease(ref)
 
@@ -204,20 +227,6 @@ class TestPersistentExecutor:
             assert stats["ipc_round_trips"] == 2
             assert stats["batches"] == 2
 
-    def test_warm_is_idempotent_and_replayed_on_respawn(self):
-        from repro.jacobi.onesided_vector import OneSidedConfig
-
-        with PersistentExecutor(2) as ex:
-            ex.map(_square, [1, 2, 3, 4])  # spin the pool up
-            before = ex.dispatch_stats()["control_msgs"]
-            ex.warm("svd", OneSidedConfig(), 8)
-            ex.warm("svd", OneSidedConfig(), 8)  # same key: no broadcast
-            after = ex.dispatch_stats()["control_msgs"]
-            assert after - before == 2  # one message per live worker
-            ex.respawn()
-            assert ex.map(_square, [5, 6]) == [25, 36]
-            assert ex.dispatch_stats()["respawns"] == 1
-
     def test_respawn_preserves_arena_and_leases(self, rng):
         stack = rng.standard_normal((2, 6, 3))
         with PersistentExecutor(2) as ex:
@@ -229,7 +238,7 @@ class TestPersistentExecutor:
                 assert arena.outstanding() == 1
                 # Fresh workers re-attach the same segments by name and
                 # read the still-leased slot's bytes unchanged.
-                assert np.array_equal(arena.view(ref), stack)
+                assert np.array_equal(resolve(ref), stack)
                 assert ex.map(_square, [2, 3]) == [4, 9]
             finally:
                 arena.release_lease(ref)
@@ -380,6 +389,87 @@ class TestPersistentExecutor:
         assert [n for n in stranded_segments() if n.startswith(prefix)] == []
 
 
+class TestArrayTransport:
+    """Items hold plain ndarrays; only the persistent backend ships them
+    through arena slots, and only when a map or submit leaves the parent."""
+
+    def test_map_and_submit_ship_ndarrays_byte_equal_to_serial(self, rng):
+        from repro.runtime.resilient import ResilientExecutor, RetryPolicy
+
+        items = _combine_items(rng, 4)
+        arrays = [item[0] for item in items]
+        want = [_combine(item) for item in items]
+        with PersistentExecutor(2) as ex:
+            got = ex.map(_combine, items)
+            squares = ex.map(_square, arrays)
+            stats = ex.dispatch_stats()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert [g.tobytes() for g in squares] == [
+            (a * a).tobytes() for a in arrays
+        ]
+        # Three arrays per nested item, one per top-level array item.
+        assert stats["arena_leases"] == 3 * 4 + 4
+        with ResilientExecutor(
+            PersistentExecutor(2), RetryPolicy(max_retries=0)
+        ) as ex:
+            got = ex.map(_combine, items)
+            one = ex.submit(_combine, items[1]).result(timeout=30)
+            top = ex.submit(_square, arrays[2]).result(timeout=30)
+            inner = ex.inner
+            assert inner.dispatch_stats()["arena_leases"] == 3 * 4 + 3 + 1
+            assert inner.arena.outstanding() == 0
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert one.tobytes() == want[1].tobytes()
+        assert top.tobytes() == (arrays[2] * arrays[2]).tobytes()
+
+    def test_every_lease_returns(self, rng):
+        with PersistentExecutor(2) as ex:
+            ex.map(_combine, _combine_items(rng, 4))
+            assert ex.arena.outstanding() == 0
+            with pytest.raises(ShapeError, match="negative scale"):
+                ex.map(
+                    _raise_on_negative_scale,
+                    _combine_items(rng, 4, negative={1}),
+                )
+            assert ex.arena.outstanding() == 0
+            with pytest.raises(WorkerPoolBroken):
+                ex.map(_die_in_worker, [rng.standard_normal(3)] * 2)
+            assert ex.arena.outstanding() == 0
+            ex.respawn()
+            fut = ex.submit(_die_in_worker, rng.standard_normal(3))
+            with pytest.raises(WorkerPoolBroken):
+                fut.result(timeout=30)
+            assert ex.arena.outstanding() == 0
+            stats = ex.dispatch_stats()
+            assert stats["arena_leases"] == stats["arena_returns"] > 0
+
+    def test_inline_maps_take_no_lease(self, rng):
+        arrays = [rng.standard_normal((5, 5)) for _ in range(3)]
+        with PersistentExecutor(2) as ex:
+            before = ex.dispatch_stats()["arena_leases"]
+            (out,) = ex.map(_square, arrays[:1])
+            assert out.tobytes() == (arrays[0] * arrays[0]).tobytes()
+            assert ex.dispatch_stats()["arena_leases"] == before
+        with PersistentExecutor(1) as ex:
+            out = ex.map(_combine, _combine_items(rng, 3))
+            assert len(out) == 3
+            stats = ex.dispatch_stats()
+            assert stats["arena_leases"] == 0
+            assert stats["ipc_round_trips"] == 0
+
+    def test_one_unit_svd_batch_takes_no_lease(self, rng):
+        """Four 16x8 matrices are one unit at ``min_shard=4``: the engine's
+        map runs it inline, and nothing is placed in the arena."""
+        matrices = [rng.standard_normal((16, 8)) for _ in range(4)]
+        want = BatchedJacobiEngine().svd_batch(matrices)
+        with PersistentExecutor(2) as ex:
+            got = BatchedJacobiEngine(executor=ex).svd_batch(matrices)
+            assert ex.dispatch_stats()["arena_leases"] == 0
+        for g, w in zip(got, want):
+            for name in "USV":
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+
+
 class TestServeWarmReplicas:
     def test_workers_stay_warm_between_fused_batches(self, rng):
         server = SVDServer(
@@ -406,7 +496,7 @@ class TestServeWarmReplicas:
                 assert got.S.tobytes() == ref.S.tobytes()
             stats = ex.dispatch_stats()
             # One spawn serves every fused batch: replicas (and their
-            # arena attachments + warm plans) persist between rounds.
+            # arena attachments + memoized plans) persist between rounds.
             assert stats["spawns"] == 1
             assert stats["respawns"] == 0
             assert ex.arena.outstanding() == 0

@@ -367,4 +367,3 @@ class TestWiring:
             assert ex.backend == "persistent"
             assert ex.workers == 3
             assert ex.min_shard == 7
-            assert ex.supports_shared_state == inner.supports_shared_state
