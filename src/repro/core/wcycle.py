@@ -61,7 +61,11 @@ from repro.gpusim.svd_kernel import (
 )
 from repro.gpusim.memory import svd_fits_in_sm
 from repro.core.levels import Group, classify_pair, select_w1, width_schedule
-from repro.jacobi.batched import _nan_svd_result, _remap_stack_error
+from repro.jacobi.batched import (
+    _nan_svd_result,
+    _reference_rung,
+    _remap_stack_error,
+)
 from repro.jacobi.convergence import gram_offdiagonal_cosine
 from repro.jacobi.factors import complete_square_orthogonal, finalize_stack
 from repro.jacobi.onesided_block import column_blocks
@@ -579,6 +583,17 @@ class WCycleSVD:
                 blame.setdefault(i, out.error)
         serial = _worker_solver(self.config, self.device)
         numerical = (ConvergenceError, NonFiniteError)
+
+        def recovered(i: int) -> None:
+            report.add(
+                index=i,
+                stage="wcycle",
+                cause=type(blame[i]).__name__,
+                message=str(blame[i]),
+                attempts=attempts + 1,
+                recovered=True,
+            )
+
         if not any(isinstance(out.error, numerical) for _, out in failed):
             try:
                 inner, log, rotations = serial._solve_unit(
@@ -591,14 +606,7 @@ class WCycleSVD:
                 )
             else:
                 for i in sorted(blame):
-                    report.add(
-                        index=i,
-                        stage="wcycle",
-                        cause=type(blame[i]).__name__,
-                        message=str(blame[i]),
-                        attempts=attempts + 1,
-                        recovered=True,
-                    )
+                    recovered(i)
                 return (
                     [
                         _finish(res, *prepared[i][1:])
@@ -624,14 +632,7 @@ class WCycleSVD:
                 )
                 continue
             if i in blame:
-                report.add(
-                    index=i,
-                    stage="wcycle",
-                    cause=type(blame[i]).__name__,
-                    message=str(blame[i]),
-                    attempts=attempts + 1,
-                    recovered=True,
-                )
+                recovered(i)
             results.append(_finish(res, q, flip, shift))
             records.extend(self._replay([log]))
             rotations = _summed([rotations, solo_rotations])
@@ -657,27 +658,10 @@ class WCycleSVD:
                 transpose_wide=cfg.transpose_wide,
             )
         )
-        try:
-            res = reference.decompose(A)
-        except (ConvergenceError, NonFiniteError) as ref_exc:
-            report.add(
-                index=index,
-                stage="wcycle",
-                cause=type(ref_exc).__name__,
-                message=str(ref_exc),
-                attempts=attempts,
-                recovered=False,
-            )
-            return _nan_svd_result(A.shape)
-        report.add(
-            index=index,
-            stage="wcycle",
-            cause=type(exc).__name__,
-            message=str(exc),
-            attempts=attempts,
-            recovered=True,
+        return _reference_rung(
+            reference.decompose, _nan_svd_result, A, index, exc,
+            stage="wcycle", attempts=attempts, report=report,
         )
-        return res
 
     # ------------------------------------------------------------------
     # large-matrix path

@@ -23,6 +23,13 @@ Per-matrix independence is preserved exactly:
   the per-matrix solvers to the last bit in practice and to ``<= 1e-12``
   by contract.
 
+Both stacked solvers run one sweep loop, :func:`_sweep_to_convergence`.
+It owns the finite guard, tracing, the per-matrix stop, dropout and
+compaction, and the failure modes; each solver hands it only its
+per-sweep numerics (the SVD's Eq. 6 norm refresh and column floor, the
+EVD's per-member floors) around a fused sweeper of
+:mod:`repro.jacobi.fused`.
+
 A tall bucket (``m >= 2n``) is swept as the ``n x n`` triangular factors
 of one stacked QR and mapped back as ``W = Q @ W_R``
 (:func:`~repro.jacobi.preconditioning.qr_detour`), the detour the
@@ -36,7 +43,7 @@ shifted back (:func:`~repro.jacobi.preconditioning.shift_symmetric`).
 
 Data-dependent schedules (the ``dynamic`` ordering) and the sequential
 two-sided EVD cannot share one schedule across a bucket; those fall back to
-the per-matrix solvers.
+the per-matrix solvers, through one loop (:func:`_solve_each`).
 
 With an :class:`~repro.runtime.executor.Executor` attached, buckets are
 additionally *sharded* across host workers: each bucket is cut into
@@ -49,15 +56,17 @@ one ``Executor.map`` call, on items that hold the sub-stacks as plain
 ndarrays; how they reach a worker is the executor's business.
 
 Failure handling is two-mode. In ``on_failure="raise"`` (the default) a
-matrix that exhausts its sweep budget — or turns non-finite mid-sweep —
-raises :class:`~repro.errors.ConvergenceError` /
+matrix that exhausts its sweep budget — or is non-finite — raises
+:class:`~repro.errors.ConvergenceError` /
 :class:`~repro.errors.NonFiniteError` carrying the *caller-space*
 ``batch_indices`` of the offenders and the failing bucket's shape. In
 ``on_failure="quarantine"`` the engine absorbs the failure instead: the
 failed unit is re-solved inline in report mode (healthy matrices keep
-their bit-identical bucketed results), the offenders fall back to the
-reference per-matrix solvers, and anything still failing gets NaN
-placeholder factors — every event recorded in the engine's
+their bit-identical bucketed results), and each offender takes the last
+rung of the ladder, :func:`_reference_rung` (the W-cycle's ladder ends
+in it too): the reference per-matrix solver, else NaN placeholder
+factors. In the per-matrix fallbacks a failing matrix gets the
+placeholders directly. Every event is recorded in the engine's
 :class:`~repro.errors.FailureReport` (``engine.last_failures``).
 """
 
@@ -93,7 +102,6 @@ from repro.jacobi.preconditioning import (
 )
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
 from repro.orderings import Ordering, get_ordering
-from repro.runtime import faults
 from repro.runtime.executor import (
     ON_FAILURE_MODES,
     Executor,
@@ -122,6 +130,9 @@ _EPS = np.finfo(np.float64).eps
 #: ``solve_stack`` failure modes: raise on the first failing matrix, or
 #: drop failures out of the stack and report them alongside the results.
 _STACK_MODES = ("raise", "report")
+
+#: The solver failures a quarantine ladder absorbs; others propagate.
+_NUMERICAL = (ConvergenceError, NonFiniteError)
 
 
 def _remap_stack_error(
@@ -213,13 +224,192 @@ def _nan_svd_result(shape: tuple[int, int]) -> SVDResult:
     )
 
 
-def _nan_evd_result(k: int) -> EVDResult:
+def _nan_evd_result(shape: tuple[int, int]) -> EVDResult:
     """Placeholder eigenpairs for a quarantined, unrecovered matrix."""
+    k = shape[0]
     return EVDResult(
         J=np.full((k, k), np.nan),
         L=np.full(k, np.nan),
         trace=ConvergenceTrace(),
     )
+
+
+def _sweep_to_convergence(
+    stack: np.ndarray,
+    make_sweeper,
+    sweep,
+    stop: np.ndarray,
+    max_sweeps: int,
+    report_mode: bool,
+    solver: str,
+):
+    """Sweep every member of ``stack`` until it converges: the loop of
+    both stacked solvers, one thread block per matrix.
+
+    ``make_sweeper()`` builds the fused executor over ``stack``, and
+    ``sweep(sweeper, live)`` runs one sweep of the ``live`` stack
+    positions, returning each one's convergence metric and rotation
+    count. A member is done once its metric is below its ``stop``; its
+    factors are extracted and it drops out of the live stack, as its
+    thread block would retire.
+
+    Returns ``(X, Y, traces, failures)``: ``X`` starts as a copy of
+    ``stack``, ``Y`` as identities. A member that is non-finite or that
+    exhausts ``max_sweeps`` raises (naming the stack positions), or in
+    report mode is NaN-filled, dropped and listed in ``failures`` as a
+    ``(position, exception)`` pair. ``solver`` names the solver in the
+    raised budget error.
+    """
+    b, _, n = stack.shape
+    traces = [ConvergenceTrace() for _ in range(b)]
+    failures: list[tuple[int, Exception]] = []
+    out_X = stack.copy()
+    out_Y = np.tile(np.eye(n), (b, 1, 1))
+
+    def fail(orig: int, exc: Exception) -> None:
+        failures.append((orig, exc))
+        out_X[orig] = np.nan
+        out_Y[orig] = np.nan
+
+    if n < 2:
+        return out_X, out_Y, traces, failures
+    sweeper = make_sweeper()
+    live = np.arange(b)
+    try:
+        for sweep_index in range(1, max_sweeps + 1):
+            # A NaN zeroes its pairs' cosines, so a sweep would pass its
+            # member for converged. The stack is scanned before the first
+            # sweep in every mode; an injected fault poisons it as the
+            # sweeper is built, so the scan sees that too. Rotations keep
+            # a finite stack finite short of overflow, which the engine
+            # rules out by prescaling inputs of extreme scale, so later
+            # sweeps are scanned only in report mode.
+            if sweep_index == 1 or report_mode:
+                finite = sweeper.finite_mask()
+                if not finite.all():
+                    bad = [int(live[p]) for p in np.flatnonzero(~finite)]
+                    if not report_mode:
+                        raise NonFiniteError(
+                            f"{len(bad)} matrix(es) turned non-finite "
+                            f"during sweep {sweep_index}",
+                            batch_indices=tuple(bad),
+                        )
+                    for orig in bad:
+                        fail(
+                            orig,
+                            NonFiniteError(
+                                f"matrix {orig} turned non-finite "
+                                f"during sweep {sweep_index}",
+                                batch_indices=(orig,),
+                            ),
+                        )
+                    live = live[finite]
+                    if live.size == 0:
+                        return out_X, out_Y, traces, failures
+                    sweeper.compact(finite)
+            metric, rotations = sweep(sweeper, live)
+            ConvergenceTrace.bulk_append(
+                traces, live, sweep_index, metric, rotations
+            )
+            done = metric < stop[live]
+            if done.any():
+                done_pos = np.flatnonzero(done)
+                sweeper.extract(out_X, out_Y, live[done_pos], done_pos)
+                if done.all():
+                    return out_X, out_Y, traces, failures
+                keep = ~done
+                live = live[keep]
+                sweeper.compact(keep)
+    finally:
+        sweeper.close()
+    if not report_mode:
+        residual = traces[int(live[0])].records[-1].off_norm
+        raise ConvergenceError(
+            f"{solver} did not converge in {max_sweeps} sweeps "
+            f"(residual {residual:.3e})",
+            sweeps=max_sweeps,
+            residual=residual,
+            batch_indices=tuple(int(i) for i in live),
+        )
+    for orig in map(int, live):
+        residual = traces[orig].records[-1].off_norm
+        fail(
+            orig,
+            ConvergenceError(
+                f"matrix {orig} did not converge in {max_sweeps} sweeps "
+                f"(residual {residual:.3e})",
+                sweeps=max_sweeps,
+                residual=residual,
+                batch_indices=(orig,),
+            ),
+        )
+    return out_X, out_Y, traces, failures
+
+
+def _check_stack_mode(on_failure: str) -> bool:
+    """Whether ``on_failure`` is report mode; rejects unknown modes."""
+    if on_failure not in _STACK_MODES:
+        raise ConfigurationError(
+            f"on_failure must be one of {_STACK_MODES}, got {on_failure!r}"
+        )
+    return on_failure == "report"
+
+
+def _solve_each(solve, placeholder, mats, mode: str, report: FailureReport):
+    """The per-matrix fallback: ``solve`` every matrix in turn. In
+    quarantine mode a matrix that fails gets ``placeholder(shape)`` and
+    one unrecovered ``engine`` entry in ``report``."""
+    if mode == "raise":
+        return [solve(a) for a in mats]
+    out: list = []
+    for i, a in enumerate(mats):
+        try:
+            out.append(solve(a))
+        except _NUMERICAL as exc:
+            report.add(
+                index=i,
+                stage="engine",
+                cause=type(exc).__name__,
+                message=str(exc),
+                attempts=1,
+                recovered=False,
+            )
+            out.append(placeholder(a.shape))
+    return out
+
+
+def _reference_rung(
+    solve,
+    placeholder,
+    a: np.ndarray,
+    index: int,
+    exc: BaseException,
+    *,
+    stage: str,
+    attempts: int,
+    report: FailureReport,
+):
+    """Last rung of a quarantine ladder: re-solve matrix ``index`` with the
+    per-matrix reference ``solve``, else give it ``placeholder(a.shape)``.
+
+    Either way ``report`` gets one entry after ``attempts`` attempts: the
+    failure ``exc`` that sent the matrix here, recovered, or the
+    reference's own failure, unrecovered.
+    """
+    cause, recovered = exc, True
+    try:
+        res = solve(a)
+    except _NUMERICAL as ref_exc:
+        cause, res, recovered = ref_exc, placeholder(a.shape), False
+    report.add(
+        index=index,
+        stage=stage,
+        cause=type(cause).__name__,
+        message=str(cause),
+        attempts=attempts,
+        recovered=recovered,
+    )
+    return res
 
 
 class StackedOneSidedJacobi:
@@ -270,13 +460,16 @@ class StackedOneSidedJacobi:
         rotates is always decided by ``config.tol``, so a looser ``stop``
         runs fewer sweeps of the same rotations.
 
-        With ``on_failure="report"`` failing matrices (non-finite values
-        mid-sweep, or sweep-budget exhaustion) do not raise: they are
-        compacted out of the live stack, their output slots are NaN-filled,
-        and a fourth element is returned — ``failures``, a list of
-        ``(stack_position, exception)`` pairs. Removing a matrix cannot
-        perturb the others (same mechanism as converged-matrix dropout),
-        so surviving matrices stay bit-identical to a clean run.
+        A non-finite matrix, or one that exhausts the sweep budget,
+        raises :class:`~repro.errors.NonFiniteError` /
+        :class:`~repro.errors.ConvergenceError` naming its stack
+        positions. With ``on_failure="report"`` failing matrices do not
+        raise: they are compacted out of the live stack, their output
+        slots are NaN-filled, and a fourth element is returned —
+        ``failures``, a list of ``(stack_position, exception)`` pairs.
+        Removing a matrix cannot perturb the others (same mechanism as
+        converged-matrix dropout), so surviving matrices stay
+        bit-identical to a clean run.
 
         ``kernel_times`` (optional) accumulates the fused executors'
         per-segment kernel-time breakdown; see
@@ -287,126 +480,36 @@ class StackedOneSidedJacobi:
         (:func:`~repro.jacobi.preconditioning.qr_detour`), exactly as the
         per-matrix solver does it.
         """
-        if on_failure not in _STACK_MODES:
-            raise ConfigurationError(
-                f"on_failure must be one of {_STACK_MODES}, got {on_failure!r}"
-            )
-        stop = _stop_array(stop, self.config.tol, len(stack))
-        Q, R = qr_detour(stack)
-        out = self._sweep_stack(
-            R, stack.shape[1], stop, on_failure == "report", kernel_times
-        )
-        if Q is None:
-            return out
-        return (Q @ out[0], *out[1:])
-
-    def _sweep_stack(self, stack, rows, stop, report_mode, kernel_times):
-        """The sweeps of :meth:`solve_stack` over ``stack`` (the ``R``
-        factors of a tall input); ``rows`` is the input's row count, which
-        sets the column floor."""
-        b, m, n = stack.shape
+        report_mode = _check_stack_mode(on_failure)
         cfg = self.config
-        traces = [ConvergenceTrace() for _ in range(b)]
-        failures: list[tuple[int, Exception]] = []
-        out_W = stack.copy()
-        out_V = np.tile(np.eye(n), (b, 1, 1))
-        if n < 2:
-            return (out_W, out_V, traces, failures) if report_mode else (
-                out_W, out_V, traces
-            )
-        sweeper = self._make_sweeper(stack, kernel_times)
-        live = np.arange(b)
-        # The finite guard costs a pass over the stack per sweep; clean
-        # production runs (raise mode, no armed fault plan) skip it and a
-        # NaN then surfaces as ConvergenceError at sweep exhaustion.
-        check_finite = report_mode or faults.active()
-        try:
-            for sweep_index in range(1, cfg.max_sweeps + 1):
-                if check_finite:
-                    finite = sweeper.finite_mask()
-                    if not finite.all():
-                        bad_pos = np.flatnonzero(~finite)
-                        if not report_mode:
-                            raise NonFiniteError(
-                                f"{bad_pos.size} matrix(es) turned non-finite "
-                                f"during sweep {sweep_index}",
-                                batch_indices=tuple(
-                                    int(live[p]) for p in bad_pos
-                                ),
-                            )
-                        for p in bad_pos:
-                            orig = int(live[p])
-                            failures.append(
-                                (
-                                    orig,
-                                    NonFiniteError(
-                                        f"matrix {orig} turned non-finite "
-                                        f"during sweep {sweep_index}",
-                                        batch_indices=(orig,),
-                                    ),
-                                )
-                            )
-                            out_W[orig] = np.nan
-                            out_V[orig] = np.nan
-                        live = live[finite]
-                        if live.size == 0:
-                            return out_W, out_V, traces, failures
-                        sweeper.compact(finite)
-                if cfg.cache_inner_products:
-                    # Per-sweep cache refresh, as in the scalar solver:
-                    # Eq. 6 is exact in real arithmetic but accumulates
-                    # rounding.
-                    sweeper.refresh_norms()
-                norm_floor = (_EPS * max(rows, n)) ** 2 * sweeper.scale()
-                max_cos, rotations = sweeper.run_sweep(norm_floor)
-                if kernel_times is not None:
-                    kernel_times.sweeps += 1
-                ConvergenceTrace.bulk_append(
-                    traces, live, sweep_index, max_cos, rotations
-                )
-                done = max_cos < stop[live]
-                if done.any():
-                    done_pos = np.flatnonzero(done)
-                    sweeper.extract(out_W, out_V, live[done_pos], done_pos)
-                    if done.all():
-                        return (
-                            (out_W, out_V, traces, failures)
-                            if report_mode
-                            else (out_W, out_V, traces)
-                        )
-                    keep = ~done
-                    live = live[keep]
-                    sweeper.compact(keep)
-        finally:
-            sweeper.close()
-        if report_mode:
-            for orig in map(int, live):
-                residual = traces[orig].records[-1].off_norm
-                failures.append(
-                    (
-                        orig,
-                        ConvergenceError(
-                            f"matrix {orig} did not converge in "
-                            f"{cfg.max_sweeps} sweeps "
-                            f"(residual {residual:.3e})",
-                            sweeps=cfg.max_sweeps,
-                            residual=residual,
-                            batch_indices=(orig,),
-                        ),
-                    )
-                )
-                out_W[orig] = np.nan
-                out_V[orig] = np.nan
-            return out_W, out_V, traces, failures
-        worst = int(live[0])
-        residual = traces[worst].records[-1].off_norm
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge in {cfg.max_sweeps} sweeps "
-            f"(residual {residual:.3e})",
-            sweeps=cfg.max_sweeps,
-            residual=residual,
-            batch_indices=tuple(int(i) for i in live),
+        stop = _stop_array(stop, cfg.tol, len(stack))
+        Q, R = qr_detour(stack)
+        # The column floor is set by the input's rows, not R's.
+        col_floor = (_EPS * max(stack.shape[1], R.shape[2])) ** 2
+
+        def sweep(sweeper, live):
+            if cfg.cache_inner_products:
+                # Per-sweep cache refresh, as in the scalar solver: Eq. 6
+                # is exact in real arithmetic but accumulates rounding.
+                sweeper.refresh_norms()
+            out = sweeper.run_sweep(col_floor * sweeper.scale())
+            if kernel_times is not None:
+                kernel_times.sweeps += 1
+            return out
+
+        W, V, traces, failures = _sweep_to_convergence(
+            R,
+            lambda: self._make_sweeper(R, kernel_times),
+            sweep,
+            stop,
+            cfg.max_sweeps,
+            report_mode,
+            "one-sided Jacobi",
         )
+        if Q is not None:
+            W = Q @ W
+        return (W, V, traces, failures) if report_mode else (W, V, traces)
+
 
 class StackedParallelEVD:
     """Parallel two-sided Jacobi EVD over a ``(b, k, k)`` stack.
@@ -446,10 +549,9 @@ class StackedParallelEVD:
 
         Returns ``(B, J, traces)`` with ``B[k]`` diagonalized in place of
         matrix ``k`` and ``J[k]`` the accumulated eigenvector rotations.
-        ``on_failure="report"`` behaves as in
-        :meth:`StackedOneSidedJacobi.solve_stack`: failing matrices are
-        NaN-filled and returned as a fourth ``failures`` element instead
-        of raising.
+        Failures raise, or with ``on_failure="report"`` are NaN-filled and
+        returned as a fourth ``failures`` element, exactly as in
+        :meth:`StackedOneSidedJacobi.solve_stack`.
 
         ``stop`` decides when a matrix is done, never whether a pair
         rotates, exactly as in :meth:`StackedOneSidedJacobi.solve_stack`.
@@ -458,104 +560,27 @@ class StackedParallelEVD:
         is ``(eps, 0)`` for all: elements at ``eps ||B||_F`` are noise and
         no pair is exempt by its diagonal.
         """
-        if on_failure not in _STACK_MODES:
-            raise ConfigurationError(
-                f"on_failure must be one of {_STACK_MODES}, got {on_failure!r}"
-            )
-        report_mode = on_failure == "report"
-        b, k, _ = stack.shape
+        report_mode = _check_stack_mode(on_failure)
+        b = len(stack)
         cfg = self.config
         stop = _stop_array(stop, cfg.tol, b)
         noise, diag_floor = _floor_rows(floors, b).T
-        traces = [ConvergenceTrace() for _ in range(b)]
-        failures: list[tuple[int, Exception]] = []
-        out_B = stack.copy()
-        out_J = np.tile(np.eye(k), (b, 1, 1))
-        sweeper = self._make_sweeper(stack)
-        live = np.arange(b)
         floor = noise * scales
-        check_finite = report_mode or faults.active()
-        try:
-            for sweep_index in range(1, cfg.max_sweeps + 1):
-                if check_finite:
-                    finite = sweeper.finite_mask()
-                    if not finite.all():
-                        bad_pos = np.flatnonzero(~finite)
-                        if not report_mode:
-                            raise NonFiniteError(
-                                f"{bad_pos.size} matrix(es) turned non-finite "
-                                f"during sweep {sweep_index}",
-                                batch_indices=tuple(
-                                    int(live[p]) for p in bad_pos
-                                ),
-                            )
-                        for p in bad_pos:
-                            orig = int(live[p])
-                            failures.append(
-                                (
-                                    orig,
-                                    NonFiniteError(
-                                        f"matrix {orig} turned non-finite "
-                                        f"during sweep {sweep_index}",
-                                        batch_indices=(orig,),
-                                    ),
-                                )
-                            )
-                            out_B[orig] = np.nan
-                            out_J[orig] = np.nan
-                        live = live[finite]
-                        if live.size == 0:
-                            return out_B, out_J, traces, failures
-                        sweeper.compact(finite)
-                offs, rotations = sweeper.run_sweep(
-                    floor[live], noise[live], diag_floor[live]
-                )
-                ConvergenceTrace.bulk_append(
-                    traces, live, sweep_index, offs, rotations
-                )
-                done = offs < stop[live]
-                if done.any():
-                    done_pos = np.flatnonzero(done)
-                    sweeper.extract(out_B, out_J, live[done_pos], done_pos)
-                    if done.all():
-                        return (
-                            (out_B, out_J, traces, failures)
-                            if report_mode
-                            else (out_B, out_J, traces)
-                        )
-                    keep = ~done
-                    live = live[keep]
-                    sweeper.compact(keep)
-        finally:
-            sweeper.close()
-        if report_mode:
-            for orig in map(int, live):
-                residual = traces[orig].records[-1].off_norm
-                failures.append(
-                    (
-                        orig,
-                        ConvergenceError(
-                            f"matrix {orig} did not converge in "
-                            f"{cfg.max_sweeps} sweeps "
-                            f"(residual {residual:.3e})",
-                            sweeps=cfg.max_sweeps,
-                            residual=residual,
-                            batch_indices=(orig,),
-                        ),
-                    )
-                )
-                out_B[orig] = np.nan
-                out_J[orig] = np.nan
-            return out_B, out_J, traces, failures
-        worst = int(live[0])
-        residual = traces[worst].records[-1].off_norm
-        raise ConvergenceError(
-            f"parallel two-sided Jacobi did not converge in "
-            f"{cfg.max_sweeps} sweeps (residual {residual:.3e})",
-            sweeps=cfg.max_sweeps,
-            residual=residual,
-            batch_indices=tuple(int(i) for i in live),
+
+        def sweep(sweeper, live):
+            return sweeper.run_sweep(floor[live], noise[live], diag_floor[live])
+
+        out = _sweep_to_convergence(
+            stack,
+            lambda: self._make_sweeper(stack),
+            sweep,
+            stop,
+            cfg.max_sweeps,
+            report_mode,
+            "parallel two-sided Jacobi",
         )
+        return out if report_mode else out[:3]
+
 
 class BatchedJacobiEngine:
     """Shape-bucketed, batch-vectorized SVD/EVD execution.
@@ -684,24 +709,10 @@ class BatchedJacobiEngine:
         if self._svd_stacked is None:
             # The dynamic ordering re-derives its pivot schedule from each
             # matrix's data every step; matrices cannot share a schedule.
-            solver = OneSidedJacobiSVD(cfg)
-            if mode == "raise":
-                return [solver.decompose(a) for a in mats]
-            out: list[SVDResult] = []
-            for i, a in enumerate(mats):
-                try:
-                    out.append(solver.decompose(a))
-                except (ConvergenceError, NonFiniteError) as exc:
-                    report.add(
-                        index=i,
-                        stage="engine",
-                        cause=type(exc).__name__,
-                        message=str(exc),
-                        attempts=1,
-                        recovered=False,
-                    )
-                    out.append(_nan_svd_result(a.shape))
-            return out
+            return _solve_each(
+                OneSidedJacobiSVD(cfg).decompose, _nan_svd_result, mats, mode,
+                report,
+            )
         # Each matrix is solved transposed when wide, and shifted by a
         # power of two when its scale would over- or underflow the sweeps.
         work: list[np.ndarray] = []
@@ -754,7 +765,8 @@ class BatchedJacobiEngine:
         each failing matrix descends to the reference per-matrix solver.
         Every matrix keeps its stop tolerance.
         """
-        base_attempts = max(1, len(task_error.failures))
+        # The unit's tries, its report-mode re-solve, the reference's.
+        attempts = max(1, len(task_error.failures)) + 2
         stack = np.stack([work[i] for i in chunk])
         Ws, Vs, traces, failures = self._svd_stacked.solve_stack(
             stack, stop=stops[list(chunk)], on_failure="report"
@@ -770,43 +782,14 @@ class BatchedJacobiEngine:
             transposed,
             shifts,
         )
+        reference = OneSidedJacobiSVD(self.svd_config).decompose
         for pos in sorted(failed):
             i = chunk[pos]
-            res = self._reference_svd_resolve(
-                work[i], i, failed[pos], base_attempts + 1, report
+            res = _reference_rung(
+                reference, _nan_svd_result, work[i], i, failed[pos],
+                stage="engine", attempts=attempts, report=report,
             )
             _place_svd(results, [i], [res], transposed, shifts)
-
-    def _reference_svd_resolve(
-        self,
-        a: np.ndarray,
-        index: int,
-        exc: Exception,
-        attempts: int,
-        report: FailureReport,
-    ) -> SVDResult:
-        """Last rung of the ladder: the scalar reference solver, else NaN."""
-        try:
-            res = OneSidedJacobiSVD(self.svd_config).decompose(a)
-        except (ConvergenceError, NonFiniteError) as ref_exc:
-            report.add(
-                index=index,
-                stage="engine",
-                cause=type(ref_exc).__name__,
-                message=str(ref_exc),
-                attempts=attempts + 1,
-                recovered=False,
-            )
-            return _nan_svd_result(a.shape)
-        report.add(
-            index=index,
-            stage="engine",
-            cause=type(exc).__name__,
-            message=str(exc),
-            attempts=attempts + 1,
-            recovered=True,
-        )
-        return res
 
     # -- shard planning and dispatch ------------------------------------
 
@@ -893,24 +876,10 @@ class BatchedJacobiEngine:
         stops = _stop_array(stop, self.evd_config.tol, len(mats))
         floors = _floor_rows(floors, len(mats))
         if not self.parallel_evd:
-            solver = TwoSidedJacobiEVD(self.evd_config)
-            if mode == "raise":
-                return [solver.decompose(B) for B in mats]
-            out: list[EVDResult] = []
-            for i, B in enumerate(mats):
-                try:
-                    out.append(solver.decompose(B))
-                except (ConvergenceError, NonFiniteError) as exc:
-                    report.add(
-                        index=i,
-                        stage="engine",
-                        cause=type(exc).__name__,
-                        message=str(exc),
-                        attempts=1,
-                        recovered=False,
-                    )
-                    out.append(_nan_evd_result(B.shape[0]))
-            return out
+            return _solve_each(
+                TwoSidedJacobiEVD(self.evd_config).decompose, _nan_evd_result,
+                mats, mode, report,
+            )
         results: list[EVDResult | None] = [None] * len(mats)
         stackable: list[int] = []
         scales: dict[int, float] = {}
@@ -975,7 +944,8 @@ class BatchedJacobiEngine:
         report: FailureReport,
     ) -> None:
         """EVD twin of :meth:`_quarantine_svd_unit`."""
-        base_attempts = max(1, len(task_error.failures))
+        # The unit's tries, its report-mode re-solve, the reference's.
+        attempts = max(1, len(task_error.failures)) + 2
         batch_idx = [stackable[p] for p in chunk]
         stack = np.stack([mats[i] for i in batch_idx])
         scale_vec = np.array([scales[i] for i in batch_idx])
@@ -993,42 +963,13 @@ class BatchedJacobiEngine:
         )
         for pos, res in zip(healthy, finalized):
             results[batch_idx[pos]] = res
+        reference = ParallelJacobiEVD(self.evd_config).decompose
         for pos in sorted(failed):
             i = batch_idx[pos]
-            results[i] = self._reference_evd_resolve(
-                mats[i], i, failed[pos], base_attempts + 1, report
+            results[i] = _reference_rung(
+                reference, _nan_evd_result, mats[i], i, failed[pos],
+                stage="engine", attempts=attempts, report=report,
             )
-
-    def _reference_evd_resolve(
-        self,
-        B: np.ndarray,
-        index: int,
-        exc: Exception,
-        attempts: int,
-        report: FailureReport,
-    ) -> EVDResult:
-        """Last rung of the EVD ladder: the per-matrix solver, else NaN."""
-        try:
-            res = ParallelJacobiEVD(self.evd_config).decompose(B)
-        except (ConvergenceError, NonFiniteError) as ref_exc:
-            report.add(
-                index=index,
-                stage="engine",
-                cause=type(ref_exc).__name__,
-                message=str(ref_exc),
-                attempts=attempts + 1,
-                recovered=False,
-            )
-            return _nan_evd_result(B.shape[0])
-        report.add(
-            index=index,
-            stage="engine",
-            cause=type(exc).__name__,
-            message=str(exc),
-            attempts=attempts + 1,
-            recovered=True,
-        )
-        return res
 
     def _solve_evd_units(
         self,
@@ -1088,7 +1029,7 @@ def _solve_svd_unit(item):
         return _stacked_svd_solver(config).solve_stack(
             stack, stop=np.array(stop), kernel_times=kernel_times
         )
-    except (ConvergenceError, NonFiniteError) as exc:
+    except _NUMERICAL as exc:
         raise _remap_stack_error(exc, stack.shape[1:], batch_idx) from None
 
 
@@ -1099,5 +1040,5 @@ def _solve_evd_unit(item):
         return _stacked_evd_solver(config).solve_stack(
             stack, np.array(scales), stop=np.array(stop), floors=np.array(floors)
         )
-    except (ConvergenceError, NonFiniteError) as exc:
+    except _NUMERICAL as exc:
         raise _remap_stack_error(exc, stack.shape[1:], batch_idx) from None

@@ -14,7 +14,12 @@ import pytest
 from repro.gpusim import V100
 from repro.gpusim.evd_kernel import BatchedEVDKernel, SMEVDKernelConfig
 from repro.gpusim.svd_kernel import BatchedSVDKernel
-from repro.jacobi.batched import BatchedJacobiEngine
+from repro.errors import NonFiniteError
+from repro.jacobi.batched import (
+    BatchedJacobiEngine,
+    StackedOneSidedJacobi,
+    StackedParallelEVD,
+)
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
@@ -119,6 +124,40 @@ class TestEVDEquivalence:
             ref = solver.decompose(B)
             assert np.allclose(res.J, ref.J, rtol=0.0, atol=TOL)
             assert np.allclose(res.L, ref.L, rtol=0.0, atol=TOL)
+
+
+class TestNonFiniteStack:
+    """A non-finite member raises in raise mode, named by its stack
+    position: a NaN zeroes its pairs' cosines, so without the scan before
+    the first sweep it would pass for converged."""
+
+    def test_svd_stack(self, rng):
+        stack = rng.standard_normal((3, 12, 6))
+        stack[1, 4, 2] = np.nan
+        with pytest.raises(NonFiniteError) as info:
+            StackedOneSidedJacobi().solve_stack(stack)
+        assert info.value.batch_indices == (1,)
+
+    def test_evd_stack(self, rng):
+        M = rng.standard_normal((3, 6, 6))
+        stack = M + M.transpose(0, 2, 1)
+        stack[1, 2, 3] = stack[1, 3, 2] = np.nan
+        scales = np.linalg.norm(stack, axis=(1, 2))
+        with pytest.raises(NonFiniteError) as info:
+            StackedParallelEVD().solve_stack(stack, scales)
+        assert info.value.batch_indices == (1,)
+
+
+def test_stacks_with_no_pair_are_returned_as_is(rng):
+    """Fewer than two columns leave no pair to rotate: no sweep runs."""
+    stack = rng.standard_normal((2, 5, 1))
+    W, V, traces = StackedOneSidedJacobi().solve_stack(stack)
+    assert W.tobytes() == stack.tobytes()
+    assert (V == 1.0).all() and [t.sweeps for t in traces] == [0, 0]
+    stack = rng.standard_normal((2, 1, 1))
+    B, J, traces = StackedParallelEVD().solve_stack(stack, abs(stack[:, 0, 0]))
+    assert B.tobytes() == stack.tobytes()
+    assert (J == 1.0).all() and [t.sweeps for t in traces] == [0, 0]
 
 
 class TestKernelStatsUnchanged:

@@ -16,13 +16,17 @@ loss hit the fused batches of the serving broker.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import Profiler, WCycleSVD
 from repro.errors import ConvergenceError, FailureReport
+from repro.jacobi import batched
 from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
+from repro.jacobi.twosided_evd import TwoSidedConfig
 from repro.runtime import RuntimeConfig, base_executor, get_executor
 from repro.runtime.arena import stranded_segments
 from repro.serve import ServeConfig, SVDServer
@@ -302,6 +306,100 @@ class TestConvergenceQuarantine:
             assert results[i].U.tobytes() == want.U.tobytes()
             assert results[i].S.tobytes() == want.S.tobytes()
             assert results[i].V.tobytes() == want.V.tobytes()
+
+    @staticmethod
+    def _assert_fallback_quarantine(engine, solve, mats, hard_idx):
+        """The per-matrix fallback in quarantine mode: each offender gets
+        NaN factors and exactly one unrecovered ``engine`` entry; every
+        other matrix keeps the bytes of a raise-mode solve."""
+        results = solve(engine, mats, on_failure="quarantine")
+        report = engine.last_failures
+        assert report.unrecovered == tuple(hard_idx)
+        for i in hard_idx:
+            (event,) = report.for_index(i)
+            assert (event.stage, event.cause) == ("engine", "ConvergenceError")
+            assert (event.attempts, event.recovered) == (1, False)
+            for factor in vars(results[i]).values():
+                if isinstance(factor, np.ndarray):
+                    assert np.isnan(factor).all()
+        healthy = [i for i in range(len(mats)) if i not in hard_idx]
+        want = solve(engine, [mats[i] for i in healthy], on_failure="raise")
+        assert not engine.last_failures
+        for i, w in zip(healthy, want):
+            for name, factor in vars(w).items():
+                if isinstance(factor, np.ndarray):
+                    got = getattr(results[i], name)
+                    assert got.tobytes() == factor.tobytes(), (i, name)
+
+    def test_dynamic_ordering_fallback_quarantines_offenders(self):
+        mats, hard_idx = self._mixed_batch()
+        engine = BatchedJacobiEngine(
+            svd_config=OneSidedConfig(
+                tol=1e-14, max_sweeps=1, ordering="dynamic"
+            )
+        )
+        self._assert_fallback_quarantine(
+            engine, BatchedJacobiEngine.svd_batch, mats, hard_idx
+        )
+
+    def test_sequential_evd_fallback_quarantines_offenders(self):
+        rng = np.random.default_rng(3)
+        easy = [np.diag([5.0, 3.0, 2.0]) for _ in range(2)]
+        hard = [rng.standard_normal((12, 12)) for _ in range(2)]
+        engine = BatchedJacobiEngine(
+            evd_config=TwoSidedConfig(tol=1e-14, max_sweeps=1),
+            parallel_evd=False,
+        )
+        self._assert_fallback_quarantine(
+            engine,
+            BatchedJacobiEngine.evd_batch,
+            [easy[0], hard[0] + hard[0].T, easy[1], hard[1] + hard[1].T],
+            [1, 3],
+        )
+
+    @pytest.mark.parametrize("kind", ["svd", "evd"])
+    def test_reference_rung_recovers(self, monkeypatch, kind):
+        """When the reference per-matrix solver succeeds where the stacked
+        one failed, the matrix takes the reference's factors and its one
+        entry names the stacked failure as recovered."""
+        if kind == "svd":
+            mats, hard_idx = self._mixed_batch()
+            engine = self._engine()
+            reference, solve = "OneSidedJacobiSVD", engine.svd_batch
+        else:
+            rng = np.random.default_rng(4)
+            hard = [rng.standard_normal((12, 12)) for _ in range(2)]
+            mats = [np.diag([4.0, 2.0, 1.0])] * 2 + [h + h.T for h in hard]
+            hard_idx = [2, 3]
+            engine = BatchedJacobiEngine(
+                evd_config=TwoSidedConfig(tol=1e-14, max_sweeps=1)
+            )
+            reference, solve = "ParallelJacobiEVD", engine.evd_batch
+        real = getattr(batched, reference)
+        solved = {}
+
+        class Stub:
+            """A reference solver that succeeds: the real one, given the
+            sweeps the stacked solver did not have."""
+
+            def __init__(self, config):
+                self.solver = real(dataclasses.replace(config, max_sweeps=50))
+
+            def decompose(self, a):
+                solved[a.tobytes()] = res = self.solver.decompose(a)
+                return res
+
+        monkeypatch.setattr(batched, reference, Stub)
+        results = solve(mats, on_failure="quarantine")
+        report = engine.last_failures
+        assert report.quarantined == tuple(hard_idx)
+        assert report.unrecovered == ()
+        for i in hard_idx:
+            (event,) = report.for_index(i)
+            assert (event.stage, event.cause) == ("engine", "ConvergenceError")
+            assert "did not converge in 1 sweeps" in event.message
+            assert (event.attempts, event.recovered) == (3, True)
+            assert results[i] is solved[mats[i].tobytes()]
 
 
 class TestPersistentChaos:

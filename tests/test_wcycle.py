@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tests.helpers import assert_valid_svd
 from repro import Profiler, WCycleConfig, WCycleSVD
 from repro.errors import ConfigurationError, ConvergenceError, ShapeError
+from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.runtime import RuntimeConfig
 from repro.utils.matrices import random_with_condition
 
@@ -330,6 +331,32 @@ class TestConvergenceFailure:
             [easy] + [rng.standard_normal((6, 4)) for _ in range(2)]
         )[0]
         assert _fingerprint(res[1]) == _fingerprint(alone)
+
+    def test_quarantine_reference_rung_recovers(self, rng):
+        # One EVD sweep cannot converge the 16x16 Grams of a 512x64 step,
+        # so the W-cycle fails alone too; the flat one-sided solver, on
+        # the outer sweep budget, solves it.
+        mats = [rng.standard_normal((512, 64)) for _ in range(2)]
+        cfg = WCycleConfig(inner_max_sweeps=1)
+        res = WCycleSVD(cfg, device="V100").decompose_batch(
+            mats, on_failure="quarantine"
+        )
+        assert res.failures.unrecovered == ()
+        flat = OneSidedJacobiSVD(
+            OneSidedConfig(
+                tol=cfg.tol,
+                max_sweeps=cfg.max_sweeps,
+                ordering=cfg.ordering,
+                cache_inner_products=cfg.cache_inner_products,
+                transpose_wide=cfg.transpose_wide,
+            )
+        )
+        for i, A in enumerate(mats):
+            (event,) = res.failures.for_index(i)
+            assert (event.stage, event.cause) == ("wcycle", "ConvergenceError")
+            assert event.recovered
+            assert "parallel two-sided Jacobi did not converge" in event.message
+            assert _fingerprint(res[i]) == _fingerprint(flat.decompose(A))
 
 
 @settings(max_examples=10, deadline=None)
