@@ -9,6 +9,7 @@ needs fewer sweeps, both delay as conditioning worsens — carries over
 (see EXPERIMENTS.md).
 """
 
+import zlib
 
 from benchmarks.harness import record_table
 from repro import WCycleSVD
@@ -33,7 +34,9 @@ def compute():
         m = max(16, spec.rows // SCALE)
         n = max(12, spec.cols // SCALE)
         cond = min(spec.condition, 1e12)  # constructible in double precision
-        A = random_with_condition(m, n, cond, rng=hash(spec.name) % 2**32)
+        # crc32, not hash(): str hashes are salted per process.
+        seed = zlib.crc32(spec.name.encode())
+        A = random_with_condition(m, n, cond, rng=seed)
         cu_res = CuSolverModel("V100").decompose(A)
         w_res = WCycleSVD(device="V100").decompose(A)
         cu_sweeps = cu_res.trace.sweeps_to(TOL) or cu_res.trace.sweeps

@@ -96,6 +96,7 @@ from repro.jacobi.parallel_evd import ParallelJacobiEVD
 from repro.jacobi.preconditioning import (
     qr_detour,
     safe_exponent,
+    safe_exponents,
     shift_symmetric,
     unshift,
     unshift_evd,
@@ -479,10 +480,20 @@ class StackedOneSidedJacobi:
         one stacked QR, and ``W = Q @ W_R`` is returned
         (:func:`~repro.jacobi.preconditioning.qr_detour`), exactly as the
         per-matrix solver does it.
+
+        A member whose largest entry is outside the sweeps' exponent
+        window is swept shifted by an exact power of two, and its ``W``
+        is shifted back
+        (:func:`~repro.jacobi.preconditioning.safe_exponents`); the other
+        members keep their bytes.
         """
         report_mode = _check_stack_mode(on_failure)
         cfg = self.config
         stop = _stop_array(stop, cfg.tol, len(stack))
+        shifts = safe_exponents(stack)[:, None, None]
+        shifted = bool(shifts.any())
+        if shifted:
+            stack = np.ldexp(stack, -shifts)
         Q, R = qr_detour(stack)
         # The column floor is set by the input's rows, not R's.
         col_floor = (_EPS * max(stack.shape[1], R.shape[2])) ** 2
@@ -508,6 +519,8 @@ class StackedOneSidedJacobi:
         )
         if Q is not None:
             W = Q @ W
+        if shifted:
+            W = np.ldexp(W, shifts)
         return (W, V, traces, failures) if report_mode else (W, V, traces)
 
 

@@ -25,7 +25,8 @@ solves the ``R`` factors together in shape buckets, then maps
 
 :func:`safe_exponent` is the solvers' other input conditioning: a matrix
 whose largest entry is far from 1 is shifted by an exact power of two
-before its sweeps, and only its singular values are shifted back. The
+before its sweeps, and only its singular values are shifted back
+(:func:`safe_exponents` takes the exponents of a whole stack at once). The
 symmetric EVD solvers take the same shift through :func:`shift_symmetric`
 and shift only their eigenvalues back (:func:`unshift_evd`).
 """
@@ -41,6 +42,7 @@ from repro.types import EVDResult, SVDResult
 __all__ = [
     "qr_detour",
     "safe_exponent",
+    "safe_exponents",
     "shift_symmetric",
     "unshift",
     "unshift_evd",
@@ -95,6 +97,13 @@ def safe_exponent(A: np.ndarray) -> int:
     """
     e = math.frexp(float(np.abs(A).max()))[1]
     return e if abs(e) > _SAFE_EXPONENT else 0
+
+
+def safe_exponents(stack: np.ndarray) -> np.ndarray:
+    """:func:`safe_exponent` of every member of a ``(b, m, n)`` stack, in
+    one stacked pass (an int array of length ``b``)."""
+    e = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
+    return np.where(np.abs(e) > _SAFE_EXPONENT, e, 0)
 
 
 def unshift(res: SVDResult, exponent: int) -> SVDResult:

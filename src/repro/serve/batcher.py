@@ -19,7 +19,15 @@ turns a *stream* of requests into such batches:
   ``max_wait`` seconds (*wait* — bounds the latency cost a request pays
   for riding in a fused batch), or a request's deadline is within
   ``deadline_slack`` seconds (*deadline*). :meth:`drain` flushes
-  everything regardless (*drain*, used at shutdown).
+  everything regardless (*drain*, used at shutdown);
+- fill flushes on :meth:`add`; of the buckets whose wait or deadline
+  pressure has fired, :meth:`due` flushes only the one with the earliest
+  *pressure time* (its oldest arrival plus ``max_wait``, or its earliest
+  deadline minus ``deadline_slack``, whichever comes first). The server
+  solves that batch before it calls :meth:`due` again, so a request
+  admitted during a solve still rides its own bucket's next batch
+  (late binding: a bucket's contents are fixed when it is picked, not
+  when its pressure fires).
 
 The batcher is a pure data structure: every method takes ``now`` as an
 argument and it never reads a clock, sleeps, or spawns a thread — the
@@ -88,6 +96,14 @@ class _Bucket:
             if item[1].deadline is not None
         ]
         return min(deadlines) if deadlines else None
+
+    def pressure_time(self, max_wait: float, deadline_slack: float) -> float:
+        """Clock reading at which wait or deadline pressure fires."""
+        when = self.oldest_arrival() + max_wait
+        deadline = self.earliest_deadline()
+        if deadline is not None:
+            when = min(when, deadline - deadline_slack)
+        return when
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -160,19 +176,30 @@ class MicroBatcher:
         return []
 
     def due(self, now: float) -> list[FusedBatch]:
-        """Flush every bucket whose wait or deadline pressure has fired."""
-        out: list[FusedBatch] = []
-        for shape in list(self._buckets):
-            bucket = self._buckets[shape]
-            if not len(bucket):
-                continue
+        """Flush the most pressed bucket whose wait or deadline pressure
+        has fired; returns at most one batch.
+
+        Of the due buckets, the one with the earliest pressure time
+        flushes (the first queued shape on a tie); the others stay
+        queued, so requests added before the next call still join them.
+        A bucket due on both counts flushes with cause ``wait``.
+        """
+        best = None
+        for shape, bucket in self._buckets.items():
             if now - bucket.oldest_arrival() >= self.max_wait:
-                out.append(self._flush(shape, bucket, "wait", now))
-                continue
-            deadline = bucket.earliest_deadline()
-            if deadline is not None and deadline - now <= self.deadline_slack:
-                out.append(self._flush(shape, bucket, "deadline", now))
-        return out
+                cause = "wait"
+            else:
+                deadline = bucket.earliest_deadline()
+                if deadline is None or deadline - now > self.deadline_slack:
+                    continue
+                cause = "deadline"
+            when = bucket.pressure_time(self.max_wait, self.deadline_slack)
+            if best is None or when < best[0]:
+                best = (when, shape, cause)
+        if best is None:
+            return []
+        _, shape, cause = best
+        return [self._flush(shape, self._buckets[shape], cause, now)]
 
     def drain(self, now: float) -> list[FusedBatch]:
         """Flush everything (shutdown path); buckets empty afterwards."""
@@ -189,20 +216,13 @@ class MicroBatcher:
         The server's dispatch loop sleeps at most this long between
         polls; ``0.0`` means a flush is already due.
         """
-        horizon: float | None = None
-        for bucket in self._buckets.values():
-            if not len(bucket):
-                continue
-            candidate = bucket.oldest_arrival() + self.max_wait - now
-            deadline = bucket.earliest_deadline()
-            if deadline is not None:
-                candidate = min(
-                    candidate, deadline - self.deadline_slack - now
-                )
-            horizon = candidate if horizon is None else min(horizon, candidate)
-        if horizon is None:
+        if not self._buckets:
             return None
-        return max(0.0, horizon)
+        earliest = min(
+            bucket.pressure_time(self.max_wait, self.deadline_slack)
+            for bucket in self._buckets.values()
+        )
+        return max(0.0, earliest - now)
 
     def _flush(
         self,

@@ -66,7 +66,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-wait-ms", type=float, default=2.0,
         help="longest a request waits for co-batchable traffic "
-        "(default 2.0; 0 = one-at-a-time)",
+        "(default 2.0; 0 flushes a bucket at once, but requests queued "
+        "together still fuse: add --max-batch 1 for one-at-a-time)",
     )
     parser.add_argument(
         "--max-pending", type=int, default=1024,

@@ -33,6 +33,12 @@ Design points:
   dispatch lock (the engine instance is not reentrant); parallelism
   comes from the engine's executor *inside* a batch, which is where the
   vectorized work is.
+- **Late binding** — each pick checks out the batches that filled on
+  admission, or else the one due bucket with the earliest pressure time
+  (:meth:`~repro.serve.batcher.MicroBatcher.due`), solves them, and only
+  then picks again. A request admitted during a solve is therefore in
+  its bucket when that bucket is picked, and rides its shape's next
+  batch instead of waiting a whole round.
 - **Warm workers** — the server builds its executor once and keeps it
   for its whole lifetime, so with ``RuntimeConfig(backend="persistent")``
   the worker processes, their attached shared-memory arenas, and the
@@ -97,8 +103,9 @@ class ServeConfig:
         immediately.
     max_wait_ms:
         Longest a request may sit in a bucket waiting for co-batchable
-        traffic (the latency price of batching). ``0`` dispatches every
-        request alone — the one-at-a-time baseline.
+        traffic (the latency price of batching). ``0`` makes a bucket due
+        as soon as it holds a request, but requests queued together
+        still fuse; one-at-a-time serving also needs ``max_batch=1``.
     deadline_slack_ms:
         Flush a bucket when some request's deadline is within this many
         milliseconds (headroom for the solve itself).
@@ -361,25 +368,32 @@ class SVDServer:
     # -- dispatch ---------------------------------------------------------
 
     def poll(self) -> int:
-        """Run one dispatch cycle on the calling thread.
+        """Dispatch on the calling thread until nothing is due.
 
-        Flushes every batch that is due at the current clock reading and
-        solves them synchronously; returns the number of batches
-        dispatched. This is the manual-drive alternative to the
-        background thread — with an injected fake clock it makes flush
-        timing fully deterministic.
+        Each pick solves the batches that filled on admission, or else
+        the one due bucket with the earliest pressure time, and reads
+        the clock again before the next pick, so requests submitted
+        during a solve join their bucket's next batch. Returns the
+        number of batches dispatched. This is the manual-drive
+        alternative to the background thread — with an injected fake
+        clock it makes flush timing fully deterministic.
         """
-        batches = self._take_ready()
-        for batch in batches:
-            self._dispatch(batch)
-        return len(batches)
+        dispatched = 0
+        while True:
+            with self._cond:
+                batches = self._checkout()
+            if not batches:
+                return dispatched
+            for batch in batches:
+                self._dispatch(batch)
+            dispatched += len(batches)
 
     def drain(self) -> None:
         """Flush everything queued and wait for all admitted work."""
         with self._cond:
             now = self._clock()
             self._ready.extend(self._batcher.drain(now))
-            batches = self._checkout(self._ready)
+            batches = self._checkout()
         for batch in batches:
             self._dispatch(batch)
         with self._cond:
@@ -408,20 +422,19 @@ class SVDServer:
 
     # -- internals --------------------------------------------------------
 
-    def _checkout(self, batches: list[FusedBatch]) -> list[FusedBatch]:
-        """Move batches from queued to in-flight (caller holds the lock)."""
-        taken = list(batches)
-        batches.clear()
+    def _checkout(self) -> list[FusedBatch]:
+        """Move the next pick from queued to in-flight (caller holds the
+        lock): every batch already flushed, else the one most pressed
+        due bucket."""
+        if not self._ready:
+            self._ready.extend(self._batcher.due(self._clock()))
+        taken = list(self._ready)
+        self._ready.clear()
         for batch in taken:
             self._pending -= len(batch)
             self._inflight += len(batch)
             self._stats.note_batch(len(batch), batch.cause)
         return taken
-
-    def _take_ready(self) -> list[FusedBatch]:
-        with self._cond:
-            self._ready.extend(self._batcher.due(self._clock()))
-            return self._checkout(self._ready)
 
     def _loop(self) -> None:
         """Background dispatch loop (one thread per server)."""
@@ -430,9 +443,8 @@ class SVDServer:
                 while True:
                     if self._stopped:
                         return
-                    self._ready.extend(self._batcher.due(self._clock()))
-                    if self._ready:
-                        batches = self._checkout(self._ready)
+                    batches = self._checkout()
+                    if batches:
                         break
                     if self._closed and not self._pending:
                         # Shutdown is finishing elsewhere (drain/abort);

@@ -25,7 +25,7 @@ from repro.jacobi.parallel_evd import ParallelJacobiEVD
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
 from repro.core.wcycle import WCycleSVD
 
-from tests.helpers import assert_valid_svd
+from tests.helpers import EXTREME_SCALES, assert_valid_svd
 
 TOL = 1e-12
 
@@ -146,6 +146,38 @@ class TestNonFiniteStack:
         with pytest.raises(NonFiniteError) as info:
             StackedParallelEVD().solve_stack(stack, scales)
         assert info.value.batch_indices == (1,)
+
+
+def _column_norms(W):
+    """Column norms of every member of ``W``, free of over- and underflow."""
+    e = np.frexp(np.abs(W).max(axis=(1, 2)))[1][:, None]
+    return np.ldexp(np.linalg.norm(np.ldexp(W, -e[:, :, None]), axis=1), e)
+
+
+class TestStackScale:
+    """A member far from scale 1 has squared column norms that over- or
+    underflow; swept as is, it would stop after one sweep with its columns
+    unrotated. ``solve_stack`` shifts such members itself."""
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES, ids=lambda s: f"{s:g}")
+    @pytest.mark.parametrize(
+        "shape", [(16, 8), (32, 8)], ids=["plain", "qr-detour"]
+    )
+    def test_sigma_from_w_matches_lapack(self, rng, scale, shape):
+        stack = rng.standard_normal((2, *shape)) * scale
+        W, _, traces = StackedOneSidedJacobi().solve_stack(stack)
+        sigma = -np.sort(-_column_norms(W), axis=1)
+        ref = np.linalg.svd(stack, compute_uv=False)
+        err = np.abs(sigma - ref).max(axis=1) / ref[:, 0]
+        assert (err <= 1e-12).all(), (err, [t.sweeps for t in traces])
+
+    def test_in_window_members_keep_their_bytes(self, rng):
+        stack = rng.standard_normal((2, 16, 8))
+        alone = StackedOneSidedJacobi().solve_stack(stack[:1])
+        stack[1] *= 1e200
+        mixed = StackedOneSidedJacobi().solve_stack(stack)
+        assert mixed[0][0].tobytes() == alone[0][0].tobytes()
+        assert mixed[1][0].tobytes() == alone[1][0].tobytes()
 
 
 def test_stacks_with_no_pair_are_returned_as_is(rng):

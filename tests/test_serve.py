@@ -150,6 +150,15 @@ class TestFlushTiming:
         assert server.poll() == 1
         assert server.stats().flush_causes == {"fill": 1}
 
+    def test_zero_max_wait_still_fuses_queued_requests(self, clock, rng):
+        # max_wait_ms=0 makes a bucket due at once, not one request per
+        # batch: one-at-a-time serving also needs max_batch=1.
+        server = manual_server(clock, max_batch=16, max_wait_ms=0.0)
+        for _ in range(3):
+            server.submit(rng.standard_normal((16, 8)))
+        assert server.poll() == 1
+        assert server.stats().batch_fill == {3: 1}
+
     def test_deadline_pressure_flush(self, clock, rng):
         server = manual_server(
             clock, max_batch=16, max_wait_ms=1e6, deadline_slack_ms=2.0
@@ -202,6 +211,49 @@ class TestFlushTiming:
         stats = server.stats()
         assert stats.window == 1
         assert stats.latency_p50 == pytest.approx(0.006)
+
+
+class TestLateBindingDispatch:
+    def test_request_admitted_during_a_solve_joins_its_bucket(
+        self, clock, rng
+    ):
+        a = rng.standard_normal((16, 8))
+        b1, b2 = (rng.standard_normal((24, 12)) for _ in range(2))
+        late = []
+
+        class SubmittingEngine(RecordingEngine):
+            """Admits a second 24x12 request while it solves the 16x8."""
+
+            def svd_batch(self, matrices, *, on_failure=None):
+                if not late:
+                    late.append(server.submit(b2))
+                return super().svd_batch(matrices, on_failure=on_failure)
+
+        engine = SubmittingEngine()
+        server = SVDServer(
+            ServeConfig(max_batch=8, max_wait_ms=2.0),
+            engine=engine,
+            clock=clock,
+            start=False,
+        )
+        futures = [server.submit(a)]
+        clock.advance(0.001)
+        futures.append(server.submit(b1))
+        clock.advance(0.005)
+        # Both buckets are due; the 16x8 one was pressed first. The
+        # 24x12 bucket is picked only after that solve, so the request
+        # admitted during it rides the same batch.
+        assert server.poll() == 2
+        assert engine.fused == [[(16, 8)], [(24, 12), (24, 12)]]
+        assert server.pending == 0
+        assert server.stats().flush_causes == {"wait": 2}
+        futures += late
+        reference = BatchedJacobiEngine().svd_batch([a, b1, b2])
+        for future, want in zip(futures, reference):
+            got = future.result(timeout=0)
+            assert np.array_equal(got.U, want.U)
+            assert np.array_equal(got.S, want.S)
+            assert np.array_equal(got.V, want.V)
 
 
 class TestOrderingThroughDispatch:

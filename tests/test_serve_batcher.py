@@ -64,6 +64,48 @@ class TestBucketIsolation:
         assert len(batcher) == 1
 
 
+class TestLateBinding:
+    """``due`` flushes one bucket per call, the most pressed one, so the
+    server can solve it before it picks again."""
+
+    def test_due_flushes_only_the_earliest_pressed_bucket(self):
+        batcher = MicroBatcher(max_batch=8, max_wait=0.010)
+        batcher.add(make_request(0, (8, 4), arrival=0.0), now=0.0)
+        batcher.add(make_request(1, (16, 8), arrival=0.001), now=0.001)
+        # Both buckets are past max_wait; (8, 4) has waited longer.
+        (first,) = batcher.due(now=0.020)
+        assert first.shape == (8, 4)
+        assert first.cause == "wait"
+        assert batcher.bucket_depths == {(16, 8): 1}
+        # A request added while (8, 4) is solved rides (16, 8)'s batch.
+        batcher.add(make_request(2, (16, 8), arrival=0.025), now=0.025)
+        (second,) = batcher.due(now=0.025)
+        assert second.shape == (16, 8)
+        assert second.request_ids == (1, 2)
+        assert second.cause == "wait"
+        assert batcher.due(now=0.025) == []
+        assert len(batcher) == 0
+
+    def test_deadline_pressure_can_come_first(self):
+        batcher = MicroBatcher(
+            max_batch=8, max_wait=0.010, deadline_slack=0.002
+        )
+        batcher.add(make_request(0, (8, 4), arrival=0.0), now=0.0)
+        # Arrives later, but its deadline presses from 0.009 - 0.002 =
+        # 0.007, before (8, 4)'s wait fires at 0.010.
+        batcher.add(
+            make_request(1, (16, 8), deadline=0.009, arrival=0.005),
+            now=0.005,
+        )
+        (first,) = batcher.due(now=0.012)
+        assert first.shape == (16, 8)
+        assert first.cause == "deadline"
+        assert batcher.bucket_depths == {(8, 4): 1}
+        (second,) = batcher.due(now=0.012)
+        assert second.shape == (8, 4)
+        assert second.cause == "wait"
+
+
 class TestFlushTriggers:
     def test_fill_flush_fires_on_add(self):
         batcher = MicroBatcher(max_batch=3, max_wait=10.0)
