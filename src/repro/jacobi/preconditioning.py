@@ -33,8 +33,6 @@ and shift only their eigenvalues back (:func:`unshift_evd`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.types import EVDResult, SVDResult
@@ -95,15 +93,14 @@ def safe_exponent(A: np.ndarray) -> int:
     into ``[0.5, 1)``. It costs one pass over ``A``, as the finite check
     of :func:`~repro.utils.validation.as_matrix` does.
     """
-    e = math.frexp(float(np.abs(A).max()))[1]
-    return e if abs(e) > _SAFE_EXPONENT else 0
+    return int(safe_exponents(A))
 
 
 def safe_exponents(stack: np.ndarray) -> np.ndarray:
-    """:func:`safe_exponent` of every member of a ``(b, m, n)`` stack, in
-    one stacked pass (an int array of length ``b``)."""
-    e = np.frexp(np.abs(stack).max(axis=(1, 2), initial=0.0))[1]
-    return np.where(np.abs(e) > _SAFE_EXPONENT, e, 0)
+    """:func:`safe_exponent` of every matrix of a ``(..., m, n)`` stack, in
+    one stacked pass (an int array of the stack's leading shape)."""
+    e = np.frexp(np.abs(stack).max(axis=(-2, -1), initial=0.0))[1]
+    return e * (np.abs(e) > _SAFE_EXPONENT)  # 0 inside the window
 
 
 def unshift(res: SVDResult, exponent: int) -> SVDResult:

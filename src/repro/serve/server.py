@@ -34,11 +34,13 @@ Design points:
   comes from the engine's executor *inside* a batch, which is where the
   vectorized work is.
 - **Late binding** — each pick checks out the batches that filled on
-  admission, or else the one due bucket with the earliest pressure time
-  (:meth:`~repro.serve.batcher.MicroBatcher.due`), solves them, and only
-  then picks again. A request admitted during a solve is therefore in
-  its bucket when that bucket is picked, and rides its shape's next
-  batch instead of waiting a whole round.
+  admission, then at most one due bucket, the one with the earliest
+  pressure time (:meth:`~repro.serve.batcher.MicroBatcher.due`), solves
+  them, and only then picks again. A request admitted during a solve is
+  therefore in its bucket when that bucket is picked, and rides its
+  shape's next batch instead of waiting a whole round; a shape that
+  keeps filling batches never holds a due bucket back for more than one
+  pick.
 - **Warm workers** — the server builds its executor once and keeps it
   for its whole lifetime, so with ``RuntimeConfig(backend="persistent")``
   the worker processes, their attached shared-memory arenas, and the
@@ -370,9 +372,9 @@ class SVDServer:
     def poll(self) -> int:
         """Dispatch on the calling thread until nothing is due.
 
-        Each pick solves the batches that filled on admission, or else
-        the one due bucket with the earliest pressure time, and reads
-        the clock again before the next pick, so requests submitted
+        Each pick solves the batches that filled on admission, then at
+        most one due bucket, the one with the earliest pressure time, and
+        reads the clock again before the next pick, so requests submitted
         during a solve join their bucket's next batch. Returns the
         number of batches dispatched. This is the manual-drive
         alternative to the background thread — with an injected fake
@@ -424,10 +426,9 @@ class SVDServer:
 
     def _checkout(self) -> list[FusedBatch]:
         """Move the next pick from queued to in-flight (caller holds the
-        lock): every batch already flushed, else the one most pressed
-        due bucket."""
-        if not self._ready:
-            self._ready.extend(self._batcher.due(self._clock()))
+        lock): every batch already flushed, then the one most pressed
+        due bucket, so batches that keep filling never starve it."""
+        self._ready.extend(self._batcher.due(self._clock()))
         taken = list(self._ready)
         self._ready.clear()
         for batch in taken:

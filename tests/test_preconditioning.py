@@ -10,11 +10,7 @@ from repro.jacobi import (
     StackedOneSidedJacobi,
     worth_preconditioning,
 )
-from repro.jacobi.preconditioning import (
-    qr_detour,
-    safe_exponent,
-    safe_exponents,
-)
+from repro.jacobi.preconditioning import qr_detour
 
 
 class TestWorthIt:
@@ -26,17 +22,6 @@ class TestWorthIt:
 
     def test_wide_matrix(self):
         assert not worth_preconditioning(40, 400)
-
-
-class TestSafeExponents:
-    def test_stacked_pass_matches_the_per_matrix_exponent(self, rng):
-        stack = rng.standard_normal((7, 6, 4))
-        for k, scale in enumerate((1.0, 1e-310, 1e-160, 1e77, 1e200, 1e300)):
-            stack[k] *= scale
-        stack[6] = 0.0
-        expected = [safe_exponent(a) for a in stack]
-        assert safe_exponents(stack).tolist() == expected
-        assert expected[0] == expected[6] == 0 and all(expected[1:6])
 
 
 class TestSolversTakeTheDetour:

@@ -255,6 +255,49 @@ class TestLateBindingDispatch:
             assert np.array_equal(got.S, want.S)
             assert np.array_equal(got.V, want.V)
 
+    def test_filling_batches_do_not_starve_a_due_bucket(self, clock, rng):
+        slow = rng.standard_normal((24, 12))
+        small = [rng.standard_normal((16, 8)) for _ in range(8)]
+        queued = iter(small[2:])
+        submitted = []
+
+        class FillingEngine(RecordingEngine):
+            """Fills another 16x8 batch during each of its first 3 solves."""
+
+            def svd_batch(self, matrices, *, on_failure=None):
+                if len(self.fused) < 3:
+                    for A in (next(queued), next(queued)):
+                        submitted.append((A, server.submit(A)))
+                return super().svd_batch(matrices, on_failure=on_failure)
+
+        engine = FillingEngine()
+        server = SVDServer(
+            ServeConfig(max_batch=2, max_wait_ms=2.0),
+            engine=engine,
+            clock=clock,
+            start=False,
+        )
+        submitted.append((slow, server.submit(slow)))
+        clock.advance(0.005)
+        # The 24x12 bucket is due; the first 16x8 batch fills on admission.
+        submitted += [(A, server.submit(A)) for A in small[:2]]
+        assert server.poll() == 5
+        # The due bucket rides the first pick, right after the filled
+        # batch, although a new 16x8 batch fills during every solve.
+        assert engine.fused == [
+            [(16, 8)] * 2, [(24, 12)], [(16, 8)] * 2, [(16, 8)] * 2,
+            [(16, 8)] * 2,
+        ]
+        assert server.pending == 0
+        assert server.stats().flush_causes == {"fill": 4, "wait": 1}
+        matrices = [A for A, _ in submitted]
+        reference = BatchedJacobiEngine().svd_batch(matrices)
+        for (_, future), want in zip(submitted, reference):
+            got = future.result(timeout=0)
+            assert np.array_equal(got.U, want.U)
+            assert np.array_equal(got.S, want.S)
+            assert np.array_equal(got.V, want.V)
+
 
 class TestOrderingThroughDispatch:
     def test_priority_then_edf_orders_the_fused_stack(self, clock):
