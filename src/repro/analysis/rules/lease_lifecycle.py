@@ -22,16 +22,16 @@ resource reaches either function exit still held:
   because inlined ``finally`` copies and ``with`` cleanups are ordinary
   CFG paths here;
 - view bindings (``seg, view = import_array(ref)``,
-  ``w = arena.view(ref)``) must be **dead before the release**: any
-  load of a view whose backing resource is already released on some
-  path is a use-after-release.
+  ``w = resolve(ref)``, the :func:`repro.runtime.arena.resolve` window
+  onto a leased slot) must be **dead before the release**: any load of
+  a view whose backing resource is already released on some path is a
+  use-after-release.
 
 Tracked acquire sites: ``export_array``/``import_array`` (a
 ``transfer_ownership=True`` export closes its own mapping and is
 exempt), raw ``SharedMemory(...)`` constructions, and the arena lease
 calls ``.place(...)``/``.reserve(...)``. Releases: ``release(x)``,
-``release_lease(x)``, ``x.close()``/``x.unlink()``, and the bulk
-``reclaim``/``reclaim_leases`` sweeps. Ownership escapes: returning or
+``release_lease(x)`` and ``x.close()``/``x.unlink()``. Ownership escapes: returning or
 yielding the handle, storing it on an attribute, or appending it to an
 attribute-held container (``self._arena_leases.append(ref)``); local
 containers drained through ``for r in refs: release_lease(r)`` are
@@ -57,7 +57,8 @@ from repro.analysis.framework import FileContext, Finding, Rule, register
 _SEGMENT_ACQUIRES = ("export_array", "import_array")
 _LEASE_ATTRS = ("place", "reserve")
 _RELEASE_NAMES = ("release", "release_lease")
-_RECLAIM_NAMES = ("reclaim", "reclaim_leases")
+#: ``repro.runtime.arena.resolve(ref)``: a zero-copy window onto a slot.
+_WINDOW_NAME = "resolve"
 
 HELD = "held"
 RELEASED = "released"
@@ -245,11 +246,10 @@ class _LifecycleAnalysis(Analysis):
                 state = state.set(f"w:{view_name}", frozenset({site.rid}))
             return state
 
-        # ``w = arena.view(ref)`` — a window onto a leased slot.
+        # ``w = resolve(ref)`` — a window onto a leased slot.
         if (
             isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "view"
+            and _call_tail(value.func) == _WINDOW_NAME
             and value.args
             and isinstance(value.args[0], ast.Name)
             and isinstance(target, ast.Name)
@@ -290,11 +290,6 @@ class _LifecycleAnalysis(Analysis):
                     token = DRAINED
                 return self._mark(state, rids, token)
             return state
-        if tail in _RECLAIM_NAMES:
-            # Bulk sweeps retire every outstanding resource in scope.
-            return state.map_values(
-                lambda k, v: frozenset({RELEASED}) if k.startswith("r:") else v
-            )
         if tail in ("close", "unlink") and isinstance(call.func, ast.Attribute):
             owner = call.func.value
             if isinstance(owner, ast.Name):
@@ -337,7 +332,7 @@ class _LifecycleAnalysis(Analysis):
         if not isinstance(instr, ast.Expr) or not isinstance(instr.value, ast.Call):
             return False
         tail = _call_tail(instr.value.func)
-        return tail in _RELEASE_NAMES + _RECLAIM_NAMES + ("close", "unlink")
+        return tail in _RELEASE_NAMES + ("close", "unlink")
 
     def can_raise(self, instr) -> bool:
         if isinstance(instr, ast.Assign) and isinstance(

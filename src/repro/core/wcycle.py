@@ -57,6 +57,7 @@ from repro.gpusim.gemm import BatchedGemm, GemmTask, TilingSpec
 from repro.gpusim.svd_kernel import (
     BatchedSVDKernel,
     SMSVDKernelConfig,
+    batch_shapes,
     observed_sweeps,
 )
 from repro.gpusim.memory import svd_fits_in_sm
@@ -68,6 +69,7 @@ from repro.jacobi.batched import (
 )
 from repro.jacobi.convergence import gram_offdiagonal_cosine
 from repro.jacobi.factors import complete_square_orthogonal, finalize_stack
+from repro.jacobi.fused import ScratchPool
 from repro.jacobi.onesided_block import column_blocks
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.preconditioning import qr_detour, safe_exponent, unshift
@@ -89,7 +91,7 @@ from repro.runtime.scheduler import (
 )
 from repro.tuning.autotune import AutoTuner
 from repro.types import BatchedSVDResult, ConvergenceTrace, SVDResult
-from repro.utils.bucketing import bucket_by_shape
+from repro.utils.bucketing import ShapeBucket, bucket_by_shape, bucket_cost
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_batch
 
@@ -117,32 +119,36 @@ _Prepared = tuple[np.ndarray, np.ndarray | None, bool, int]
 #: stats)``. ``key`` orders launches as a serial solve records them; ``kind``
 #: is ``"svd"``, ``"gram"``, ``"evd"`` or ``"update"``; ``level`` is the
 #: ``(m, n, w)`` of a GEMM's engine (``None`` for the kernels); ``inputs``
-#: are the per-matrix columns the launch's cost model reads (shapes, sweep
-#: counts), which member shards concatenate to rebuild the launch of the
-#: unsplit bucket.
+#: are the columns the launch's cost model reads, which member shards (and
+#: the panel sets of one step) concatenate to rebuild one launch: per-matrix
+#: shapes and sweep counts for the kernels, ``(b, m, k)`` panel-stack
+#: shapes for the GEMMs.
 _Launch = tuple[
     tuple[int, ...], str, tuple[int, int, int] | None, tuple, KernelStats
 ]
 
 #: What one bucket (or member shard) solve hands back: per-member
 #: results, its launch log, and its rotation count per level depth.
-_UnitOut = tuple[list[SVDResult], list[_Launch], dict[int, int]]
+_UnitOut = tuple[Sequence[SVDResult], list[_Launch], dict[int, int]]
 
 #: A solved bucket: per-member results, its launches, rotation counts.
 _BucketOut = tuple[list[SVDResult], ProfileReport, dict[int, int]]
 
 
 @dataclass(frozen=True)
-class _PairPlan:
-    """Precomputed per-pair data for one step of a level sweep.
+class _PanelSet:
+    """The pairs of one level sweep step that share a kernel group and a
+    panel width.
 
-    ``cols`` is the joined pair's gathered column index array (built once
-    per level instead of per sweep); ``group`` its three-group
-    classification, which depends only on the pair shape and device.
+    ``cols[p]`` is pair ``p``'s joined column index array, so
+    ``work[:, cols]`` gathers every panel of the set from a member with one
+    fancy index; ``group`` is the pairs' three-group classification, which
+    depends only on the panel shape and the device. Built once per level
+    instead of per sweep.
     """
 
-    cols: np.ndarray
     group: Group
+    cols: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -278,7 +284,12 @@ class WCycleSVD:
         self._svd_kernel_cache: BatchedSVDKernel | None = None
         self._evd_kernel_cache: BatchedEVDKernel | None = None
         self._gemm_cache: dict[tuple[int, int, int], BatchedGemm] = {}
-        self._plan_cache: dict[tuple[int, int, int], list[list[_PairPlan]]] = {}
+        self._plan_cache: dict[
+            tuple[int, int, int], list[tuple[_PanelSet, ...]]
+        ] = {}
+        #: The steps' panel-stack buffers, reused from step to step: a
+        #: fresh buffer of that size costs a page fault per page written.
+        self._scratch = ScratchPool()
 
     # ------------------------------------------------------------------
     # public API
@@ -337,34 +348,29 @@ class WCycleSVD:
             for shape in {a.shape for a in matrices}
         }
         sm_indices = [i for i, a in enumerate(matrices) if fits[a.shape]]
+        large = [i for i, a in enumerate(matrices) if not fits[a.shape]]
         _log.debug(
             "batch of %d: %d whole-SVD-in-SM, %d through levels",
             len(matrices),
             len(sm_indices),
-            len(matrices) - len(sm_indices),
+            len(large),
         )
-        if sm_indices:
-            sm_results, _ = svd_kernel.run(
-                [matrices[i] for i in sm_indices],
-                profiler=profiler,
-                on_failure=on_failure,
-            )
-            # The kernel's failure entries are sm-group-local; remap them
-            # into caller batch indices before attaching.
-            for e in svd_kernel.last_failures:
-                report.add(
-                    index=sm_indices[e.index] if e.index >= 0 else -1,
-                    stage=e.stage,
-                    cause=e.cause,
-                    message=e.message,
-                    attempts=e.attempts,
-                    recovered=e.recovered,
-                )
-            for i, res in zip(sm_indices, sm_results):
-                results[i] = res
-        large = [i for i in range(len(matrices)) if results[i] is None]
+        ex = self._executor
+        # With spare workers the in-SM group rides the large matrices'
+        # fan-out as one more unit instead of running here first. A
+        # resilient runtime keeps it here, where the engine folds the
+        # group's retry history into the report.
+        fan_out = (
+            large and ex.workers > 1 and not ex.active and policy_of(ex) is None
+        )
+        if sm_indices and not fan_out:
+            self._place_sm(matrices, sm_indices, None, results, profiler,
+                           on_failure, report)
         if large:
-            self._run_large(matrices, large, results, profiler, quarantine, report)
+            self._run_large(
+                matrices, large, results, profiler, on_failure, report,
+                sm_indices if fan_out else [],
+            )
         return BatchedSVDResult(
             results=results,  # type: ignore[arg-type]
             failures=report if quarantine else None,
@@ -393,14 +399,57 @@ class WCycleSVD:
             q, work = qr_detour(work)
         return work, q, flip, shift
 
+    def _place_sm(
+        self,
+        matrices: list[np.ndarray],
+        sm_indices: list[int],
+        solved,
+        results: list[SVDResult | None],
+        profiler: Profiler | None,
+        on_failure: str,
+        report: FailureReport,
+    ) -> None:
+        """Solve the in-SM group (Algorithm 2 line 3) with one SVD launch,
+        recorded on ``profiler``, and place its factors.
+
+        ``solved`` is the group's ``(results, stats, failures)`` from a
+        fan-out unit (:func:`_solve_sm_task`), or ``None`` (or the unit's
+        :class:`~repro.runtime.executor.TaskError`) to solve it here, where
+        a deterministic failure raises again or is quarantined as the unit
+        would have. The kernel's failure entries are group-local; they are
+        remapped into caller batch indices before they land in ``report``.
+        """
+        kernel = self._svd_kernel()
+        if solved is None or isinstance(solved, TaskError):
+            sm_results, stats = kernel.run(
+                [matrices[i] for i in sm_indices], on_failure=on_failure
+            )
+            failures = kernel.last_failures
+        else:
+            sm_results, stats, failures = solved
+        if profiler is not None:
+            profiler.record(stats)
+        for e in failures:
+            report.add(
+                index=sm_indices[e.index] if e.index >= 0 else -1,
+                stage=e.stage,
+                cause=e.cause,
+                message=e.message,
+                attempts=e.attempts,
+                recovered=e.recovered,
+            )
+        for i, res in zip(sm_indices, sm_results):
+            results[i] = res
+
     def _run_large(
         self,
         matrices: list[np.ndarray],
         large: list[int],
         results: list[SVDResult | None],
         profiler: Profiler | None,
-        quarantine: bool,
+        on_failure: str,
         report: FailureReport,
+        sm_indices: list[int],
     ) -> None:
         """Solve the through-the-levels matrices, bucket by bucket.
 
@@ -416,10 +465,15 @@ class WCycleSVD:
         accounting. Left factors of ``R`` map back as ``U = Q @ U_R``.
 
         A bucket with a failed shard is rescued by :meth:`_rescue_unit`
-        when ``quarantine`` is set. Otherwise the failure is raised as the
+        in quarantine mode. Otherwise the failure is raised as the
         unsplit bucket raises it: a numerical failure of a split bucket
         re-solves the bucket whole, which names every offender.
+
+        ``sm_indices`` (possibly empty) is the in-SM group when it rides
+        this fan-out as one more unit; it is placed, and its launch
+        recorded, before any bucket (:meth:`_place_sm`).
         """
+        quarantine = on_failure == "quarantine"
         prepared = {i: self._prepare(matrices[i]) for i in large}
         works = {i: prepared[i][0] for i in large}
         keys = [
@@ -451,19 +505,32 @@ class WCycleSVD:
         def solve(unit: tuple[int, ...]) -> _UnitOut:
             return self._solve_unit([works[i] for i in unit], unit, count)
 
-        if len(units) == 1:
+        if len(units) == 1 and not sm_indices:
             # One unit (a single matrix, or no spare workers) gains nothing
             # from a unit-level fan-out; solving it on this solver lets the
             # kernels' engine shard its stacks across the pool instead.
             outs = [_CapturedCall(solve)(units[0])]
         else:
             items = [
-                (self.config, self.device, [works[i] for i in unit], unit, count)
+                (
+                    _solve_unit_task,
+                    (self.config, self.device, [works[i] for i in unit], unit, count),
+                )
                 for unit in units
             ]
-            outs = ex.map(
-                _solve_unit_task, items, costs=costs, on_error="return"
-            )
+            if sm_indices:
+                items.append((
+                    _solve_sm_task,
+                    (self.config, self.device,
+                     [matrices[i] for i in sm_indices], on_failure),
+                ))
+                costs.append(
+                    sum(wcycle_matrix_cost(*matrices[i].shape) for i in sm_indices)
+                )
+            outs = ex.map(_fanout_task, items, costs=costs, on_error="return")
+            if sm_indices:
+                self._place_sm(matrices, sm_indices, outs.pop(), results,
+                               profiler, on_failure, report)
         # The merge below folds per-bucket records in bucket order, the
         # serial recording sequence: bucket_by_shape keeps first-seen
         # order over the ascending `large` list.
@@ -548,7 +615,9 @@ class WCycleSVD:
         if kind == "evd":
             return self._evd_kernel().account(*columns)
         gemm = self._level_gemm(*level)
-        tasks = [GemmTask(m, k) for col in columns for m, k in col]
+        tasks = [
+            GemmTask(m, k) for col in columns for b, m, k in col for _ in range(b)
+        ]
         if kind == "gram":
             return gemm.simulate_gram(tasks)
         return gemm.simulate_update(tasks)
@@ -719,23 +788,25 @@ class WCycleSVD:
         if svd_fits_in_sm(*works[0].shape, self.device):
             results = self._launch_svd(list(works), owners, (), log)
         else:
+            # A C-ordered private copy: a wide member's working matrix is
+            # a transposed view, and the sweeps' BLAS products round
+            # differently in the other layout.
             results = self._solve_bucket(
-                [work.copy() for work in works], owners, count, log,
-                rotations,
+                np.array(works, order="C"), owners, count, log, rotations
             )
         return results, log, rotations
 
     def _solve_bucket(
         self,
-        works: list[np.ndarray],
+        works: np.ndarray,
         owners: tuple[int, ...],
         count: int,
         log: list[_Launch],
         level_rotations: dict[int, int],
-    ) -> list[SVDResult]:
-        """Run the level recursion on same-shape working matrices (in
-        place) and finalize each member's factors."""
-        m, n = works[0].shape
+    ) -> Sequence[SVDResult]:
+        """Run the level recursion on a ``(b, m, n)`` stack of working
+        matrices (in place) and finalize each member's factors."""
+        m, n = works.shape[1:]
         cfg = self.config
         w1 = cfg.w1
         if w1 is None:
@@ -752,11 +823,11 @@ class WCycleSVD:
             "factorizing %d x (%dx%d) on %s: widths %s",
             len(works), m, n, self.device.name, widths,
         )
-        Vs = [np.eye(n) for _ in works]
+        Vs = np.tile(np.eye(n), (len(works), 1, 1))
         traces = [ConvergenceTrace() for _ in works]
         self._orthogonalize(
-            works,
-            Vs,
+            list(works),
+            list(Vs),
             owners,
             [_LEAF_STOP_FIRST] * len(works),
             widths,
@@ -768,7 +839,7 @@ class WCycleSVD:
             level_rotations=level_rotations,
             traces=traces,
         )
-        return finalize_stack(np.stack(works), np.stack(Vs), traces)
+        return finalize_stack(works, Vs, traces)
 
     # ------------------------------------------------------------------
     # the W-cycle recursion
@@ -817,7 +888,7 @@ class WCycleSVD:
             return
         w = max(1, min(widths[min(depth, len(widths) - 1)], n // 2))
         plan = self._level_plan(m, n, w)
-        rotations = sum(len(step) for step in plan)
+        rotations = sum(len(s.cols) for step in plan for s in step)
         live = list(range(len(works)))
         residuals: dict[int, float] = {}
         sweep_budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
@@ -863,15 +934,20 @@ class WCycleSVD:
             batch_indices=tuple(named),
         )
 
-    def _level_plan(self, m: int, n: int, w: int) -> list[list[_PairPlan]]:
+    def _level_plan(self, m: int, n: int, w: int) -> list[tuple[_PanelSet, ...]]:
         """Precomputed sweep plan for a level of an ``m x n`` worked matrix.
 
         Builds, once per ``(m, n, w)``, what the seed driver rebuilt every
         sweep step: the ordering's schedule over column blocks, each joined
         pair's gathered column indices (the ``np.r_[...]`` arrays), and its
-        three-group classification. All of it is a pure function of the
-        level geometry and the device, so repeated sweeps — and repeated
-        W-cycle visits at the same level — reuse one plan.
+        three-group classification. Each step's pairs are grouped into
+        :class:`_PanelSet` s by group and panel width: the in-SM SVD sets,
+        then the Gram-EVD sets, each in the order the engine would run
+        their shape buckets (:func:`~repro.utils.bucketing.order_buckets`),
+        then the recursed sets in the order their widths first appear. All
+        of it is a pure function of the level geometry and the device, so
+        repeated sweeps — and repeated W-cycle visits at the same level —
+        reuse one plan.
         """
         key = (m, n, w)
         plan = self._plan_cache.get(key)
@@ -883,20 +959,39 @@ class WCycleSVD:
                 schedule = sweep_schedule(self.config.ordering, len(blocks))
             else:
                 schedule = self._ordering.sweep(len(blocks))
-            plan = [
-                [
-                    _PairPlan(
-                        cols=(
-                            cols := np.r_[slice(*blocks[bi]), slice(*blocks[bj])]
-                        ),
-                        group=classify_pair(m, len(cols), self.device).group,
-                    )
-                    for bi, bj in step
-                ]
-                for step in schedule
-            ]
+            plan = [self._step_sets(m, step, blocks) for step in schedule]
             self._plan_cache[key] = plan
         return plan
+
+    def _step_sets(self, m, step, blocks) -> tuple[_PanelSet, ...]:
+        """The panel sets of one schedule step (see :meth:`_level_plan`)."""
+        pairs: dict[tuple[Group, int], list[np.ndarray]] = {}
+        for bi, bj in step:
+            cols = np.r_[slice(*blocks[bi]), slice(*blocks[bj])]
+            group = classify_pair(m, len(cols), self.device).group
+            pairs.setdefault((group, len(cols)), []).append(cols)
+        groups = list(Group)
+
+        def rank(item):
+            first, ((group, width), cols) = item
+            if group is Group.RECURSE:  # sub-buckets in first-seen order
+                return groups.index(group), 0, (first,)
+            # A leaf group's sets launch in the engine's bucket order, so a
+            # raised failure is the one its one list launch would raise.
+            shape = (
+                (width, width)
+                if group is Group.EVD_IN_SM
+                else self._svd_kernel().working_shape(m, width)
+            )
+            bucket = ShapeBucket(shape, tuple(range(len(cols))))
+            return groups.index(group), -bucket_cost(bucket), shape
+
+        return tuple(
+            _PanelSet(group, np.stack(cols))
+            for _, ((group, _), cols) in sorted(
+                enumerate(pairs.items()), key=rank
+            )
+        )
 
     def _level_gemm(self, m: int, n: int, w: int) -> BatchedGemm:
         """The (possibly tailored) GEMM engine for one level, memoized —
@@ -928,7 +1023,7 @@ class WCycleSVD:
         Vs: list[np.ndarray],
         owners: list[int],
         stops: list[float],
-        step: Sequence[_PairPlan],
+        step: Sequence[_PanelSet],
         widths: list[int],
         depth: int,
         level: tuple[int, int, int],
@@ -938,85 +1033,80 @@ class WCycleSVD:
     ) -> None:
         """One sweep step of every member: one launch per kernel group.
 
-        Pair columns and classifications come precomputed via
-        :meth:`_level_plan`. The step's in-SM SVD pairs of all members go
-        to one SVD launch, their Gram-EVD pairs to one Gram GEMM plus one
-        EVD launch, and their recursed pairs descend together, one
-        sub-bucket per panel shape; ``level`` is the ``(m, n, w)`` of the
-        level's GEMM engine. Every panel's leaf solve stops at its
-        member's ``stops`` entry. A Gram leaf counts every pair whose
+        ``step`` holds the step's panel sets, precomputed via
+        :meth:`_level_plan`. A set's panels of every member are gathered
+        into one member-major ``(K P, m, width)`` stack, with one fancy
+        index per member. The in-SM SVD sets go to the SVD kernel, the
+        Gram-EVD sets to one Gram GEMM plus the EVD kernel, and each
+        recursed set descends as one sub-bucket; ``level`` is the ``(m, n,
+        w)`` of the level's GEMM engine. Every panel's leaf solve stops at
+        its member's ``stops`` entry. A Gram leaf counts every pair whose
         columns are above the one-sided column floor of its panel —
         ``(eps max(m, 2w))^2`` times the largest squared column norm, the
         floor of the SVD leaves and at most the outer test's — however
-        small its elements are next to ``||B||_F``. Each launch goes into
-        ``log`` under ``key`` plus its phase in the step (SVD, Gram, EVD, recursion with its
-        sub-bucket, update), so keys sort in launch order. Gathering
-        ``work[:, cols]`` with an index array yields a private copy, which
-        recursion orthogonalizes *in place*; the update GEMM therefore
-        re-gathers recursed pairs' original columns from ``work``
+        small its elements are next to ``||B||_F``.
+
+        Each launch goes into ``log`` under ``key`` plus its phase in the
+        step (SVD, Gram, EVD, recursion with its sub-bucket, update), so
+        keys sort in launch order; the sets of one kernel group share a
+        key, and :meth:`_replay` folds them into the group's one launch.
+        The rotations come back as one stack per set, and the update is
+        one launch of one stacked matmul per set and panel kind (data and
+        V), written back with one fancy assignment per member and set.
+        Recursion orthogonalizes its gathered panels *in place*, so the
+        update re-gathers a recursed set's original columns from ``works``
         (untouched until the write-back).
         """
         if not step:
             return
         gemm = self._level_gemm(*level)
-        keys = [(k, p) for k in range(len(works)) for p in range(len(step))]
-        panels = {(k, p): works[k][:, step[p].cols] for k, p in keys}
-        groups: dict[Group, list[tuple[int, int]]] = {g: [] for g in Group}
-        for k, p in keys:
-            groups[step[p].group].append((k, p))
-        rotations: dict[tuple[int, int], np.ndarray] = {}
-
-        svd_keys = groups[Group.SVD_IN_SM]
-        if svd_keys:
-            svd_results = self._launch_svd(
-                [panels[pk] for pk in svd_keys],
-                [owners[k] for k, _ in svd_keys],
-                key + (0, 0),
-                log,
-                stop=[stops[k] for k, _ in svd_keys],
-            )
-            for pk, res in zip(svd_keys, svd_results):
-                width = panels[pk].shape[1]
-                J = res.V
-                if J.shape[1] < width:
-                    J = complete_square_orthogonal(J, width)
-                rotations[pk] = J
-        evd_keys = groups[Group.EVD_IN_SM]
-        if evd_keys:
-            evd_panels = [panels[pk] for pk in evd_keys]
-            grams, stats = gemm.gram(evd_panels)
+        cfg = self.config
+        held: list[np.ndarray] = []
+        panels = [self._gather(works, s.cols, held) for s in step]
+        # Each panel's owner and leaf stop, member-major like the panels.
+        panel_owners = [np.repeat(owners, len(s.cols)) for s in step]
+        panel_stops = [np.repeat(stops, len(s.cols)) for s in step]
+        Js: list[np.ndarray] = [np.empty(0)] * len(step)
+        svd, evd, recursed = (
+            [i for i, s in enumerate(step) if s.group is group] for group in Group
+        )
+        for i in svd:
+            V = self._launch_svd(
+                panels[i], panel_owners[i], key + (0, 0), log,
+                stop=panel_stops[i],
+            ).V
+            width = V.shape[1]
+            if V.shape[2] < width:
+                V = np.stack([complete_square_orthogonal(v, width) for v in V])
+            Js[i] = V
+        if evd:
+            grams, stats = gemm.gram([panels[i] for i in evd])
             log.append((
                 key + (1, 0), "gram", level,
-                ([p.shape for p in evd_panels],), stats,
+                ([panels[i].shape for i in evd],), stats,
             ))
-            evd_results, stats = _blamed(
-                self._evd_kernel().run,
-                grams,
-                [owners[k] for k, _ in evd_keys],
-                stop=[stops[k] for k, _ in evd_keys],
-                floors=[
-                    (0.0, (_EPS * max(p.shape)) ** 2 * g.diagonal().max())
-                    for p, g in zip(evd_panels, grams)
-                ],
-            )
-            log.append((
-                key + (2, 0), "evd", None,
-                ([len(g) for g in grams], observed_sweeps(evd_results)),
-                stats,
-            ))
-            for pk, res in zip(evd_keys, evd_results):
-                rotations[pk] = res.J
-        recursed = groups[Group.RECURSE]
-        cfg = self.config
-        shapes = [panels[pk].shape for pk in recursed]
-        for sub, bucket in enumerate(bucket_by_shape(shapes)):
-            members = [recursed[j] for j in bucket.indices]
-            subVs = [np.eye(bucket.shape[1]) for _ in members]
+            for i, G in zip(evd, grams):
+                floors = np.zeros((len(G), 2))
+                floors[:, 1] = (_EPS * max(panels[i].shape[1:])) ** 2 * (
+                    np.diagonal(G, axis1=1, axis2=2).max(axis=1)
+                )
+                res, stats = _blamed(
+                    self._evd_kernel().run, G, panel_owners[i],
+                    stop=panel_stops[i], floors=floors,
+                )
+                log.append((
+                    key + (2, 0), "evd", None,
+                    ([G.shape[1]] * len(G), observed_sweeps(res)), stats,
+                ))
+                Js[i] = res.J
+        for sub, i in enumerate(recursed):
+            width = panels[i].shape[2]
+            Js[i] = np.tile(np.eye(width), (len(panels[i]), 1, 1))
             self._orthogonalize(
-                [panels[pk] for pk in members],
-                subVs,
-                [owners[k] for k, _ in members],
-                [stops[k] for k, _ in members],
+                list(panels[i]),
+                list(Js[i]),
+                panel_owners[i].tolist(),
+                panel_stops[i].tolist(),
                 widths,
                 depth + 1,
                 tol=cfg.inner_tol,
@@ -1026,49 +1116,73 @@ class WCycleSVD:
                 level_rotations=level_rotations,
                 fixed_sweeps=cfg.inner_sweeps,
             )
-            rotations.update(zip(members, subVs))
+            panels[i] = self._gather(works, step[i].cols, held)
 
         # The level's second batched GEMM: rotate the data panels and the
         # accumulated V panels of every member with the same J (one
-        # tailored launch). Recursed panels were consumed (mutated) by the
-        # recursion above, so their originals are re-gathered from work.
-        consumed = set(recursed)
-        data_panels = [
-            works[k][:, step[p].cols] if (k, p) in consumed else panels[k, p]
-            for k, p in keys
-        ]
-        V_panels = [Vs[k][:, step[p].cols] for k, p in keys]
-        updated, stats = gemm.update(
-            data_panels + V_panels, [rotations[pk] for pk in keys] * 2
-        )
+        # tailored launch).
+        V_panels = [self._gather(Vs, s.cols, held) for s in step]
+        updated, stats = gemm.update(panels + V_panels, Js + Js)
         log.append((
             key + (4, 0), "update", level,
-            ([p.shape for p in data_panels], [p.shape for p in V_panels]),
-            stats,
+            ([p.shape for p in panels], [p.shape for p in V_panels]), stats,
         ))
-        half = len(keys)
-        for pos, (k, p) in enumerate(keys):
-            works[k][:, step[p].cols] = updated[pos]
-            Vs[k][:, step[p].cols] = updated[half + pos]
+        for s, data, V in zip(step, updated, updated[len(step):]):
+            _scatter(works, s.cols, data)
+            _scatter(Vs, s.cols, V)
+        for buf in held:
+            self._scratch.release(buf)
+
+    def _gather(
+        self, mats: Sequence[np.ndarray], cols: np.ndarray, held: list
+    ) -> np.ndarray:
+        """The panels ``A[:, cols[p]]`` of every member ``A`` of ``mats``,
+        as one member-major ``(K P, rows, width)`` stack: one fancy index
+        per member, into a scratch buffer appended to ``held`` (the step
+        returns it once its write-back is done).
+
+        Each panel is stored column by column, as ``A[:, cols[p]]`` itself
+        is: BLAS rounds a product of the same values differently in the
+        other layout, and the Gram and update GEMMs read the panels as
+        they are.
+        """
+        P, width = cols.shape
+        out = self._scratch.acquire((len(mats), P, width, mats[0].shape[0]))
+        held.append(out)
+        for k, A in enumerate(mats):
+            out[k] = A.T[cols]
+        return out.reshape(-1, width, out.shape[3]).transpose(0, 2, 1)
 
     def _launch_svd(
         self,
-        panels: list[np.ndarray],
+        panels: list[np.ndarray] | np.ndarray,
         owners: Sequence[int],
         key: tuple[int, ...],
         log: list[_Launch],
-        stop: list[float] | None = None,
-    ) -> list[SVDResult]:
-        """One in-SM SVD launch over ``panels``, logged under ``key``;
-        ``stop`` gives each panel its stop tolerance (``None``: 1e-14)."""
+        stop: np.ndarray | None = None,
+    ):
+        """One in-SM SVD launch over ``panels`` (a list, or a stack whose
+        factors come back stacked), logged under ``key``; ``stop`` gives
+        each panel its stop tolerance (``None``: 1e-14)."""
         results, stats = _blamed(
             self._svd_kernel().run, panels, owners, stop=stop
         )
         log.append((
             key, "svd", None,
-            ([p.shape for p in panels], observed_sweeps(results)), stats,
+            (batch_shapes(panels), observed_sweeps(results)), stats,
         ))
         return results
+
+
+def _scatter(
+    mats: Sequence[np.ndarray], cols: np.ndarray, stack: np.ndarray
+) -> None:
+    """Write a member-major panel ``stack`` (as
+    :meth:`WCycleSVD._gather` lays it out) back into the columns ``cols``
+    of every member of ``mats``: one fancy assignment per member."""
+    P = len(cols)
+    for k, A in enumerate(mats):
+        A[:, cols] = stack[k * P : (k + 1) * P].transpose(1, 0, 2)
 
 
 def _finish(
@@ -1130,6 +1244,25 @@ def _worker_solver(config: WCycleConfig, device: DeviceSpec) -> WCycleSVD:
     inherited by forked workers, which may not start pools of their own.
     """
     return WCycleSVD(config, device=device, runtime=SerialExecutor())
+
+
+def _fanout_task(item):
+    """One unit of :meth:`WCycleSVD._run_large`'s fan-out: ``item`` is
+    ``(task, args)``, a bucket (:func:`_solve_unit_task`) or the in-SM
+    group (:func:`_solve_sm_task`)."""
+    task, args = item
+    return task(args)
+
+
+def _solve_sm_task(item):
+    """The in-SM group of a batch, solved by the process's serial solver
+    of the item's config and device with one SVD launch: ``(results,
+    stats, failures)``, the failures group-local (see
+    :meth:`WCycleSVD._place_sm`)."""
+    config, device, matrices, on_failure = item
+    kernel = _worker_solver(config, device)._svd_kernel()
+    results, stats = kernel.run(matrices, on_failure=on_failure)
+    return results, stats, kernel.last_failures
 
 
 def _solve_unit_task(item) -> _UnitOut:

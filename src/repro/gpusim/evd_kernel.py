@@ -25,14 +25,14 @@ import numpy as np
 from repro.errors import ConfigurationError, ResourceError
 from repro.gpusim.counters import KernelStats, Profiler
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.launch import LaunchConfig, simulate_launch
+from repro.gpusim.launch import LaunchConfig, memoized_launch, simulate_launch
 from repro.gpusim.memory import FLOAT64_BYTES, evd_fits_in_sm, evd_shared_bytes
-from repro.gpusim.svd_kernel import observed_sweeps
+from repro.gpusim.svd_kernel import batch_shapes, observed_sweeps
 from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.sweep_model import predict_sweeps_twosided
 from repro.jacobi.twosided_evd import TwoSidedConfig
 from repro.runtime.executor import Executor
-from repro.types import EVDResult
+from repro.types import EVDResult, EVDStack
 
 __all__ = ["SMEVDKernelConfig", "BatchedEVDKernel", "evd_sweep_cost"]
 
@@ -115,6 +115,8 @@ class BatchedEVDKernel:
             parallel_evd=cfg.parallel_update,
             executor=executor,
         )
+        #: Priced launches, keyed by their (size, sweeps) groups.
+        self._launches: dict = {}
 
     @property
     def name(self) -> str:
@@ -140,13 +142,13 @@ class BatchedEVDKernel:
 
     def run(
         self,
-        matrices: list[np.ndarray],
+        matrices: list[np.ndarray] | np.ndarray,
         *,
-        stop: list[float] | None = None,
-        floors: list[tuple[float, float]] | None = None,
+        stop: list[float] | np.ndarray | None = None,
+        floors: list[tuple[float, float]] | np.ndarray | None = None,
         profiler: Profiler | None = None,
         on_failure: str | None = None,
-    ) -> tuple[list[EVDResult], KernelStats]:
+    ) -> tuple[list[EVDResult] | EVDStack, KernelStats]:
         """Execute the batched EVD: real results plus launch statistics.
 
         The parallel kernel's math runs through the size-bucketed
@@ -157,11 +159,13 @@ class BatchedEVDKernel:
         ``stop`` and ``floors`` (one value / ``(noise, diag_floor)`` pair
         per matrix, ``None`` = the configured ``tol`` / the ``eps ||B||_F``
         noise floor) go to
-        :meth:`~repro.jacobi.batched.BatchedJacobiEngine.evd_batch`.
+        :meth:`~repro.jacobi.batched.BatchedJacobiEngine.evd_batch`, and
+        so does ``matrices``: a list, or one ``(b, k, k)`` stack whose
+        factors come back as one :class:`~repro.types.EVDStack`.
         """
-        if not matrices:
+        if not len(matrices):
             raise ConfigurationError("batch must not be empty")
-        sizes = [int(B.shape[0]) for B in matrices]
+        sizes = [shape[0] for shape in batch_shapes(matrices)]
         for k in dict.fromkeys(sizes):
             self.check_fits(k)
         results = self._engine.evd_batch(
@@ -184,22 +188,32 @@ class BatchedEVDKernel:
         matrices across several runs rebuild the launch from the
         concatenated sizes and sweep counts.
 
-        Costs are summed once per distinct (size, sweeps) group, exactly
-        as :meth:`BatchedSVDKernel.account` does.
+        Costs are summed once per distinct (size, sweeps) group, and the
+        launch is memoized on its set of groups, exactly as
+        :meth:`BatchedSVDKernel.account` does.
         """
+        groups = frozenset(Counter(zip(sizes, sweeps)).items())
+        return memoized_launch(
+            self._launches, groups, lambda: self._price(groups), profiler
+        )
+
+    def _price(self, groups) -> KernelStats:
+        """Statistics of a launch over ``((size, sweeps), count)``
+        groups."""
         flops = 0.0
         gm_bytes = 0.0
         max_block = 0.0
+        blocks = 0
         parallel = self.config.parallel_update
-        groups = Counter(zip(sizes, sweeps))
-        for (k, n_sweeps), count in groups.items():
+        for (k, n_sweeps), count in groups:
             f, g = evd_sweep_cost(k, parallel=parallel)
             block = f * max(1, n_sweeps)
             flops += block * count
             max_block = max(max_block, block)
             gm_bytes += (g + _evd_io_bytes(k)) * count
+            blocks += count
         return self._simulate(
-            [k for k, _ in groups], len(sizes), flops, gm_bytes, profiler,
+            [k for (k, _), _ in groups], blocks, flops, gm_bytes, None,
             max_block,
         )
 

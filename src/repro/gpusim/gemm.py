@@ -12,7 +12,9 @@ packed together into shared blocks until their rows exceed ``1.2 * delta``.
 
 The math itself executes as plain NumPy matmuls; the tailoring affects the
 *launch geometry* (thread-level parallelism) and the GM traffic model
-(Eq. 9), exactly the two effects the paper optimizes.
+(Eq. 9), exactly the two effects the paper optimizes. A launch's cost is
+a function of its panel shapes in order, so launches are memoized on the
+``(rows, width, count)`` runs of those shapes.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gpusim.counters import KernelStats, Profiler
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.launch import LaunchConfig, simulate_launch
+from repro.gpusim.launch import LaunchConfig, memoized_launch, simulate_launch
 from repro.gpusim.memory import FLOAT64_BYTES
-from repro.utils.bucketing import bucket_by_shape, order_buckets
 
 __all__ = [
     "GemmTask",
@@ -149,11 +150,20 @@ def update_traffic_bytes(task: GemmTask, segments: int) -> float:
 
 
 class BatchedGemm:
-    """Executes and costs the two batched GEMMs of one W-cycle round."""
+    """Executes and costs the two batched GEMMs of one W-cycle round.
+
+    ``panels`` of :meth:`gram` and :meth:`update` is a list whose items are
+    2-D panels or ``(b, m, k)`` stacks of same-shape panels; a stack counts
+    as its ``b`` panels, is multiplied by one 3-D ``matmul`` (the batch
+    axis the real kernel spans with thread blocks) and comes back as one
+    stack. The launch spans every panel of every item, in item order.
+    """
 
     def __init__(self, device: DeviceSpec, tiling: TilingSpec) -> None:
         self.device = device
         self.tiling = tiling
+        #: Priced launches, keyed by their kind and panel-shape runs.
+        self._launches: dict = {}
 
     # -- real math ------------------------------------------------------
 
@@ -165,19 +175,16 @@ class BatchedGemm:
     ) -> tuple[list[np.ndarray], KernelStats]:
         """Compute ``B = A.T @ A`` for every panel, with launch costs.
 
-        Same-shape panels are stacked and multiplied in one 3-D ``matmul``
-        (the batch axis the real kernel spans with thread blocks); ragged
-        batches split into shape buckets. Results match the per-panel loop.
+        Each item is multiplied by one ``matmul`` and symmetrized; results
+        match the per-panel loop.
         """
-        tasks = [GemmTask(p.shape[0], p.shape[1]) for p in panels]
-        outputs: list[np.ndarray] = [None] * len(panels)  # type: ignore[list-item]
-        for bucket in order_buckets(bucket_by_shape([p.shape for p in panels])):
-            stack = np.stack([panels[i] for i in bucket.indices])
+        outputs = []
+        for p in panels:
+            stack = p if p.ndim == 3 else p[None]
             grams = np.matmul(stack.transpose(0, 2, 1), stack)
             grams = (grams + grams.transpose(0, 2, 1)) / 2.0
-            for pos, i in enumerate(bucket.indices):
-                outputs[i] = grams[pos]
-        stats = self.simulate_gram(tasks, profiler=profiler)
+            outputs.append(grams if p.ndim == 3 else grams[0])
+        stats = self.simulate_gram(_tasks(panels), profiler=profiler)
         return outputs, stats
 
     def update(
@@ -189,23 +196,16 @@ class BatchedGemm:
     ) -> tuple[list[np.ndarray], KernelStats]:
         """Compute ``A @ J`` for every (panel, rotation), with launch costs.
 
-        Bucketed by the joint (panel, rotation) shape and executed as one
-        3-D ``matmul`` per bucket; results match the per-pair loop.
+        ``rotations[i]`` is the ``k x k`` rotation of a 2-D item, or the
+        ``(b, k, k)`` stack of a stack item's; each item is one
+        ``matmul``, and results match the per-pair loop.
         """
         if len(panels) != len(rotations):
             raise ConfigurationError(
                 f"{len(panels)} panels vs {len(rotations)} rotations"
             )
-        tasks = [GemmTask(p.shape[0], p.shape[1]) for p in panels]
-        outputs: list[np.ndarray] = [None] * len(panels)  # type: ignore[list-item]
-        keys = [p.shape + J.shape for p, J in zip(panels, rotations)]
-        for bucket in order_buckets(bucket_by_shape(keys)):
-            stack = np.stack([panels[i] for i in bucket.indices])
-            rots = np.stack([rotations[i] for i in bucket.indices])
-            updated = np.matmul(stack, rots)
-            for pos, i in enumerate(bucket.indices):
-                outputs[i] = updated[pos]
-        stats = self.simulate_update(tasks, profiler=profiler)
+        outputs = [np.matmul(p, J) for p, J in zip(panels, rotations)]
+        stats = self.simulate_update(_tasks(panels), profiler=profiler)
         return outputs, stats
 
     # -- cost-only ------------------------------------------------------
@@ -235,25 +235,43 @@ class BatchedGemm:
         kind: str,
         profiler: Profiler | None,
     ) -> KernelStats:
+        """Statistics of a launch over ``tasks``, memoized on their
+        ``(m, k, count)`` runs in order
+        (:func:`~repro.gpusim.launch.memoized_launch`)."""
         if not tasks:
             raise ConfigurationError("GEMM batch must not be empty")
+        runs = _runs(tasks)
+        return memoized_launch(
+            self._launches, (kind, runs), lambda: self._price(runs, kind),
+            profiler,
+        )
+
+    def _price(self, runs: tuple[tuple[int, int, int], ...], kind: str) -> KernelStats:
+        # Every term below is an integer-valued float far below 2**53, so
+        # a run's terms summed as term * count equal the per-task sums
+        # exactly.
         delta = self.tiling.delta
-        blocks, _rows = plan_segments([t.m for t in tasks], delta)
+        blocks, _rows = plan_segments(
+            [m for m, _, count in runs for _ in range(count)], delta
+        )
         flops = 0.0
         gm_bytes = 0.0
-        for t in tasks:
+        for m, k, count in runs:
+            t = GemmTask(m, k)
             segments = max(1, math.ceil(t.m / delta))
-            flops += 2.0 * t.m * t.k * t.k
+            f = 2.0 * t.m * t.k * t.k
             if kind == "gram":
-                flops += (segments - 1) * t.k * t.k  # partial-sum reduction
-                gm_bytes += gram_traffic_bytes(t, segments)
+                f += (segments - 1) * t.k * t.k  # partial-sum reduction
+                g = gram_traffic_bytes(t, segments)
             else:
-                gm_bytes += update_traffic_bytes(t, segments)
+                g = update_traffic_bytes(t, segments)
+            flops += f * count
+            gm_bytes += g * count
         # Shared memory per block: double-buffered input tiles plus the
         # k x k stationary tile (J or the partial Gram). The plate height
         # delta sets per-block *work*, not the staging footprint — real
         # GEMM kernels stream the plate through fixed-size tiles.
-        k_star = max(t.k for t in tasks)
+        k_star = max(k for _, k, _ in runs)
         shared = GEMM_TILE_BYTES + FLOAT64_BYTES * k_star * k_star
         shared = min(shared, self.device.shared_mem_per_block)
         return simulate_launch(
@@ -268,5 +286,27 @@ class BatchedGemm:
                 intra_efficiency=0.85,
                 is_gemm=True,
             ),
-            profiler,
         )
+
+
+def _tasks(panels: list[np.ndarray]) -> list[GemmTask]:
+    """One task per panel of ``panels``, in order (a stack item is ``b``
+    panels of one task shape)."""
+    tasks: list[GemmTask] = []
+    for p in panels:
+        if p.ndim == 3:
+            tasks += [GemmTask(p.shape[1], p.shape[2])] * len(p)
+        else:
+            tasks.append(GemmTask(p.shape[0], p.shape[1]))
+    return tasks
+
+
+def _runs(tasks: list[GemmTask]) -> tuple[tuple[int, int, int], ...]:
+    """The ``(m, k, count)`` runs of equal consecutive ``tasks``."""
+    runs: list[tuple[int, int, int]] = []
+    for t in tasks:
+        if runs and runs[-1][:2] == (t.m, t.k):
+            runs[-1] = (t.m, t.k, runs[-1][2] + 1)
+        else:
+            runs.append((t.m, t.k, 1))
+    return tuple(runs)

@@ -16,12 +16,18 @@ simulated execution time:
   one-kernel-per-matrix fallback the paper's baselines use.
 
 The simulated time is ``overhead + max(compute, memory)``.
+
+A kernel prices the same launch over and over (every sweep step of a
+W-cycle level repeats its shapes), so the kernels memoize their priced
+launches on the cost inputs that vary between launches
+(:func:`memoized_launch`); the profiler still records every launch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 from repro.errors import ConfigurationError, ResourceError
 from repro.gpusim.counters import KernelStats, Profiler
@@ -29,6 +35,7 @@ from repro.gpusim.device import DeviceSpec
 
 __all__ = [
     "LaunchConfig",
+    "memoized_launch",
     "simulate_launch",
     "BANDWIDTH_SATURATION_OCCUPANCY",
     "COMPUTE_SATURATION_OCCUPANCY",
@@ -169,6 +176,34 @@ def simulate_launch(
         occupancy=occupancy,
         time=time,
     )
+    if profiler is not None:
+        profiler.record(stats)
+    return stats
+
+
+#: Priced launches a kernel's memo keeps before it starts over.
+_MEMO_LIMIT = 4096
+
+
+def memoized_launch(
+    cache: dict,
+    key: Hashable,
+    price: Callable[[], KernelStats],
+    profiler: Profiler | None = None,
+) -> KernelStats:
+    """The launch ``cache`` holds under ``key`` (``price()`` on a miss),
+    recorded on ``profiler``.
+
+    ``key`` must hold every cost input that varies between the launches
+    of one cache's owner (a kernel's device and config are frozen), so a
+    hit is the :class:`KernelStats` a fresh pricing would equal. The
+    profiler records the launch on every call, hit or miss.
+    """
+    stats = cache.get(key)
+    if stats is None:
+        if len(cache) >= _MEMO_LIMIT:
+            cache.clear()
+        stats = cache[key] = price()
     if profiler is not None:
         profiler.record(stats)
     return stats

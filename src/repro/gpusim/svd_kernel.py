@@ -30,14 +30,14 @@ import numpy as np
 from repro.errors import ConfigurationError, ResourceError
 from repro.gpusim.counters import KernelStats, Profiler
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.launch import LaunchConfig, simulate_launch
+from repro.gpusim.launch import LaunchConfig, memoized_launch, simulate_launch
 from repro.gpusim.memory import FLOAT64_BYTES, svd_fits_in_sm, svd_shared_bytes
 from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.onesided_vector import OneSidedConfig
 from repro.jacobi.sweep_model import predict_sweeps_vector
 from repro.runtime.executor import Executor
 from repro.tuning.alpha import ALPHA_CHOICES, alpha_gcd_rule, threads_for_alpha
-from repro.types import SVDResult
+from repro.types import EVDStack, SVDResult, SVDStack
 
 __all__ = ["SMSVDKernelConfig", "BatchedSVDKernel", "svd_sweep_cost"]
 
@@ -121,8 +121,21 @@ def svd_sweep_cost(
 
 def observed_sweeps(results) -> list[int]:
     """Sweeps each solve of a launch took, as its cost model counts them:
-    a result without a convergence trace counts as one sweep."""
-    return [r.trace.sweeps if r.trace is not None else 1 for r in results]
+    a result without a convergence trace counts as one sweep. ``results``
+    is a list of results or one stacked result."""
+    if isinstance(results, (SVDStack, EVDStack)):
+        traces = results.traces
+    else:
+        traces = [r.trace for r in results]
+    return [t.sweeps if t is not None else 1 for t in traces]
+
+
+def batch_shapes(matrices) -> list[tuple[int, ...]]:
+    """The shape of every matrix of a batch: a list of matrices, or one
+    ``(b, m, n)`` stack."""
+    if isinstance(matrices, np.ndarray):
+        return [matrices.shape[1:]] * len(matrices)
+    return [a.shape for a in matrices]
 
 
 def _matrix_io_bytes(m: int, n: int) -> float:
@@ -174,6 +187,8 @@ class BatchedSVDKernel:
             ),
             executor=executor,
         )
+        #: Priced launches, keyed by their (shape, sweeps) groups.
+        self._launches: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -227,12 +242,12 @@ class BatchedSVDKernel:
 
     def run(
         self,
-        matrices: list[np.ndarray],
+        matrices: list[np.ndarray] | np.ndarray,
         *,
-        stop: list[float] | None = None,
+        stop: list[float] | np.ndarray | None = None,
         profiler: Profiler | None = None,
         on_failure: str | None = None,
-    ) -> tuple[list[SVDResult], KernelStats]:
+    ) -> tuple[list[SVDResult] | SVDStack, KernelStats]:
         """Execute the batched SVD: real results plus launch statistics.
 
         The math runs through the shape-bucketed batch-vectorized engine
@@ -242,6 +257,12 @@ class BatchedSVDKernel:
         computed from the same shapes and observed sweep counts as before,
         so the simulated :class:`KernelStats` are unchanged.
 
+        ``matrices`` is a list of matrices, or one ``(b, m, n)`` stack of
+        same-shape matrices whose factors come back as one
+        :class:`~repro.types.SVDStack` (see
+        :meth:`~repro.jacobi.batched.BatchedJacobiEngine.svd_batch`); the
+        launch and every matrix's bytes are the same either way.
+
         ``stop`` (one value per matrix, ``None`` = the configured ``tol``)
         decides when each matrix stops sweeping, never which pairs rotate
         (see :meth:`~repro.jacobi.batched.StackedOneSidedJacobi.solve_stack`).
@@ -249,17 +270,15 @@ class BatchedSVDKernel:
         from the executor's retry policy) is forwarded to the engine;
         quarantine events are readable via :attr:`last_failures`.
         """
-        if not matrices:
+        if not len(matrices):
             raise ConfigurationError("batch must not be empty")
-        for m, n in dict.fromkeys(a.shape for a in matrices):
+        shapes = batch_shapes(matrices)
+        for m, n in dict.fromkeys(shapes):
             self.check_fits(*self.working_shape(m, n))
         results = self._engine.svd_batch(
             matrices, stop=stop, on_failure=on_failure
         )
-        stats = self.account(
-            [a.shape for a in matrices], observed_sweeps(results),
-            profiler=profiler,
-        )
+        stats = self.account(shapes, observed_sweeps(results), profiler=profiler)
         return results, stats
 
     def account(
@@ -278,15 +297,26 @@ class BatchedSVDKernel:
 
         Costs are summed once per distinct (shape, sweeps) group. Every
         term is an integer-valued float far below 2**53, so the grouped
-        sums equal the per-matrix sums exactly, in any order.
+        sums equal the per-matrix sums exactly, in any order; a launch is
+        therefore memoized on its set of groups
+        (:func:`~repro.gpusim.launch.memoized_launch`).
         """
+        groups = frozenset(Counter(zip(map(tuple, shapes), sweeps)).items())
+        return memoized_launch(
+            self._launches, groups, lambda: self._price(groups), profiler
+        )
+
+    def _price(self, groups) -> KernelStats:
+        """Statistics of a launch over ``((shape, sweeps), count)``
+        groups."""
         cfg = self.config
         work_shapes = []
         flops = 0.0
         gm_bytes = 0.0
         max_block = 0.0
-        groups = Counter(zip(map(tuple, shapes), sweeps))
-        for ((m, n), n_sweeps), count in groups.items():
+        blocks = 0
+        for ((m, n), n_sweeps), count in groups:
+            blocks += count
             m, n = self.working_shape(m, n)
             work_shapes.append((m, n))
             f, g = svd_sweep_cost(
@@ -299,7 +329,7 @@ class BatchedSVDKernel:
             max_block = max(max_block, f * n_sweeps)
             gm_bytes += (g * n_sweeps + _matrix_io_bytes(m, n)) * count
         return self._simulate(
-            work_shapes, len(shapes), flops, gm_bytes, profiler, max_block
+            work_shapes, blocks, flops, gm_bytes, None, max_block
         )
 
     def estimate(

@@ -35,11 +35,21 @@ of one stacked QR and mapped back as ``W = Q @ W_R``
 (:func:`~repro.jacobi.preconditioning.qr_detour`), the detour the
 per-matrix solver takes too, so a rotation touches ``n`` rows instead of
 ``m``. A matrix whose largest entry is far from 1 is shifted by an exact
-power of two before it is bucketed, and its singular values are shifted
-back when its factors are placed
-(:func:`~repro.jacobi.preconditioning.safe_exponent`); a symmetric matrix
-of :meth:`BatchedJacobiEngine.evd_batch` likewise, with its eigenvalues
-shifted back (:func:`~repro.jacobi.preconditioning.shift_symmetric`).
+power of two before it is swept, and only its singular values are shifted
+back (:func:`~repro.jacobi.preconditioning.safe_exponents`); a symmetric
+matrix of :meth:`BatchedJacobiEngine.evd_batch` likewise, with its
+eigenvalues shifted back
+(:func:`~repro.jacobi.preconditioning.shift_symmetric_stack`).
+
+A caller that already holds same-shape matrices as one ``(b, m, n)``
+stack (the W-cycle's panels of a sweep step) passes the stack itself to
+:meth:`~BatchedJacobiEngine.svd_batch` /
+:meth:`~BatchedJacobiEngine.evd_batch` and gets its factors back stacked
+(:class:`~repro.types.SVDStack` / :class:`~repro.types.EVDStack`). A list
+is validated, bucketed by shape and stacked first; from there both run one
+stacked entry per kind (:meth:`~BatchedJacobiEngine._svd_stacks`,
+:meth:`~BatchedJacobiEngine._evd_stacks`), so a matrix's factors are the
+same bytes either way.
 
 Data-dependent schedules (the ``dynamic`` ordering) and the sequential
 two-sided EVD cannot share one schedule across a bucket; those fall back to
@@ -73,6 +83,7 @@ placeholders directly. Every event is recorded in the engine's
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -95,9 +106,8 @@ from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
 from repro.jacobi.preconditioning import (
     qr_detour,
-    safe_exponent,
     safe_exponents,
-    shift_symmetric,
+    shift_symmetric_stack,
     unshift,
     unshift_evd,
 )
@@ -116,9 +126,14 @@ from repro.runtime.scheduler import (
     split_shards,
     svd_stack_cost,
 )
-from repro.types import ConvergenceTrace, EVDResult, SVDResult
-from repro.utils.bucketing import bucket_by_shape, order_buckets
-from repro.utils.validation import as_matrix, check_square_symmetric
+from repro.types import ConvergenceTrace, EVDResult, EVDStack, SVDResult, SVDStack
+from repro.utils.bucketing import ShapeBucket, bucket_by_shape, order_buckets
+from repro.utils.validation import (
+    as_matrix,
+    as_stack,
+    check_square_symmetric,
+    check_symmetric_stack,
+)
 
 __all__ = [
     "BatchedJacobiEngine",
@@ -195,22 +210,6 @@ def _floor_rows(floors, count: int) -> np.ndarray:
             f"floors must hold {count} (noise, diag_floor) pair(s)"
         )
     return floors
-
-
-def _place_svd(
-    results: list[SVDResult | None],
-    indices: Sequence[int],
-    finalized: list[SVDResult],
-    transposed: list[bool],
-    shifts: list[int],
-) -> None:
-    """Store ``finalized[pos]`` as ``results[indices[pos]]``, swapping
-    ``U`` and ``V`` back for matrices solved transposed and scaling ``S``
-    back for matrices solved shifted."""
-    for i, res in zip(indices, finalized):
-        if transposed[i]:
-            res = SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
-        results[i] = unshift(res, shifts[i])
 
 
 def _nan_svd_result(shape: tuple[int, int]) -> SVDResult:
@@ -688,12 +687,20 @@ class BatchedJacobiEngine:
 
     def svd_batch(
         self,
-        matrices: list[np.ndarray],
+        matrices: Sequence[np.ndarray] | np.ndarray,
         *,
         stop: Sequence[float] | None = None,
         on_failure: str | None = None,
-    ) -> list[SVDResult]:
+    ) -> list[SVDResult] | SVDStack:
         """Thin SVD of every matrix, bucket-vectorized across the batch.
+
+        ``matrices`` is a list of matrices of any shapes, or one ``(b, m,
+        n)`` ndarray: a stack of same-shape matrices, solved as one bucket
+        without per-matrix validation, stacking or result objects. A list
+        comes back as a list of :class:`~repro.types.SVDResult` in its
+        order, a stack as one :class:`~repro.types.SVDStack`; a matrix's
+        factors are the same bytes either way (both run
+        :meth:`_svd_stacks`).
 
         ``stop`` gives each matrix its own stop tolerance (see
         :meth:`StackedOneSidedJacobi.solve_stack`); ``None`` stops every
@@ -714,62 +721,126 @@ class BatchedJacobiEngine:
             and self._svd_stacked is not None
             else None
         )
-        mats = [
-            as_matrix(a, name=f"matrices[{i}]") for i, a in enumerate(matrices)
-        ]
+        stacked = isinstance(matrices, np.ndarray)
+        mats = (
+            as_stack(matrices)
+            if stacked
+            else [
+                as_matrix(a, name=f"matrices[{i}]")
+                for i, a in enumerate(matrices)
+            ]
+        )
         cfg = self.svd_config
         stops = _stop_array(stop, cfg.tol, len(mats))
         if self._svd_stacked is None:
             # The dynamic ordering re-derives its pivot schedule from each
             # matrix's data every step; matrices cannot share a schedule.
-            return _solve_each(
+            each = _solve_each(
                 OneSidedJacobiSVD(cfg).decompose, _nan_svd_result, mats, mode,
                 report,
             )
-        # Each matrix is solved transposed when wide, and shifted by a
-        # power of two when its scale would over- or underflow the sweeps.
-        work: list[np.ndarray] = []
-        transposed: list[bool] = []
-        shifts: list[int] = []
-        for a in mats:
-            m, n = a.shape
-            shift = safe_exponent(a)
-            if shift:
-                a = np.ldexp(a, -shift)
-            flip = cfg.transpose_wide and m < n
-            work.append(a.T if flip else a)
-            transposed.append(flip)
-            shifts.append(shift)
-        results: list[SVDResult | None] = [None] * len(mats)
-        units = self._plan_units(bucket_by_shape([w.shape for w in work]))
-        costs = [svd_stack_cost(shape, len(chunk)) for shape, chunk in units]
-        solved = self._solve_svd_units(
-            work, stops, units, costs, capture=(mode == "quarantine")
-        )
-        self._merge_executor_history(report)
-        for (shape, chunk), out_unit in zip(units, solved):
-            if isinstance(out_unit, TaskError):
-                self._quarantine_svd_unit(
-                    work, stops, chunk, out_unit, results, transposed,
-                    shifts, report,
-                )
-                continue
-            _place_svd(
-                results, chunk, finalize_stack(*out_unit), transposed, shifts
+            return SVDStack.of(each) if stacked else each
+        # Each matrix is solved transposed when wide.
+        if stacked:
+            flip = cfg.transpose_wide and mats.shape[1] < mats.shape[2]
+            work = np.ascontiguousarray(mats.transpose(0, 2, 1)) if flip else mats
+            (out,) = self._svd_stacks(
+                [work], [tuple(range(len(mats)))], [stops], mode, report
             )
+            if not isinstance(out, SVDStack):
+                out = SVDStack.of(out)
+            return _swapped(out) if flip else out
+        flips = [cfg.transpose_wide and a.shape[0] < a.shape[1] for a in mats]
+        buckets = bucket_by_shape(
+            [a.shape[::-1] if flip else a.shape for a, flip in zip(mats, flips)]
+        )
+        outs = self._svd_stacks(
+            [
+                np.stack([mats[i].T if flips[i] else mats[i] for i in b.indices])
+                for b in buckets
+            ],
+            [b.indices for b in buckets],
+            [stops[list(b.indices)] for b in buckets],
+            mode,
+            report,
+        )
+        results: list[SVDResult | None] = [None] * len(mats)
+        for bucket, out in zip(buckets, outs):
+            for i, res in zip(bucket.indices, out):
+                results[i] = _swapped(res) if flips[i] else res
         return results  # type: ignore[return-value]
 
-    def _quarantine_svd_unit(
+    def _svd_stacks(
         self,
-        work: list[np.ndarray],
-        stops: np.ndarray,
-        chunk: tuple[int, ...],
-        task_error: TaskError,
-        results: list[SVDResult | None],
-        transposed: list[bool],
-        shifts: list[int],
+        stacks: list[np.ndarray],
+        owners: list[tuple[int, ...]],
+        stops: list[np.ndarray],
+        mode: str,
         report: FailureReport,
-    ) -> None:
+    ) -> list[SVDStack | list[SVDResult]]:
+        """The engine's one stacked SVD entry: solve working stacks of
+        distinct shapes in one map, and return each one's factors stacked
+        (member by member when a unit of it was quarantined).
+
+        ``stacks[s]`` holds working matrices (each already transposed when
+        wide) of the callers ``owners[s]`` (batch indices, named by
+        failures), with stop tolerances ``stops[s]``. A member whose largest
+        entry is outside the sweeps' exponent window is swept shifted by
+        an exact power of two, and only its singular values are shifted
+        back (:func:`~repro.jacobi.preconditioning.safe_exponents`; the
+        other members keep their bytes). Each stack is cut into execution
+        units (:meth:`_plan_units`), and a failed unit is recovered by
+        :meth:`_quarantine_svd_unit` in quarantine mode.
+        """
+        shifts = [safe_exponents(s) for s in stacks]
+        stacks = [
+            np.ldexp(s, -e[:, None, None]) if e.any() else s
+            for s, e in zip(stacks, shifts)
+        ]
+        units = self._plan_units(stacks)
+        items = [
+            (
+                self.svd_config,
+                stacks[s][lo:hi],
+                stops[s][lo:hi].tolist(),
+                tuple(owners[s][lo:hi]),
+                self.last_kernel_times,
+            )
+            for s, lo, hi in units
+        ]
+        costs = [
+            svd_stack_cost(stacks[s].shape[1:], hi - lo) for s, lo, hi in units
+        ]
+        solved = self._map_units(
+            _solve_svd_unit, items, costs, capture=(mode == "quarantine")
+        )
+        self._merge_executor_history(report)
+        parts: list[list] = [[] for _ in stacks]
+        for (s, _, _), item, out in zip(units, items, solved):
+            parts[s].append(
+                self._quarantine_svd_unit(item, out, report)
+                if isinstance(out, TaskError)
+                else finalize_stack(*out)
+            )
+        outs: list[SVDStack | list[SVDResult]] = []
+        for part, e in zip(parts, shifts):
+            if all(isinstance(p, SVDStack) for p in part):
+                out = SVDStack.concat(part)
+                if e.any():
+                    out.S = np.ldexp(out.S, e[:, None])
+            else:
+                # A quarantined unit keeps its reference results as they
+                # came: the stack comes back member by member.
+                out = [
+                    unshift(res, x)
+                    for res, x in zip(itertools.chain(*part), e.tolist())
+                ]
+            outs.append(out)
+        return outs
+
+    def _quarantine_svd_unit(
+        self, item, task_error: TaskError, report: FailureReport
+    ) -> list[SVDResult]:
         """Recover a failed unit without giving up its healthy matrices.
 
         The unit's stack is re-solved inline in report mode (the parent
@@ -778,48 +849,50 @@ class BatchedJacobiEngine:
         each failing matrix descends to the reference per-matrix solver.
         Every matrix keeps its stop tolerance.
         """
+        _, stack, stop, owners, _ = item
         # The unit's tries, its report-mode re-solve, the reference's.
         attempts = max(1, len(task_error.failures)) + 2
-        stack = np.stack([work[i] for i in chunk])
         Ws, Vs, traces, failures = self._svd_stacked.solve_stack(
-            stack, stop=stops[list(chunk)], on_failure="report"
+            stack, stop=np.array(stop), on_failure="report"
         )
         failed = dict(failures)
-        healthy = [pos for pos in range(len(chunk)) if pos not in failed]
-        _place_svd(
-            results,
-            [chunk[pos] for pos in healthy],
-            finalize_stack(
-                Ws[healthy], Vs[healthy], [traces[pos] for pos in healthy]
-            ),
-            transposed,
-            shifts,
+        healthy = [pos for pos in range(len(stack)) if pos not in failed]
+        results = dict(
+            zip(
+                healthy,
+                finalize_stack(
+                    Ws[healthy], Vs[healthy], [traces[pos] for pos in healthy]
+                ),
+            )
         )
         reference = OneSidedJacobiSVD(self.svd_config).decompose
         for pos in sorted(failed):
-            i = chunk[pos]
-            res = _reference_rung(
-                reference, _nan_svd_result, work[i], i, failed[pos],
-                stage="engine", attempts=attempts, report=report,
+            results[pos] = _reference_rung(
+                reference, _nan_svd_result, stack[pos], owners[pos],
+                failed[pos], stage="engine", attempts=attempts, report=report,
             )
-            _place_svd(results, [i], [res], transposed, shifts)
+        return [results[pos] for pos in range(len(stack))]
 
     # -- shard planning and dispatch ------------------------------------
 
-    def _plan_units(
-        self, buckets
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Cut cost-ordered buckets into per-worker execution units.
+    def _plan_units(self, stacks: list[np.ndarray]) -> list[tuple[int, int, int]]:
+        """Cut the stacks (of distinct shapes) into per-worker execution
+        units.
 
-        Each unit is ``(shape, batch_indices)`` — a contiguous slice of one
-        shape bucket. With no executor (or no spare workers) every bucket
-        is a single unit, which is exactly the pre-runtime execution plan.
-        Shard boundaries never change per-matrix arithmetic; they only
-        decide which host worker runs which slice.
+        Each unit is ``(stack, lo, hi)``: the contiguous member slice
+        ``stacks[stack][lo:hi]``. Stacks are taken in descending cost
+        order (:func:`~repro.utils.bucketing.order_buckets`). With no
+        executor (or no spare workers) every stack is a single unit, which
+        is exactly the pre-runtime execution plan. Shard boundaries never
+        change per-matrix arithmetic; they only decide which host worker
+        runs which slice.
         """
         ex = self.executor
-        units: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for bucket in order_buckets(buckets):
+        where = {s.shape[1:]: pos for pos, s in enumerate(stacks)}
+        units: list[tuple[int, int, int]] = []
+        for bucket in order_buckets(
+            [ShapeBucket(s.shape[1:], tuple(range(len(s)))) for s in stacks]
+        ):
             if ex is None or ex.workers <= 1 or ex.active:
                 shards = 1
             else:
@@ -827,7 +900,7 @@ class BatchedJacobiEngine:
                     len(bucket), ex.workers, min_shard=ex.min_shard
                 )
             for chunk in split_shards(bucket.indices, shards):
-                units.append((bucket.shape, chunk))
+                units.append((where[bucket.shape], chunk[0], chunk[-1] + 1))
         return units
 
     def _map_units(self, task, items, costs, capture: bool) -> list:
@@ -839,40 +912,21 @@ class BatchedJacobiEngine:
             task, items, costs=costs, on_error="return" if capture else "raise"
         )
 
-    def _solve_svd_units(
-        self,
-        work: list[np.ndarray],
-        stops: np.ndarray,
-        units: list[tuple[tuple[int, ...], tuple[int, ...]]],
-        costs: list[float],
-        *,
-        capture: bool = False,
-    ) -> list:
-        """Solve every unit with :func:`_solve_svd_unit`."""
-        items = [
-            (
-                self.svd_config,
-                np.stack([work[i] for i in chunk]),
-                stops[list(chunk)].tolist(),
-                chunk,
-                self.last_kernel_times,
-            )
-            for _, chunk in units
-        ]
-        return self._map_units(_solve_svd_unit, items, costs, capture)
-
     # -- EVD ------------------------------------------------------------
 
     def evd_batch(
         self,
-        matrices: list[np.ndarray],
+        matrices: Sequence[np.ndarray] | np.ndarray,
         *,
         stop: Sequence[float] | None = None,
-        floors: Sequence[tuple[float, float]] | None = None,
+        floors: Sequence[tuple[float, float]] | np.ndarray | None = None,
         on_failure: str | None = None,
-    ) -> list[EVDResult]:
+    ) -> list[EVDResult] | EVDStack:
         """Symmetric EVD of every matrix, bucket-vectorized across the batch.
 
+        ``matrices`` is a list of symmetric matrices, or one ``(b, k, k)``
+        stack of them, which comes back as one
+        :class:`~repro.types.EVDStack` (see :meth:`svd_batch`).
         ``stop`` and ``floors`` give each matrix its stop tolerance and its
         ``(noise, diag_floor)`` pair (see
         :meth:`StackedParallelEVD.solve_stack`); ``None`` keeps the
@@ -885,133 +939,169 @@ class BatchedJacobiEngine:
         """
         mode = self._resolve_mode(on_failure)
         self.last_failures = report = FailureReport()
-        mats = [check_square_symmetric(B) for B in matrices]
+        stacked = isinstance(matrices, np.ndarray)
+        mats = (
+            check_symmetric_stack(matrices)
+            if stacked
+            else [check_square_symmetric(B) for B in matrices]
+        )
         stops = _stop_array(stop, self.evd_config.tol, len(mats))
         floors = _floor_rows(floors, len(mats))
         if not self.parallel_evd:
-            return _solve_each(
+            each = _solve_each(
                 TwoSidedJacobiEVD(self.evd_config).decompose, _nan_evd_result,
                 mats, mode, report,
             )
+            return EVDStack.of(each) if stacked else each
+        if stacked:
+            (out,) = self._evd_stacks(
+                [mats], [tuple(range(len(mats)))], [stops], [floors], mode,
+                report,
+            )
+            return out if isinstance(out, EVDStack) else EVDStack.of(out)
+        buckets = bucket_by_shape([B.shape for B in mats])
+        outs = self._evd_stacks(
+            [np.stack([mats[i] for i in b.indices]) for b in buckets],
+            [b.indices for b in buckets],
+            [stops[list(b.indices)] for b in buckets],
+            [floors[list(b.indices)] for b in buckets],
+            mode,
+            report,
+        )
         results: list[EVDResult | None] = [None] * len(mats)
-        stackable: list[int] = []
-        scales: dict[int, float] = {}
-        # A matrix whose scale would over- or underflow the sweeps is solved
-        # shifted by a power of two, and so is its absolute diagonal floor.
-        shifts: dict[int, int] = {}
-        for i, B in enumerate(mats):
-            k = B.shape[0]
-            if k == 1:
-                results[i] = EVDResult(
-                    J=np.eye(1), L=B[0].copy(), trace=ConvergenceTrace()
-                )
-                continue
-            mats[i], scale, shift = shift_symmetric(B)
-            if scale == 0.0:
-                results[i] = EVDResult(
-                    J=np.eye(k), L=np.zeros(k), trace=ConvergenceTrace()
-                )
-                continue
-            if shift:
-                shifts[i] = shift
-            scales[i] = scale
-            stackable.append(i)
-        if shifts:
-            floors = floors.copy()
-            for i, shift in shifts.items():
-                floors[i, 1] = np.ldexp(floors[i, 1], -shift)
-        units = self._plan_units(
-            bucket_by_shape([mats[i].shape for i in stackable])
-        )
-        costs = [
-            evd_stack_cost(shape[0], len(chunk)) for shape, chunk in units
-        ]
-        solved = self._solve_evd_units(
-            mats, stackable, scales, stops, floors, units, costs,
-            capture=(mode == "quarantine"),
-        )
-        self._merge_executor_history(report)
-        for (shape, chunk), out_unit in zip(units, solved):
-            if isinstance(out_unit, TaskError):
-                self._quarantine_evd_unit(
-                    mats, stackable, scales, stops, floors, chunk, out_unit,
-                    results, report,
-                )
-                continue
-            for p, res in zip(chunk, finalize_evd_stack(*out_unit)):
-                results[stackable[p]] = res
-        for i, shift in shifts.items():
-            results[i] = unshift_evd(results[i], shift)
+        for bucket, out in zip(buckets, outs):
+            for i, res in zip(bucket.indices, out):
+                results[i] = res
         return results  # type: ignore[return-value]
 
-    def _quarantine_evd_unit(
+    def _evd_stacks(
         self,
-        mats: list[np.ndarray],
-        stackable: list[int],
-        scales: dict[int, float],
-        stops: np.ndarray,
-        floors: np.ndarray,
-        chunk: tuple[int, ...],
-        task_error: TaskError,
-        results: list[EVDResult | None],
+        stacks: list[np.ndarray],
+        owners: list[tuple[int, ...]],
+        stops: list[np.ndarray],
+        floors: list[np.ndarray],
+        mode: str,
         report: FailureReport,
-    ) -> None:
-        """EVD twin of :meth:`_quarantine_svd_unit`."""
-        # The unit's tries, its report-mode re-solve, the reference's.
-        attempts = max(1, len(task_error.failures)) + 2
-        batch_idx = [stackable[p] for p in chunk]
-        stack = np.stack([mats[i] for i in batch_idx])
-        scale_vec = np.array([scales[i] for i in batch_idx])
-        Bs, Js, traces, failures = self._evd_stacked.solve_stack(
-            stack,
-            scale_vec,
-            stop=stops[batch_idx],
-            floors=floors[batch_idx],
-            on_failure="report",
-        )
-        failed = dict(failures)
-        healthy = [pos for pos in range(len(batch_idx)) if pos not in failed]
-        finalized = finalize_evd_stack(
-            Bs[healthy], Js[healthy], [traces[pos] for pos in healthy]
-        )
-        for pos, res in zip(healthy, finalized):
-            results[batch_idx[pos]] = res
-        reference = ParallelJacobiEVD(self.evd_config).decompose
-        for pos in sorted(failed):
-            i = batch_idx[pos]
-            results[i] = _reference_rung(
-                reference, _nan_evd_result, mats[i], i, failed[pos],
-                stage="engine", attempts=attempts, report=report,
-            )
+    ) -> list[EVDStack | list[EVDResult]]:
+        """The engine's one stacked EVD entry, the twin of
+        :meth:`_svd_stacks`.
 
-    def _solve_evd_units(
-        self,
-        mats: list[np.ndarray],
-        stackable: list[int],
-        scales: dict[int, float],
-        stops: np.ndarray,
-        floors: np.ndarray,
-        units: list[tuple[tuple[int, ...], tuple[int, ...]]],
-        costs: list[float],
-        *,
-        capture: bool = False,
-    ) -> list:
-        """Solve every unit with :func:`_solve_evd_unit`."""
+        A ``1 x 1`` member is its own eigendecomposition, and a zero one
+        (``||B||_F = 0``) has the identity for eigenvectors; neither is
+        swept. A member whose scale would over- or underflow the sweeps is
+        solved shifted by a power of two, and so is its absolute diagonal
+        floor; only its eigenvalues are shifted back
+        (:func:`~repro.jacobi.preconditioning.shift_symmetric_stack`).
+        """
+        plans = []
+        for stack, floor in zip(stacks, floors):
+            b, k, _ = stack.shape
+            if k == 1:
+                work, scales, e = stack, np.zeros(b), np.zeros(b, dtype=int)
+                live = np.arange(0)
+            else:
+                work, scales, e = shift_symmetric_stack(stack)
+                live = np.flatnonzero(scales != 0.0)
+                if e.any():
+                    floor = floor.copy()
+                    floor[:, 1] = np.ldexp(floor[:, 1], -e)
+            if len(live) < b:
+                work, scales, floor = work[live], scales[live], floor[live]
+            plans.append((work, scales, floor, live, e))
+        solvable = [s for s, plan in enumerate(plans) if len(plan[0])]
+        units = self._plan_units([plans[s][0] for s in solvable])
         items = []
-        for _, chunk in units:
-            batch_idx = tuple(stackable[p] for p in chunk)
-            idx = list(batch_idx)
+        for u, lo, hi in units:
+            s = solvable[u]
+            work, scales, floor, live, _ = plans[s]
             items.append(
                 (
                     self.evd_config,
-                    np.stack([mats[i] for i in batch_idx]),
-                    [scales[i] for i in batch_idx],
-                    stops[idx].tolist(),
-                    floors[idx].tolist(),
-                    batch_idx,
+                    work[lo:hi],
+                    scales[lo:hi].tolist(),
+                    stops[s][live[lo:hi]].tolist(),
+                    floor[lo:hi].tolist(),
+                    tuple(owners[s][i] for i in live[lo:hi]),
                 )
             )
-        return self._map_units(_solve_evd_unit, items, costs, capture)
+        costs = [
+            evd_stack_cost(item[1].shape[1], len(item[1])) for item in items
+        ]
+        solved = self._map_units(
+            _solve_evd_unit, items, costs, capture=(mode == "quarantine")
+        )
+        self._merge_executor_history(report)
+        parts: list[list] = [[] for _ in stacks]
+        for (u, _, _), item, out in zip(units, items, solved):
+            parts[solvable[u]].append(
+                self._quarantine_evd_unit(item, out, report)
+                if isinstance(out, TaskError)
+                else finalize_evd_stack(*out)
+            )
+        outs: list[EVDStack | list[EVDResult]] = []
+        for stack, part, (_, _, _, live, e) in zip(stacks, parts, plans):
+            b, k, _ = stack.shape
+            if len(live) == b and all(isinstance(p, EVDStack) for p in part):
+                out = EVDStack.concat(part)
+                if e.any():
+                    out.L = np.ldexp(out.L, e[:, None])
+            else:
+                # Member by member: a 1 x 1 member is its own eigenvalue, a
+                # zero one has eigenvalues 0 on the identity, and a
+                # quarantined unit keeps its reference results as they came.
+                out = [
+                    EVDResult(
+                        J=np.eye(k),
+                        L=stack[i, 0].copy() if k == 1 else np.zeros(k),
+                        trace=ConvergenceTrace(),
+                    )
+                    for i in range(b)
+                ]
+                for pos, res in zip(live.tolist(), itertools.chain(*part)):
+                    out[pos] = res
+                out = [unshift_evd(res, x) for res, x in zip(out, e.tolist())]
+            outs.append(out)
+        return outs
+
+    def _quarantine_evd_unit(
+        self, item, task_error: TaskError, report: FailureReport
+    ) -> list[EVDResult]:
+        """EVD twin of :meth:`_quarantine_svd_unit`."""
+        _, stack, scales, stop, floors, owners = item
+        # The unit's tries, its report-mode re-solve, the reference's.
+        attempts = max(1, len(task_error.failures)) + 2
+        Bs, Js, traces, failures = self._evd_stacked.solve_stack(
+            stack,
+            np.array(scales),
+            stop=np.array(stop),
+            floors=np.array(floors),
+            on_failure="report",
+        )
+        failed = dict(failures)
+        healthy = [pos for pos in range(len(stack)) if pos not in failed]
+        results = dict(
+            zip(
+                healthy,
+                finalize_evd_stack(
+                    Bs[healthy], Js[healthy], [traces[pos] for pos in healthy]
+                ),
+            )
+        )
+        reference = ParallelJacobiEVD(self.evd_config).decompose
+        for pos in sorted(failed):
+            results[pos] = _reference_rung(
+                reference, _nan_evd_result, stack[pos], owners[pos],
+                failed[pos], stage="engine", attempts=attempts, report=report,
+            )
+        return [results[pos] for pos in range(len(stack))]
+
+
+def _swapped(res):
+    """The factors of a matrix solved transposed: ``U`` and ``V`` trade
+    places (one result or a whole stack)."""
+    if isinstance(res, SVDStack):
+        return SVDStack(U=res.V, S=res.S, V=res.U, traces=res.traces)
+    return SVDResult(U=res.V, S=res.S, V=res.U, trace=res.trace)
 
 
 # -- the unit tasks -------------------------------------------------------

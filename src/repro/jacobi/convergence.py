@@ -18,6 +18,7 @@ __all__ = [
     "orthogonality_residual",
     "symmetric_offdiagonal_cosine",
     "symmetric_offdiagonal_cosines",
+    "frobenius_norms",
 ]
 
 
@@ -87,10 +88,9 @@ def symmetric_offdiagonal_cosines(
       columns would sit under the noise floor long before their cosine
       is small.
 
-    One pass serves the whole stack. Each member's ``||B||_F`` is summed
-    by the same BLAS dot that ``np.linalg.norm(B)`` uses (a stacked
-    ``matmul`` of a row with itself), so every member's value is
-    bit-identical to evaluating it alone.
+    One pass serves the whole stack, and each member's ``||B||_F`` is
+    :func:`frobenius_norms`', so every member's value is bit-identical to
+    evaluating it alone.
     """
     b, k = stack.shape[0], stack.shape[-1]
     if k < 2:
@@ -99,9 +99,8 @@ def symmetric_offdiagonal_cosines(
     dvals = stack[:, idx, idx]
     diag = np.zeros_like(stack)
     diag[:, idx, idx] = dvals
-    flat = np.ascontiguousarray(stack).reshape(b, k * k)
     with np.errstate(all="ignore"):
-        scale = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]))
+        scale = frobenius_norms(stack)[:, None, None]
         d = np.sqrt(np.abs(dvals))
         denom = d[:, :, None] * d[:, None, :]
         off = np.abs(stack - diag)
@@ -114,6 +113,19 @@ def symmetric_offdiagonal_cosines(
     exempt = _member_column(np.where(diag_floor > 0.0, diag_floor, -np.inf))
     cos[np.fmin(dvals[:, :, None], dvals[:, None, :]) <= exempt] = 0.0
     return np.clip(cos, 0.0, 1.0).max(axis=(1, 2))
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``||B||_F`` of every member of a ``(b, k, k)`` stack, in one pass.
+
+    Each member is summed by the same BLAS dot that ``np.linalg.norm(B)``
+    uses (a stacked ``matmul`` of a row with itself), so every value is
+    bit-identical to the member's own ``np.linalg.norm``. An overflowing
+    sum is ``inf``, with NumPy's overflow warning.
+    """
+    b = len(stack)
+    flat = np.ascontiguousarray(stack).reshape(b, stack[0].size if b else 0)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]))[:, 0, 0]
 
 
 def _member_column(values: float | np.ndarray) -> np.ndarray:

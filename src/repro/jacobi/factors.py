@@ -6,9 +6,10 @@ matrix's columns have become ``U * sigma``, the accumulated rotations are
 ``U`` to an orthonormal basis for rank-deficient inputs. The two-sided
 eigensolvers end by sorting their eigenpairs.
 
-Both finalizers work on a whole stack at once, so a batched solve pays
-their NumPy calls once per shape bucket instead of once per matrix; the
-per-matrix solvers call them on a one-member stack. Each member's bytes
+Both finalizers work on a whole stack at once and return it stacked
+(:class:`~repro.types.SVDStack`, :class:`~repro.types.EVDStack`), so a
+batched solve pays their NumPy calls once per shape bucket instead of once
+per matrix; the per-matrix solvers call them on a one-member stack. Each member's bytes
 are those of finalizing it alone: every step is elementwise or reduces
 within one member, in the order the member alone would. A member's
 factors are views of arrays shared by the whole stack, never of the
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.types import ConvergenceTrace, EVDResult, SVDResult
+from repro.types import ConvergenceTrace, EVDStack, SVDResult, SVDStack
 
 __all__ = [
     "finalize_stack",
@@ -39,7 +40,7 @@ def finalize_stack(
     W: np.ndarray,
     V: np.ndarray,
     traces: Sequence[ConvergenceTrace | None],
-) -> list[SVDResult]:
+) -> SVDStack:
     """Extract the thin SVD of every member of a ``(b, m, n)`` stack.
 
     ``W[k]`` holds mutually orthogonal columns (``U * sigma``); ``V[k]``
@@ -69,10 +70,7 @@ def finalize_stack(
         complete_orthonormal(U[k], nonzero[k])
     sigma[~nonzero] = 0.0
     U += 0.0
-    return [
-        SVDResult(U=U[k], S=sigma[k], V=V[k], trace=traces[k])
-        for k in range(b)
-    ]
+    return SVDStack(U=U, S=sigma, V=V, traces=list(traces))
 
 
 def finalize_onesided(
@@ -86,7 +84,7 @@ def finalize_evd_stack(
     B: np.ndarray,
     J: np.ndarray,
     traces: Sequence[ConvergenceTrace | None],
-) -> list[EVDResult]:
+) -> EVDStack:
     """Sort the eigenpairs of every diagonalized member of a ``(b, k, k)``
     stack descending by eigenvalue (``J[k]`` holds member ``k``'s
     eigenvector columns).
@@ -101,9 +99,7 @@ def finalize_evd_stack(
     L = np.take_along_axis(eigvals, order, axis=1)
     L += 0.0
     J = np.take_along_axis(J, order[:, None, :], axis=2)
-    return [
-        EVDResult(J=J[k], L=L[k], trace=traces[k]) for k in range(len(L))
-    ]
+    return EVDStack(J=J, L=L, traces=list(traces))
 
 
 def complete_orthonormal(U: np.ndarray, filled: np.ndarray) -> None:

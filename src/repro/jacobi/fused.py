@@ -176,6 +176,11 @@ class SweepPlan:
     steps: tuple
     restore: np.ndarray
 
+    @functools.cached_property
+    def pairs(self) -> int:
+        """Pairs one sweep rotates (``n (n - 1) / 2`` for a full sweep)."""
+        return sum(step.n_pairs for step in self.steps)
+
 
 def _pair_arrays(step: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     idx_i = np.fromiter((p[0] for p in step), dtype=np.intp, count=len(step))
@@ -342,12 +347,6 @@ class ScratchPool:
 # ---------------------------------------------------------------------------
 
 
-def _eq6_norms(c, s, aii, ajj, aij):
-    """Eq. 6 norms of a rotated pair, in the reference's expression order."""
-    c2, s2, cross = c**2, s**2, 2.0 * c * s * aij
-    return c2 * aii + cross + s2 * ajj, s2 * aii - cross + c2 * ajj
-
-
 class FusedSVDSweeper:
     """Sweep executor for :class:`repro.jacobi.batched.StackedOneSidedJacobi`.
 
@@ -360,8 +359,12 @@ class FusedSVDSweeper:
     Per-pair quantities are slot-major too: a step's inner products,
     cosines and ``(c, s)`` are ``(p, b)`` arrays, the squared-norm cache is
     ``(n, b)``, and ``(c, s)`` are written straight into the step's
-    ``(p, 2, 2, b)`` rotation blocks, so a step needs no transposes. A
-    sweep runs under a single ``np.errstate``.
+    ``(p, 2, 2, b)`` rotation blocks, so a step needs no transposes. Both
+    plans run a step's per-pair arithmetic (Eq. 4, and Eq. 6 for both
+    columns of every pair at once) through one helper, :meth:`_pair_step`,
+    which records the pairs' cosines and rotations in per-sweep buffers;
+    the sweep reduces them once. A sweep runs under a single
+    ``np.errstate``.
 
     Bit-identical to :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD`.
     """
@@ -479,26 +482,56 @@ class FusedSVDSweeper:
             np.einsum("bij,bij->bj", Wc, Wc).T
         )
 
-    def _rotation_params(self, aii, ajj, aij, floor, max_cos, c, s):
-        """Eq. 4 rotation parameters of one step's ``(p, b)`` pairs, in
-        the reference's arithmetic order, written into ``c`` and ``s``
-        (either may be ``None`` for a fresh array).
+    def _pair_step(self, aii, ajj, aij, floor, cosine, rotate, cs, t0):
+        """The per-pair work of one step, shared by both plans.
 
-        Returns ``(rotate, c, s)`` with identity rotations on inactive
-        pairs, or ``None`` when no pair in the step rotates. Runs inside
-        the sweep's ``np.errstate``.
+        Eq. 4 for the step's ``(p, b)`` pairs, in the reference's
+        arithmetic order: the pairs' cosines and rotate flags land in this
+        sweep's buffers ``cosine`` and ``rotate`` (reduced once per sweep),
+        and their ``(c, s)`` in place in ``cs[:, 0]`` and ``cs[:, 1]``
+        (identity on the pairs that do not rotate), through
+        :func:`~repro.jacobi.rotations.rotation_cs_quiet`. Runs inside the
+        sweep's ``np.errstate``.
+
+        Returns ``(norms, t0)``: ``norms`` is ``None`` when no pair of the
+        step rotates; otherwise, with the Eq. 6 cache on, the pairs'
+        updated squared norms as one ``(p, 2, b)`` stack, ``[c^2, s^2] a_ii
+        +- 2 c s a_ij + [s^2, c^2] a_jj`` in the reference's expression
+        order, and without it an empty tuple. ``t0`` is the kernel-time
+        mark, moved past the ``converge`` and ``norms`` work charged here.
         """
+        kt = self._kt
         # A zero denominator's sign is moot: x / ±0 is zeroed below.
-        denom = np.sqrt(np.maximum(aii * ajj, 0.0))
-        cosine = np.abs(aij) / denom
+        denom = np.multiply(aii, ajj)
+        np.maximum(denom, 0.0, out=denom)
+        np.sqrt(denom, out=denom)
+        np.divide(np.abs(aij), denom, out=cosine)
         np.putmask(cosine, ~np.isfinite(cosine), 0.0)
         np.putmask(cosine, np.fmin(aii, ajj) <= floor, 0.0)
-        rotate = cosine > self.cfg.tol
-        np.maximum(max_cos, cosine.max(axis=0), out=max_cos)
-        if not rotate.any():
-            return None
-        c, s = rotation_cs_quiet(aii, ajj, aij, rotate, c, s)
-        return rotate, c, s
+        np.greater(cosine, self.cfg.tol, out=rotate)
+        norms = None
+        if rotate.any():
+            c, s = cs[:, 0], cs[:, 1]
+            rotation_cs_quiet(aii, ajj, aij, rotate, c, s)
+            norms = ()
+        if kt:
+            t0 = kt.lap(t0, "converge")
+        if norms is None or not self.cfg.cache_inner_products:
+            return norms, t0
+        cs2 = np.square(cs)
+        cross = 2.0 * c * s * aij
+        norms = cs2 * aii[:, None]
+        norms[:, 0] += cross
+        norms[:, 1] -= cross
+        norms += cs2[:, ::-1] * ajj[:, None]
+        if kt:
+            t0 = kt.lap(t0, "norms")
+        return norms, t0
+
+    def _sweep_buffers(self, pairs: int):
+        """One sweep's per-pair cosine and rotate-flag buffers."""
+        nb = self.count
+        return np.empty((pairs, nb)), np.empty((pairs, nb), dtype=bool)
 
     def _sweep_gather(self, floor: np.ndarray):
         cfg = self.cfg
@@ -506,10 +539,10 @@ class FusedSVDSweeper:
         cache = cfg.cache_inner_products
         nb = self.count
         m, n = self.m, self.n
-        max_cos = np.zeros(nb)
-        rotations = np.zeros(nb, dtype=np.int64)
         T, S, VT, VS = self.T, self.S, self.VT, self.VS
         sqnorms = self.sqnorms
+        cosines, rotates = self._sweep_buffers(self.plan.pairs)
+        q = 0
         for step in self.plan.steps:
             t0 = kt.clock() if kt else 0.0
             p = step.n_pairs
@@ -533,16 +566,15 @@ class FusedSVDSweeper:
             if kt:
                 t0 = kt.lap(t0, "gram")
             R = np.empty((p, 2, 2, nb))
-            params = self._rotation_params(
-                aii, ajj, aij, floor, max_cos, R[:, 0, 0], R[:, 1, 0]
+            norms, t0 = self._pair_step(
+                aii, ajj, aij, floor, cosines[q : q + p], rotates[q : q + p],
+                R[:, :, 0], t0,
             )
-            if kt:
-                t0 = kt.lap(t0, "converge")
-            if params is None:
+            q += p
+            if norms is None:
                 continue
-            rotate, c, s = params
-            np.negative(s, out=R[:, 0, 1])
-            R[:, 1, 1] = c
+            np.negative(R[:, 1, 0], out=R[:, 0, 1])
+            R[:, 1, 1] = R[:, 0, 0]
             np.einsum("pcbm,pcdb->pdbm", A, R, out=S[:k].reshape(p, 2, nb, m))
             Av = VT[:k].reshape(p, 2, nb, n)
             np.einsum("pcbm,pcdb->pdbm", Av, R, out=VS[:k].reshape(p, 2, nb, n))
@@ -554,15 +586,12 @@ class FusedSVDSweeper:
             if kt:
                 t0 = kt.lap(t0, "rotate")
             if cache:
-                # Eq. 6; aii/ajj are views into sqnorms, so both updates
-                # are computed before either slot is overwritten.
-                sq[:, 0], sq[:, 1] = _eq6_norms(c, s, aii, ajj, aij)
+                sq[...] = norms
             if kt:
                 kt.lap(t0, "norms")
-            rotations += rotate.sum(axis=0)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.sqnorms = sqnorms
-        return max_cos, rotations
+        return cosines.max(axis=0), rotates.sum(axis=0)
 
     def _sweep_neighbor(self, floor: np.ndarray):
         cfg = self.cfg
@@ -570,10 +599,10 @@ class FusedSVDSweeper:
         cache = cfg.cache_inner_products
         nb = self.count
         m, n = self.m, self.n
-        max_cos = np.zeros(nb)
-        rotations = np.zeros(nb, dtype=np.int64)
         T, S, VT, VS = self.T, self.S, self.VT, self.VS
         sqnorms = self.sqnorms
+        cosines, rotates = self._sweep_buffers(self.plan.pairs)
+        q = 0
         for step in self.plan.steps:
             t0 = kt.clock() if kt else 0.0
             off = step.offset
@@ -595,13 +624,14 @@ class FusedSVDSweeper:
             ajj = np.where(ot, e0, e1)
             if kt:
                 t0 = kt.lap(t0, "gram")
+            # c lands in R[:, 1, 0] and s, for now, in R[:, 1, 1].
             R = np.empty((p, 2, 2, nb))
-            params = self._rotation_params(
-                aii, ajj, aij, floor, max_cos, R[:, 1, 0], None
+            norms, t0 = self._pair_step(
+                aii, ajj, aij, floor, cosines[q : q + p], rotates[q : q + p],
+                R[:, 1], t0,
             )
-            if kt:
-                t0 = kt.lap(t0, "converge")
-            if params is None:
+            q += p
+            if norms is None:
                 # No rotation: advance the layout walk with exact swap
                 # copies (an identity-rotation einsum would flip -0.0).
                 Sp = S[off:end].reshape(p, 2, nb, m)
@@ -620,11 +650,11 @@ class FusedSVDSweeper:
                 if kt:
                     kt.lap(t0, "rotate")
                 continue
-            rotate, c, s = params
             # Swap-folded, orientation-aware rotation block: slot 0 of the
             # output pair receives what the walk's post-step swap would
             # place there, so the step needs no separate permutation pass.
-            R[:, 0, 1] = c
+            s = R[:, 1, 1]
+            R[:, 0, 1] = R[:, 1, 0]
             R[:, 0, 0] = np.where(ot, s, np.negative(s))
             np.negative(R[:, 0, 0], out=R[:, 1, 1])
             np.einsum(
@@ -642,17 +672,14 @@ class FusedSVDSweeper:
             if kt:
                 t0 = kt.lap(t0, "rotate")
             if cache:
-                new_i, new_j = _eq6_norms(c, s, aii, ajj, aij)
                 # Slot 0 now holds the (swapped-in) other column of the
                 # pair; write the updated norms swap-folded to match.
-                sq[:, 0] = np.where(ot, new_i, new_j)
-                sq[:, 1] = np.where(ot, new_j, new_i)
+                sq[...] = np.where(ot[:, None], norms, norms[:, ::-1])
             if kt:
                 kt.lap(t0, "norms")
-            rotations += rotate.sum(axis=0)
         self.T, self.S, self.VT, self.VS = T, S, VT, VS
         self.sqnorms = sqnorms
-        return max_cos, rotations
+        return cosines.max(axis=0), rotates.sum(axis=0)
 
 
 def _copy_outside(dst: np.ndarray, src: np.ndarray, start: int, stop: int) -> None:

@@ -28,13 +28,15 @@ whose largest entry is far from 1 is shifted by an exact power of two
 before its sweeps, and only its singular values are shifted back
 (:func:`safe_exponents` takes the exponents of a whole stack at once). The
 symmetric EVD solvers take the same shift through :func:`shift_symmetric`
-and shift only their eigenvalues back (:func:`unshift_evd`).
+(:func:`shift_symmetric_stack` for a whole stack) and shift only their
+eigenvalues back (:func:`unshift_evd`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.jacobi.convergence import frobenius_norms
 from repro.types import EVDResult, SVDResult
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "safe_exponent",
     "safe_exponents",
     "shift_symmetric",
+    "shift_symmetric_stack",
     "unshift",
     "unshift_evd",
     "worth_preconditioning",
@@ -115,24 +118,45 @@ def unshift(res: SVDResult, exponent: int) -> SVDResult:
 
 def shift_symmetric(B: np.ndarray) -> tuple[np.ndarray, float, int]:
     """``(B 2^-e, ||B 2^-e||_F, e)`` for a ``k x k`` symmetric ``B``, with
-    ``e = safe_exponent(B)``.
+    ``e = safe_exponent(B)``: :func:`shift_symmetric_stack` of one matrix.
 
     The two-sided sweeps multiply diagonal entries (``b_ii b_jj``), which
     over- or underflow outside the same window as the one-sided products.
     The Frobenius norm every EVD solver takes for its noise floor bounds
     the largest entry (``max <= ||B||_F <= k max``), so only a norm
-    outside the window pays for the exact pass; ``B`` comes back
-    unchanged (the same object) when ``e`` is 0.
+    outside the window pays for the exact pass; ``B`` comes back unchanged
+    (a view of it) when ``e`` is 0.
     """
+    stack, scales, shifts = shift_symmetric_stack(B[None])
+    return stack[0], float(scales[0]), int(shifts[0])
+
+
+def shift_symmetric_stack(
+    stack: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(shifted stack, norms, exponents)`` of a ``(b, k, k)`` symmetric
+    stack, one entry per member (see :func:`shift_symmetric`).
+
+    The norms come from one stacked pass
+    (:func:`~repro.jacobi.convergence.frobenius_norms`, bit-identical to
+    each member's own ``np.linalg.norm``), and only members whose norm is
+    outside the window pay for the exact pass and the shift. The stack
+    comes back as the same object when no member is shifted.
+    """
+    k = stack.shape[-1]
     with np.errstate(over="ignore"):  # an infinite norm is outside too
-        scale = float(np.linalg.norm(B))
-    if B.shape[0] * 2.0**-_SAFE_EXPONENT <= scale < 2.0 ** (_SAFE_EXPONENT - 1):
-        return B, scale, 0
-    shift = safe_exponent(B)
-    if not shift:
-        return B, scale, 0
-    B = np.ldexp(B, -shift)
-    return B, float(np.linalg.norm(B)), shift
+        scales = frobenius_norms(stack)
+    inside = (k * 2.0**-_SAFE_EXPONENT <= scales) & (
+        scales < 2.0 ** (_SAFE_EXPONENT - 1)
+    )
+    shifts = np.zeros(len(stack), dtype=np.intc)
+    if not inside.all():
+        shifts[~inside] = safe_exponents(stack[~inside])
+        moved = shifts != 0
+        if moved.any():
+            stack = np.ldexp(stack, -shifts[:, None, None])
+            scales[moved] = frobenius_norms(stack[moved])
+    return stack, scales, shifts
 
 
 def unshift_evd(res: EVDResult, exponent: int) -> EVDResult:

@@ -77,11 +77,15 @@ def rotation_cs_quiet(
     sweep). ``c`` and ``s``, when given, receive the result in place, so a
     caller can write it straight into its rotation blocks.
     """
-    tau = (a_ii - a_jj) / (2.0 * a_ij)
-    t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-    # sign(0) == 0 would zero the rotation for tau == 0 (equal norms);
-    # that case needs the 45-degree rotation t = 1.
-    np.putmask(t, tau == 0.0, 1.0)
+    tau = np.subtract(a_ii, a_jj)
+    np.divide(tau, 2.0 * a_ij, out=tau)
+    # tau == 0 (equal norms) needs the 45-degree rotation t = 1, whatever
+    # the sign of the zero: adding +0.0 turns -0.0 into +0.0, whose sign
+    # copysign reads as +1.
+    tau += 0.0
+    t = np.hypot(1.0, tau)
+    t += np.abs(tau)
+    np.divide(np.copysign(1.0, tau), t, out=t)
     # t = +0.0 gives exactly c = 1.0, s = +0.0.
     np.putmask(t, ~active, 0.0)
     # c = 1 / sqrt(1 + t^2), s = t c.

@@ -380,18 +380,5 @@ DEFAULT_CHECKS: tuple[PerfCheck, ...] = tuple(
             noise_floor=8.0,
             description="fused serving tail latency",
         ),
-        # -- results sidecar (satellite: record_table sidecars are
-        # first-class check sources too)
-        PerfCheck(
-            name="sidecar.perf_wallclock.case0_speedup",
-            source="benchmarks/results/perf_wallclock.json",
-            path="rows[0].4",
-            unit="x",
-            direction="higher",
-            tolerance=0.20,
-            noise_floor=1.0,
-            description="speedup column of the sidecar's first row "
-            "(proves figure/table sidecars are gateable)",
-        ),
     ]
 )

@@ -1,7 +1,8 @@
 """Shared result and specification types.
 
 These dataclasses are the currency of the public API: solvers return
-:class:`SVDResult` / :class:`EVDResult`, batched drivers return
+:class:`SVDResult` / :class:`EVDResult`, stacked solves return them
+stacked as :class:`SVDStack` / :class:`EVDStack`, batched drivers return
 :class:`BatchedSVDResult`, and the simulated-device layer annotates results
 with a :class:`KernelStats` cost record.
 """
@@ -19,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = [
     "SVDResult",
     "EVDResult",
+    "SVDStack",
+    "EVDStack",
     "BatchedSVDResult",
     "SweepRecord",
     "ConvergenceTrace",
@@ -167,6 +170,94 @@ class EVDResult:
         if denom == 0.0:
             return float(np.linalg.norm(self.reconstruct()))
         return float(np.linalg.norm(B - self.reconstruct()) / denom)
+
+
+@dataclass
+class SVDStack:
+    """Thin SVDs of a ``(b, m, n)`` stack, kept stacked.
+
+    ``U`` is ``(b, m, r)``, ``S`` is ``(b, r)`` (descending per member),
+    ``V`` is ``(b, n, r)``; ``traces[k]`` is member ``k``'s trace. Member
+    ``k`` reads as an :class:`SVDResult` of views (``stack[k]``), and the
+    stack iterates over its members, so it stands in for a list of results.
+    """
+
+    U: np.ndarray
+    S: np.ndarray
+    V: np.ndarray
+    traces: list[ConvergenceTrace | None]
+
+    @classmethod
+    def of(cls, results: Sequence[SVDResult]) -> "SVDStack":
+        """The stack of same-shape ``results``."""
+        return cls(
+            U=np.stack([r.U for r in results]),
+            S=np.stack([r.S for r in results]),
+            V=np.stack([r.V for r in results]),
+            traces=[r.trace for r in results],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["SVDStack"]) -> "SVDStack":
+        """One stack of the members of ``parts``, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            U=np.concatenate([p.U for p in parts]),
+            S=np.concatenate([p.S for p in parts]),
+            V=np.concatenate([p.V for p in parts]),
+            traces=[t for p in parts for t in p.traces],
+        )
+
+    def __len__(self) -> int:
+        return len(self.S)
+
+    def __getitem__(self, k: int) -> SVDResult:
+        return SVDResult(U=self.U[k], S=self.S[k], V=self.V[k], trace=self.traces[k])
+
+    def __iter__(self) -> Iterator[SVDResult]:
+        return (self[k] for k in range(len(self)))
+
+
+@dataclass
+class EVDStack:
+    """Eigendecompositions of a ``(b, k, k)`` symmetric stack, kept
+    stacked: ``J`` is ``(b, k, k)``, ``L`` is ``(b, k)`` (descending per
+    member). Member ``k`` reads as an :class:`EVDResult` of views, as in
+    :class:`SVDStack`."""
+
+    J: np.ndarray
+    L: np.ndarray
+    traces: list[ConvergenceTrace | None]
+
+    @classmethod
+    def of(cls, results: Sequence[EVDResult]) -> "EVDStack":
+        """The stack of same-shape ``results``."""
+        return cls(
+            J=np.stack([r.J for r in results]),
+            L=np.stack([r.L for r in results]),
+            traces=[r.trace for r in results],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["EVDStack"]) -> "EVDStack":
+        """One stack of the members of ``parts``, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            J=np.concatenate([p.J for p in parts]),
+            L=np.concatenate([p.L for p in parts]),
+            traces=[t for p in parts for t in p.traces],
+        )
+
+    def __len__(self) -> int:
+        return len(self.L)
+
+    def __getitem__(self, k: int) -> EVDResult:
+        return EVDResult(J=self.J[k], L=self.L[k], trace=self.traces[k])
+
+    def __iter__(self) -> Iterator[EVDResult]:
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass

@@ -15,9 +15,11 @@ from repro.errors import ShapeError
 
 __all__ = [
     "as_matrix",
+    "as_stack",
     "check_batch",
     "check_positive",
     "check_square_symmetric",
+    "check_symmetric_stack",
 ]
 
 
@@ -41,6 +43,26 @@ def as_matrix(A: np.ndarray, *, name: str = "A") -> np.ndarray:
     return arr
 
 
+def as_stack(stack: np.ndarray, *, name: str = "matrices") -> np.ndarray:
+    """Validate a ``(b, m, n)`` stack of real matrices as :func:`as_matrix`
+    validates one, in one stacked pass; a non-finite member is named by
+    its index, as ``name[i]``."""
+    arr = np.asarray(stack)
+    if arr.ndim != 3:
+        raise ShapeError(f"{name} must be a 3-D stack, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise ShapeError(f"{name} must be non-empty, got shape={arr.shape}")
+    if np.iscomplexobj(arr):
+        raise ShapeError(f"{name} must be real-valued, got dtype={arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    if not finite.all():
+        raise ShapeError(
+            f"{name}[{int(np.argmin(finite))}] contains non-finite entries"
+        )
+    return arr
+
+
 def check_square_symmetric(
     B: np.ndarray, *, name: str = "B", tol: float = 1e-10
 ) -> np.ndarray:
@@ -50,6 +72,26 @@ def check_square_symmetric(
         raise ShapeError(f"{name} must be square, got shape={arr.shape}")
     scale = max(1.0, float(np.abs(arr).max()))
     if float(np.abs(arr - arr.T).max()) > tol * scale:
+        raise ShapeError(f"{name} must be symmetric within tol={tol}")
+    return arr
+
+
+def check_symmetric_stack(
+    stack: np.ndarray, *, name: str = "B", tol: float = 1e-10
+) -> np.ndarray:
+    """:func:`check_square_symmetric` of every member of a ``(b, k, k)``
+    stack, in one stacked pass and with its messages."""
+    arr = np.asarray(stack)
+    if arr.ndim != 3 or 0 in arr.shape or np.iscomplexobj(arr):
+        raise ShapeError(f"{name} must be a non-empty real 3-D stack")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ShapeError(f"{name} contains non-finite entries")
+    if arr.shape[1] != arr.shape[2]:
+        raise ShapeError(f"{name} must be square, got shape={arr.shape[1:]}")
+    scale = np.maximum(1.0, np.abs(arr).max(axis=(1, 2)))
+    skew = np.abs(arr - arr.transpose(0, 2, 1)).max(axis=(1, 2))
+    if (skew > tol * scale).any():
         raise ShapeError(f"{name} must be symmetric within tol={tol}")
     return arr
 

@@ -3,6 +3,8 @@
 Lint corpus only — never imported.
 """
 
+from repro.runtime.arena import resolve
+
 
 def leaks_lease(arena, stack):
     ref = arena.place(stack)
@@ -11,7 +13,7 @@ def leaks_lease(arena, stack):
 
 def releases_outside_finally(arena, shape):
     ref = arena.reserve(shape, "float64")
-    out = arena.view(ref).copy()
+    out = resolve(ref).copy()
     arena.release_lease(ref)
     return out
 
@@ -19,7 +21,7 @@ def releases_outside_finally(arena, shape):
 def uses_view_after_release(arena, stack):
     ref = arena.place(stack)
     try:
-        window = arena.view(ref)
+        window = resolve(ref)
     finally:
         arena.release_lease(ref)
         total = window.sum()

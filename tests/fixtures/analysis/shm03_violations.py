@@ -6,10 +6,12 @@ not see. The flow-sensitive engine walks the CFG's exception and
 branch edges and reports the path that leaks.
 """
 
+from repro.runtime.arena import resolve
+
 
 def releases_on_happy_path_only(arena, stack):
     ref = arena.place(stack)
-    view = arena.view(ref)
+    view = resolve(ref)
     out = view.copy() * 2.0
     arena.release_lease(ref)
     return out
@@ -20,14 +22,14 @@ def releases_on_one_branch_only(arena, stack, fallback):
     if fallback:
         out = None
     else:
-        out = arena.view(ref).copy()
+        out = resolve(ref).copy()
         arena.release_lease(ref)
     return out
 
 
 def early_return_skips_release(arena, fill, n):
     ref = arena.reserve((n, n), "float64")
-    filled = fill(arena.view(ref))
+    filled = fill(resolve(ref))
     if filled is None:
         return None
     arena.release_lease(ref)
