@@ -1052,7 +1052,8 @@ class WCycleSVD:
         key, and :meth:`_replay` folds them into the group's one launch.
         The rotations come back as one stack per set, and the update is
         one launch of one stacked matmul per set and panel kind (data and
-        V), written back with one fancy assignment per member and set.
+        V), into scratch buffers like the gathers', written back with one
+        fancy assignment per member and set.
         Recursion orthogonalizes its gathered panels *in place*, so the
         update re-gathers a recursed set's original columns from ``works``
         (untouched until the write-back).
@@ -1122,7 +1123,9 @@ class WCycleSVD:
         # accumulated V panels of every member with the same J (one
         # tailored launch).
         V_panels = [self._gather(Vs, s.cols, held) for s in step]
-        updated, stats = gemm.update(panels + V_panels, Js + Js)
+        products = [self._scratch.acquire(p.shape) for p in panels + V_panels]
+        held += products
+        updated, stats = gemm.update(panels + V_panels, Js + Js, out=products)
         log.append((
             key + (4, 0), "update", level,
             ([p.shape for p in panels], [p.shape for p in V_panels]), stats,

@@ -192,19 +192,26 @@ class BatchedGemm:
         panels: list[np.ndarray],
         rotations: list[np.ndarray],
         *,
+        out: list[np.ndarray] | None = None,
         profiler: Profiler | None = None,
     ) -> tuple[list[np.ndarray], KernelStats]:
         """Compute ``A @ J`` for every (panel, rotation), with launch costs.
 
         ``rotations[i]`` is the ``k x k`` rotation of a 2-D item, or the
         ``(b, k, k)`` stack of a stack item's; each item is one
-        ``matmul``, and results match the per-pair loop.
+        ``matmul``, and results match the per-pair loop. ``out[i]``, when
+        given, receives item ``i``'s product (a C-contiguous array of its
+        shape), so a caller can reuse buffers from step to step.
         """
         if len(panels) != len(rotations):
             raise ConfigurationError(
                 f"{len(panels)} panels vs {len(rotations)} rotations"
             )
-        outputs = [np.matmul(p, J) for p, J in zip(panels, rotations)]
+        if out is None:
+            out = [None] * len(panels)
+        outputs = [
+            np.matmul(p, J, out=o) for p, J, o in zip(panels, rotations, out)
+        ]
         stats = self.simulate_update(_tasks(panels), profiler=profiler)
         return outputs, stats
 

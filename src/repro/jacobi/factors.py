@@ -18,6 +18,7 @@ inputs.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -49,12 +50,15 @@ def finalize_stack(
     zero singular values and an orthonormal completion in ``U`` (only the
     members that have such columns pay for it).
 
+    ``U`` is built when the stack's ``U`` is first read (a W-cycle step
+    reads only ``V``).
+
     Zeros in ``U`` come out as ``+0.0``: a stacked solve applies every step
     to the whole stack, and the identity rotation it gives a matrix with
     nothing to rotate turns a ``-0.0`` into ``+0.0``, so without this the
     sign would depend on the matrix's stack-mates.
     """
-    b, m, n = W.shape
+    m, n = W.shape[1:]
     r = min(m, n)
     sigma = np.linalg.norm(W, axis=1)
     order = np.argsort(sigma, axis=1)[:, ::-1][:, :r]
@@ -64,13 +68,26 @@ def finalize_stack(
     V = np.take_along_axis(V, cols, axis=2)
     cutoff = _EPS * max(m, n) * (sigma[:, :1] if r else 0.0)
     nonzero = sigma > cutoff
-    U = np.zeros((b, m, r))
+    return SVDStack(
+        S=np.where(nonzero, sigma, 0.0),
+        V=V,
+        traces=list(traces),
+        make_U=functools.partial(_left_vectors, work, sigma, nonzero),
+    )
+
+
+def _left_vectors(
+    work: np.ndarray, sigma: np.ndarray, nonzero: np.ndarray
+) -> np.ndarray:
+    """``U`` of :func:`finalize_stack`, built when first read: the sorted
+    columns ``work`` over their norms ``sigma`` where ``nonzero``, and an
+    orthonormal completion in the other columns."""
+    U = np.zeros(work.shape)
     np.divide(work, sigma[:, None, :], out=U, where=nonzero[:, None, :])
     for k in np.flatnonzero(~nonzero.all(axis=1)).tolist():
         complete_orthonormal(U[k], nonzero[k])
-    sigma[~nonzero] = 0.0
     U += 0.0
-    return SVDStack(U=U, S=sigma, V=V, traces=list(traces))
+    return U
 
 
 def finalize_onesided(

@@ -39,6 +39,14 @@ hands a tall stack (``m >= 2n``) to the sweeper as its ``n x n`` factors
 ``R`` (:func:`repro.jacobi.preconditioning.qr_detour`), so a step's
 inner products and rotations run on fewer than ``2n`` rows.
 
+**A one-sided step allocates nothing.** At the sizes served batches and
+W-cycle leaves solve, a step's arrays hold a few dozen entries, and what
+surrounds each NumPy call (a fresh output, a new view, a Python wrapper)
+costs as much as the call. Every array, view and temporary a one-sided
+step uses lives in a per-stack workspace built with the sweeper (rebuilt
+only when converged members drop out), and each call writes ``out=``
+into it.
+
 Plans (step permutations, index arrays, orientation masks) are immutable
 and memoized per ``(ordering, n)``; rotation scratch buffers are pooled per
 solver so repeated ``solve_stack`` calls (buckets, W-cycle levels, serve
@@ -57,6 +65,30 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+# A sweep step makes about 40 NumPy calls on arrays of a few dozen
+# entries, where looking each callable up on the module would cost a
+# sixth of the call, so the step's callables are bound here once.
+from numpy import (
+    absolute,
+    add,
+    copyto,
+    count_nonzero,
+    divide,
+    einsum,
+    fmin,
+    greater,
+    isfinite,
+    less_equal,
+    logical_not,
+    maximum,
+    multiply,
+    negative,
+    putmask,
+    sqrt,
+    square,
+    subtract,
+)
 
 from repro.jacobi.convergence import symmetric_offdiagonal_cosines
 from repro.jacobi.rotations import rotation_cs_quiet
@@ -143,6 +175,22 @@ class GatherStep:
     idx_i: np.ndarray
     idx_j: np.ndarray
 
+    @functools.cached_property
+    def gather_both(self) -> np.ndarray:
+        """``gather`` applied to the rows and the columns of a ``k x k``
+        matrix at once, as one index into its flattened entries."""
+        return _both_axes(self.gather)
+
+
+def _both_axes(perm: np.ndarray) -> np.ndarray:
+    """The flat index that permutes the rows and the columns of a
+    flattened ``k x k`` matrix by ``perm``: entry ``(i, j)`` of the result
+    is entry ``(perm[i], perm[j])``."""
+    k = len(perm)
+    flat = (perm[:, None] * k + perm[None, :]).ravel()
+    flat.setflags(write=False)
+    return flat
+
 
 @dataclass(frozen=True, eq=False)
 class NeighborStep:
@@ -159,6 +207,16 @@ class NeighborStep:
     orient: np.ndarray
     idx_i: np.ndarray
     idx_j: np.ndarray
+
+    @functools.cached_property
+    def orient_rows(self) -> np.ndarray:
+        """``orient`` as a ``(p, 1)`` column, against ``(p, b)`` arrays."""
+        return self.orient[:, None]
+
+    @functools.cached_property
+    def orient_blocks(self) -> np.ndarray:
+        """``orient`` as ``(p, 1, 1)``, against ``(p, 2, b)`` arrays."""
+        return self.orient[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +238,12 @@ class SweepPlan:
     def pairs(self) -> int:
         """Pairs one sweep rotates (``n (n - 1) / 2`` for a full sweep)."""
         return sum(step.n_pairs for step in self.steps)
+
+    @functools.cached_property
+    def restore_both(self) -> np.ndarray:
+        """``restore`` for the rows and columns of a flattened matrix
+        (see :attr:`GatherStep.gather_both`)."""
+        return _both_axes(self.restore)
 
 
 def _pair_arrays(step: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -347,6 +411,158 @@ class ScratchPool:
 # ---------------------------------------------------------------------------
 
 
+class _PairScratch:
+    """The operands and temporaries of a step's ``p`` pairs over ``nb``
+    members, with every view of them a step reads.
+
+    ``aij`` receives the inner products and ``aii``/``ajj`` the squared
+    norms a step computes (without the Eq. 6 cache; the neighbor plan also
+    resolves each pair's orientation into them from ``e0``/``e1``). ``f0``
+    to ``f2`` and ``mask`` are ``(p, nb)`` temporaries of Eq. 4 (``eq4``
+    hands them to the rotation kernel), ``cs2``, ``norms`` and ``tmp`` the
+    ``(p, 2, nb)`` ones of Eq. 6. ``R`` holds the step's ``(p, 2, 2, nb)``
+    rotation blocks; Eq. 4 writes ``(c, s)`` into its view ``cs``: column 0
+    of each block for the gather plan, row 1 for the neighbor plan, which
+    folds its pair swap in afterwards.
+
+    ``R`` is stored entry-major (a transposed ``(2, 2, p, nb)`` array), so
+    its four ``(p, nb)`` entry planes ``R00``..``R11`` occupy disjoint
+    memory: NumPy's overlap check then lets the fills from one plane into
+    another run without a temporary copy. The rotation einsum reads ``R``
+    by index, so its bytes do not depend on the layout.
+    """
+
+    __slots__ = (
+        "aij", "e0", "e1", "aii", "ajj", "diag",
+        "f0", "f1", "f2", "mask", "eq4",
+        "cs2", "cs2_swapped", "norms", "n0", "n1", "norms_swapped", "tmp",
+        "R", "R00", "R01", "R10", "R11", "cs", "c", "s",
+    )
+
+    def __init__(self, p: int, nb: int, neighbor: bool) -> None:
+        pairs = (p, nb)
+        self.aij = np.empty(pairs)
+        self.e0 = np.empty(pairs)
+        self.e1 = np.empty(pairs)
+        if neighbor:
+            self.aii, self.ajj = np.empty(pairs), np.empty(pairs)
+        else:
+            self.aii, self.ajj = self.e0, self.e1
+        self.diag = (self.aii, self.ajj, self.aii[:, None], self.ajj[:, None])
+        self.f0, self.f1, self.f2 = (np.empty(pairs) for _ in range(3))
+        self.mask = np.empty(pairs, dtype=bool)
+        self.eq4 = (self.f0, self.f1, self.f2, self.mask)
+        self.cs2 = np.empty((p, 2, nb))
+        self.cs2_swapped = self.cs2[:, ::-1]
+        self.norms = np.empty((p, 2, nb))
+        self.n0, self.n1 = self.norms[:, 0], self.norms[:, 1]
+        self.norms_swapped = self.norms[:, ::-1]
+        self.tmp = np.empty((p, 2, nb))
+        R = self.R = np.empty((2, 2, p, nb)).transpose(2, 0, 1, 3)
+        self.R00, self.R01 = R[:, 0, 0], R[:, 0, 1]
+        self.R10, self.R11 = R[:, 1, 0], R[:, 1, 1]
+        self.cs = R[:, 1] if neighbor else R[:, :, 0]
+        self.c, self.s = self.cs[:, 0], self.cs[:, 1]
+
+
+class _SlotViews:
+    """The slots ``[off, off + 2p)`` of a step's ``p`` pairs, for one
+    assignment of the ping-pong buffers: ``A``/``V`` are the pairs of the
+    current data and V buffers (``(p, 2, nb, ·)``, with their columns
+    ``A0``/``A1`` and ``V0``/``V1``), ``Aout``/``Vout`` the same slots of
+    the other buffers, and ``outside`` the ``(dst, src)`` copies that carry
+    the slots outside the window over to them."""
+
+    __slots__ = (
+        "A", "A0", "A1", "Aout", "Aout0", "Aout1",
+        "V", "V0", "V1", "Vout", "Vout0", "Vout1", "outside",
+    )
+
+    def __init__(self, T, S, VT, VS, off: int, p: int) -> None:
+        end = off + 2 * p
+        self.A, self.A0, self.A1 = _pair_view(T, off, p)
+        self.Aout, self.Aout0, self.Aout1 = _pair_view(S, off, p)
+        self.V, self.V0, self.V1 = _pair_view(VT, off, p)
+        self.Vout, self.Vout0, self.Vout1 = _pair_view(VS, off, p)
+        sides = [slice(None, off)] if off else []
+        if end < len(T):
+            sides.append(slice(end, None))
+        self.outside = tuple(
+            (dst[side], src[side]) for dst, src in ((S, T), (VS, VT))
+            for side in sides
+        )
+
+
+def _pair_view(X: np.ndarray, off: int, p: int):
+    """``(pairs, first, second)``: slots ``[off, off + 2p)`` of ``X`` as
+    ``p`` adjacent pairs, and the pairs' first and second columns."""
+    pairs = X[off : off + 2 * p].reshape(p, 2, *X.shape[1:])
+    return pairs, pairs[:, 0], pairs[:, 1]
+
+
+class _NormViews:
+    """The squared norms of a step's pairs in one squared-norm buffer:
+    ``sq`` (``(p, 2, nb)``), its slot-swapped view, and ``diag``, the
+    ``(a_ii, a_jj)`` of the slots in pair order with their ``(p, 1, nb)``
+    row views for Eq. 6."""
+
+    __slots__ = ("sq", "swapped", "diag")
+
+    def __init__(self, Q: np.ndarray, off: int, p: int) -> None:
+        self.sq, first, second = _pair_view(Q, off, p)
+        self.swapped = self.sq[:, ::-1]
+        self.diag = (first, second, first[:, None], second[:, None])
+
+
+class _SVDWorkspace:
+    """Every array and view a :class:`FusedSVDSweeper` step touches, for
+    one stack.
+
+    ``X``, ``V`` and ``Q`` are the ping-pong pairs of the data, V and
+    squared-norm buffers (``(n, nb, m)``, ``(n, nb, n)`` and ``(n, nb)``);
+    ``cosine`` and ``rotate`` the sweep's per-pair buffers. ``steps``
+    holds, per plan step, ``(step, slots, norms, scratch, cosine,
+    rotate)``: the step's :class:`_SlotViews` for either buffer of ``X``
+    and ``V`` being current, its :class:`_NormViews` for either buffer of
+    ``Q``, the :class:`_PairScratch` of its pair count and its slices of
+    the sweep buffers. Steps with the same slots share their views, and
+    steps with the same pair count their scratch.
+    """
+
+    __slots__ = ("X", "V", "Q", "cosine", "rotate", "steps")
+
+    def __init__(self, plan: SweepPlan, T, S, VT, VS) -> None:
+        n, nb, _ = T.shape
+        self.X, self.V = (T, S), (VT, VS)
+        self.Q = (np.empty((n, nb)), np.empty((n, nb)))
+        self.cosine = np.empty((plan.pairs, nb))
+        self.rotate = np.empty((plan.pairs, nb), dtype=bool)
+        neighbor = plan.kind == "neighbor"
+        windows: dict[tuple[int, int], tuple] = {}
+        scratch: dict[int, _PairScratch] = {}
+        steps = []
+        q = 0
+        for step in plan.steps:
+            p = step.n_pairs
+            key = (step.offset if neighbor else 0, p)
+            if key not in windows:
+                windows[key] = (
+                    (
+                        _SlotViews(T, S, VT, VS, *key),
+                        _SlotViews(S, T, VS, VT, *key),
+                    ),
+                    tuple(_NormViews(Q, *key) for Q in self.Q),
+                )
+            if p not in scratch:
+                scratch[p] = _PairScratch(p, nb, neighbor)
+            steps.append(
+                (step, *windows[key], scratch[p],
+                 self.cosine[q : q + p], self.rotate[q : q + p])
+            )
+            q += p
+        self.steps = tuple(steps)
+
+
 class FusedSVDSweeper:
     """Sweep executor for :class:`repro.jacobi.batched.StackedOneSidedJacobi`.
 
@@ -366,6 +582,12 @@ class FusedSVDSweeper:
     the sweep reduces them once. A sweep runs under a single
     ``np.errstate``.
 
+    A step allocates nothing and builds no views: every buffer, view and
+    temporary it uses lives in a :class:`_SVDWorkspace` built with the
+    sweeper and rebuilt only when :meth:`compact` drops members. The data,
+    V and squared-norm buffers are ping-pong pairs; ``_x`` and ``_q`` name
+    the current buffer of each pair.
+
     Bit-identical to :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD`.
     """
 
@@ -384,6 +606,8 @@ class FusedSVDSweeper:
         self.n = n
         self._pool = pool
         self._kt = kernel_times
+        self._tol = config.tol
+        self._cache = config.cache_inner_products
         T = pool.acquire((n, b, m))
         T[...] = stack.transpose(2, 0, 1)
         VT = pool.acquire((n, b, n))
@@ -395,7 +619,7 @@ class FusedSVDSweeper:
         # Same logical element as the reference's stack poisoning:
         # T[0, 0, 0] is W[0, 0, 0] of matrix 0.
         faults.poison_stack(T)
-        self.T, self.S, self.VT, self.VS = T, S, VT, VS
+        self._build(T, S, VT, VS)
         self._norms()
 
     # -- driver protocol -------------------------------------------------
@@ -403,6 +627,20 @@ class FusedSVDSweeper:
     @property
     def count(self) -> int:
         return self.T.shape[1]
+
+    @property
+    def T(self) -> np.ndarray:
+        """The data buffer in canonical column order (between sweeps)."""
+        return self._ws.X[self._x]
+
+    @property
+    def VT(self) -> np.ndarray:
+        return self._ws.V[self._x]
+
+    @property
+    def sqnorms(self) -> np.ndarray:
+        """The squared-norm cache, ``(n, b)``."""
+        return self._ws.Q[self._q]
 
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.T).all(axis=(0, 2))
@@ -433,18 +671,20 @@ class FusedSVDSweeper:
         floor = np.where(norm_floor > 0.0, norm_floor, -np.inf)
         with np.errstate(all="ignore"):
             if self.plan.kind == "neighbor":
-                max_cos, rotations = self._sweep_neighbor(floor)
+                self._sweep_neighbor(floor)
             else:
-                max_cos, rotations = self._sweep_gather(floor)
+                self._sweep_gather(floor)
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
-        self.T.take(self.plan.restore, axis=0, out=self.S)
-        self.VT.take(self.plan.restore, axis=0, out=self.VS)
-        self.T, self.S = self.S, self.T
-        self.VT, self.VS = self.VS, self.VT
+        ws, x = self._ws, self._x
+        restore = self.plan.restore
+        # mode="clip": the default "raise" copies ``out`` on every call.
+        ws.X[x].take(restore, axis=0, out=ws.X[1 - x], mode="clip")
+        ws.V[x].take(restore, axis=0, out=ws.V[1 - x], mode="clip")
+        self._x = 1 - x
         if kt:
             kt.lap(t0, "rotate")
-        return max_cos, rotations
+        return np.maximum.reduce(ws.cosine), np.add.reduce(ws.rotate)
 
     def extract(
         self,
@@ -457,11 +697,11 @@ class FusedSVDSweeper:
         out_V[targets] = self.VT[:, positions].transpose(1, 2, 0)
 
     def compact(self, keep: np.ndarray) -> None:
-        self.T = np.compress(keep, self.T, axis=1)
-        self.VT = np.compress(keep, self.VT, axis=1)
-        self.S = np.empty_like(self.T)
-        self.VS = np.empty_like(self.VT)
-        self.sqnorms = np.compress(keep, self.sqnorms, axis=1)
+        T = np.compress(keep, self.T, axis=1)
+        VT = np.compress(keep, self.VT, axis=1)
+        sqnorms = np.compress(keep, self.sqnorms, axis=1)
+        self._build(T, np.empty_like(T), VT, np.empty_like(VT))
+        self.sqnorms[...] = sqnorms
 
     def close(self) -> None:
         for buf in self._pooled:
@@ -469,6 +709,12 @@ class FusedSVDSweeper:
         self._pooled = []
 
     # -- internals -------------------------------------------------------
+
+    def _build(self, T, S, VT, VS) -> None:
+        """A workspace over the buffers ``T``/``S`` and ``VT``/``VS``,
+        with ``T`` and ``VT`` current."""
+        self._ws = _SVDWorkspace(self.plan, T, S, VT, VS)
+        self._x = self._q = 0
 
     def _norms(self) -> None:
         """Exact squared column norms, stored slot-major as ``(n, b)``.
@@ -478,217 +724,173 @@ class FusedSVDSweeper:
         the norms matches; the result is then laid out slot-major.
         """
         Wc = np.ascontiguousarray(self.T.transpose(1, 2, 0))
-        self.sqnorms = np.ascontiguousarray(
-            np.einsum("bij,bij->bj", Wc, Wc).T
-        )
+        self.sqnorms[...] = np.einsum("bij,bij->bj", Wc, Wc).T
 
-    def _pair_step(self, aii, ajj, aij, floor, cosine, rotate, cs, t0):
+    def _pair_step(self, diag, floor, cosine, rotate, w: _PairScratch, t0):
         """The per-pair work of one step, shared by both plans.
 
         Eq. 4 for the step's ``(p, b)`` pairs, in the reference's
-        arithmetic order: the pairs' cosines and rotate flags land in this
-        sweep's buffers ``cosine`` and ``rotate`` (reduced once per sweep),
-        and their ``(c, s)`` in place in ``cs[:, 0]`` and ``cs[:, 1]``
-        (identity on the pairs that do not rotate), through
-        :func:`~repro.jacobi.rotations.rotation_cs_quiet`. Runs inside the
-        sweep's ``np.errstate``.
+        arithmetic order, on ``diag = (a_ii, a_jj, a_ii[:, None],
+        a_jj[:, None])`` and ``w.aij``: the pairs' cosines and rotate flags
+        land in this sweep's slices ``cosine`` and ``rotate`` (reduced once
+        per sweep), and their ``(c, s)`` in ``w.cs`` (identity on the pairs
+        that do not rotate), through
+        :func:`~repro.jacobi.rotations.rotation_cs_quiet` on ``w``'s
+        scratch. Runs inside the sweep's ``np.errstate``.
 
-        Returns ``(norms, t0)``: ``norms`` is ``None`` when no pair of the
-        step rotates; otherwise, with the Eq. 6 cache on, the pairs'
-        updated squared norms as one ``(p, 2, b)`` stack, ``[c^2, s^2] a_ii
-        +- 2 c s a_ij + [s^2, c^2] a_jj`` in the reference's expression
-        order, and without it an empty tuple. ``t0`` is the kernel-time
-        mark, moved past the ``converge`` and ``norms`` work charged here.
+        Returns ``(rotated, t0)``: whether any pair of the step rotates,
+        and the kernel-time mark, moved past the ``converge`` and ``norms``
+        work charged here. When a pair rotates and the Eq. 6 cache is on,
+        ``w.norms`` holds the pairs' updated squared norms as one ``(p, 2,
+        b)`` stack, ``[c^2, s^2] a_ii +- 2 c s a_ij + [s^2, c^2] a_jj`` in
+        the reference's expression order.
         """
         kt = self._kt
+        aii, ajj, aii_rows, ajj_rows = diag
+        aij, denom, u, mask = w.aij, w.f0, w.f1, w.mask
         # A zero denominator's sign is moot: x / ±0 is zeroed below.
-        denom = np.multiply(aii, ajj)
-        np.maximum(denom, 0.0, out=denom)
-        np.sqrt(denom, out=denom)
-        np.divide(np.abs(aij), denom, out=cosine)
-        np.putmask(cosine, ~np.isfinite(cosine), 0.0)
-        np.putmask(cosine, np.fmin(aii, ajj) <= floor, 0.0)
-        np.greater(cosine, self.cfg.tol, out=rotate)
-        norms = None
-        if rotate.any():
-            c, s = cs[:, 0], cs[:, 1]
-            rotation_cs_quiet(aii, ajj, aij, rotate, c, s)
-            norms = ()
+        multiply(aii, ajj, out=denom)
+        maximum(denom, 0.0, out=denom)
+        sqrt(denom, out=denom)
+        absolute(aij, out=u)
+        divide(u, denom, out=cosine)
+        isfinite(cosine, out=mask)
+        logical_not(mask, out=mask)
+        putmask(cosine, mask, 0.0)
+        fmin(aii, ajj, out=u)
+        less_equal(u, floor, out=mask)
+        putmask(cosine, mask, 0.0)
+        greater(cosine, self._tol, out=rotate)
+        rotated = count_nonzero(rotate) > 0
+        if rotated:
+            rotation_cs_quiet(aii, ajj, aij, rotate, w.c, w.s, w.eq4)
         if kt:
             t0 = kt.lap(t0, "converge")
-        if norms is None or not self.cfg.cache_inner_products:
-            return norms, t0
-        cs2 = np.square(cs)
-        cross = 2.0 * c * s * aij
-        norms = cs2 * aii[:, None]
-        norms[:, 0] += cross
-        norms[:, 1] -= cross
-        norms += cs2[:, ::-1] * ajj[:, None]
+        if not (rotated and self._cache):
+            return rotated, t0
+        cs2, cross, norms = w.cs2, w.f0, w.norms
+        square(w.cs, out=cs2)
+        multiply(2.0, w.c, out=cross)
+        multiply(cross, w.s, out=cross)
+        multiply(cross, aij, out=cross)
+        multiply(cs2, aii_rows, out=norms)
+        add(w.n0, cross, out=w.n0)
+        subtract(w.n1, cross, out=w.n1)
+        multiply(w.cs2_swapped, ajj_rows, out=w.tmp)
+        add(norms, w.tmp, out=norms)
         if kt:
             t0 = kt.lap(t0, "norms")
-        return norms, t0
+        return rotated, t0
 
-    def _sweep_buffers(self, pairs: int):
-        """One sweep's per-pair cosine and rotate-flag buffers."""
-        nb = self.count
-        return np.empty((pairs, nb)), np.empty((pairs, nb), dtype=bool)
-
-    def _sweep_gather(self, floor: np.ndarray):
-        cfg = self.cfg
+    def _sweep_gather(self, floor: np.ndarray) -> None:
         kt = self._kt
-        cache = cfg.cache_inner_products
-        nb = self.count
-        m, n = self.m, self.n
-        T, S, VT, VS = self.T, self.S, self.VT, self.VS
-        sqnorms = self.sqnorms
-        cosines, rotates = self._sweep_buffers(self.plan.pairs)
-        q = 0
-        for step in self.plan.steps:
+        cache = self._cache
+        pair_step = self._pair_step
+        ws = self._ws
+        X, V, Q = ws.X, ws.V, ws.Q
+        x, q = self._x, self._q
+        for step, slots, norms, w, cosine, rotate in ws.steps:
             t0 = kt.clock() if kt else 0.0
-            p = step.n_pairs
-            k = 2 * p
-            T.take(step.gather, axis=0, out=S)
-            VT.take(step.gather, axis=0, out=VS)
-            T, S = S, T
-            VT, VS = VS, VT
-            A = T[:k].reshape(p, 2, nb, m)
+            g = step.gather
+            X[x].take(g, axis=0, out=X[1 - x], mode="clip")
+            V[x].take(g, axis=0, out=V[1 - x], mode="clip")
+            x = 1 - x
+            f = slots[x]
             if kt:
                 t0 = kt.lap(t0, "rotate")
-            aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
+            einsum("pbm,pbm->pb", f.A0, f.A1, out=w.aij)
             if cache:
-                sqnorms = sqnorms.take(step.gather, axis=0)
-                sq = sqnorms[:k].reshape(p, 2, nb)
-                aii = sq[:, 0]
-                ajj = sq[:, 1]
+                Q[q].take(g, axis=0, out=Q[1 - q], mode="clip")
+                q = 1 - q
+                diag = norms[q].diag
             else:
-                aii = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
-                ajj = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
+                einsum("pbm,pbm->pb", f.A0, f.A0, out=w.aii)
+                einsum("pbm,pbm->pb", f.A1, f.A1, out=w.ajj)
+                diag = w.diag
             if kt:
                 t0 = kt.lap(t0, "gram")
-            R = np.empty((p, 2, 2, nb))
-            norms, t0 = self._pair_step(
-                aii, ajj, aij, floor, cosines[q : q + p], rotates[q : q + p],
-                R[:, :, 0], t0,
-            )
-            q += p
-            if norms is None:
+            rotated, t0 = pair_step(diag, floor, cosine, rotate, w, t0)
+            if not rotated:
                 continue
-            np.negative(R[:, 1, 0], out=R[:, 0, 1])
-            R[:, 1, 1] = R[:, 0, 0]
-            np.einsum("pcbm,pcdb->pdbm", A, R, out=S[:k].reshape(p, 2, nb, m))
-            Av = VT[:k].reshape(p, 2, nb, n)
-            np.einsum("pcbm,pcdb->pdbm", Av, R, out=VS[:k].reshape(p, 2, nb, n))
-            if k < n:
-                S[k:] = T[k:]
-                VS[k:] = VT[k:]
-            T, S = S, T
-            VT, VS = VS, VT
+            negative(w.R10, out=w.R01)
+            copyto(w.R11, w.R00)
+            einsum("pcbm,pcdb->pdbm", f.A, w.R, out=f.Aout)
+            einsum("pcbm,pcdb->pdbm", f.V, w.R, out=f.Vout)
+            for dst, src in f.outside:
+                copyto(dst, src)
+            x = 1 - x
             if kt:
                 t0 = kt.lap(t0, "rotate")
             if cache:
-                sq[...] = norms
+                copyto(norms[q].sq, w.norms)
             if kt:
                 kt.lap(t0, "norms")
-        self.T, self.S, self.VT, self.VS = T, S, VT, VS
-        self.sqnorms = sqnorms
-        return cosines.max(axis=0), rotates.sum(axis=0)
+        self._x, self._q = x, q
 
-    def _sweep_neighbor(self, floor: np.ndarray):
-        cfg = self.cfg
+    def _sweep_neighbor(self, floor: np.ndarray) -> None:
         kt = self._kt
-        cache = cfg.cache_inner_products
-        nb = self.count
-        m, n = self.m, self.n
-        T, S, VT, VS = self.T, self.S, self.VT, self.VS
-        sqnorms = self.sqnorms
-        cosines, rotates = self._sweep_buffers(self.plan.pairs)
-        q = 0
-        for step in self.plan.steps:
+        cache = self._cache
+        pair_step = self._pair_step
+        ws = self._ws
+        x, q = self._x, self._q
+        for step, slots, norms, w, cosine, rotate in ws.steps:
             t0 = kt.clock() if kt else 0.0
-            off = step.offset
-            p = step.n_pairs
-            ot = step.orient[:, None]
-            k = 2 * p
-            end = off + k
-            A = T[off:end].reshape(p, 2, nb, m)
-            sq = None
-            aij = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 1])
+            f = slots[x]
+            ot = step.orient_rows
+            einsum("pbm,pbm->pb", f.A0, f.A1, out=w.aij)
             if cache:
-                sq = sqnorms[off:end].reshape(p, 2, nb)
-                e0 = sq[:, 0]
-                e1 = sq[:, 1]
+                nv = norms[q]
+                e0, e1 = nv.diag[0], nv.diag[1]
             else:
-                e0 = np.einsum("pbm,pbm->pb", A[:, 0], A[:, 0])
-                e1 = np.einsum("pbm,pbm->pb", A[:, 1], A[:, 1])
-            aii = np.where(ot, e1, e0)
-            ajj = np.where(ot, e0, e1)
+                e0, e1 = w.e0, w.e1
+                einsum("pbm,pbm->pb", f.A0, f.A0, out=e0)
+                einsum("pbm,pbm->pb", f.A1, f.A1, out=e1)
+            copyto(w.aii, e0)
+            copyto(w.aii, e1, where=ot)
+            copyto(w.ajj, e1)
+            copyto(w.ajj, e0, where=ot)
             if kt:
                 t0 = kt.lap(t0, "gram")
             # c lands in R[:, 1, 0] and s, for now, in R[:, 1, 1].
-            R = np.empty((p, 2, 2, nb))
-            norms, t0 = self._pair_step(
-                aii, ajj, aij, floor, cosines[q : q + p], rotates[q : q + p],
-                R[:, 1], t0,
-            )
-            q += p
-            if norms is None:
+            rotated, t0 = pair_step(w.diag, floor, cosine, rotate, w, t0)
+            if not rotated:
                 # No rotation: advance the layout walk with exact swap
                 # copies (an identity-rotation einsum would flip -0.0).
-                Sp = S[off:end].reshape(p, 2, nb, m)
-                Sp[:, 0] = A[:, 1]
-                Sp[:, 1] = A[:, 0]
-                Vv = VT[off:end].reshape(p, 2, nb, n)
-                Vp = VS[off:end].reshape(p, 2, nb, n)
-                Vp[:, 0] = Vv[:, 1]
-                Vp[:, 1] = Vv[:, 0]
-                _copy_outside(S, T, off, end)
-                _copy_outside(VS, VT, off, end)
-                T, S = S, T
-                VT, VS = VS, VT
-                if sq is not None:
-                    sq[...] = sq[:, ::-1].copy()
+                copyto(f.Aout0, f.A1)
+                copyto(f.Aout1, f.A0)
+                copyto(f.Vout0, f.V1)
+                copyto(f.Vout1, f.V0)
+                for dst, src in f.outside:
+                    copyto(dst, src)
+                x = 1 - x
+                if cache:
+                    copyto(w.tmp, nv.swapped)
+                    copyto(nv.sq, w.tmp)
                 if kt:
                     kt.lap(t0, "rotate")
                 continue
             # Swap-folded, orientation-aware rotation block: slot 0 of the
             # output pair receives what the walk's post-step swap would
             # place there, so the step needs no separate permutation pass.
-            s = R[:, 1, 1]
-            R[:, 0, 1] = R[:, 1, 0]
-            R[:, 0, 0] = np.where(ot, s, np.negative(s))
-            np.negative(R[:, 0, 0], out=R[:, 1, 1])
-            np.einsum(
-                "pcbm,pcdb->pdbm", A, R, out=S[off:end].reshape(p, 2, nb, m)
-            )
-            Av = VT[off:end].reshape(p, 2, nb, n)
-            np.einsum(
-                "pcbm,pcdb->pdbm", Av, R,
-                out=VS[off:end].reshape(p, 2, nb, n),
-            )
-            _copy_outside(S, T, off, end)
-            _copy_outside(VS, VT, off, end)
-            T, S = S, T
-            VT, VS = VS, VT
+            copyto(w.R01, w.R10)
+            negative(w.R11, out=w.R00)
+            copyto(w.R00, w.R11, where=ot)
+            negative(w.R00, out=w.R11)
+            einsum("pcbm,pcdb->pdbm", f.A, w.R, out=f.Aout)
+            einsum("pcbm,pcdb->pdbm", f.V, w.R, out=f.Vout)
+            for dst, src in f.outside:
+                copyto(dst, src)
+            x = 1 - x
             if kt:
                 t0 = kt.lap(t0, "rotate")
             if cache:
                 # Slot 0 now holds the (swapped-in) other column of the
                 # pair; write the updated norms swap-folded to match.
-                sq[...] = np.where(ot[:, None], norms, norms[:, ::-1])
+                copyto(nv.sq, w.norms_swapped)
+                copyto(nv.sq, w.norms, where=step.orient_blocks)
             if kt:
                 kt.lap(t0, "norms")
-        self.T, self.S, self.VT, self.VS = T, S, VT, VS
-        self.sqnorms = sqnorms
-        return cosines.max(axis=0), rotates.sum(axis=0)
-
-
-def _copy_outside(dst: np.ndarray, src: np.ndarray, start: int, stop: int) -> None:
-    """Copy the slots of ``src`` outside ``[start, stop)`` into ``dst``;
-    an empty side costs nothing."""
-    if start:
-        dst[:start] = src[:start]
-    if stop < len(src):
-        dst[stop:] = src[stop:]
+        self._x = x
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +920,9 @@ class FusedEVDSweeper:
     """Sweep executor for :class:`repro.jacobi.batched.StackedParallelEVD`.
 
     Permutes ``B`` (``(b, k, k)``) into pair-adjacent rows and columns per
-    step (one ``np.take`` each) and applies the step's congruences in two
-    passes: an elementwise column pass, ``(x0 c + 0.0) + x1 s`` and
+    step, with one ``np.take`` on its flattened ``(b, k k)`` entries
+    (:attr:`GatherStep.gather_both`), and applies the step's congruences in
+    two passes: an elementwise column pass, ``(x0 c + 0.0) + x1 s`` and
     ``(x0 (-s) + 0.0) + x1 c``, then one row-pass einsum against a
     ``(b, p, 2, 2)`` rotation stack. ``J`` is kept transposed
     (``JT[b] = J[b].T``) so ``J <- J G`` is the same row-pass einsum.
@@ -790,16 +993,16 @@ class FusedEVDSweeper:
         prods = np.empty((nb, k, full))
         B, JT, S1, S2, JS = self.B, self.JT, self.S1, self.S2, self.JS
         # B and S2 trade roles (rotated / permuted) step to step; their
-        # block views travel with them.
+        # block views and flat views travel with them.
         Bv, S2v = self._Bv, self._S2v
+        Bf, S2f = self._Bf, self._S2f
         with np.errstate(all="ignore"):
             for step in self.plan.steps:
                 p = step.n_pairs
                 k2 = 2 * p
-                g = step.gather
-                B.take(g, axis=1, out=S1)
-                S1.take(g, axis=2, out=S2)
-                JT.take(g, axis=1, out=JS)
+                # mode="clip": the default "raise" copies ``out`` first.
+                Bf.take(step.gather_both, axis=1, out=S2f, mode="clip")
+                JT.take(step.gather, axis=1, out=JS, mode="clip")
                 bii, bjj, bij, _ = _first_blocks(S2v, p, full)
                 mag = np.abs(bij)
                 denom = np.sqrt(np.abs(bii * bjj))
@@ -812,6 +1015,7 @@ class FusedEVDSweeper:
                     # Land the permutation; values are untouched.
                     B, S2 = S2, B
                     Bv, S2v = S2v, Bv
+                    Bf, S2f = S2f, Bf
                     JT, JS = JS, JT
                     continue
                 R = np.empty((nb, p, 2, 2))
@@ -857,12 +1061,11 @@ class FusedEVDSweeper:
                 if k2 < k:
                     JT[:, k2:, :] = JS[:, k2:, :]
                 rotations += active.sum(axis=1)
-        restore = self.plan.restore
-        B.take(restore, axis=1, out=S1)
-        S1.take(restore, axis=2, out=S2)
-        JT.take(restore, axis=1, out=JS)
-        self.B, self.S1, self.S2 = S2, S1, B
+        Bf.take(self.plan.restore_both, axis=1, out=S2f, mode="clip")
+        JT.take(self.plan.restore, axis=1, out=JS, mode="clip")
+        self.B, self.S2 = S2, B
         self._Bv, self._S2v = S2v, Bv
+        self._Bf, self._S2f = S2f, Bf
         self.JT, self.JS = JS, JT
         offs = symmetric_offdiagonal_cosines(self.B, noise, diag_floor)
         return offs, rotations
@@ -892,5 +1095,8 @@ class FusedEVDSweeper:
 
     def _build_block_views(self) -> None:
         full = self.k // 2
+        flat = (len(self.B), self.k * self.k)
         self._Bv = _pair_block_views(self.B, full)
         self._S2v = _pair_block_views(self.S2, full)
+        self._Bf = self.B.reshape(flat)
+        self._S2f = self.S2.reshape(flat)

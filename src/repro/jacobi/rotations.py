@@ -22,6 +22,21 @@ import math
 
 import numpy as np
 
+# Bound once: the fused sweeps call the kernel on every step, on arrays of
+# a few dozen entries, where a lookup on the module costs a sixth of a call.
+from numpy import (
+    absolute,
+    add,
+    copysign,
+    divide,
+    hypot,
+    logical_not,
+    multiply,
+    putmask,
+    sqrt,
+    subtract,
+)
+
 __all__ = [
     "rotation_from_tau",
     "rotation_cs",
@@ -71,29 +86,40 @@ def rotation_cs_quiet(
     active: np.ndarray,
     c: np.ndarray | None = None,
     s: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rotation_cs` for callers already inside
     ``np.errstate(all="ignore")`` (the fused sweeps enter it once per
     sweep). ``c`` and ``s``, when given, receive the result in place, so a
     caller can write it straight into its rotation blocks.
+
+    ``scratch``, when given, is ``(tau, t, u, inactive)``: three float
+    arrays and one bool array of the result's shape, overwritten here, so
+    a caller that solves many same-shape steps allocates nothing; without
+    it the first call writing each one allocates it.
     """
-    tau = np.subtract(a_ii, a_jj)
-    np.divide(tau, 2.0 * a_ij, out=tau)
+    tau, t, u, inactive = (None,) * 4 if scratch is None else scratch
+    tau = subtract(a_ii, a_jj, out=tau)
+    u = multiply(2.0, a_ij, out=u)
+    divide(tau, u, out=tau)
     # tau == 0 (equal norms) needs the 45-degree rotation t = 1, whatever
     # the sign of the zero: adding +0.0 turns -0.0 into +0.0, whose sign
     # copysign reads as +1.
-    tau += 0.0
-    t = np.hypot(1.0, tau)
-    t += np.abs(tau)
-    np.divide(np.copysign(1.0, tau), t, out=t)
+    add(tau, 0.0, out=tau)
+    t = hypot(1.0, tau, out=t)
+    absolute(tau, out=u)
+    add(t, u, out=t)
+    copysign(1.0, tau, out=u)
+    divide(u, t, out=t)
     # t = +0.0 gives exactly c = 1.0, s = +0.0.
-    np.putmask(t, ~active, 0.0)
+    inactive = logical_not(active, out=inactive)
+    putmask(t, inactive, 0.0)
     # c = 1 / sqrt(1 + t^2), s = t c.
-    c = np.multiply(t, t, out=c)
-    c += 1.0
-    np.sqrt(c, out=c)
-    np.divide(1.0, c, out=c)
-    return c, np.multiply(t, c, out=s)
+    c = multiply(t, t, out=c)
+    add(c, 1.0, out=c)
+    sqrt(c, out=c)
+    divide(1.0, c, out=c)
+    return c, multiply(t, c, out=s)
 
 
 def onesided_rotation(

@@ -9,8 +9,9 @@ with a :class:`KernelStats` cost record.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,7 +173,6 @@ class EVDResult:
         return float(np.linalg.norm(B - self.reconstruct()) / denom)
 
 
-@dataclass
 class SVDStack:
     """Thin SVDs of a ``(b, m, n)`` stack, kept stacked.
 
@@ -180,12 +180,35 @@ class SVDStack:
     ``V`` is ``(b, n, r)``; ``traces[k]`` is member ``k``'s trace. Member
     ``k`` reads as an :class:`SVDResult` of views (``stack[k]``), and the
     stack iterates over its members, so it stands in for a list of results.
+
+    ``U`` is given, or built on its first read by ``make_U``, a picklable
+    callable of no arguments: a caller that reads only ``S`` and ``V`` (a
+    W-cycle step reads ``V``) never pays for it.
     """
 
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-    traces: list[ConvergenceTrace | None]
+    def __init__(
+        self,
+        *,
+        S: np.ndarray,
+        V: np.ndarray,
+        traces: list[ConvergenceTrace | None],
+        U: np.ndarray | None = None,
+        make_U: Callable[[], np.ndarray] | None = None,
+    ) -> None:
+        if (U is None) == (make_U is None):
+            raise ValueError("give exactly one of U and make_U")
+        self._U = U
+        self._make_U = make_U
+        self.S = S
+        self.V = V
+        self.traces = traces
+
+    @property
+    def U(self) -> np.ndarray:
+        if self._U is None:
+            self._U = self._make_U()
+            self._make_U = None
+        return self._U
 
     @classmethod
     def of(cls, results: Sequence[SVDResult]) -> "SVDStack":
@@ -199,14 +222,15 @@ class SVDStack:
 
     @classmethod
     def concat(cls, parts: Sequence["SVDStack"]) -> "SVDStack":
-        """One stack of the members of ``parts``, in order."""
+        """One stack of the members of ``parts``, in order (its ``U`` is
+        built when first read)."""
         if len(parts) == 1:
             return parts[0]
         return cls(
-            U=np.concatenate([p.U for p in parts]),
             S=np.concatenate([p.S for p in parts]),
             V=np.concatenate([p.V for p in parts]),
             traces=[t for p in parts for t in p.traces],
+            make_U=functools.partial(_concat_U, tuple(parts)),
         )
 
     def __len__(self) -> int:
@@ -217,6 +241,10 @@ class SVDStack:
 
     def __iter__(self) -> Iterator[SVDResult]:
         return (self[k] for k in range(len(self)))
+
+
+def _concat_U(parts: tuple[SVDStack, ...]) -> np.ndarray:
+    return np.concatenate([p.U for p in parts])
 
 
 @dataclass

@@ -6,9 +6,12 @@ bodies they replaced, kept here as :func:`_finalize_onesided_oracle` and
 ``rotation_cs``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.jacobi import factors
 from repro.jacobi.batched import (
     BatchedJacobiEngine,
     StackedOneSidedJacobi,
@@ -214,6 +217,30 @@ class TestFinalizeStackOracle:
             for arr in (res.J, res.L):
                 assert not np.shares_memory(arr, B)
                 assert not np.shares_memory(arr, J)
+
+    def test_u_is_built_when_first_read(self, rng, monkeypatch):
+        """A finalized stack builds ``U`` on the first read of its ``U``
+        only, and once: a caller that reads ``S`` and ``V`` never pays
+        for it. An unbuilt stack survives a pickle round trip."""
+        W = _svd_work_stack(rng, 8, 4)
+        V = rng.standard_normal((W.shape[0], 4, 4))
+        want = finalize_stack(W, V, [None] * W.shape[0])
+        shipped = pickle.loads(pickle.dumps(finalize_stack(W, V, [None] * len(W))))
+        built = []
+        real = factors._left_vectors
+
+        def spy(*args):
+            built.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(factors, "_left_vectors", spy)
+        got = finalize_stack(W, V, [None] * W.shape[0])
+        assert got.S.tobytes() == want.S.tobytes()
+        assert got.V.tobytes() == want.V.tobytes()
+        assert built == []
+        assert got.U.tobytes() == want.U.tobytes() and built == [len(W)]
+        assert got[0].U.tobytes() == want[0].U.tobytes() and built == [len(W)]
+        assert shipped.U.tobytes() == want.U.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 5, 6])
     def test_evd_members_match_oracle(self, rng, k):

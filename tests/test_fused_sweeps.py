@@ -13,6 +13,7 @@ reference solver's, not ``allclose``.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.jacobi.batched import (
 )
 from repro.jacobi.factors import finalize_onesided
 from repro.jacobi.fused import (
+    FusedSVDSweeper,
     KernelTimes,
     ScratchPool,
     _compact_rows,
@@ -156,6 +158,145 @@ class TestSVDBitwiseEquivalence:
             zip(batch, BatchedJacobiEngine(OneSidedConfig()).svd_batch(batch))
         ):
             _assert_same_svd(res, reference.decompose(a), f"matrix {i}")
+
+
+def _staggered_stack(rng, m, n):
+    """Members that converge after different numbers of sweeps: already
+    orthogonal columns, nearly orthogonal ones, a Gaussian, and graded
+    columns."""
+    Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    orthogonal = Q * np.arange(1.0, n + 1)
+    nearly = orthogonal + 1e-6 * rng.standard_normal((m, n))
+    graded = rng.standard_normal((m, n)) * np.logspace(0, -6, n)
+    return np.stack(
+        [orthogonal, nearly, rng.standard_normal((m, n)), graded]
+    )
+
+
+class TestSVDWorkspace:
+    """The one-sided sweeper's per-stack workspace: every buffer, view and
+    temporary a step uses is built with the sweeper and rebuilt when
+    compaction drops members. Each case compares every member with the
+    reference solver run on it alone, byte for byte."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the workspaces sweepers build."""
+        calls = []
+        real = FusedSVDSweeper._build
+
+        def build(self, *buffers):
+            calls.append(buffers[0].shape[1])
+            real(self, *buffers)
+
+        monkeypatch.setattr(FusedSVDSweeper, "_build", build)
+        return calls
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_rebuilt_after_each_compaction(self, rng, builds, ordering):
+        stack = _staggered_stack(rng, 9, 6)
+        cfg = OneSidedConfig(ordering=ordering)
+        out = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
+        sweeps = [len(t) for t in out[2]]
+        assert len(set(sweeps)) >= 3, sweeps
+        # One workspace for the whole stack, then one per compaction, each
+        # over the members still live.
+        assert builds[0] == len(stack)
+        assert builds == sorted(builds, reverse=True)
+        assert len(builds) == len(set(sweeps))
+        _assert_svd_members_match(stack, cfg, out)
+
+    def test_nan_dropout_mid_solve(self, rng, builds, monkeypatch):
+        """A member that turns non-finite after its second sweep drops out
+        in report mode; the workspace is rebuilt without it and the other
+        members keep their bytes."""
+        stack = rng.standard_normal((4, 12, 7))
+        real = FusedSVDSweeper.run_sweep
+        sweeps = []
+
+        def run_sweep(self, norm_floor):
+            out = real(self, norm_floor)
+            sweeps.append(self.count)
+            if len(sweeps) == 2:
+                self.T[0, 1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(FusedSVDSweeper, "run_sweep", run_sweep)
+        cfg = OneSidedConfig()
+        out = StackedOneSidedJacobi(cfg).solve_stack(
+            stack.copy(), on_failure="report"
+        )
+        W, _, traces, failures = out
+        assert [i for i, _ in failures] == [1]
+        assert "sweep 3" in str(failures[0][1])
+        assert np.isnan(W[1]).all() and len(traces[1]) == 2
+        assert sweeps[:3] == [4, 4, 3] and builds[:2] == [4, 3]
+        _assert_svd_members_match(stack, cfg, out, skip={1})
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_odd_n_round_robin_tail_copies(self, rng, cache):
+        """At odd ``n`` every round-robin step leaves one column out (a
+        bye), so the slots past the step's pairs are copied across."""
+        n = 7
+        plan = sweep_plan("round-robin", n)
+        assert all(2 * step.n_pairs < n for step in plan.steps)
+        stack = rng.standard_normal((5, 10, n))
+        cfg = OneSidedConfig(cache_inner_products=cache)
+        out = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
+        _assert_svd_members_match(stack, cfg, out)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_ring_steps_of_varying_width(self, rng, cache):
+        """The ring ordering's steps hold 4, 3, 4, 2, ... pairs at n = 8:
+        the steps of each width share one scratch set and views."""
+        plan = sweep_plan("ring", 8)
+        assert [s.n_pairs for s in plan.steps][:4] == [4, 3, 4, 2]
+        stack = rng.standard_normal((6, 12, 8))
+        cfg = OneSidedConfig(ordering="ring", cache_inner_products=cache)
+        out = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
+        _assert_svd_members_match(stack, cfg, out)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_neighbor_plan_no_cache_with_kernel_times(self, rng, n):
+        """The odd-even zero-gather plan without the Eq. 6 cache, with the
+        kernel-time laps on."""
+        assert sweep_plan("odd-even", n).kind == "neighbor"
+        stack = _staggered_stack(rng, 10, n)
+        cfg = OneSidedConfig(ordering="odd-even", cache_inner_products=False)
+        kt = KernelTimes(time.perf_counter)
+        out = StackedOneSidedJacobi(cfg).solve_stack(
+            stack.copy(), kernel_times=kt
+        )
+        _assert_svd_members_match(stack, cfg, out)
+        assert kt.sweeps == max(len(t) for t in out[2])
+        assert kt.gram > 0.0 and kt.rotate > 0.0 and kt.converge > 0.0
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_sweep_allocates_no_step_arrays(self, rng, ordering, cache):
+        """After its first sweep, a sweep of a 256-member stack allocates
+        less than one ``(pairs, members)`` array at its peak: the steps
+        write into the workspace. What remains is NumPy's own iterator
+        buffer inside the rotation einsum, which is capped by its buffer
+        size, and the sweep's ``(members,)`` results."""
+        stack = rng.standard_normal((256, 16, 16))
+        cfg = OneSidedConfig(ordering=ordering, cache_inner_products=cache)
+        solver = StackedOneSidedJacobi(cfg)
+        sweeper = solver._make_sweeper(stack, None)
+        floor = np.zeros(len(stack))
+        try:
+            sweeper.refresh_norms()
+            sweeper.run_sweep(floor)
+            sweeper.refresh_norms()
+            tracemalloc.start()
+            try:
+                sweeper.run_sweep(floor)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            sweeper.close()
+        assert peak < sweeper.plan.pairs * len(stack) * 8
 
 
 class TestEVDBitwiseEquivalence:
@@ -327,6 +468,21 @@ class TestSweepPlans:
                 assert sorted(pairs) == [
                     (i, j) for i in range(n) for j in range(i + 1, n)
                 ]
+
+    def test_flat_gather_permutes_rows_and_columns(self, rng):
+        """One take through ``gather_both`` on the flattened entries is the
+        row gather followed by the column gather, and ``restore_both``
+        undoes the sweep's composed permutation the same way."""
+        k = 7
+        B = rng.standard_normal((3, k, k))
+        plan = sweep_plan("round-robin", k, allow_neighbor=False)
+        for step in plan.steps:
+            g = step.gather
+            flat = B.reshape(3, k * k).take(step.gather_both, axis=1)
+            assert flat.reshape(3, k, k).tobytes() == B[:, g][:, :, g].tobytes()
+        r = plan.restore
+        flat = B.reshape(3, k * k).take(plan.restore_both, axis=1)
+        assert flat.reshape(3, k, k).tobytes() == B[:, r][:, :, r].tobytes()
 
     def test_plan_arrays_read_only(self):
         plan = sweep_plan("round-robin", 6)

@@ -113,6 +113,21 @@ class TestBatchedGemmMath:
             np.testing.assert_allclose(out, p @ J, atol=1e-12)
         assert stats.kernel == "batched_gemm_update"
 
+    def test_update_writes_into_out(self, rng):
+        """With ``out``, each product lands in the caller's buffer, with
+        the bytes of a fresh product; stack items included."""
+        panels = [
+            rng.standard_normal((6, 8, 40)).transpose(0, 2, 1),
+            rng.standard_normal((40, 8)),
+        ]
+        rotations = [rng.standard_normal((6, 8, 8)), rng.standard_normal((8, 8))]
+        fresh, _ = self._gemm().update(panels, rotations)
+        out = [np.full((6, 40, 8), np.nan), np.full((40, 8), np.nan)]
+        updated, _ = self._gemm().update(panels, rotations, out=out)
+        for buf, got, want in zip(out, updated, fresh):
+            assert got is buf
+            assert got.tobytes() == want.tobytes()
+
     def test_update_length_mismatch(self, rng):
         with pytest.raises(ConfigurationError):
             self._gemm().update([rng.standard_normal((4, 2))], [])

@@ -23,6 +23,7 @@ from repro.gpusim import V100
 from repro.gpusim.evd_kernel import BatchedEVDKernel
 from repro.gpusim.gemm import BatchedGemm
 from repro.gpusim.svd_kernel import BatchedSVDKernel
+from repro.jacobi import factors
 from repro.runtime import RuntimeConfig
 from repro.types import EVDStack, SVDStack
 
@@ -64,6 +65,8 @@ def listed(monkeypatch):
             rerouted.append(name)
             sizes = [len(p) for p in panels]
             flat = [[m for item in arg for m in item] for arg in (panels, *rotations)]
+            if kwargs.get("out") is not None:
+                kwargs["out"] = [m for item in kwargs["out"] for m in item]
             outputs, stats = real(self, *flat, **kwargs)
             bounds = np.cumsum([0] + sizes)
             return [
@@ -156,6 +159,26 @@ def test_stacked_step_matches_list_api(case, request):
     assert _stats(stacked_report) == _stats(listed_report), case
     assert stacked_rotations == listed_rotations, case
     assert stacked.max_reconstruction_error(mats) < 1e-10
+
+
+def test_leaf_launches_do_not_build_u(rng, monkeypatch):
+    """A step reads only its leaf SVDs' ``V``, so no leaf launch builds
+    ``U``: the only ``U`` built are those of the factors the batch
+    returns, the in-SM group's and the finalized large member's."""
+    built = []
+    real = factors._left_vectors
+
+    def spy(work, sigma, nonzero):
+        built.append(work.shape)
+        return real(work, sigma, nonzero)
+
+    monkeypatch.setattr(factors, "_left_vectors", spy)
+    mats = [rng.standard_normal((128, 64)), rng.standard_normal((64, 32))]
+    out, report, _ = _solve(WCycleConfig(), mats)
+    kernels = [s.kernel for s in report.launches]
+    assert kernels.count("batched_svd_sm") > 1
+    assert sorted(built) == [(1, 64, 32), (1, 128, 64)]
+    assert out.max_reconstruction_error(mats) < 1e-10
 
 
 def _list_step(solver, works, Vs, stops, step, level):
