@@ -31,6 +31,9 @@ this one measures real host time, in three parts:
    asserted byte-equal; the simulated launch counts of both sides and
    the bucketed call's rotations per level are recorded.
 
+The two sides of a case are timed best of 3, in alternating rounds
+(``_best_of``), so a change in host speed during a case moves both alike.
+
 Writes ``benchmarks/results/perf_wallclock.{txt,json}`` via the shared
 harness plus a repo-root ``BENCH_wallclock.json`` for the performance
 trajectory. Run directly (``python benchmarks/perf_wallclock.py``, add
@@ -65,9 +68,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The acceptance case: 256 small tall matrices, where per-matrix Python
 #: overhead dominates and batching pays the most. Each case carries its
 #: ordering (recorded in the JSON payload): the 64x(64x32) case runs
-#: odd-even, whose zero-gather fused executor is the fastest layout for
-#: power-of-two n — both the loop baseline and the engine use the same
-#: config, so the ratio stays apples-to-apples.
+#: odd-even, the only place the benchmarks sweep that ordering through the
+#: engine — both the loop baseline and the engine use the same config, so
+#: the ratio stays apples-to-apples.
 CASES = [
     ("256x(16x8)", [(16, 8)] * 256, "round-robin"),
     ("64x(64x32)", [(64, 32)] * 64, "odd-even"),
@@ -99,12 +102,22 @@ def _batch(shapes: list[tuple[int, int]], seed: int = 0) -> list[np.ndarray]:
     return [rng.standard_normal(s) for s in shapes]
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    best = float("inf")
+def _best_of(sides, rounds: int = ROUNDS) -> list[tuple[float, object]]:
+    """Best of ``rounds`` timed calls of each callable in ``sides``.
+
+    Every round calls each side once, in turn, so a change in host speed
+    during the measurement reaches every side alike instead of only the
+    sides timed after it. Returns, per side, its best time and what it
+    returned in that call.
+    """
+    best = [(float("inf"), None)] * len(sides)
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for k, fn in enumerate(sides):
+            t0 = time.perf_counter()
+            out = fn()
+            elapsed = time.perf_counter() - t0
+            if elapsed < best[k][0]:
+                best[k] = (elapsed, out)
     return best
 
 
@@ -117,24 +130,18 @@ def compute(cases=None, rounds: int = ROUNDS) -> list[tuple]:
         # breakdown (gram/rotate/norms/converge) for the serial path.
         engine = BatchedJacobiEngine(config, kernel_clock=time.perf_counter)
         matrices = _batch(shapes)
-        loop_results = None
-        engine_results = None
 
         def run_loop():
-            nonlocal loop_results
-            loop_results = [solver.decompose(a) for a in matrices]
+            return [solver.decompose(a) for a in matrices]
 
         def run_engine():
-            nonlocal engine_results
-            engine_results = engine.svd_batch(matrices)
+            return engine.svd_batch(matrices), engine.last_kernel_times
 
-        t_loop = _best_of(run_loop, rounds)
-        t_engine = _best_of(run_engine, rounds)
-        breakdown = (
-            engine.last_kernel_times.as_dict()
-            if engine.last_kernel_times is not None
-            else None
+        (t_loop, loop_results), (t_engine, (engine_results, kt)) = _best_of(
+            [run_loop, run_engine], rounds
         )
+        # The breakdown of the round that set t_engine.
+        breakdown = kt.as_dict() if kt is not None else None
         # The speedup claim is only meaningful if the outputs agree.
         for a, b in zip(loop_results, engine_results):
             assert np.array_equal(a.S, b.S), name
@@ -170,19 +177,16 @@ def compute_evd(cases=None, rounds: int = ROUNDS) -> list[tuple]:
         solver = ParallelJacobiEVD(config)
         engine = BatchedJacobiEngine(evd_config=config)
         matrices = _grams(sizes)
-        loop_results = None
-        engine_results = None
 
         def run_loop():
-            nonlocal loop_results
-            loop_results = [solver.decompose(b) for b in matrices]
+            return [solver.decompose(b) for b in matrices]
 
         def run_engine():
-            nonlocal engine_results
-            engine_results = engine.evd_batch(matrices)
+            return engine.evd_batch(matrices)
 
-        t_loop = _best_of(run_loop, rounds)
-        t_engine = _best_of(run_engine, rounds)
+        (t_loop, loop_results), (t_engine, engine_results) = _best_of(
+            [run_loop, run_engine], rounds
+        )
         for a, b in zip(loop_results, engine_results):
             assert a.L.tobytes() == b.L.tobytes(), name
             assert a.J.tobytes() == b.J.tobytes(), name
@@ -198,24 +202,23 @@ def compute_wcycle(case=WCYCLE_CASE, rounds: int = ROUNDS) -> tuple:
     name, shapes = case
     matrices = _batch(shapes, seed=2)
     solver = WCycleSVD(device="V100")
-    alone = None
-    together = None
     launches: dict[str, int] = {}
 
     def run_alone():
-        nonlocal alone
         profiler = Profiler()
         alone = [solver.decompose(a, profiler=profiler) for a in matrices]
         launches["alone"] = profiler.report.launch_count
+        return alone
 
     def run_together():
-        nonlocal together
         profiler = Profiler()
         together = solver.decompose_batch(matrices, profiler=profiler)
         launches["together"] = profiler.report.launch_count
+        return together, dict(solver.last_level_rotations)
 
-    t_alone = _best_of(run_alone, rounds)
-    t_together = _best_of(run_together, rounds)
+    (t_alone, alone), (t_together, (together, level_rotations)) = _best_of(
+        [run_alone, run_together], rounds
+    )
     # The speedup claim is only meaningful if the outputs agree.
     for a, b in zip(alone, together):
         assert a.U.tobytes() == b.U.tobytes(), name
@@ -229,7 +232,7 @@ def compute_wcycle(case=WCYCLE_CASE, rounds: int = ROUNDS) -> tuple:
         t_alone / t_together,
         launches["alone"],
         launches["together"],
-        dict(solver.last_level_rotations),
+        level_rotations,
     )
 
 
@@ -266,13 +269,11 @@ def compute_scaling(
     task bytes, and the arena lease/return/segment counts).
     """
     matrices = _batch(SCALING_SHAPES if shapes is None else shapes, seed=1)
-    reference = None
 
     def run_serial():
-        nonlocal reference
-        reference = WCycleSVD(device="V100").decompose_batch(matrices)
+        return WCycleSVD(device="V100").decompose_batch(matrices)
 
-    t_serial = _best_of(run_serial, rounds)
+    [(t_serial, reference)] = _best_of([run_serial], rounds)
     rows = [("serial", 1, t_serial, 1.0, None)]
     for n in workers:
         runtime = RuntimeConfig(
@@ -288,14 +289,12 @@ def compute_scaling(
         base.map(_warm_noop, list(range(n)))
         spinup_s = time.perf_counter() - t0
         warm = base.dispatch_stats()
-        results = None
 
         def run_parallel():
-            nonlocal results
             solver = WCycleSVD(device="V100", runtime=ex)
-            results = solver.decompose_batch(matrices)
+            return solver.decompose_batch(matrices)
 
-        t = _best_of(run_parallel, rounds)
+        [(t, results)] = _best_of([run_parallel], rounds)
         stats = base.dispatch_stats()
         for key in _WARM_COUNTER_KEYS:
             if key in stats and key in warm:
@@ -448,9 +447,9 @@ def test_perf_wallclock():
     # Acceptance bar: the engine beats the seed loop >= 3x on the
     # 256-matrix small-tall case.
     assert by_case["256x(16x8)"] >= 3.0, by_case
-    # Fused odd-even sweeps push the mid-size case past 4x on any host
-    # (recorded trajectory on the reference box is > 5x); the bar here
-    # leaves noise headroom.
+    # Fused sweeps push the mid-size case past 4x on any host (recorded
+    # trajectory on the reference box is > 5x); the bar here leaves noise
+    # headroom.
     assert by_case["64x(64x32)"] >= 4.0, by_case
     # Every case must at least not regress.
     assert min(by_case.values()) >= 1.0, by_case

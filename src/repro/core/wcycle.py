@@ -73,7 +73,7 @@ from repro.jacobi.fused import ScratchPool
 from repro.jacobi.onesided_block import column_blocks
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.preconditioning import qr_detour, safe_exponent, unshift
-from repro.orderings import Ordering, get_ordering, sweep_schedule
+from repro.orderings import get_ordering, sweep_schedule
 from repro.runtime.executor import (
     ON_FAILURE_MODES,
     Executor,
@@ -272,7 +272,7 @@ class WCycleSVD:
         self.config = config or WCycleConfig()
         self.device = get_device(device)
         self._executor = get_executor(runtime)
-        self._ordering: Ordering = get_ordering(self.config.ordering)
+        get_ordering(self.config.ordering)  # an unknown name fails here
         #: Rotations applied per level depth in the most recent call.
         self.last_level_rotations: dict[int, int] = {}
         #: Failure/recovery record of the most recent batch call.
@@ -953,12 +953,7 @@ class WCycleSVD:
         plan = self._plan_cache.get(key)
         if plan is None:
             blocks = column_blocks(n, w)
-            if isinstance(self.config.ordering, str):
-                # Named orderings share the process-wide memoized schedule
-                # (one build per (ordering, n) across solver instances).
-                schedule = sweep_schedule(self.config.ordering, len(blocks))
-            else:
-                schedule = self._ordering.sweep(len(blocks))
+            schedule = sweep_schedule(self.config.ordering, len(blocks))
             plan = [self._step_sets(m, step, blocks) for step in schedule]
             self._plan_cache[key] = plan
         return plan

@@ -93,6 +93,7 @@ from repro.errors import (
     ConvergenceError,
     FailureReport,
     NonFiniteError,
+    ShapeError,
 )
 from repro.jacobi.factors import finalize_evd_stack, finalize_stack
 from repro.jacobi.fused import (
@@ -112,7 +113,7 @@ from repro.jacobi.preconditioning import (
     unshift_evd,
 )
 from repro.jacobi.twosided_evd import TwoSidedConfig, TwoSidedJacobiEVD
-from repro.orderings import Ordering, get_ordering
+from repro.orderings import get_ordering
 from repro.runtime.executor import (
     ON_FAILURE_MODES,
     Executor,
@@ -130,6 +131,7 @@ from repro.types import ConvergenceTrace, EVDResult, EVDStack, SVDResult, SVDSta
 from repro.utils.bucketing import ShapeBucket, bucket_by_shape, order_buckets
 from repro.utils.validation import (
     as_matrix,
+    as_real_stack,
     as_stack,
     check_square_symmetric,
     check_symmetric_stack,
@@ -424,7 +426,7 @@ class StackedOneSidedJacobi:
 
     def __init__(self, config: OneSidedConfig | None = None) -> None:
         self.config = config or OneSidedConfig()
-        self._ordering: Ordering = get_ordering(self.config.ordering)
+        get_ordering(self.config.ordering)  # an unknown name fails here
         #: Rotation scratch buffers, reused across ``solve_stack`` calls
         #: (buckets, W-cycle levels, serve batches) by the fused executors.
         self._scratch = ScratchPool()
@@ -434,10 +436,7 @@ class StackedOneSidedJacobi:
     ):
         """The fused sweep executor for ``stack``'s column count."""
         cfg = self.config
-        plan = sweep_plan(
-            cfg.ordering if isinstance(cfg.ordering, str) else self._ordering,
-            stack.shape[2],
-        )
+        plan = sweep_plan(cfg.ordering, stack.shape[2])
         return FusedSVDSweeper(stack, cfg, plan, self._scratch, kernel_times)
 
     def solve_stack(
@@ -485,8 +484,14 @@ class StackedOneSidedJacobi:
         is shifted back
         (:func:`~repro.jacobi.preconditioning.safe_exponents`); the other
         members keep their bytes.
+
+        A stack that is not 3-D, is empty or is complex raises
+        :class:`~repro.errors.ShapeError`; another real dtype is swept
+        as float64. Entries are not checked here: a non-finite member
+        fails as above.
         """
         report_mode = _check_stack_mode(on_failure)
+        stack = as_real_stack(stack)
         cfg = self.config
         stop = _stop_array(stop, cfg.tol, len(stack))
         shifts = safe_exponents(stack)[:, None, None]
@@ -535,17 +540,13 @@ class StackedParallelEVD:
 
     def __init__(self, config: TwoSidedConfig | None = None) -> None:
         self.config = config or TwoSidedConfig()
-        self._ordering: Ordering = get_ordering(self.config.ordering)
+        get_ordering(self.config.ordering)  # an unknown name fails here
         self._scratch = ScratchPool()
 
     def _make_sweeper(self, stack: np.ndarray):
         """The fused sweep executor for ``stack``'s order."""
         cfg = self.config
-        plan = sweep_plan(
-            cfg.ordering if isinstance(cfg.ordering, str) else self._ordering,
-            stack.shape[1],
-            allow_neighbor=False,
-        )
+        plan = sweep_plan(cfg.ordering, stack.shape[1])
         return FusedEVDSweeper(stack, cfg, plan, self._scratch)
 
     def solve_stack(
@@ -571,9 +572,21 @@ class StackedParallelEVD:
         :meth:`repro.jacobi.fused.FusedEVDSweeper.run_sweep`); ``None``
         is ``(eps, 0)`` for all: elements at ``eps ||B||_F`` are noise and
         no pair is exempt by its diagonal.
+
+        ``stack`` is checked as in
+        :meth:`StackedOneSidedJacobi.solve_stack`, and must be square;
+        ``scales`` must hold one value per member.
         """
         report_mode = _check_stack_mode(on_failure)
+        stack = as_real_stack(stack)
         b = len(stack)
+        if stack.shape[1] != stack.shape[2]:
+            raise ShapeError(f"stack must be square, got shape={stack.shape}")
+        scales = np.asarray(scales, dtype=np.float64)
+        if scales.shape != (b,):
+            raise ShapeError(
+                f"scales must hold {b} value(s), got shape={scales.shape}"
+            )
         cfg = self.config
         stop = _stop_array(stop, cfg.tol, b)
         noise, diag_floor = _floor_rows(floors, b).T

@@ -25,14 +25,10 @@ contractions reduce in the same operand order as the reference ufunc
 expressions; the test suite compares the two byte for byte), up to the
 sign of rotated zeros (see :class:`FusedEVDSweeper`).
 
-**Zero-gather odd-even specialization.** The odd-even (brick) ordering's
-steps are adjacent transpositions of the *current* layout, so its plan
-needs no gathers at all: each step rotates an offset view ``T[off:off+2p]``
-in place (ping-pong buffers), folding the pair swap into the rotation
-block, and the layout is restored once per sweep from the final
-permutation. The builder self-validates against the ordering's emitted
-schedule and falls back to the gather plan when the schedule deviates
-(e.g. a deduplicated phase).
+**One loop for every ordering.** Each ordering's steps run through the
+same gather loop. The odd-even ordering's steps pair adjacent slots and
+could skip their gathers, but no benchmark workload runs odd-even, so it
+gets no loop of its own (``docs/performance.md`` gives the cost).
 
 **Tall stacks arrive as their triangular factors.** The stacked solver
 hands a tall stack (``m >= 2n``) to the sweeper as its ``n x n`` factors
@@ -47,8 +43,8 @@ step uses lives in a per-stack workspace built with the sweeper (rebuilt
 only when converged members drop out), and each call writes ``out=``
 into it.
 
-Plans (step permutations, index arrays, orientation masks) are immutable
-and memoized per ``(ordering, n)``; rotation scratch buffers are pooled per
+Plans (step permutations, index arrays) are immutable and memoized per
+ordering name and ``n``; rotation scratch buffers are pooled per
 solver so repeated ``solve_stack`` calls (buckets, W-cycle levels, serve
 batches) reuse them.
 
@@ -92,7 +88,7 @@ from numpy import (
 
 from repro.jacobi.convergence import symmetric_offdiagonal_cosines
 from repro.jacobi.rotations import rotation_cs_quiet
-from repro.orderings import Ordering, sweep_schedule
+from repro.orderings import sweep_schedule
 from repro.runtime import faults
 
 __all__ = [
@@ -103,9 +99,6 @@ __all__ = [
     "FusedSVDSweeper",
     "sweep_plan",
 ]
-
-_Schedule = tuple[tuple[tuple[int, int], ...], ...]
-
 
 # ---------------------------------------------------------------------------
 # kernel-time breakdown
@@ -193,45 +186,15 @@ def _both_axes(perm: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class NeighborStep:
-    """One odd-even step: pairs are already adjacent at ``offset``.
-
-    ``orient[q]`` is True when slot pair ``q`` currently stores its pivot
-    pair as ``(j, i)`` (the walking permutation has the larger column id
-    first); the executor folds the orientation and the post-step slot swap
-    into the rotation block, so the step performs no gather at all.
-    """
-
-    offset: int
-    n_pairs: int
-    orient: np.ndarray
-    idx_i: np.ndarray
-    idx_j: np.ndarray
-
-    @functools.cached_property
-    def orient_rows(self) -> np.ndarray:
-        """``orient`` as a ``(p, 1)`` column, against ``(p, b)`` arrays."""
-        return self.orient[:, None]
-
-    @functools.cached_property
-    def orient_blocks(self) -> np.ndarray:
-        """``orient`` as ``(p, 1, 1)``, against ``(p, 2, b)`` arrays."""
-        return self.orient[:, None, None]
-
-
-@dataclass(frozen=True, eq=False)
 class SweepPlan:
     """Precompiled execution plan for one full sweep at problem size ``n``.
 
-    ``kind`` is ``"gather"`` (generic, any ordering) or ``"neighbor"``
-    (odd-even zero-gather specialization). ``restore`` gathers the final
-    in-sweep layout back to canonical column order, applied once per
-    sweep.
+    ``restore`` gathers the final in-sweep layout back to canonical column
+    order, applied once per sweep.
     """
 
-    kind: str
     n: int
-    steps: tuple
+    steps: tuple[GatherStep, ...]
     restore: np.ndarray
 
     @functools.cached_property
@@ -254,10 +217,14 @@ def _pair_arrays(step: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndar
     return idx_i, idx_j
 
 
-def _build_gather_plan(schedule: _Schedule, n: int) -> SweepPlan:
+@functools.lru_cache(maxsize=256)
+def sweep_plan(name: str, n: int) -> SweepPlan:
+    """The fused sweep plan of the registered ordering ``name`` at size
+    ``n``, built once per ``(name, n)`` from its memoized schedule
+    (:func:`~repro.orderings.sweep_schedule`)."""
     steps = []
     prev = np.arange(n)
-    for step in schedule:
+    for step in sweep_schedule(name, n):
         in_pairs = [c for ij in step for c in ij]
         seen = set(in_pairs)
         layout = np.asarray(
@@ -273,86 +240,7 @@ def _build_gather_plan(schedule: _Schedule, n: int) -> SweepPlan:
     restore = np.empty(n, dtype=np.intp)
     restore[prev] = np.arange(n)
     restore.setflags(write=False)
-    return SweepPlan("gather", n, tuple(steps), restore)
-
-
-def _build_neighbor_plan(schedule: _Schedule, n: int) -> SweepPlan | None:
-    """Zero-gather plan for schedules that walk adjacent transpositions.
-
-    Simulates the odd-even permutation walk and checks, phase by phase,
-    that the ordering's emitted step equals the adjacent slot pairs of the
-    walk. Returns ``None`` on any mismatch (the caller falls back to the
-    gather plan), so the specialization can never silently change the
-    schedule.
-    """
-    perm = list(range(n))
-    steps = []
-    target = n * (n - 1) // 2
-    seen = 0
-    phase = 0
-    si = 0
-    while seen < target and phase < 4 * n:
-        start = phase % 2
-        slot_pairs = [(perm[k], perm[k + 1]) for k in range(start, n - 1, 2)]
-        emitted = tuple((min(a, b), max(a, b)) for a, b in slot_pairs)
-        if not slot_pairs or si >= len(schedule) or schedule[si] != emitted:
-            return None
-        orient = np.fromiter(
-            (a > b for a, b in slot_pairs), dtype=bool, count=len(slot_pairs)
-        )
-        orient.setflags(write=False)
-        idx_i, idx_j = _pair_arrays(emitted)
-        steps.append(
-            NeighborStep(start, len(slot_pairs), orient, idx_i, idx_j)
-        )
-        seen += len(emitted)
-        si += 1
-        for k in range(start, n - 1, 2):
-            perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        phase += 1
-    if si != len(schedule):
-        return None
-    restore = np.empty(n, dtype=np.intp)
-    restore[perm] = np.arange(n)
-    restore.setflags(write=False)
-    return SweepPlan("neighbor", n, tuple(steps), restore)
-
-
-def _build_plan(schedule: _Schedule, n: int, try_neighbor: bool) -> SweepPlan:
-    if try_neighbor:
-        plan = _build_neighbor_plan(schedule, n)
-        if plan is not None:
-            return plan
-    return _build_gather_plan(schedule, n)
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_sweep_plan(name: str, n: int, allow_neighbor: bool) -> SweepPlan:
-    return _build_plan(
-        sweep_schedule(name, n),
-        n,
-        try_neighbor=allow_neighbor and name == "odd-even",
-    )
-
-
-def sweep_plan(
-    ordering: str | Ordering, n: int, *, allow_neighbor: bool = True
-) -> SweepPlan:
-    """Resolve (and for named orderings, memoize) the fused sweep plan.
-
-    ``allow_neighbor=False`` forces the generic gather plan — used by
-    executors (the fused EVD) that do not implement the odd-even
-    zero-gather specialization.
-    """
-    if isinstance(ordering, str):
-        return _cached_sweep_plan(ordering, n, allow_neighbor)
-    schedule = tuple(tuple(step) for step in ordering.sweep(n) if step)
-    return _build_plan(
-        schedule,
-        n,
-        try_neighbor=allow_neighbor
-        and getattr(ordering, "name", None) == "odd-even",
-    )
+    return SweepPlan(n, tuple(steps), restore)
 
 
 def _compact_rows(arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -416,14 +304,12 @@ class _PairScratch:
     members, with every view of them a step reads.
 
     ``aij`` receives the inner products and ``aii``/``ajj`` the squared
-    norms a step computes (without the Eq. 6 cache; the neighbor plan also
-    resolves each pair's orientation into them from ``e0``/``e1``). ``f0``
-    to ``f2`` and ``mask`` are ``(p, nb)`` temporaries of Eq. 4 (``eq4``
-    hands them to the rotation kernel), ``cs2``, ``norms`` and ``tmp`` the
-    ``(p, 2, nb)`` ones of Eq. 6. ``R`` holds the step's ``(p, 2, 2, nb)``
-    rotation blocks; Eq. 4 writes ``(c, s)`` into its view ``cs``: column 0
-    of each block for the gather plan, row 1 for the neighbor plan, which
-    folds its pair swap in afterwards.
+    norms a step computes (without the Eq. 6 cache). ``f0`` to ``f2`` and
+    ``mask`` are ``(p, nb)`` temporaries of Eq. 4 (``eq4`` hands them to
+    the rotation kernel), ``cs2``, ``norms`` and ``tmp`` the ``(p, 2, nb)``
+    ones of Eq. 6. ``R`` holds the step's ``(p, 2, 2, nb)`` rotation
+    blocks; Eq. 4 writes ``(c, s)`` into its view ``cs``, column 0 of each
+    block.
 
     ``R`` is stored entry-major (a transposed ``(2, 2, p, nb)`` array), so
     its four ``(p, nb)`` entry planes ``R00``..``R11`` occupy disjoint
@@ -433,21 +319,14 @@ class _PairScratch:
     """
 
     __slots__ = (
-        "aij", "e0", "e1", "aii", "ajj", "diag",
-        "f0", "f1", "f2", "mask", "eq4",
-        "cs2", "cs2_swapped", "norms", "n0", "n1", "norms_swapped", "tmp",
+        "aij", "aii", "ajj", "diag", "f0", "f1", "f2", "mask", "eq4",
+        "cs2", "cs2_swapped", "norms", "n0", "n1", "tmp",
         "R", "R00", "R01", "R10", "R11", "cs", "c", "s",
     )
 
-    def __init__(self, p: int, nb: int, neighbor: bool) -> None:
+    def __init__(self, p: int, nb: int) -> None:
         pairs = (p, nb)
-        self.aij = np.empty(pairs)
-        self.e0 = np.empty(pairs)
-        self.e1 = np.empty(pairs)
-        if neighbor:
-            self.aii, self.ajj = np.empty(pairs), np.empty(pairs)
-        else:
-            self.aii, self.ajj = self.e0, self.e1
+        self.aij, self.aii, self.ajj = (np.empty(pairs) for _ in range(3))
         self.diag = (self.aii, self.ajj, self.aii[:, None], self.ajj[:, None])
         self.f0, self.f1, self.f2 = (np.empty(pairs) for _ in range(3))
         self.mask = np.empty(pairs, dtype=bool)
@@ -456,61 +335,51 @@ class _PairScratch:
         self.cs2_swapped = self.cs2[:, ::-1]
         self.norms = np.empty((p, 2, nb))
         self.n0, self.n1 = self.norms[:, 0], self.norms[:, 1]
-        self.norms_swapped = self.norms[:, ::-1]
         self.tmp = np.empty((p, 2, nb))
         R = self.R = np.empty((2, 2, p, nb)).transpose(2, 0, 1, 3)
         self.R00, self.R01 = R[:, 0, 0], R[:, 0, 1]
         self.R10, self.R11 = R[:, 1, 0], R[:, 1, 1]
-        self.cs = R[:, 1] if neighbor else R[:, :, 0]
+        self.cs = R[:, :, 0]
         self.c, self.s = self.cs[:, 0], self.cs[:, 1]
 
 
 class _SlotViews:
-    """The slots ``[off, off + 2p)`` of a step's ``p`` pairs, for one
-    assignment of the ping-pong buffers: ``A``/``V`` are the pairs of the
-    current data and V buffers (``(p, 2, nb, ·)``, with their columns
-    ``A0``/``A1`` and ``V0``/``V1``), ``Aout``/``Vout`` the same slots of
-    the other buffers, and ``outside`` the ``(dst, src)`` copies that carry
-    the slots outside the window over to them."""
+    """The first ``2p`` slots, a step's ``p`` pairs, for one assignment of
+    the ping-pong buffers: ``A``/``V`` are the pairs of the current data
+    and V buffers (``(p, 2, nb, ·)``, with the data pairs' columns
+    ``A0``/``A1``), ``Aout``/``Vout`` the same slots of the other buffers,
+    and ``outside`` the ``(dst, src)`` copies that carry the slots past
+    the pairs over to them."""
 
-    __slots__ = (
-        "A", "A0", "A1", "Aout", "Aout0", "Aout1",
-        "V", "V0", "V1", "Vout", "Vout0", "Vout1", "outside",
-    )
+    __slots__ = ("A", "A0", "A1", "Aout", "V", "Vout", "outside")
 
-    def __init__(self, T, S, VT, VS, off: int, p: int) -> None:
-        end = off + 2 * p
-        self.A, self.A0, self.A1 = _pair_view(T, off, p)
-        self.Aout, self.Aout0, self.Aout1 = _pair_view(S, off, p)
-        self.V, self.V0, self.V1 = _pair_view(VT, off, p)
-        self.Vout, self.Vout0, self.Vout1 = _pair_view(VS, off, p)
-        sides = [slice(None, off)] if off else []
-        if end < len(T):
-            sides.append(slice(end, None))
-        self.outside = tuple(
-            (dst[side], src[side]) for dst, src in ((S, T), (VS, VT))
-            for side in sides
+    def __init__(self, T, S, VT, VS, p: int) -> None:
+        self.A, self.A0, self.A1 = _pair_view(T, p)
+        self.Aout = _pair_view(S, p)[0]
+        self.V = _pair_view(VT, p)[0]
+        self.Vout = _pair_view(VS, p)[0]
+        end = 2 * p
+        self.outside = (
+            ((S[end:], T[end:]), (VS[end:], VT[end:])) if end < len(T) else ()
         )
 
 
-def _pair_view(X: np.ndarray, off: int, p: int):
-    """``(pairs, first, second)``: slots ``[off, off + 2p)`` of ``X`` as
-    ``p`` adjacent pairs, and the pairs' first and second columns."""
-    pairs = X[off : off + 2 * p].reshape(p, 2, *X.shape[1:])
+def _pair_view(X: np.ndarray, p: int):
+    """``(pairs, first, second)``: the first ``2p`` slots of ``X`` as ``p``
+    adjacent pairs, and the pairs' first and second columns."""
+    pairs = X[: 2 * p].reshape(p, 2, *X.shape[1:])
     return pairs, pairs[:, 0], pairs[:, 1]
 
 
 class _NormViews:
     """The squared norms of a step's pairs in one squared-norm buffer:
-    ``sq`` (``(p, 2, nb)``), its slot-swapped view, and ``diag``, the
-    ``(a_ii, a_jj)`` of the slots in pair order with their ``(p, 1, nb)``
-    row views for Eq. 6."""
+    ``sq`` (``(p, 2, nb)``) and ``diag``, the ``(a_ii, a_jj)`` of the
+    slots in pair order with their ``(p, 1, nb)`` row views for Eq. 6."""
 
-    __slots__ = ("sq", "swapped", "diag")
+    __slots__ = ("sq", "diag")
 
-    def __init__(self, Q: np.ndarray, off: int, p: int) -> None:
-        self.sq, first, second = _pair_view(Q, off, p)
-        self.swapped = self.sq[:, ::-1]
+    def __init__(self, Q: np.ndarray, p: int) -> None:
+        self.sq, first, second = _pair_view(Q, p)
         self.diag = (first, second, first[:, None], second[:, None])
 
 
@@ -525,8 +394,8 @@ class _SVDWorkspace:
     rotate)``: the step's :class:`_SlotViews` for either buffer of ``X``
     and ``V`` being current, its :class:`_NormViews` for either buffer of
     ``Q``, the :class:`_PairScratch` of its pair count and its slices of
-    the sweep buffers. Steps with the same slots share their views, and
-    steps with the same pair count their scratch.
+    the sweep buffers. Steps with the same pair count share their views
+    and scratch.
     """
 
     __slots__ = ("X", "V", "Q", "cosine", "rotate", "steps")
@@ -537,26 +406,19 @@ class _SVDWorkspace:
         self.Q = (np.empty((n, nb)), np.empty((n, nb)))
         self.cosine = np.empty((plan.pairs, nb))
         self.rotate = np.empty((plan.pairs, nb), dtype=bool)
-        neighbor = plan.kind == "neighbor"
-        windows: dict[tuple[int, int], tuple] = {}
-        scratch: dict[int, _PairScratch] = {}
+        shared: dict[int, tuple] = {}
         steps = []
         q = 0
         for step in plan.steps:
             p = step.n_pairs
-            key = (step.offset if neighbor else 0, p)
-            if key not in windows:
-                windows[key] = (
-                    (
-                        _SlotViews(T, S, VT, VS, *key),
-                        _SlotViews(S, T, VS, VT, *key),
-                    ),
-                    tuple(_NormViews(Q, *key) for Q in self.Q),
+            if p not in shared:
+                shared[p] = (
+                    (_SlotViews(T, S, VT, VS, p), _SlotViews(S, T, VS, VT, p)),
+                    tuple(_NormViews(Q, p) for Q in self.Q),
+                    _PairScratch(p, nb),
                 )
-            if p not in scratch:
-                scratch[p] = _PairScratch(p, nb, neighbor)
             steps.append(
-                (step, *windows[key], scratch[p],
+                (step, *shared[p],
                  self.cosine[q : q + p], self.rotate[q : q + p])
             )
             q += p
@@ -575,12 +437,11 @@ class FusedSVDSweeper:
     Per-pair quantities are slot-major too: a step's inner products,
     cosines and ``(c, s)`` are ``(p, b)`` arrays, the squared-norm cache is
     ``(n, b)``, and ``(c, s)`` are written straight into the step's
-    ``(p, 2, 2, b)`` rotation blocks, so a step needs no transposes. Both
-    plans run a step's per-pair arithmetic (Eq. 4, and Eq. 6 for both
-    columns of every pair at once) through one helper, :meth:`_pair_step`,
-    which records the pairs' cosines and rotations in per-sweep buffers;
-    the sweep reduces them once. A sweep runs under a single
-    ``np.errstate``.
+    ``(p, 2, 2, b)`` rotation blocks, so a step needs no transposes. A
+    step's per-pair arithmetic (Eq. 4, and Eq. 6 for both columns of every
+    pair at once) runs in :meth:`_pair_step`, which records the pairs'
+    cosines and rotations in per-sweep buffers; the sweep reduces them
+    once. A sweep runs under a single ``np.errstate``.
 
     A step allocates nothing and builds no views: every buffer, view and
     temporary it uses lives in a :class:`_SVDWorkspace` built with the
@@ -670,10 +531,7 @@ class FusedSVDSweeper:
         # reaches a floor of -inf, and that pair's cosine is already zero.
         floor = np.where(norm_floor > 0.0, norm_floor, -np.inf)
         with np.errstate(all="ignore"):
-            if self.plan.kind == "neighbor":
-                self._sweep_neighbor(floor)
-            else:
-                self._sweep_gather(floor)
+            self._sweep(floor)
         kt = self._kt
         t0 = kt.clock() if kt else 0.0
         ws, x = self._ws, self._x
@@ -727,7 +585,7 @@ class FusedSVDSweeper:
         self.sqnorms[...] = np.einsum("bij,bij->bj", Wc, Wc).T
 
     def _pair_step(self, diag, floor, cosine, rotate, w: _PairScratch, t0):
-        """The per-pair work of one step, shared by both plans.
+        """The per-pair work of one step.
 
         Eq. 4 for the step's ``(p, b)`` pairs, in the reference's
         arithmetic order, on ``diag = (a_ii, a_jj, a_ii[:, None],
@@ -782,7 +640,7 @@ class FusedSVDSweeper:
             t0 = kt.lap(t0, "norms")
         return rotated, t0
 
-    def _sweep_gather(self, floor: np.ndarray) -> None:
+    def _sweep(self, floor: np.ndarray) -> None:
         kt = self._kt
         cache = self._cache
         pair_step = self._pair_step
@@ -826,71 +684,6 @@ class FusedSVDSweeper:
             if kt:
                 kt.lap(t0, "norms")
         self._x, self._q = x, q
-
-    def _sweep_neighbor(self, floor: np.ndarray) -> None:
-        kt = self._kt
-        cache = self._cache
-        pair_step = self._pair_step
-        ws = self._ws
-        x, q = self._x, self._q
-        for step, slots, norms, w, cosine, rotate in ws.steps:
-            t0 = kt.clock() if kt else 0.0
-            f = slots[x]
-            ot = step.orient_rows
-            einsum("pbm,pbm->pb", f.A0, f.A1, out=w.aij)
-            if cache:
-                nv = norms[q]
-                e0, e1 = nv.diag[0], nv.diag[1]
-            else:
-                e0, e1 = w.e0, w.e1
-                einsum("pbm,pbm->pb", f.A0, f.A0, out=e0)
-                einsum("pbm,pbm->pb", f.A1, f.A1, out=e1)
-            copyto(w.aii, e0)
-            copyto(w.aii, e1, where=ot)
-            copyto(w.ajj, e1)
-            copyto(w.ajj, e0, where=ot)
-            if kt:
-                t0 = kt.lap(t0, "gram")
-            # c lands in R[:, 1, 0] and s, for now, in R[:, 1, 1].
-            rotated, t0 = pair_step(w.diag, floor, cosine, rotate, w, t0)
-            if not rotated:
-                # No rotation: advance the layout walk with exact swap
-                # copies (an identity-rotation einsum would flip -0.0).
-                copyto(f.Aout0, f.A1)
-                copyto(f.Aout1, f.A0)
-                copyto(f.Vout0, f.V1)
-                copyto(f.Vout1, f.V0)
-                for dst, src in f.outside:
-                    copyto(dst, src)
-                x = 1 - x
-                if cache:
-                    copyto(w.tmp, nv.swapped)
-                    copyto(nv.sq, w.tmp)
-                if kt:
-                    kt.lap(t0, "rotate")
-                continue
-            # Swap-folded, orientation-aware rotation block: slot 0 of the
-            # output pair receives what the walk's post-step swap would
-            # place there, so the step needs no separate permutation pass.
-            copyto(w.R01, w.R10)
-            negative(w.R11, out=w.R00)
-            copyto(w.R00, w.R11, where=ot)
-            negative(w.R00, out=w.R11)
-            einsum("pcbm,pcdb->pdbm", f.A, w.R, out=f.Aout)
-            einsum("pcbm,pcdb->pdbm", f.V, w.R, out=f.Vout)
-            for dst, src in f.outside:
-                copyto(dst, src)
-            x = 1 - x
-            if kt:
-                t0 = kt.lap(t0, "rotate")
-            if cache:
-                # Slot 0 now holds the (swapped-in) other column of the
-                # pair; write the updated norms swap-folded to match.
-                copyto(nv.sq, w.norms_swapped)
-                copyto(nv.sq, w.norms, where=step.orient_blocks)
-            if kt:
-                kt.lap(t0, "norms")
-        self._x = x
 
 
 # ---------------------------------------------------------------------------

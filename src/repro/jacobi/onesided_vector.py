@@ -50,7 +50,7 @@ class OneSidedConfig:
     max_sweeps:
         Sweep budget; exceeding it raises :class:`ConvergenceError`.
     ordering:
-        Pivot schedule name or instance (default round-robin).
+        Pivot schedule name (default round-robin).
     cache_inner_products:
         Enable the Eq. 6 optimization (ablation switch D1).
     transpose_wide:

@@ -37,8 +37,8 @@ class TwoSidedConfig:
     max_sweeps:
         Sweep budget; exceeding it raises :class:`ConvergenceError`.
     ordering:
-        Pivot schedule (the parallel kernel requires disjoint steps; the
-        round-robin default provides the minimum step count).
+        Pivot schedule name (the parallel kernel requires disjoint steps;
+        the round-robin default provides the minimum step count).
     """
 
     tol: float = 1e-14

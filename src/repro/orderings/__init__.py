@@ -17,7 +17,6 @@ from repro.orderings.dynamic import DynamicOrdering
 from repro.orderings.registry import (
     available_orderings,
     get_ordering,
-    register_ordering,
     sweep_schedule,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "DynamicOrdering",
     "available_orderings",
     "get_ordering",
-    "register_ordering",
     "sweep_schedule",
     "validate_sweep",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.orderings.base import Ordering
@@ -14,69 +13,41 @@ from repro.orderings.round_robin import RoundRobinOrdering
 __all__ = [
     "available_orderings",
     "get_ordering",
-    "register_ordering",
     "sweep_schedule",
 ]
 
-_REGISTRY: dict[str, Callable[[], Ordering]] = {
-    RoundRobinOrdering.name: RoundRobinOrdering,
-    OddEvenOrdering.name: OddEvenOrdering,
-    RingOrdering.name: RingOrdering,
+# The orderings are stateless schedule generators (``sweep(n)`` is a pure
+# function of ``n``), so one shared instance per name suffices.
+_REGISTRY: dict[str, Ordering] = {
+    cls.name: cls()
+    for cls in (RoundRobinOrdering, OddEvenOrdering, RingOrdering)
 }
 
-# The built-in orderings are stateless schedule generators (``sweep(n)`` is
-# a pure function of ``n``), so one shared instance per name suffices.
-# Plugin factories registered at runtime are not assumed stateless and are
-# constructed fresh on every lookup.
-_CACHEABLE = frozenset(_REGISTRY)
-_SHARED_INSTANCES: dict[str, Ordering] = {}
 
+def get_ordering(name: str) -> Ordering:
+    """The shared instance of the ordering registered as ``name``.
 
-def register_ordering(name: str, factory: Callable[[], Ordering]) -> None:
-    """Register a custom ordering factory under ``name``.
-
-    Raises :class:`ConfigurationError` on duplicate names so a plugin
-    cannot silently shadow a built-in schedule.
+    Anything but a registered name raises :class:`ConfigurationError`.
     """
-    if name in _REGISTRY:
-        raise ConfigurationError(f"ordering {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
-def get_ordering(name: str | Ordering) -> Ordering:
-    """Resolve an ordering by name (or pass an instance through).
-
-    Built-in orderings resolve to one shared (stateless) instance per
-    name; runtime-registered factories are invoked on every call.
-    """
-    if isinstance(name, Ordering):
-        return name
-    cached = _SHARED_INSTANCES.get(name)
-    if cached is not None:
-        return cached
     try:
-        factory = _REGISTRY[name]
-    except KeyError:
+        return _REGISTRY[name]
+    except (KeyError, TypeError):
         raise ConfigurationError(
             f"unknown ordering {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    ordering = factory()
-    if name in _CACHEABLE:
-        _SHARED_INSTANCES[name] = ordering
-    return ordering
 
 
 @functools.lru_cache(maxsize=256)
 def sweep_schedule(
     name: str, n: int
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Memoized pivot schedule for a *named* ordering at problem size ``n``.
+    """Memoized pivot schedule of the ordering ``name`` at problem size ``n``.
 
-    Registered orderings generate their sweep as a pure function of ``n``,
-    so the schedule is computed once per ``(name, n)`` and shared across
-    solver instances, W-cycle levels, and serve batches. Empty steps are
-    dropped (every consumer skips them anyway). The returned tuples are
-    immutable; callers that need mutable lists must copy.
+    Orderings generate their sweep as a pure function of ``n``, so the
+    schedule is computed once per ``(name, n)`` and shared across solver
+    instances, W-cycle levels, and serve batches. Empty steps are dropped
+    (every consumer skips them anyway). The returned tuples are immutable;
+    callers that need mutable lists must copy.
     """
     return tuple(
         tuple(step) for step in get_ordering(name).sweep(n) if step

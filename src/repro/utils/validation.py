@@ -15,6 +15,7 @@ from repro.errors import ShapeError
 
 __all__ = [
     "as_matrix",
+    "as_real_stack",
     "as_stack",
     "check_batch",
     "check_positive",
@@ -43,10 +44,10 @@ def as_matrix(A: np.ndarray, *, name: str = "A") -> np.ndarray:
     return arr
 
 
-def as_stack(stack: np.ndarray, *, name: str = "matrices") -> np.ndarray:
-    """Validate a ``(b, m, n)`` stack of real matrices as :func:`as_matrix`
-    validates one, in one stacked pass; a non-finite member is named by
-    its index, as ``name[i]``."""
+def as_real_stack(stack: np.ndarray, *, name: str = "stack") -> np.ndarray:
+    """Validate the shape and dtype of a ``(b, m, n)`` stack of real
+    matrices, but not its entries: another real dtype is cast to float64,
+    and a float64 array comes back as it is, uncopied."""
     arr = np.asarray(stack)
     if arr.ndim != 3:
         raise ShapeError(f"{name} must be a 3-D stack, got ndim={arr.ndim}")
@@ -54,7 +55,14 @@ def as_stack(stack: np.ndarray, *, name: str = "matrices") -> np.ndarray:
         raise ShapeError(f"{name} must be non-empty, got shape={arr.shape}")
     if np.iscomplexobj(arr):
         raise ShapeError(f"{name} must be real-valued, got dtype={arr.dtype}")
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return arr.astype(np.float64, copy=False)
+
+
+def as_stack(stack: np.ndarray, *, name: str = "matrices") -> np.ndarray:
+    """Validate a ``(b, m, n)`` stack of real matrices as :func:`as_matrix`
+    validates one, in one stacked pass; a non-finite member is named by
+    its index, as ``name[i]``."""
+    arr = np.ascontiguousarray(as_real_stack(stack, name=name))
     finite = np.isfinite(arr).all(axis=(1, 2))
     if not finite.all():
         raise ShapeError(

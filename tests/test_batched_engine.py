@@ -14,7 +14,7 @@ import pytest
 from repro.gpusim import V100
 from repro.gpusim.evd_kernel import BatchedEVDKernel, SMEVDKernelConfig
 from repro.gpusim.svd_kernel import BatchedSVDKernel
-from repro.errors import NonFiniteError
+from repro.errors import NonFiniteError, ShapeError
 from repro.jacobi.batched import (
     BatchedJacobiEngine,
     StackedOneSidedJacobi,
@@ -146,6 +146,56 @@ class TestNonFiniteStack:
         with pytest.raises(NonFiniteError) as info:
             StackedParallelEVD().solve_stack(stack, scales)
         assert info.value.batch_indices == (1,)
+
+
+class TestStackInputs:
+    """``solve_stack`` is public, so it checks its stack: a stack that is
+    not 3-D, is empty or is complex raises, and another real dtype is
+    swept as float64 (integer outputs came back truncated)."""
+
+    def test_integer_svd_stack_is_swept_as_float64(self):
+        stack = np.arange(24).reshape(2, 4, 3)
+        W, V, _ = StackedOneSidedJacobi().solve_stack(stack)
+        want = StackedOneSidedJacobi().solve_stack(stack.astype(np.float64))
+        assert W.dtype == np.float64
+        assert W.tobytes() == want[0].tobytes()
+        assert V.tobytes() == want[1].tobytes()
+        np.testing.assert_allclose(W[0, 0], [-1.2188, 0.0, 1.8747], atol=1e-4)
+
+    def test_integer_evd_stack_is_swept_as_float64(self):
+        stack = np.array([[[2, 1, 0], [1, 3, 1], [0, 1, 4]]])
+        scales = np.linalg.norm(stack, axis=(1, 2))
+        B, _, _ = StackedParallelEVD().solve_stack(stack, scales)
+        np.testing.assert_allclose(
+            np.sort(np.diag(B[0])), [3 - 3**0.5, 3.0, 3 + 3**0.5]
+        )
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 3), (1, 2, 4, 3), (0, 4, 3), (2, 0, 3), (2, 4, 0)]
+    )
+    def test_svd_stack_of_wrong_shape(self, shape):
+        with pytest.raises(ShapeError):
+            StackedOneSidedJacobi().solve_stack(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (1, 2, 3, 3), (0, 3, 3), (2, 4, 3)]
+    )
+    def test_evd_stack_of_wrong_shape(self, shape):
+        with pytest.raises(ShapeError):
+            StackedParallelEVD().solve_stack(np.ones(shape), np.ones(2))
+
+    def test_complex_stacks(self, rng):
+        stack = rng.standard_normal((2, 3, 3)) * (1 + 1j)
+        with pytest.raises(ShapeError, match="real"):
+            StackedOneSidedJacobi().solve_stack(stack)
+        with pytest.raises(ShapeError, match="real"):
+            StackedParallelEVD().solve_stack(stack + stack.conj(), np.ones(2))
+
+    def test_evd_scales_one_per_member(self):
+        stack = np.stack([np.diag([2.0, 1.0, 3.0])] * 2)
+        for scales in (np.ones(3), np.ones(1), 1.0):
+            with pytest.raises(ShapeError, match="scales"):
+                StackedParallelEVD().solve_stack(stack, scales)
 
 
 def _column_norms(W):

@@ -1,9 +1,8 @@
 """Fused sweep executors vs the per-matrix reference solvers.
 
 The fused executors of :mod:`repro.jacobi.fused` (pair-adjacent gather
-plans and the odd-even zero-gather specialization) promise the *same
-arithmetic in the same order* as the per-step loops of
-:class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD` and
+plans) promise the *same arithmetic in the same order* as the per-step
+loops of :class:`~repro.jacobi.onesided_vector.OneSidedJacobiSVD` and
 :class:`~repro.jacobi.parallel_evd.ParallelJacobiEVD` wherever the
 reduction grouping is unchanged — so the contract tested here is bitwise
 equality of every stack member's finalized factors and trace with the
@@ -35,7 +34,6 @@ from repro.jacobi.fused import (
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.parallel_evd import ParallelJacobiEVD
 from repro.jacobi.twosided_evd import TwoSidedConfig, _finalize_evd
-from repro.orderings import get_ordering
 from repro.types import ConvergenceTrace
 
 ORDERINGS = ["round-robin", "odd-even", "ring"]
@@ -111,16 +109,6 @@ class TestSVDBitwiseEquivalence:
         cfg = OneSidedConfig(ordering=ordering, cache_inner_products=cache)
         out = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
         _assert_svd_members_match(stack, cfg, out)
-
-    def test_ordering_instance_accepted(self, rng):
-        """Plans build from Ordering objects, not just registry names."""
-        stack = _svd_stack(rng, (2, 10, 6))
-        cfg = OneSidedConfig(ordering="ring")
-        inst_cfg = OneSidedConfig(ordering=get_ordering("ring"))
-        Wa, Va, _ = StackedOneSidedJacobi(cfg).solve_stack(stack.copy())
-        Wb, Vb, _ = StackedOneSidedJacobi(inst_cfg).solve_stack(stack.copy())
-        assert Wa.tobytes() == Wb.tobytes()
-        assert Va.tobytes() == Vb.tobytes()
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_report_mode_dropout_matches(self, rng, ordering):
@@ -257,10 +245,9 @@ class TestSVDWorkspace:
         _assert_svd_members_match(stack, cfg, out)
 
     @pytest.mark.parametrize("n", [7, 8])
-    def test_neighbor_plan_no_cache_with_kernel_times(self, rng, n):
-        """The odd-even zero-gather plan without the Eq. 6 cache, with the
+    def test_odd_even_no_cache_with_kernel_times(self, rng, n):
+        """The odd-even ordering without the Eq. 6 cache, with the
         kernel-time laps on."""
-        assert sweep_plan("odd-even", n).kind == "neighbor"
         stack = _staggered_stack(rng, 10, n)
         cfg = OneSidedConfig(ordering="odd-even", cache_inner_products=False)
         kt = KernelTimes(time.perf_counter)
@@ -444,22 +431,10 @@ class TestSweepPlans:
         assert sweep_plan("round-robin", 8) is sweep_plan("round-robin", 8)
         assert sweep_plan("odd-even", 8) is sweep_plan("odd-even", 8)
 
-    def test_neighbor_specialization_selected(self):
-        assert sweep_plan("odd-even", 8).kind == "neighbor"
-        assert sweep_plan("odd-even", 7).kind == "neighbor"
-        assert sweep_plan("round-robin", 8).kind == "gather"
-        assert sweep_plan("ring", 8).kind == "gather"
-
-    def test_neighbor_opt_out(self):
-        plan = sweep_plan("odd-even", 8, allow_neighbor=False)
-        assert plan.kind == "gather"
-        # Distinct cache key from the neighbor plan.
-        assert plan is not sweep_plan("odd-even", 8)
-
     def test_plan_covers_all_pairs_once(self):
         for name in ORDERINGS:
             for n in (2, 5, 8):
-                plan = sweep_plan(name, n, allow_neighbor=False)
+                plan = sweep_plan(name, n)
                 pairs = [
                     (int(i), int(j))
                     for step in plan.steps
@@ -475,7 +450,7 @@ class TestSweepPlans:
         undoes the sweep's composed permutation the same way."""
         k = 7
         B = rng.standard_normal((3, k, k))
-        plan = sweep_plan("round-robin", k, allow_neighbor=False)
+        plan = sweep_plan("round-robin", k)
         for step in plan.steps:
             g = step.gather
             flat = B.reshape(3, k * k).take(step.gather_both, axis=1)

@@ -11,7 +11,6 @@ from repro.orderings import (
     RoundRobinOrdering,
     available_orderings,
     get_ordering,
-    register_ordering,
     validate_sweep,
 )
 
@@ -88,29 +87,13 @@ class TestRegistry:
     def test_get_by_name(self):
         assert isinstance(get_ordering("ring"), RingOrdering)
 
-    def test_get_passes_instance_through(self):
-        inst = RoundRobinOrdering()
-        assert get_ordering(inst) is inst
+    def test_instance_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown ordering"):
+            get_ordering(RoundRobinOrdering())
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown ordering"):
             get_ordering("spiral")
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_ordering("round-robin", RoundRobinOrdering)
-
-    def test_register_custom(self):
-        class Custom(RoundRobinOrdering):
-            name = "custom-test-ordering"
-
-        try:
-            register_ordering("custom-test-ordering", Custom)
-            assert isinstance(get_ordering("custom-test-ordering"), Custom)
-        finally:
-            from repro.orderings import registry
-
-            registry._REGISTRY.pop("custom-test-ordering", None)
 
 
 @settings(max_examples=40, deadline=None)

@@ -152,7 +152,9 @@ def test_stacked_step_matches_list_api(case, request):
     mats = build(np.random.default_rng(5))
     stacked, stacked_report, stacked_rotations = _solve(cfg, mats)
     rerouted = request.getfixturevalue("listed")
-    listed, listed_report, listed_rotations = _solve(cfg, mats)
+    # The reroute patches this process's classes, which a worker process
+    # does not see, so the listed solve runs in this process.
+    listed, listed_report, listed_rotations = _solve(cfg, mats, "serial")
     assert "update" in rerouted
     for got, want in zip(stacked, listed):
         assert _fingerprint(got) == _fingerprint(want), case
@@ -174,7 +176,8 @@ def test_leaf_launches_do_not_build_u(rng, monkeypatch):
 
     monkeypatch.setattr(factors, "_left_vectors", spy)
     mats = [rng.standard_normal((128, 64)), rng.standard_normal((64, 32))]
-    out, report, _ = _solve(WCycleConfig(), mats)
+    # The spy sees only this process's calls.
+    out, report, _ = _solve(WCycleConfig(), mats, "serial")
     kernels = [s.kernel for s in report.launches]
     assert kernels.count("batched_svd_sm") > 1
     assert sorted(built) == [(1, 64, 32), (1, 128, 64)]
