@@ -38,7 +38,6 @@ from repro.errors import (
     PlanError,
     ReproError,
     ResourceError,
-    SegmentLostError,
     ServerClosed,
     ServerOverloaded,
     ShapeError,
@@ -69,7 +68,6 @@ __all__ = [
     "PlanError",
     "ReproError",
     "ResourceError",
-    "SegmentLostError",
     "ServerClosed",
     "ServerOverloaded",
     "ShapeError",

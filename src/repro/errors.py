@@ -8,9 +8,9 @@ The fault-tolerant runtime (:mod:`repro.runtime.resilient`) splits the
 taxonomy along one axis that matters for recovery:
 
 - **infrastructure faults** (:class:`WorkerCrashError`,
-  :class:`DeadlineExceeded`, :class:`SegmentLostError`,
-  :class:`NonFiniteError`) are transient-by-assumption and retried with
-  backoff, possibly on a degraded backend;
+  :class:`DeadlineExceeded`, :class:`NonFiniteError`) are
+  transient-by-assumption and retried with backoff, possibly on a
+  degraded backend;
 - **numerical failures** (:class:`ConvergenceError`) are deterministic —
   retrying reproduces them bit-for-bit — so they are never retried; in
   quarantine mode the offending matrices are re-solved by the reference
@@ -76,8 +76,8 @@ class NonFiniteError(ReproError, ArithmeticError):
 
     Distinct from :class:`ShapeError` (which rejects non-finite *inputs*
     up front): this fires when finite data turns non-finite during the
-    sweeps — memory corruption, a poisoned shared segment, or an injected
-    fault — and is therefore treated as retryable infrastructure failure.
+    sweeps — memory corruption or an injected fault — and is therefore
+    treated as retryable infrastructure failure.
     """
 
     def __init__(
@@ -98,10 +98,6 @@ class WorkerCrashError(ReproError, RuntimeError):
 
 class DeadlineExceeded(ReproError, TimeoutError):
     """A task missed its per-task deadline (``RetryPolicy.task_timeout``)."""
-
-
-class SegmentLostError(ReproError, RuntimeError):
-    """A shared-memory segment vanished (or was corrupted) before attach."""
 
 
 class ServerOverloaded(ReproError, RuntimeError):

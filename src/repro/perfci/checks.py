@@ -311,7 +311,7 @@ DEFAULT_CHECKS: tuple[PerfCheck, ...] = tuple(
             noise_floor=0.3,
             description="W-cycle buckets vs per-matrix decompose calls",
         ),
-        # -- persistent-arena dispatch overhead (PR 7): deterministic
+        # -- persistent-backend dispatch overhead: deterministic
         # counters, so the gate is near-exact.
         PerfCheck(
             name="runtime.persistent4.ipc_round_trips",

@@ -8,21 +8,17 @@ supplies the missing host axis:
 - :mod:`repro.runtime.executor` — the :class:`Executor` abstraction with
   its two backends, the ``serial`` reference and ``persistent``, and
   cost-aware largest-first scheduling;
-- :mod:`repro.runtime.arena` — pre-pinned shared-memory arenas with a
-  slot-lease protocol (allocate once, lease per task, return once it
-  resolves), the only shared-memory mechanism. The arena enforces its
-  protocol on every run: a double or foreign release raises;
-- :mod:`repro.runtime.persistent` — the ``persistent`` backend and the
-  only user of arenas: long-lived supervised fork workers that attach
-  arenas once at spawn and take batched task manifests (one IPC
-  round-trip per worker per map). The ndarrays of the items it ships
-  travel through leased slots; results pickle back;
+- :mod:`repro.runtime.persistent` — the ``persistent`` backend:
+  long-lived supervised fork workers that take batched task manifests
+  (one IPC round-trip per worker per map) over one pipe each. A manifest
+  is one frame: the items pickle with protocol 5 and the data of their
+  ndarrays rides the same frame out of band, arriving read-only and
+  uncopied in the worker; results pickle back;
 - :mod:`repro.runtime.scheduler` — flop-cost estimates and deterministic
   bucket-shard planning (LPT-style ordering, stable tie-breaks);
 - :mod:`repro.runtime.faults` — deterministic fault injection. Set
   ``REPRO_FAULTS=<spec>`` (e.g. ``seed=7;kill:p=0.1``) to arm seeded
-  worker-death / hang / NaN / segment-loss injections inside resilient
-  task frames;
+  worker-death / hang / NaN injections inside resilient task frames;
 - :mod:`repro.runtime.resilient` — the :class:`ResilientExecutor`
   supervisor: per-task deadlines, bounded deterministic retries with
   exponential backoff, dead-pool respawn, and the degradation ladder
@@ -54,7 +50,6 @@ from repro.runtime.scheduler import (
     svd_stack_cost,
     wcycle_matrix_cost,
 )
-from repro.runtime.arena import Arena, ArenaSpec, SlotRef
 from repro.runtime.persistent import PersistentExecutor, WorkerPoolBroken
 from repro.runtime import faults
 from repro.runtime.faults import FaultClause, FaultPlan
@@ -92,9 +87,6 @@ __all__ = [
     "split_shards",
     "degradation_ladder",
     "retry_backoff",
-    "Arena",
-    "ArenaSpec",
-    "SlotRef",
     "PersistentExecutor",
     "WorkerPoolBroken",
 ]

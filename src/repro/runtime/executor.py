@@ -19,11 +19,11 @@ Backend notes
     reference the parallel backend must match bit-for-bit.
 ``persistent``
     :class:`~repro.runtime.persistent.PersistentExecutor`: long-lived
-    supervised fork workers that sidestep the GIL entirely. They attach a
-    pre-pinned shared-memory :class:`~repro.runtime.arena.Arena` once at
-    spawn and receive batched task manifests (one IPC round-trip per
-    worker per map); the items' arrays travel through leased arena
-    slots, and results pickle back through the pipe.
+    supervised fork workers that sidestep the GIL entirely. They receive
+    batched task manifests (one IPC round-trip per worker per map) over
+    a pipe; the items' arrays ride each manifest's frame as out-of-band
+    pickle buffers and reach the task read-only, and results pickle back
+    through the pipe.
 
 Nesting is safe by construction: a task that calls :meth:`Executor.map`
 from inside a worker runs the nested tasks inline (no re-submission), so
@@ -239,8 +239,8 @@ class Executor:
 
         The serial backend reports zeros by construction; the persistent
         backend adds what its transport pays (IPC round-trips, pickled
-        bytes, arena leases), and the worker-scaling benchmark records the
-        breakdown per config.
+        bytes, out-of-band array bytes), and the worker-scaling benchmark
+        records the breakdown per config.
         """
         return {"batches": 0, "tasks": 0}
 

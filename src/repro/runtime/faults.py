@@ -1,15 +1,15 @@
 """Deterministic fault injection for the fault-tolerant runtime.
 
-Production failures — a worker OOM-killed mid-shard, a shared-memory
-segment reaped by the OS, a task wedged on a lock, silent memory
-corruption turning a stack non-finite — are rare, non-deterministic, and
-impossible to regression-test directly. This module makes them *cheap and
-deterministic*: a :class:`FaultPlan` is a seeded set of clauses, and
-whether a given clause fires for a given task is a pure function of
-``(seed, kind, task key)``. The key names the task by its map's sequence
-number and its index, never by process id, so a chaos run replays the
-exact same faults every time, in every process — which is what lets the
-chaos suite assert that recovered runs stay bit-identical to clean ones.
+Production failures — a worker OOM-killed mid-shard, a task wedged on a
+lock, silent memory corruption turning a stack non-finite — are rare,
+non-deterministic, and impossible to regression-test directly. This
+module makes them *cheap and deterministic*: a :class:`FaultPlan` is a
+seeded set of clauses, and whether a given clause fires for a given task
+is a pure function of ``(seed, kind, task key)``. The key names the task
+by its map's sequence number and its index, never by process id, so a
+chaos run replays the exact same faults every time, in every process —
+which is what lets the chaos suite assert that recovered runs stay
+bit-identical to clean ones.
 
 Fault kinds
 -----------
@@ -25,9 +25,6 @@ Fault kinds
 ``nan``
     Mid-sweep data corruption: the stacked Jacobi solvers poison one entry
     of their private working stack, tripping their per-sweep finite check.
-``shm_lost``
-    Segment loss: :func:`repro.runtime.arena.resolve` raises
-    :class:`~repro.errors.SegmentLostError` before a task maps its slot.
 
 Spec grammar (``REPRO_FAULTS`` / the ``chaos`` pytest fixture)
 --------------------------------------------------------------
@@ -36,7 +33,7 @@ Semicolon-separated clauses::
     spec    = clause (";" clause)*
     clause  = "seed=" int
             | kind [":" key "=" value ("," key "=" value)*]
-    kind    = "kill" | "hang" | "nan" | "shm_lost"
+    kind    = "kill" | "hang" | "nan"
     key     = "p"        (fire probability per task, default 1.0)
             | "match"    (substring of the task key, default any)
             | "backend"  (only on this executor backend — one of
@@ -66,12 +63,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceeded,
-    SegmentLostError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigurationError, DeadlineExceeded, WorkerCrashError
 from repro.runtime.executor import BACKENDS
 
 __all__ = [
@@ -87,14 +79,13 @@ __all__ = [
     "activate",
     "active",
     "on_task_start",
-    "on_segment_attach",
     "poison_stack",
 ]
 
 _ENV_VAR = "REPRO_FAULTS"
 
 #: The recognized fault kinds.
-FAULT_KINDS = ("kill", "hang", "nan", "shm_lost")
+FAULT_KINDS = ("kill", "hang", "nan")
 
 #: Exit status of a simulated worker death (visible in pool diagnostics).
 KILL_EXIT_CODE = 3
@@ -341,18 +332,6 @@ def on_task_start() -> None:
                 f"(attempt {frame.attempt})"
             )
         time.sleep(clause.delay)
-
-
-def on_segment_attach(name: str) -> None:
-    """Slot-mapping hook of :func:`repro.runtime.arena.resolve`."""
-    frame = current()
-    if frame is None:
-        return
-    if _matching("shm_lost") is not None:
-        raise SegmentLostError(
-            f"injected loss of shared-memory segment {name!r} for task "
-            f"{frame.key!r} (attempt {frame.attempt})"
-        )
 
 
 def poison_stack(stack: np.ndarray) -> bool:

@@ -1,57 +1,46 @@
-"""The ``persistent`` backend: long-lived supervised workers over arenas.
+"""The ``persistent`` backend: long-lived supervised workers on one pipe.
 
-A pool that pays fork + pickle + per-task shared-memory setup on every
-dispatch loses small buckets to that overhead. A
-:class:`PersistentExecutor` spawns its workers **once** and amortises
-everything else:
+A pool that pays fork + pickle on every dispatch loses small buckets to
+that overhead. A :class:`PersistentExecutor` spawns its workers **once**
+and amortises everything else:
 
-- **Arena attach at spawn.**  Workers receive the owning parent's
-  :class:`~repro.runtime.arena.ArenaSpec` right after fork and map every
-  segment a single time.
-- **Arrays travel as slots.**  Callers hand :meth:`~PersistentExecutor.map`
-  and :meth:`~PersistentExecutor.submit` a module-level task and items
-  that hold plain ndarrays, at the top level or inside tuples and lists.
-  For each item it ships, the executor copies those arrays into leased
-  arena slots and pickles only the :class:`~repro.runtime.arena.SlotRef`
-  handles; the worker maps them back into ndarrays as the task is
-  called, inside a resilient task shell's fault frame when there is one.
-  Results pickle back through the pipe. Every lease a map or submit took
-  returns to the free list once it resolves. An inline map (one item,
-  one worker, or a nested call) passes the arrays by reference and takes
-  no lease.
+- **One pipe per worker, one frame per message.**  Callers hand
+  :meth:`~PersistentExecutor.map` and :meth:`~PersistentExecutor.submit`
+  a module-level task and items that hold plain ndarrays (at any depth
+  pickle reaches). Each parent→worker message is one ``send_bytes``
+  frame: a header (the out-of-band buffer count and the part lengths),
+  the message pickled with protocol 5, and the raw bytes of every buffer
+  pickle handed out of band — the data of each contiguous ndarray. The
+  worker rebuilds the message over views of the received frame, so its
+  input arrays arrive read-only and without a second copy. Results
+  pickle back through the pipe and arrive writable. An inline map (one
+  item, one worker, or a nested call) passes the arrays by reference.
 - **Batched task manifests.**  ``map`` partitions the task list across
-  workers LPT-style and ships ONE pickled manifest per worker — one IPC
+  workers LPT-style and ships ONE manifest per worker — one IPC
   round-trip per bucket shard group instead of one pickle per task.
 - **Plans live in the workers.**  A worker builds a memoized solver or
   sweep plan on its first task that needs it and keeps it for its
   lifetime; workers forked after the parent built one inherit it.
 
-Supervision reuses the PR 4 taxonomy unchanged: a dead worker surfaces
-as :class:`WorkerPoolBroken` (a ``BrokenExecutor``), which the
+Supervision reuses the runtime's failure taxonomy: a dead worker
+surfaces as :class:`WorkerPoolBroken` (a ``BrokenExecutor``), which the
 :class:`~repro.runtime.resilient.ResilientExecutor` already treats as
-retryable-with-respawn.  Leases are parent-owned and workers only read
-their slots, so a killed worker cannot strand one — its map or submit
-returns the leases as it fails — and the arena's segments survive
-untouched for the respawned pool to re-attach.
+retryable-with-respawn.  Workers share no memory with the parent, so a
+killed worker strands nothing: its in-flight frames die with its pipe.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
+import struct
 import threading
 import time
 import weakref
 from concurrent.futures import BrokenExecutor, Future
-from multiprocessing import resource_tracker
 from typing import Any, Callable, Sequence, TypeVar
 
-import numpy as np
-
-from repro.runtime.arena import Arena, SlotRef, resolve
-from repro.runtime.arena import attach as arena_attach
-from repro.runtime.executor import Executor, _CapturedCall, _submission_order
-from repro.runtime.resilient import _TaskShell
+from repro.runtime.executor import Executor, _submission_order
 from repro.utils.logging import get_logger
 
 __all__ = ["PersistentExecutor", "WorkerPoolBroken"]
@@ -72,44 +61,55 @@ class WorkerPoolBroken(BrokenExecutor):
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# frames (parent -> worker)
 # ---------------------------------------------------------------------------
 
-
-def _unpack(item: Any) -> Any:
-    """``item`` with every :class:`SlotRef` mapped back into its ndarray
-    (zero-copy, read in place), through tuples and lists."""
-    if type(item) is SlotRef:
-        return resolve(item)
-    if type(item) in (tuple, list):
-        return type(item)(_unpack(x) for x in item)
-    return item
+#: Every part of a frame starts this many bytes into it, so an array
+#: rebuilt over a part is as aligned as the received payload itself.
+_ALIGN = 16
 
 
-class _SlotTask:
-    """A shipped task: maps its item's slots, then runs ``fn`` on the
-    ndarrays the caller handed in."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, item):
-        return self.fn(_unpack(item))
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
 
 
-def _shipped(fn: Callable) -> Callable:
-    """The form of ``fn`` a worker runs: its item's slots map just before
-    the task body, inside the wrappers ``fn`` carries. Under a capture
-    wrapper a failure to map them is the task's error value; under a
-    resilient task shell they map inside its fault frame, where an armed
-    ``shm_lost`` fires."""
-    if isinstance(fn, _CapturedCall):
-        return _CapturedCall(_shipped(fn.fn))
-    if isinstance(fn, _TaskShell):
-        return fn.around(_shipped(fn.fn))
-    return _SlotTask(fn)
+def _frame(msg: tuple) -> tuple[bytes, int, int]:
+    """``msg`` as one ``send_bytes`` payload, with the byte counts of its
+    pickled part and of its out-of-band buffers.
+
+    The payload is a header (the buffer count, then the length of the
+    protocol-5 pickle and of each buffer, as little-endian u64), the
+    pickle, and each buffer's raw bytes, every part starting on an
+    :data:`_ALIGN` boundary.
+    """
+    buffers: list[pickle.PickleBuffer] = []
+    manifest = pickle.dumps(msg, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    lengths = [len(manifest), *(raw.nbytes for raw in raws)]
+    header = struct.pack(f"<{len(lengths) + 1}Q", len(raws), *lengths)
+    chunks: list[Any] = []
+    for part in (header, manifest, *raws):
+        chunks += (part, bytes(_aligned(len(part)) - len(part)))
+    return b"".join(chunks), len(manifest), sum(lengths) - len(manifest)
+
+
+def _unframe(payload: bytes) -> Any:
+    """The message :func:`_frame` packed, rebuilt over read-only views of
+    ``payload``: its arrays alias the received bytes, uncopied."""
+    (count,) = struct.unpack_from("<Q", payload)
+    lengths = struct.unpack_from(f"<{count + 1}Q", payload, 8)
+    view = memoryview(payload)
+    offset = _aligned(8 * (count + 2))
+    parts = []
+    for n in lengths:
+        parts.append(view[offset : offset + n])
+        offset = _aligned(offset + n)
+    return pickle.loads(parts[0], buffers=parts[1:])
+
+
+# ---------------------------------------------------------------------------
+# worker side
+# ---------------------------------------------------------------------------
 
 
 def _picklable_results(results: list) -> list:
@@ -149,23 +149,20 @@ def _picklable_results(results: list) -> list:
 def _worker_main(conn) -> None:
     """Message loop of one persistent worker (runs in the forked child).
 
-    Protocol (parent -> worker): ``("attach", ArenaSpec)``, ``("run",
+    Protocol (parent -> worker, one :func:`_frame` each): ``("run",
     batch_id, fn, [(task_idx, item), ...])``, ``("exit",)``.  Replies
-    (worker -> parent): ``("done", batch_id, [(task_idx, ok, payload),
-    ...])`` where ``payload`` is the return value or the raised exception.
+    (worker -> parent, plain pickle): ``("done", batch_id, [(task_idx, ok,
+    payload), ...])`` where ``payload`` is the return value or the raised
+    exception.
     """
     while True:
         try:
             payload = conn.recv_bytes()
         except (EOFError, OSError):  # parent died or closed the pipe
             break
-        msg = pickle.loads(payload)
-        kind = msg[0]
-        if kind == "exit":
+        msg = _unframe(payload)
+        if msg[0] == "exit":
             break
-        if kind == "attach":
-            arena_attach(msg[1])
-            continue
         _, batch_id, fn, tasks = msg
         results = []
         for task_idx, item in tasks:
@@ -248,12 +245,6 @@ def _pump_loop(worker: _Worker, stats: dict, stats_lock: threading.Lock) -> None
     )
 
 
-def _release(leases: list) -> None:
-    """Return the ``(arena, ref)`` leases one map or submit took."""
-    for arena, ref in leases:
-        arena.release_lease(ref)
-
-
 def _close_pipe(worker: _Worker) -> None:
     """Close a stopped worker's pipe once its pump thread is done with it.
 
@@ -287,12 +278,11 @@ def _shutdown_workers(workers: list) -> None:
 
 
 class PersistentExecutor(Executor):
-    """Long-lived fork workers + pre-pinned arena + manifest dispatch.
+    """Long-lived fork workers + framed manifest dispatch over pipes.
 
-    Task functions must be module-level picklables. The plain ndarrays an
-    item holds (at the top level or inside tuples and lists) travel
-    through leased slots of the executor's :attr:`arena`; everything else
-    in the item pickles.
+    Task functions must be module-level picklables. Items pickle with
+    protocol 5; the data of their contiguous ndarrays travels out of band
+    in the same frame and reaches the task as read-only arrays.
     """
 
     backend = "persistent"
@@ -311,7 +301,6 @@ class PersistentExecutor(Executor):
         self._spawn_lock = threading.Lock()
         #: Mutated in place (never rebound) — shared with the finalizer.
         self._workers: list[_Worker] = []
-        self._arena: Arena | None = None
         self._batch_seq = 0
         self._rr = 0
         self._stats_lock = threading.Lock()
@@ -322,28 +311,12 @@ class PersistentExecutor(Executor):
             "ipc_round_trips": 0,
             "control_msgs": 0,
             "pickled_task_bytes": 0,
+            "array_bytes": 0,
             "result_bytes": 0,
             "tasks": 0,
             "batches": 0,
         }
         self._finalizer = weakref.finalize(self, _shutdown_workers, self._workers)
-
-    # -- arena ----------------------------------------------------------
-
-    @property
-    def arena(self) -> Arena:
-        """The executor-owned arena (created on first use).
-
-        If workers are already up when the arena first materialises, the
-        spec is shipped immediately so they attach before any manifest
-        references a slot.
-        """
-        with self._spawn_lock:
-            if self._arena is None or self._arena.closed:
-                self._arena = Arena()
-                for w in self._workers:
-                    self._send_control(w, ("attach", self._arena.spec()))
-            return self._arena
 
     # -- pool lifecycle --------------------------------------------------
 
@@ -351,12 +324,6 @@ class PersistentExecutor(Executor):
         with self._spawn_lock:
             if self._workers:
                 return self._workers
-            # Workers forked with the resource tracker up share it. When a
-            # worker maps an arena segment, its attach then registers a
-            # name the tracker already holds, and the arena's unlink stays
-            # the one unregister the tracker sees (a tracker of a worker's
-            # own would unlink live segments when the worker exits).
-            resource_tracker.ensure_running()
             t0 = self._clock()
             ctx = multiprocessing.get_context("fork")
             spawned: list[_Worker] = []
@@ -384,10 +351,6 @@ class PersistentExecutor(Executor):
                     daemon=True,
                 )
                 w.pump.start()
-            if self._arena is not None:
-                spec = self._arena.spec()
-                for w in spawned:
-                    self._send_control(w, ("attach", spec))
             self._workers.extend(spawned)
             with self._stats_lock:
                 self._stats["spawns"] += 1
@@ -397,11 +360,8 @@ class PersistentExecutor(Executor):
     def respawn(self) -> None:
         """Replace the workers; the next map or submit spawns a fresh pool.
 
-        The arena itself is untouched: segments are parent-owned and the
-        free list never left the parent, so outstanding leases remain
-        valid and return as their map or submit resolves (the in-flight
-        tasks of the doomed workers fail as :class:`WorkerPoolBroken`).
-        The fresh pool re-attaches the same segments by name.
+        The in-flight tasks of the doomed workers fail as
+        :class:`WorkerPoolBroken`.
         """
         with self._spawn_lock:
             doomed = list(self._workers)
@@ -424,7 +384,6 @@ class PersistentExecutor(Executor):
         with self._spawn_lock:
             doomed = list(self._workers)
             self._workers.clear()
-            arena, self._arena = self._arena, None
         for w in doomed:
             try:
                 self._send_control(w, ("exit",))
@@ -436,29 +395,11 @@ class PersistentExecutor(Executor):
                 w.proc.terminate()
                 w.proc.join(timeout=1.0)
             _close_pipe(w)
-        if arena is not None:
-            arena.close()
 
     # -- dispatch --------------------------------------------------------
 
-    def _ship(self, item: Any, leases: list) -> Any:
-        """``item`` with every plain ndarray (at the top level or inside
-        tuples and lists) copied into a leased arena slot and replaced by
-        its :class:`SlotRef`; each ``(arena, ref)`` lease is appended to
-        ``leases``. Object arrays and ndarray subclasses pickle as-is."""
-        if type(item) is np.ndarray and not item.dtype.hasobject:
-            arena = self.arena
-            ref = arena.place(item)  # repro: noqa[SHM03] the lease joins
-            # the caller's `leases` at once, and every caller returns that
-            # list from a `finally` (or the submit's done callback).
-            leases.append((arena, ref))
-            return ref
-        if type(item) in (tuple, list):
-            return type(item)(self._ship(x, leases) for x in item)
-        return item
-
     def _send_control(self, worker: _Worker, msg: tuple) -> None:
-        payload = pickle.dumps(msg)
+        payload, _, _ = _frame(msg)
         with self._stats_lock:
             self._stats["control_msgs"] += 1
         with worker.lock:
@@ -473,10 +414,11 @@ class PersistentExecutor(Executor):
             self._batch_seq += 1
         fut: Future = Future()
         fut.set_running_or_notify_cancel()
-        payload = pickle.dumps(("run", batch_id, fn, tasks))
+        payload, pickled, array_bytes = _frame(("run", batch_id, fn, tasks))
         with self._stats_lock:
             self._stats["ipc_round_trips"] += 1
-            self._stats["pickled_task_bytes"] += len(payload)
+            self._stats["pickled_task_bytes"] += pickled
+            self._stats["array_bytes"] += array_bytes
             self._stats["tasks"] += len(tasks)
             self._stats["batches"] += 1
         with worker.lock:
@@ -520,26 +462,19 @@ class PersistentExecutor(Executor):
             j = min(range(len(workers)), key=lambda k: (loads[k], k))
             manifests[j].append(i)
             loads[j] += 1.0 if costs is None else float(costs[i])
-        task = _shipped(fn)
-        leases: list = []
+        futures = [
+            self._send_batch(w, fn, [(i, items[i]) for i in idxs])
+            for w, idxs in zip(workers, manifests)
+            if idxs
+        ]
         results: list[Any] = [None] * len(items)
         errors: dict[int, BaseException] = {}
-        try:
-            futures = [
-                self._send_batch(
-                    w, task, [(i, self._ship(items[i], leases)) for i in idxs]
-                )
-                for w, idxs in zip(workers, manifests)
-                if idxs
-            ]
-            for fut in futures:
-                for task_idx, ok, payload in fut.result():
-                    if ok:
-                        results[task_idx] = payload
-                    else:
-                        errors[task_idx] = payload
-        finally:
-            _release(leases)
+        for fut in futures:
+            for task_idx, ok, payload in fut.result():
+                if ok:
+                    results[task_idx] = payload
+                else:
+                    errors[task_idx] = payload
         if errors:
             # Match pool-executor semantics: the failure of the earliest
             # task index is the one the caller observes.
@@ -552,20 +487,11 @@ class PersistentExecutor(Executor):
         with self._spawn_lock:
             worker = workers[self._rr % len(workers)]
             self._rr += 1
-        leases: list = []
-        try:
-            inner = self._send_batch(
-                worker, _shipped(fn), [(0, self._ship(item, leases))]
-            )
-        except BaseException:
-            _release(leases)
-            raise
+        inner = self._send_batch(worker, fn, [(0, item)])
         outer: Future = Future()
         outer.set_running_or_notify_cancel()
 
         def _resolve(done: Future) -> None:
-            # The leases return before the caller can see the outcome.
-            _release(leases)
             exc = done.exception()
             if exc is not None:
                 outer.set_exception(exc)
@@ -582,16 +508,11 @@ class PersistentExecutor(Executor):
     # -- introspection ---------------------------------------------------
 
     def dispatch_stats(self) -> dict[str, Any]:
-        """Dispatch-overhead counters plus the arena's lease counters
-        (zero until a map or submit first ships an ndarray)."""
+        """Dispatch-overhead counters: spawns, IPC round trips, tasks, the
+        pickled and out-of-band (``array_bytes``) parts of the frames sent,
+        and the reply bytes received."""
         with self._stats_lock:
-            out = dict(self._stats)
-        with self._spawn_lock:
-            arena = self._arena
-        live = arena.stats() if arena is not None and not arena.closed else {}
-        for key in ("leases", "returns", "segments", "capacity_bytes"):
-            out[f"arena_{key}"] = live.get(key, 0)
-        return out
+            return dict(self._stats)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,12 +14,12 @@ Executor` and turns its ``map`` into a supervised, attempt-bounded run:
   reference, where an infrastructure fault cannot reproduce;
 - a **timed-out task on the persistent backend respawns the pool**
   before the retry round: a started manifest cannot be cancelled, so
-  its worker would stay stuck in it (a zombie that only reads its input
-  slots and whose result nobody collects) — terminating the workers
-  frees it, and the next map finds a live pool;
+  its worker would stay stuck in it (a zombie whose result nobody
+  collects) — terminating the workers frees it, and the next map finds
+  a live pool;
 - a broken worker pool (dead worker) is **respawned** once per retry
-  round; a dead worker strands no shared memory, because arena leases
-  live in the parent and return as its submit resolves;
+  round; a dead worker strands nothing, because workers share no memory
+  with the parent;
 - deterministic **numerical** failures (:class:`~repro.errors.
   ConvergenceError` and friends) are never retried — replaying them
   wastes work and reproduces the same bits — they resolve immediately,
@@ -159,17 +159,6 @@ class _TaskShell:
         self.attempt = attempt
         self.backend = backend
         self.parent_pid = parent_pid
-
-    def around(self, task: Callable) -> "_TaskShell":
-        """This attempt's shell around ``task`` in place of its own."""
-        return _TaskShell(
-            task,
-            self.plan,
-            key=self.key,
-            attempt=self.attempt,
-            backend=self.backend,
-            parent_pid=self.parent_pid,
-        )
 
     def __call__(self, item):
         with faults.activate(

@@ -98,12 +98,12 @@ def degradation_ladder(backend: str) -> tuple[str, ...]:
     """Backend fallback order for retried tasks (most to least capable).
 
     A task that keeps failing on the persistent pool retries on the
-    serial rung: worker-pool faults (dead workers, lost segments, wedged
-    tasks) cannot reproduce there, and it is also the bit-exact
-    reference, so a task that survives anywhere produces identical
-    results everywhere. The serial rung runs inline in the caller's
-    thread, on the caller's arrays: it has no pool for a missed deadline
-    to leave a stuck worker in, and no shared memory to lose.
+    serial rung: worker-pool faults (dead workers, wedged tasks) cannot
+    reproduce there, and it is also the bit-exact reference, so a task
+    that survives anywhere produces identical results everywhere. The
+    serial rung runs inline in the caller's thread, on the caller's
+    arrays: it has no pool for a missed deadline to leave a stuck worker
+    in.
     """
     if backend == "persistent":
         return ("persistent", "serial")

@@ -16,8 +16,7 @@ Used three ways:
 - the serving benchmark (``benchmarks/perf_serving.py`` →
   ``BENCH_serve.json``),
 - the CI serving-smoke job, which runs it once clean and once under an
-  armed fault plan, and asserts every future resolved and no arena
-  segment was stranded.
+  armed fault plan per fault kind, and asserts every future resolved.
 
 All timing reads the server's clock (injected or monotonic); the module
 never consults the wall clock itself.

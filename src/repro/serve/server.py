@@ -43,11 +43,10 @@ Design points:
   pick.
 - **Warm workers** — the server builds its executor once and keeps it
   for its whole lifetime, so with ``RuntimeConfig(backend="persistent")``
-  the worker processes, their attached shared-memory arenas, and the
-  sweep plans they built on first use all survive *between* fused
-  batches: steady-state request traffic pays zero pool spin-up and zero
-  segment create/unlink per batch. :meth:`~SVDServer.close` tears the
-  pool and arenas down.
+  the worker processes, their pipes, and the sweep plans they built on
+  first use all survive *between* fused batches: steady-state request
+  traffic pays zero pool spin-up per batch. :meth:`~SVDServer.close`
+  tears the pool down.
 """
 
 from __future__ import annotations

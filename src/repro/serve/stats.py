@@ -51,8 +51,8 @@ class ServerStats:
         resilient executor retried below the broker (the ``index == -1``
         entries of each fused batch's failure report), summed over
         batches. A retried batch still resolves every future, so without
-        it a worker kill, a lost segment or a poisoned sweep leaves no
-        trace in the stats.
+        it a worker kill or a poisoned sweep leaves no trace in the
+        stats.
     pending:
         Requests queued in the micro-batcher right now.
     inflight:

@@ -7,17 +7,15 @@ for every non-quarantined matrix. Fault draws are deterministic
 (sha256-keyed per task), so each scenario replays the identical failure
 sequence on every run.
 
-Scenario coverage: worker kill, arena segment loss, task hang against a
-deadline, mid-sweep NaN corruption, backend fallback down the degradation
-ladder, and deterministic convergence quarantine; kills and NaN poison
-also hit multi-member W-cycle buckets, and kills, NaN poison and segment
-loss hit the fused batches of the serving broker.
+Scenario coverage: worker kill, task hang against a deadline, mid-sweep
+NaN corruption, backend fallback down the degradation ladder, and
+deterministic convergence quarantine; kills and NaN poison also hit
+multi-member W-cycle buckets and the fused batches of the serving broker.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from repro.jacobi.batched import BatchedJacobiEngine
 from repro.jacobi.onesided_vector import OneSidedConfig, OneSidedJacobiSVD
 from repro.jacobi.twosided_evd import TwoSidedConfig
 from repro.runtime import RuntimeConfig, base_executor, get_executor
-from repro.runtime.arena import ARENA_PREFIX, stranded_segments
 from repro.serve import ServeConfig, SVDServer
 
 
@@ -67,23 +64,6 @@ def _chaos_solve(batch, runtime):
 
 
 class TestChaosScenarios:
-    def test_shm_segment_loss_recovers(self, chaos, batch, clean):
-        """Scenario 2: a worker loses the arena segment holding its slots
-        as it maps them (SegmentLostError); the retry on the serial rung
-        maps them cleanly."""
-        chaos("seed=4;shm_lost:p=1.0")
-        res = _chaos_solve(
-            batch,
-            RuntimeConfig(
-                backend="persistent", workers=2, min_shard=2,
-                allow_oversubscribe=True, max_retries=1,
-                backoff_base=0.0, on_failure="quarantine",
-            ),
-        )
-        _assert_bit_identical(res.results, clean.results)
-        assert res.failures
-        assert "SegmentLostError" in {e.cause for e in res.failures}
-
     def test_hang_trips_deadline_and_recovers(self, chaos, batch, clean):
         """Scenario 3: tasks wedge past their deadline; the supervisor
         abandons the attempt (DeadlineExceeded) and the retry is clean."""
@@ -404,12 +384,10 @@ class TestConvergenceQuarantine:
 
 
 class TestPersistentChaos:
-    """PR 7 acceptance: the persistent backend's arena survives worker
-    death. Leases are parent-owned, so a kill mid-lease strands nothing;
-    the respawned pool re-attaches the same segments by name and the
-    retry recovers bit-identically."""
+    """The persistent backend survives worker death: the supervisor
+    respawns the pool and the retry recovers bit-identically."""
 
-    def test_worker_kill_mid_lease_recovers(self, chaos, batch, clean):
+    def test_worker_kill_on_persistent_recovers(self, chaos, batch, clean):
         chaos("seed=3;kill:p=1.0")
         runtime = get_executor(
             RuntimeConfig(
@@ -422,27 +400,18 @@ class TestPersistentChaos:
         solver = WCycleSVD(device="V100", runtime=runtime)
         try:
             res = solver.decompose_batch(batch)
-            # The kill fired inside dispatched tasks whose input/output
-            # slots were leased; every lease came back through the
-            # engine's finally blocks despite the dead pool.
-            assert base.arena.outstanding() == 0
             stats = base.dispatch_stats()
             assert stats["respawns"] >= 1, "the kill never broke the pool"
-            assert stats["arena_leases"] == stats["arena_returns"] > 0
-            prefix = base.arena._prefix
         finally:
             solver.close()
         _assert_bit_identical(res.results, clean.results)
         assert res.failures, "the kill clause never fired"
         assert all(e.recovered for e in res.failures)
-        # The respawned pool's segments died with the executor's close().
-        stale = [n for n in stranded_segments() if n.startswith(prefix)]
-        assert stale == [], f"stranded arena segments: {stale}"
 
     def test_nan_poison_on_persistent_recovers(self, chaos, batch, clean):
-        """The nan fault reaches arena-transported stacks too: solvers
-        poison their private working copy inside the worker, the finite
-        check trips, and the retry re-reads the untouched input."""
+        """The nan fault reaches stacks shipped to the workers too:
+        solvers poison their private working copy inside the worker, the
+        finite check trips, and the retry re-reads the untouched input."""
         chaos("seed=11;nan:p=1.0")
         res = _chaos_solve(
             batch,
@@ -455,27 +424,6 @@ class TestPersistentChaos:
         _assert_bit_identical(res.results, clean.results)
         assert res.failures
         assert "NonFiniteError" in {e.cause for e in res.failures}
-
-
-class TestNoStrandedSegments:
-    def test_killed_worker_strands_no_shm(self, chaos, batch, clean):
-        """Worker death mid-task must not leave shared memory behind:
-        none of this process's arena segments survive the solver's
-        close."""
-        chaos("seed=3;kill:p=1.0")
-        before = set(stranded_segments())
-        res = _chaos_solve(
-            batch,
-            RuntimeConfig(
-                backend="persistent", workers=2, min_shard=2,
-                allow_oversubscribe=True, max_retries=2,
-                backoff_base=0.0, on_failure="quarantine",
-            ),
-        )
-        _assert_bit_identical(res.results, clean.results)
-        assert res.failures
-        stale = sorted(set(stranded_segments()) - before)
-        assert stale == [], f"stranded segments: {stale}"
 
 
 def _serve_on_persistent(mats):
@@ -503,9 +451,8 @@ class TestServeChaos:
     """The served path under injected faults: requests fused by
     :class:`~repro.serve.SVDServer` ride the resilient executor, so a
     fault inside a fused batch's tasks is retried below the broker. Every
-    future must resolve with the bytes of a standalone solve, the retries
-    must show in ``ServerStats.task_failures``, and no shared-memory
-    segment may be stranded."""
+    future must resolve with the bytes of a standalone solve, and the
+    retries must show in ``ServerStats.task_failures``."""
 
     @staticmethod
     def _requests():
@@ -513,7 +460,7 @@ class TestServeChaos:
         shapes = [(16, 8), (12, 12), (24, 16)]
         return [rng.standard_normal(shapes[i % 3]) for i in range(24)]
 
-    @pytest.mark.parametrize("kind", ["kill", "nan", "shm_lost"])
+    @pytest.mark.parametrize("kind", ["kill", "nan"])
     def test_served_batches_recover_bit_identically(self, chaos, kind):
         mats = self._requests()
         want = BatchedJacobiEngine().svd_batch(mats)
@@ -522,10 +469,6 @@ class TestServeChaos:
         _assert_bit_identical(got, want)
         assert failures, f"the {kind} clause never fired"
         assert stats.task_failures, stats.as_dict()
-        # Only this process's segments: another process's live arena is
-        # not ours to judge.
-        own = f"{ARENA_PREFIX}{os.getpid()}x"
-        assert [n for n in stranded_segments() if n.startswith(own)] == []
 
     def test_clean_served_run_reports_no_task_failures(self, chaos):
         mats = self._requests()

@@ -13,7 +13,6 @@ from repro.errors import (
     PlanError,
     ReproError,
     ResourceError,
-    SegmentLostError,
     ShapeError,
     TaskFailure,
     WorkerCrashError,
@@ -29,7 +28,6 @@ class TestHierarchy:
             NonFiniteError,
             PlanError,
             ResourceError,
-            SegmentLostError,
             ShapeError,
             WorkerCrashError,
         ):
@@ -89,7 +87,6 @@ class TestInfrastructureFaults:
             NonFiniteError("nan", batch_indices=(0,)),
             WorkerCrashError("died"),
             DeadlineExceeded("late"),
-            SegmentLostError("gone"),
         ],
     )
     def test_pickle_round_trip(self, exc):

@@ -1,8 +1,9 @@
 """The array transport stays behind the runtime.
 
 Solvers hand plain ndarrays to ``Executor.map``; only the persistent
-backend knows that they travel through arena slots. These checks read the
-source with :mod:`ast`, so they hold for every code path, run or not.
+backend knows that they travel as out-of-band pickle buffers. These checks
+read the source with :mod:`ast`, so they hold for every code path, run or
+not.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Transport modules the solver packages must not import.
-TRANSPORT_MODULES = ("repro.runtime.arena", "repro.runtime.persistent")
+TRANSPORT_MODULES = ("repro.runtime.persistent",)
 
 #: Transport names the solver packages must not mention.
-TRANSPORT_NAMES = ("SlotRef", "supports_shared_state", "base_executor")
+TRANSPORT_NAMES = ("supports_shared_state", "base_executor")
 
 
 def _modules(tree: ast.AST) -> set[str]:
     """Every module a file imports, and every ``from`` import spelled as
-    ``module.name`` (``from repro.runtime import arena`` imports
-    ``repro.runtime.arena``)."""
+    ``module.name`` (``from repro.runtime import persistent`` imports
+    ``repro.runtime.persistent``)."""
     found: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -1,12 +1,11 @@
-"""Persistent worker arenas: slot leases, manifest dispatch, warm pools.
+"""Persistent workers: manifest dispatch, the array transport, warm pools.
 
-Covers the persistent backend from the bottom up: the :class:`Arena`
-lease protocol (grow/lease/return, double-release rejection, clean
-unlink), the :class:`PersistentExecutor` (LPT manifests, batched IPC,
-error semantics, respawn that re-attaches arenas, lease balance after
-engine and W-cycle solves), its array transport (items holding ndarrays
-ship through slots, inline maps take no lease, every lease returns), and
-the serving layer keeping replicas warm *between* fused batches. The
+Covers the :class:`PersistentExecutor` (LPT manifests, batched IPC, error
+semantics, respawn, clean close after engine and W-cycle solves), its
+array transport (items holding ndarrays of any layout ship as
+out-of-band pickle buffers and arrive read-only, ``array_bytes`` counts
+them, inline maps ship none, no shared memory is needed), and the
+serving layer keeping replicas warm *between* fused batches. The
 cross-backend bit-identity acceptance lives in ``tests/test_runtime.py``
 (``persistent`` is parametrized there); the fault-injection scenarios
 live in ``tests/test_chaos.py``.
@@ -17,23 +16,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro import WCycleSVD
-from repro.errors import ConfigurationError, SegmentLostError, ShapeError
+from repro.errors import ShapeError
 from repro.jacobi.batched import BatchedJacobiEngine
-from repro.runtime import RuntimeConfig, faults, get_executor
-from repro.runtime.arena import (
-    Arena,
-    SlotRef,
-    attach,
-    resolve,
-    stranded_segments,
-)
+from repro.runtime import RuntimeConfig, SerialExecutor, get_executor
 from repro.runtime.persistent import PersistentExecutor, WorkerPoolBroken
-from repro.runtime.resilient import base_executor
+from repro.runtime.resilient import ResilientExecutor, RetryPolicy, base_executor
 from repro.serve import ServeConfig, SVDServer
 
 
@@ -105,93 +98,51 @@ def _combine_items(rng, count, *, negative=()):
     ]
 
 
-class TestArenaLeases:
-    def test_place_round_trip(self, rng):
-        stack = rng.standard_normal((3, 8, 4))
-        with Arena() as arena:
-            ref = arena.place(stack)
-            try:
-                assert isinstance(ref, SlotRef)
-                assert np.array_equal(resolve(ref), stack)
-            finally:
-                arena.release_lease(ref)
-            assert arena.outstanding() == 0
+def _combine_nbytes(items):
+    return sum(a.nbytes + b.nbytes + c.nbytes for a, (b, c), _ in items)
 
-    def test_reserve_then_write_then_view(self, rng):
-        want = rng.standard_normal((2, 5, 5))
-        with Arena() as arena:
-            ref = arena.reserve((2, 5, 5), np.float64)
-            try:
-                resolve(ref)[...] = want
-                assert np.array_equal(resolve(ref), want)
-            finally:
-                arena.release_lease(ref)
 
-    def test_slot_reuse_is_lifo(self):
-        with Arena() as arena:
-            a = arena.reserve((4,), np.float64)  # repro: noqa[SHM02]
-            # straight-line release by design: reuse after return is the
-            # behavior under test, so there is no exception window.
-            arena.release_lease(a)
-            b = arena.reserve((4,), np.float64)
-            try:
-                assert (b.segment, b.slot) == (a.segment, a.slot)
-            finally:
-                arena.release_lease(b)
+def _layout_items(rng, count):
+    """Items holding one array of every layout the transport must carry:
+    C- and F-ordered, a transposed view, a strided slice, a zero-size
+    array and an object array."""
+    return [
+        (
+            rng.standard_normal((6, 4)),
+            np.asfortranarray(rng.standard_normal((5, 3))),
+            rng.standard_normal((3, 7)).T,
+            rng.standard_normal((8, 6))[::2, 1::2],
+            np.empty((0, 3)),
+            np.array([k, "x", (1, 2)], dtype=object),
+        )
+        for k in range(count)
+    ]
 
-    def test_double_release_rejected(self):
-        with Arena() as arena:
-            ref = arena.reserve((2, 2), np.float64)  # repro: noqa[SHM02]
-            # the second release below is the behavior under test.
-            arena.release_lease(ref)
-            with pytest.raises(ConfigurationError, match="double release"):
-                arena.release_lease(ref)
 
-    def test_oversized_reservation_grows_a_segment(self, rng):
-        with Arena(slot_bytes=1 << 10, slots_per_segment=2) as arena:
-            big = rng.standard_normal((64, 64))  # 32 KiB > 1 KiB slots
-            ref = arena.place(big)
-            try:
-                stats = arena.stats()
-                assert stats["grown_segments"] == 1
-                assert stats["segments"] == 2
-                assert np.array_equal(resolve(ref), big)
-            finally:
-                arena.release_lease(ref)
+def _double_each(item):
+    return [x * 2 for x in item]
 
-    def test_armed_segment_loss_fires_when_a_task_maps_its_slot(self, rng):
-        """``shm_lost`` injects where a persistent task maps its slots;
-        outside a fault frame, or on a retry past the clause's budget,
-        the slot resolves."""
-        plan = faults.parse_spec("seed=1;shm_lost:p=1.0")
-        with Arena() as arena:
-            ref = arena.place(rng.standard_normal((2, 3)))
-            try:
-                with faults.activate(plan, "t0", backend="persistent"):
-                    with pytest.raises(SegmentLostError, match=ref.segment):
-                        resolve(ref)
-                with faults.activate(plan, "t0", attempt=1):
-                    assert resolve(ref).shape == (2, 3)
-                assert resolve(ref).shape == (2, 3)
-            finally:
-                arena.release_lease(ref)
 
-    def test_spec_attach_is_idempotent(self):
-        with Arena() as arena:
-            spec = arena.spec()
-            # Same process already has every segment mapped (creation
-            # registers them), so attach() maps nothing new.
-            assert attach(spec) == 0
+def _write_in_place(x):
+    x[...] = 0.0
+    return x
 
-    def test_close_unlinks_and_is_idempotent(self):
-        arena = Arena()
-        prefix = arena._prefix
-        assert any(name.startswith(prefix) for name in stranded_segments())
-        arena.close()
-        arena.close()
-        assert not any(name.startswith(prefix) for name in stranded_segments())
-        with pytest.raises(ConfigurationError, match="closed"):
-            arena.reserve((2, 2), np.float64)
+
+def _refuse_shared_memory(*args, **kwargs):
+    raise OSError("shared memory is unavailable")
+
+
+def _assert_same_arrays(got, want):
+    """Per item, every array has the serial result's dtype, shape and
+    bytes (object arrays: its elements)."""
+    assert len(got) == len(want)
+    for g_item, w_item in zip(got, want):
+        for g, w in zip(g_item, w_item, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            if w.dtype.hasobject:
+                assert g.tolist() == w.tolist()
+            else:
+                assert g.tobytes() == w.tobytes()
 
 
 class TestPersistentExecutor:
@@ -227,22 +178,6 @@ class TestPersistentExecutor:
             assert stats["ipc_round_trips"] == 2
             assert stats["batches"] == 2
 
-    def test_respawn_preserves_arena_and_leases(self, rng):
-        stack = rng.standard_normal((2, 6, 3))
-        with PersistentExecutor(2) as ex:
-            arena = ex.arena
-            ref = arena.place(stack)
-            try:
-                ex.respawn()
-                assert ex.arena is arena
-                assert arena.outstanding() == 1
-                # Fresh workers re-attach the same segments by name and
-                # read the still-leased slot's bytes unchanged.
-                assert np.array_equal(resolve(ref), stack)
-                assert ex.map(_square, [2, 3]) == [4, 9]
-            finally:
-                arena.release_lease(ref)
-
     def test_dead_worker_surfaces_as_pool_broken(self):
         with PersistentExecutor(2) as ex:
             ex.map(_square, [1, 2])  # spin up
@@ -256,11 +191,8 @@ class TestPersistentExecutor:
     def test_deadline_terminates_zombie_workers_before_retry(self):
         """A timed-out manifest may still be *running* in its worker —
         ``fut.cancel()`` cannot stop it. The supervisor must terminate
-        the pool before the retry round, or the zombie could read/write
-        slots after their leases return to the free list and are
-        re-leased to another batch (silent corruption)."""
-        from repro.runtime.resilient import ResilientExecutor, RetryPolicy
-
+        the pool before the retry round, or the zombie would keep its
+        worker, and every manifest queued behind it, stuck."""
         inner = PersistentExecutor(2)
         with ResilientExecutor(
             inner,
@@ -291,8 +223,6 @@ class TestPersistentExecutor:
     def test_unpicklable_result_recovered_on_serial_rung(self):
         """The placeholder error is retryable, and the in-process serial
         rung never pickles — so the ladder recovers the real result."""
-        from repro.runtime.resilient import ResilientExecutor, RetryPolicy
-
         with ResilientExecutor(
             PersistentExecutor(2),
             RetryPolicy(max_retries=1, backoff_base=0.0),
@@ -302,38 +232,20 @@ class TestPersistentExecutor:
             assert out[1] == 2
 
     def test_close_strands_nothing(self):
+        """``close`` stops and reaps every worker it spawned."""
         ex = PersistentExecutor(2)
-        arena = ex.arena
-        prefix = arena._prefix
         ex.map(_square, [1, 2, 3, 4])
-        assert any(name.startswith(prefix) for name in stranded_segments())
+        procs = [w.proc for w in ex._workers]
+        assert len(procs) == 2
         ex.close()
-        assert not any(name.startswith(prefix) for name in stranded_segments())
+        for proc in procs:
+            proc.join(timeout=5.0)
+            assert not proc.is_alive()
+        assert ex._workers == []
 
-    def test_engine_releases_output_leases_after_finalize(self, rng):
-        matrices = [rng.standard_normal((12, 6)) for _ in range(8)]
-        wrapped = get_executor(
-            RuntimeConfig(
-                backend="persistent", workers=2, min_shard=2,
-                allow_oversubscribe=True,
-            )
-        )
-        engine = BatchedJacobiEngine(executor=wrapped)
-        try:
-            ex = base_executor(wrapped)
-            results = engine.svd_batch(matrices)
-            assert len(results) == 8
-            assert ex.arena.outstanding() == 0
-            stats = ex.dispatch_stats()
-            assert stats["arena_leases"] == stats["arena_returns"] > 0
-        finally:
-            wrapped.close()
-
-    def test_factors_outlive_arena_slots(self, rng):
-        """The engine releases its output slots once it has finalized, and
-        the next batch leases them again; factors it returned earlier must
-        not alias them, so they keep their bytes (checked while the arena
-        is still mapped)."""
+    def test_factors_outlive_later_batches(self, rng):
+        """Factors a persistent solve returned keep their bytes while the
+        same engine solves later batches on the same pool."""
         first = [rng.standard_normal((16, 8)) for _ in range(32)]
         second = [rng.standard_normal((16, 8)) for _ in range(32)]
         sym = [rng.standard_normal((8, 8)) for _ in range(64)]
@@ -351,11 +263,10 @@ class TestPersistentExecutor:
             ex = base_executor(wrapped)
             got_svd = engine.svd_batch(first)
             got_evd = engine.evd_batch(sym[:32])
-            leases = ex.dispatch_stats()["arena_leases"]
+            shipped = ex.dispatch_stats()["array_bytes"]
             engine.svd_batch(second)
             engine.evd_batch(sym[32:])
-            assert ex.dispatch_stats()["arena_leases"] > leases
-            assert ex.arena.outstanding() == 0
+            assert ex.dispatch_stats()["array_bytes"] > shipped > 0
             for got, want in zip(got_svd, want_svd):
                 for name in "USV":
                     assert (
@@ -369,33 +280,38 @@ class TestPersistentExecutor:
             wrapped.close()
 
     def test_process_backend_decompose_leaks_nothing(self):
-        """A W-cycle solve on the persistent worker processes returns
-        every arena lease it took and strands no arena segment once
-        closed."""
+        """A W-cycle solve on the persistent worker processes ships its
+        arrays, matches the serial solve byte for byte, and leaves no
+        worker alive once closed."""
         rng = np.random.default_rng(11)
         batch = [rng.standard_normal((16, 8)) for _ in range(6)]
         batch.append(rng.standard_normal((48, 32)))
+        with WCycleSVD(device="V100") as solver:
+            want = solver.decompose_batch(batch)
         runtime = RuntimeConfig(
             backend="persistent", workers=2, min_shard=2,
             allow_oversubscribe=True,
         )
         with WCycleSVD(device="V100", runtime=runtime) as solver:
             results = solver.decompose_batch(batch)
-            arena = base_executor(solver._executor).arena
-            assert arena.stats()["leases"] > 0
-            assert arena.outstanding() == 0
-            prefix = arena._prefix
-        assert len(results) == len(batch)
-        assert [n for n in stranded_segments() if n.startswith(prefix)] == []
+            ex = base_executor(solver._executor)
+            assert ex.dispatch_stats()["array_bytes"] > 0
+            procs = [w.proc for w in ex._workers]
+        assert procs
+        for proc in procs:
+            proc.join(timeout=5.0)
+            assert not proc.is_alive()
+        for got, ref in zip(results, want):
+            for name in "USV":
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestArrayTransport:
-    """Items hold plain ndarrays; only the persistent backend ships them
-    through arena slots, and only when a map or submit leaves the parent."""
+    """Items hold plain ndarrays; only the persistent backend ships them,
+    as out-of-band pickle buffers in the manifest's frame, and only when
+    a map or submit leaves the parent."""
 
     def test_map_and_submit_ship_ndarrays_byte_equal_to_serial(self, rng):
-        from repro.runtime.resilient import ResilientExecutor, RetryPolicy
-
         items = _combine_items(rng, 4)
         arrays = [item[0] for item in items]
         want = [_combine(item) for item in items]
@@ -407,64 +323,117 @@ class TestArrayTransport:
         assert [g.tobytes() for g in squares] == [
             (a * a).tobytes() for a in arrays
         ]
-        # Three arrays per nested item, one per top-level array item.
-        assert stats["arena_leases"] == 3 * 4 + 4
+        # Every array of every shipped item, nested or top-level, rode
+        # its frame out of band.
+        assert stats["array_bytes"] == _combine_nbytes(items) + sum(
+            a.nbytes for a in arrays
+        )
         with ResilientExecutor(
             PersistentExecutor(2), RetryPolicy(max_retries=0)
         ) as ex:
             got = ex.map(_combine, items)
             one = ex.submit(_combine, items[1]).result(timeout=30)
             top = ex.submit(_square, arrays[2]).result(timeout=30)
-            inner = ex.inner
-            assert inner.dispatch_stats()["arena_leases"] == 3 * 4 + 3 + 1
-            assert inner.arena.outstanding() == 0
+            assert ex.inner.dispatch_stats()["array_bytes"] == (
+                _combine_nbytes(items)
+                + _combine_nbytes(items[1:2])
+                + arrays[2].nbytes
+            )
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert one.tobytes() == want[1].tobytes()
         assert top.tobytes() == (arrays[2] * arrays[2]).tobytes()
 
-    def test_every_lease_returns(self, rng):
+    def test_every_array_layout_ships_byte_equal_to_serial(self, rng):
+        items = _layout_items(rng, 4)
+        want = SerialExecutor().map(_double_each, items)
         with PersistentExecutor(2) as ex:
-            ex.map(_combine, _combine_items(rng, 4))
-            assert ex.arena.outstanding() == 0
+            got = ex.map(_double_each, items)
+            assert ex.dispatch_stats()["ipc_round_trips"] == 2
+        _assert_same_arrays(got, want)
+        with ResilientExecutor(
+            PersistentExecutor(2), RetryPolicy(max_retries=0)
+        ) as ex:
+            got = ex.map(_double_each, items)
+            one = ex.submit(_double_each, items[3]).result(timeout=30)
+            assert ex.last_failures == []
+        _assert_same_arrays(got, want)
+        _assert_same_arrays([one], want[3:])
+
+    def test_task_writing_its_input_raises(self, rng):
+        """Shipped arrays are read-only views of the received frame, so a
+        task cannot write into its item; the caller's arrays keep their
+        bytes."""
+        arrays = [rng.standard_normal((4, 4)) for _ in range(2)]
+        before = [a.tobytes() for a in arrays]
+        with PersistentExecutor(2) as ex:
+            with pytest.raises(ValueError, match="read-only"):
+                ex.map(_write_in_place, arrays)
+            exc = ex.submit(_write_in_place, arrays[0]).exception(timeout=30)
+            assert isinstance(exc, ValueError)
+        assert [a.tobytes() for a in arrays] == before
+
+    def test_transport_needs_no_shared_memory(self, rng, monkeypatch):
+        monkeypatch.setattr(
+            shared_memory, "SharedMemory", _refuse_shared_memory
+        )
+        arrays = [rng.standard_normal((6, 6)) for _ in range(4)]
+        want = [(a * a).tobytes() for a in arrays]
+        with PersistentExecutor(2) as ex:
+            assert [g.tobytes() for g in ex.map(_square, arrays)] == want
+            one = ex.submit(_square, arrays[1]).result(timeout=30)
+            assert one.tobytes() == want[1]
+            ex.respawn()
+            assert [g.tobytes() for g in ex.map(_square, arrays)] == want
+            stats = ex.dispatch_stats()
+        assert stats["respawns"] == 1
+        # Two maps of four arrays and one submit, all 6x6 float64.
+        assert stats["array_bytes"] == 9 * arrays[0].nbytes
+
+    def test_array_task_failures_surface(self, rng):
+        """A task error, a worker death in a map and one in a submit all
+        reach the caller; a respawned pool then serves array items."""
+        with PersistentExecutor(2) as ex:
             with pytest.raises(ShapeError, match="negative scale"):
                 ex.map(
                     _raise_on_negative_scale,
                     _combine_items(rng, 4, negative={1}),
                 )
-            assert ex.arena.outstanding() == 0
             with pytest.raises(WorkerPoolBroken):
                 ex.map(_die_in_worker, [rng.standard_normal(3)] * 2)
-            assert ex.arena.outstanding() == 0
             ex.respawn()
             fut = ex.submit(_die_in_worker, rng.standard_normal(3))
             with pytest.raises(WorkerPoolBroken):
                 fut.result(timeout=30)
-            assert ex.arena.outstanding() == 0
-            stats = ex.dispatch_stats()
-            assert stats["arena_leases"] == stats["arena_returns"] > 0
+            ex.respawn()
+            items = _combine_items(rng, 4)
+            got = ex.map(_combine, items)
+        assert [g.tobytes() for g in got] == [
+            _combine(item).tobytes() for item in items
+        ]
 
-    def test_inline_maps_take_no_lease(self, rng):
+    def test_inline_maps_ship_no_arrays(self, rng):
         arrays = [rng.standard_normal((5, 5)) for _ in range(3)]
         with PersistentExecutor(2) as ex:
-            before = ex.dispatch_stats()["arena_leases"]
             (out,) = ex.map(_square, arrays[:1])
             assert out.tobytes() == (arrays[0] * arrays[0]).tobytes()
-            assert ex.dispatch_stats()["arena_leases"] == before
+            stats = ex.dispatch_stats()
+            assert stats["array_bytes"] == 0
+            assert stats["ipc_round_trips"] == 0
         with PersistentExecutor(1) as ex:
             out = ex.map(_combine, _combine_items(rng, 3))
             assert len(out) == 3
             stats = ex.dispatch_stats()
-            assert stats["arena_leases"] == 0
+            assert stats["array_bytes"] == 0
             assert stats["ipc_round_trips"] == 0
 
-    def test_one_unit_svd_batch_takes_no_lease(self, rng):
+    def test_one_unit_svd_batch_ships_no_arrays(self, rng):
         """Four 16x8 matrices are one unit at ``min_shard=4``: the engine's
-        map runs it inline, and nothing is placed in the arena."""
+        map runs it inline, and nothing is shipped."""
         matrices = [rng.standard_normal((16, 8)) for _ in range(4)]
         want = BatchedJacobiEngine().svd_batch(matrices)
         with PersistentExecutor(2) as ex:
             got = BatchedJacobiEngine(executor=ex).svd_batch(matrices)
-            assert ex.dispatch_stats()["arena_leases"] == 0
+            assert ex.dispatch_stats()["array_bytes"] == 0
         for g, w in zip(got, want):
             for name in "USV":
                 assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
@@ -496,11 +465,8 @@ class TestServeWarmReplicas:
                 assert got.S.tobytes() == ref.S.tobytes()
             stats = ex.dispatch_stats()
             # One spawn serves every fused batch: replicas (and their
-            # arena attachments + memoized plans) persist between rounds.
+            # memoized plans) persist between rounds.
             assert stats["spawns"] == 1
             assert stats["respawns"] == 0
-            assert ex.arena.outstanding() == 0
-            prefix = ex.arena._prefix
         finally:
             server.close()
-        assert not any(n.startswith(prefix) for n in stranded_segments())

@@ -1,6 +1,6 @@
 """Resilient executor unit contracts: policy, spec grammar, supervision.
 
-End-to-end chaos scenarios (kill/hang/nan/shm loss against the real
+End-to-end chaos scenarios (kill/hang/nan against the real
 solvers, with bit-identity assertions) live in ``test_chaos.py``; this
 module pins the building blocks — :class:`RetryPolicy` validation, the
 ``REPRO_FAULTS`` grammar, deterministic draws, the degradation ladder,
@@ -128,6 +128,11 @@ class TestFaultSpecGrammar:
         # No code path would consult it, so the clause could never fire.
         with pytest.raises(ConfigurationError):
             faults.parse_spec("seed=1;replica_kill:p=1.0,attempts=1")
+
+    def test_shm_lost_is_not_a_kind(self):
+        # Workers map no shared memory, so there is no segment to lose.
+        with pytest.raises(ConfigurationError, match="fault kind must be"):
+            faults.parse_spec("shm_lost:p=1")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
